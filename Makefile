@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench perf perf-smoke profile lint trailsan units iso trailhot analyzers sansan test-trailsan test-trailiso test-trailhot typecheck trailmc mc
+.PHONY: test bench perf perf-smoke perf-ab profile lint trailsan units iso trailhot analyzers sansan test-trailsan test-trailiso test-trailhot typecheck trailmc mc
 
 # Tier-1: the full unit/property/integration suite (includes perf-smoke).
 test:
@@ -15,6 +15,18 @@ bench:
 # microbenchmarks; rewrites BENCH_perf.json at the repo root.
 perf:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/perf -m perf -q -s
+
+# Interleaved A/B of a reference commit against the working tree on the
+# layered benchmark (BENCHMARK.json): >= 10 pairs alternating which side
+# runs first, every pair printed, medians + quartiles per side, and the
+# gain rule (>= 9/10 wins and median gap > REF's quartile distance).
+# Usage: make perf-ab REF=<sha> [WORKLOAD=crash-recover] [PAIRS=10] [SEED=7]
+PAIRS ?= 10
+SEED ?= 7
+perf-ab:
+	@test -n "$(REF)" || { echo "usage: make perf-ab REF=<sha> [WORKLOAD=<name>] [PAIRS=10] [SEED=7]"; exit 2; }
+	$(PYTHON) benchmarks/perf_ab.py --ref $(REF) --pairs $(PAIRS) \
+		--seed $(SEED) $(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # Fast perf sanity (< 30 s, part of tier-1): scenarios run, schema holds.
 perf-smoke:

@@ -14,7 +14,7 @@ import abc
 from typing import Dict, Protocol
 
 from repro.disk.geometry import DiskGeometry
-from repro.sim import Event, Process, ProcessGenerator, Simulation
+from repro.sim import Event, ProcessGenerator, Simulation
 from repro.units import Lba, Sectors
 
 
@@ -26,7 +26,7 @@ class DataTarget(Protocol):
     drives behind one flat LBA space), so every driver in this
     repository can front either without knowing which it got.  The
     surface is exactly what the Trail stack touches: addressed
-    read/write commands returning simulation processes, extent
+    read/write commands returning completion events, extent
     validation via :attr:`geometry`, bad-sector relocation for the
     write-back retry path, and power control for crash injection.
     """
@@ -35,10 +35,10 @@ class DataTarget(Protocol):
     geometry: DiskGeometry
 
     def read(self, lba: Lba, nsectors: Sectors,
-             priority: int = ...) -> Process: ...
+             priority: int = ...) -> Event: ...
 
     def write(self, lba: Lba, data: bytes,
-              priority: int = ...) -> Process: ...
+              priority: int = ...) -> Event: ...
 
     def relocate(self, lba: Lba, nsectors: Sectors) -> Sectors: ...
 

@@ -396,7 +396,7 @@ class TrailDriver(BlockDevice):
         self.stats.reads_from_disk += 1
         return self.sim.process(
             self._read_through(disk, disk_id, lba, nsectors),
-            name=f"trail-read@{lba}")
+            name="trail-read")
 
     def _read_through(self, disk: DataTarget, disk_id: int,
                       lba: int, nsectors: int) -> Generator[Event, Any, bytes]:

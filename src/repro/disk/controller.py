@@ -11,9 +11,10 @@ below 0.5 msec" — is reproduced directly from these fields.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.sim import Event
 from repro.units import Lba, Ms, Sectors
 
 
@@ -125,13 +126,30 @@ class DriveStats:
         return self.rotation_ms / self.commands if self.commands else 0.0
 
 
-@dataclass(slots=True)
-class _Segment:
-    """One contiguous same-track span of a multi-sector transfer."""
+class _Command:
+    """One submitted command: its queue entry and latency accumulators.
 
-    track: int
-    first_lba: int
-    nsectors: int
-    seek_ms: float = 0.0
-    rotation_ms: float = 0.0
-    transfer_ms: float = field(default=0.0)
+    Built once per :meth:`~repro.disk.drive.DiskDrive.submit` and
+    dropped at completion — slotted, because it is the only per-command
+    object besides the completion event and the :class:`IoResult`.
+    """
+
+    __slots__ = ("op", "lba", "nsectors", "data", "priority", "event",
+                 "enqueued_at", "started_at", "seek_ms", "rotation_ms",
+                 "transfer_ms")
+
+    def __init__(self, op: Op, lba: Lba, nsectors: Sectors,
+                 data: Optional[bytes], priority: int, event: Event,
+                 enqueued_at: Ms) -> None:
+        self.op = op
+        self.lba = lba
+        self.nsectors = nsectors
+        self.data = data
+        self.priority = priority
+        #: Succeeds with the IoResult, or fails with the abort reason.
+        self.event = event
+        self.enqueued_at = enqueued_at
+        self.started_at: Ms = enqueued_at
+        self.seek_ms: Ms = 0.0
+        self.rotation_ms: Ms = 0.0
+        self.transfer_ms: Ms = 0.0

@@ -14,9 +14,19 @@ head when the transfer is ready to start, the rotational wait term is
 revolution.  Nothing in the drive knows about Trail — it just services
 addressed commands like a real SCSI target.
 
+Commands are serviced by a callback-driven state machine, not by a
+process per command.  :meth:`DiskDrive.submit` returns a plain
+:class:`~repro.sim.Event`; an idle drive starts service in the same
+instant, a busy one parks the command in its queue (see
+:mod:`repro.disk.scheduler`).  Each per-track segment is slept in ONE
+timeout whose callback lands the sectors, and the last one folds the
+statistics, starts the next waiting command and then succeeds the
+command's event with its :class:`IoResult` — two kernel events per
+command (the timeout and the completion), none for waiting in queue.
+
 Power failure is modelled by :meth:`halt`: the in-flight command is
-interrupted, whole sectors already transferred persist in the store,
-and everything else is lost.
+aborted, whole sectors already transferred persist in the store, and
+everything else — including every queued command — is lost.
 
 Media faults are modelled by an optional attached
 :class:`~repro.faults.FaultInjector` (see :meth:`attach_faults`).
@@ -25,31 +35,29 @@ per-sector errors are retried for up to ``retry_limit`` extra
 revolutions, unrecoverable write targets are transparently remapped to
 spare sectors, unrecoverable reads fail the command with
 :class:`~repro.errors.UnrecoverableSectorError`, and silent bit flips
-land on the platter with the command still reporting success.  With no
-injector attached (the default) none of this code runs — the fast path
-is byte- and event-identical to the fault-free drive.
+land on the platter with the command still reporting success.  These
+run as extra phases of the same machine (overhead, positioning and
+transfer become separate sleeps so retries can interleave); with no
+injector attached (the default) none of them is entered.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (
-    Any, Dict, Generator, List, Optional, Set, Tuple, TYPE_CHECKING, Union)
+from typing import Callable, Optional, Union
 
 from repro.errors import (
-    DiskHaltedError, DriveFailedError, UnrecoverableSectorError)
+    DiskError, DiskHaltedError, DriveFailedError,
+    UnrecoverableSectorError)
 from repro.disk.controller import (
-    DriveStats, IoResult, Op, PRIORITY_READ, _Segment)
+    DriveStats, IoResult, Op, PRIORITY_READ, _Command)
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import RotationModel, SeekModel
+from repro.disk.scheduler import ElevatorQueue, PriorityQueue
 from repro.disk.sectors import SectorStore
 from repro.faults.plan import FaultInjector, FaultPlan
-from repro.sim import (
-    Event, Interrupt, PriorityResource, Process, Resource, Simulation)
+from repro.sim import Event, Simulation
 from repro.units import Lba, Ms, Sectors, Tracks
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.disk.scheduler import ElevatorResource
 
 #: Constructor bypass for the per-command completion record; the
 #: 13-keyword dataclass __init__ is measurable at command rates.
@@ -81,16 +89,12 @@ class DiskDrive:
         self.name = name
         self.stats = DriveStats()
         self.scheduling = scheduling
-        self._queue: Resource
-        self._elevator: Optional["ElevatorResource"] = None
+        #: Commands waiting behind the one in service.
+        self._queue: Union[PriorityQueue, ElevatorQueue]
         if scheduling == "priority":
-            self._queue = PriorityResource(sim, capacity=1)
+            self._queue = PriorityQueue()
         elif scheduling == "elevator":
-            from repro.disk.scheduler import ElevatorResource
-            self._elevator = ElevatorResource(
-                sim, head_cylinder=lambda: self._position_cylinder,
-                starvation_ms=starvation_ms)
-            self._queue = self._elevator
+            self._queue = ElevatorQueue(geometry, starvation_ms)
         else:
             raise ValueError(
                 f"unknown scheduling discipline {scheduling!r}")
@@ -98,15 +102,41 @@ class DiskDrive:
         self._position_head = 0
         self._halted = False
         self._dead = False
-        self._outstanding: Set[Process] = set()
-        #: Per-op process names, precomputed: formatting
-        #: ``f"{name}:{op}@{lba}"`` per submitted command showed up in
-        #: TPC-C profiles, and the name is debugging metadata only.
-        self._op_names = {op: f"{name}:{op.value}" for op in Op}
-        #: (lba, nsectors) -> segment plan memo (see _plan_segments).
-        self._segment_cache: Dict[Tuple[int, int], List[_Segment]] = {}
+        # The service machine: everything below describes the ONE
+        # command in service and changes only inside submit(), the
+        # wakeup callback and halt()/fail() — never across a yield.
+        #: The command in service; None while the drive is idle.
+        self._active: Optional[_Command] = \
+            None  # trailsan: atomic_group(drive-service)
+        #: The timeout the machine sleeps on.  A timeout that fires
+        #: while not being this one was left in the heap by an aborted
+        #: command and is ignored.
+        self._wakeup: Optional[Event] = \
+            None  # trailsan: atomic_group(drive-service)
+        #: What to do with the active command when ``_wakeup`` fires.
+        self._then: Callable[[_Command], None] = \
+            self._segment_landed  # trailsan: atomic_group(drive-service)
+        #: Pre-bound wakeup callback (binding per sleep allocates).
+        self._wake: Callable[[Event], None] = self._on_wakeup
+        #: The segment being serviced: the contiguous same-track span
+        #: of the active command starting at ``_segment_lba``.  The
+        #: next segment starts where this one ends.
+        self._segment_lba: Lba = 0
+        self._segment_sectors: Sectors = 0
+        #: Where the arm lands once the current segment's positioning
+        #: is over, and that track's per-sector transfer time.
+        self._target_cylinder = 0
+        self._target_head = 0
+        self._sector_time: Ms = 0.0
+        #: Instant the current segment's transfer starts (may be in
+        #: the future), or None when the sleep covers no transfer.
+        self._transfer_started: Optional[Ms] = None
+        #: Injector attached: the sector of the segment being checked
+        #: and the re-attempts spent on it so far.
+        self._sector_index = 0
+        self._attempts = 0
         #: Media-fault injector; None means the drive is perfect and
-        #: the service loop takes the original zero-overhead path.
+        #: a segment is one sleep.
         self.faults: Optional[FaultInjector] = None
 
     # ------------------------------------------------------------------
@@ -150,13 +180,13 @@ class DiskDrive:
     # Public command API
 
     def read(self, lba: Lba, nsectors: Sectors,
-             priority: int = PRIORITY_READ) -> Process:
-        """Submit a read command; the returned process yields an IoResult."""
+             priority: int = PRIORITY_READ) -> Event:
+        """Submit a read command; the returned event yields an IoResult."""
         return self.submit(Op.READ, lba, nsectors, priority=priority)
 
     def write(
         self, lba: Lba, data: bytes, priority: int = PRIORITY_READ,
-    ) -> Process:
+    ) -> Event:
         """Submit a write command for ``data`` (padded to whole sectors)."""
         sector_size = self.geometry.sector_size
         nsectors = max(1, (len(data) + sector_size - 1) // sector_size)
@@ -168,6 +198,7 @@ class DiskDrive:
         return self.submit(Op.WRITE, lba, nsectors, data=padded,
                            priority=priority)
 
+    # trailhot: hot -- per-disk-command entry: validate, queue or start
     def submit(
         self,
         op: Op,
@@ -175,25 +206,29 @@ class DiskDrive:
         nsectors: Sectors,
         data: Optional[bytes] = None,
         priority: int = PRIORITY_READ,
-    ) -> Process:
-        """Queue one command; completes with :class:`IoResult`.
+    ) -> Event:
+        """Queue one command; the event succeeds with :class:`IoResult`.
 
-        The process fails with :class:`DiskHaltedError` if power is lost
-        while the command is queued or in flight.
+        The event fails with :class:`DiskHaltedError` if power is lost
+        while the command is queued or in flight (or was already off),
+        and with :class:`DriveFailedError` if the whole drive dies.
         """
         self.geometry.check_extent(lba, nsectors)
         if op is Op.WRITE:
             if data is None or len(data) != nsectors * self.geometry.sector_size:
                 raise ValueError(
                     "write data must be exactly nsectors * sector_size bytes")
-        process = self.sim.process(
-            self._service(op, lba, nsectors, data, priority),
-            name=self._op_names[op])
-        self._outstanding.add(process)
-        # The completion callback receives the process event itself, so
-        # the bound discard replaces a per-command closure allocation.
-        process.add_callback(self._outstanding.discard)
-        return process
+        sim = self.sim
+        event = sim.event()
+        now = sim.now
+        command = _Command(op, lba, nsectors, data, priority, event, now)
+        if self._dead or self._halted:
+            event.fail(self._lost(command, "before %s was accepted"))
+        elif self._active is None:
+            self._start(command, now)
+        else:
+            self._queue.push(command)
+        return event
 
     # ------------------------------------------------------------------
     # Power failure
@@ -208,9 +243,7 @@ class DiskDrive:
         if self._halted:
             return
         self._halted = True
-        for process in list(self._outstanding):
-            if process.is_alive:
-                process.interrupt("power failure")
+        self._abort_all()
 
     def power_on(self) -> None:
         """Restore power after :meth:`halt`; the platter state persists.
@@ -243,9 +276,7 @@ class DiskDrive:
         if self._dead:
             return
         self._dead = True
-        for process in list(self._outstanding):
-            if process.is_alive:
-                process.interrupt("drive failure")
+        self._abort_all()
 
     def revive(self) -> None:
         """Bring a failed drive back — a flapping drive's up-edge.
@@ -275,338 +306,292 @@ class DiskDrive:
     @property
     def queue_length(self) -> int:
         """Commands waiting behind the one in service."""
-        return self._queue.queue_length
+        return len(self._queue)
 
     # ------------------------------------------------------------------
-    # Service loop
+    # Service machine
 
-    def _service(self, op: Op, lba: int, nsectors: int,
-                 data: Optional[bytes], priority: int,
-                 ) -> Generator[Event, Any, IoResult]:
-        enqueued_at = self.sim.now
-        if self._elevator is not None:
-            target_cylinder, _head, _sector = self.geometry.lba_to_chs(lba)
-            request = self._elevator.request_at(target_cylinder, priority)
-        else:
-            request = self._queue.request(priority)
-        # An idle queue grants synchronously inside request(); skipping
-        # the yield on an already-granted request saves one kernel event
-        # per command without moving any simulated clock — the grant
-        # happened at this same instant.
-        if not request._triggered:
-            try:
-                yield request
-            except Interrupt:
-                self._queue.cancel(request)
-                if self._dead:
-                    self.stats.dead_commands += 1
-                    raise DriveFailedError(
-                        f"{self.name}: drive failed while "
-                        f"{op.value}@{lba} was queued", lba=lba)
-                self.stats.halted_commands += 1
-                raise DiskHaltedError(
-                    f"{self.name}: power lost while {op.value}@{lba} "
-                    f"was queued")
+    def _start(self, command: _Command, now: Ms) -> None:
+        """Begin servicing ``command`` now; the drive is idle and up."""
+        self._active = command
+        command.started_at = now
+        self._segment_lba = command.lba
+        self._segment_sectors = 0
+        faults = self.faults
+        if faults is None:
+            self._begin_segment(command, self.command_overhead_ms)
+            return
+        # Injector attached: the command overhead (plus any injected
+        # spike) is its own sleep, as are positioning and transfer.
+        overhead = self.command_overhead_ms
+        spike = faults.command_spike_ms()
+        if spike > 0.0:
+            self.stats.latency_spikes += 1
+            overhead += spike
+        self._sleep(overhead, self._begin_segment)
 
-        started_at = self.sim.now
-        seek_total = 0.0
-        rotation_total = 0.0
-        transfer_total = 0.0
-        try:
-            if self._dead:
-                self.stats.dead_commands += 1
-                raise DriveFailedError(
-                    f"{self.name}: drive is dead", lba=lba)
-            if self._halted:
-                raise DiskHaltedError(
-                    f"{self.name}: drive is powered off")
-            faults = self.faults
-            overhead = self.command_overhead_ms
-            if faults is not None:
-                spike = faults.command_spike_ms()
-                if spike > 0.0:
-                    self.stats.latency_spikes += 1
-                    overhead += spike
-                seek_total, rotation_total, transfer_total = \
-                    yield from self._service_faulty(
-                        op, lba, nsectors, data, overhead)
-            else:
-                # Fault-free fast path: the whole mechanical sequence of
-                # a segment (command overhead, seek/head switch,
-                # rotational wait, transfer) is slept in ONE timeout.
-                # The phase durations are computed up front — the
-                # rotational wait is evaluated at the instant the
-                # transfer would be ready to start, exactly as the
-                # multi-yield path did — so completion times (and hence
-                # disk images and every latency stat) are identical,
-                # with a third of the kernel events.
-                pre = overhead
-                sim = self.sim
-                geometry = self.geometry
-                sector_size = geometry.sector_size
-                for segment in self._plan_segments(lba, nsectors):
-                    cylinder, head, spt, track_start = \
-                        geometry.track_info(segment.track)
-                    sector_time = self.rotation.sector_time(spt)
-                    first_sector = segment.first_lba - track_start
+    def _sleep(self, delay: Ms, then: Callable[[_Command], None],
+               transfer_started: Optional[Ms] = None) -> None:
+        """Sleep ``delay`` ms, then run ``then`` on the active command."""
+        self._then = then
+        self._transfer_started = transfer_started
+        self._wakeup = wakeup = self.sim.timeout(delay)
+        wakeup.add_callback(self._wake)
 
-                    move = self.seek.reposition_time(
-                        self._position_cylinder, self._position_head,
-                        cylinder, head)
-                    rotation_wait = self.rotation.time_until_sector(
-                        sim.now + pre + move, first_sector, spt)
-                    transfer = segment.nsectors * sector_time
-                    segment_started = sim.now + pre + move + rotation_wait
-                    try:
-                        yield sim.timeout(pre + move + rotation_wait
-                                          + transfer)
-                    except Interrupt:
-                        if sim.now < segment_started:
-                            # Power failed before the transfer began
-                            # (overhead/seek/rotation): nothing persists.
-                            raise
-                        # Power failed mid-transfer: whole sectors
-                        # already on the platter persist, the rest of
-                        # the command is lost.
-                        completed = int(math.floor(
-                            (sim.now - segment_started) / sector_time
-                            + 1e-9))
-                        completed = min(completed, segment.nsectors)
-                        if op is Op.WRITE and data is not None \
-                                and completed > 0:
-                            offset = ((segment.first_lba - lba)
-                                      * sector_size)
-                            self.store.write(
-                                segment.first_lba,
-                                data[offset:offset
-                                     + completed * sector_size])
-                        if self._dead:
-                            self.stats.dead_commands += 1
-                            raise DriveFailedError(
-                                f"{self.name}: drive failed after "
-                                f"{completed}/{segment.nsectors} sectors "
-                                f"of {op.value}@{lba}", lba=lba)
-                        raise DiskHaltedError(
-                            f"{self.name}: power lost after {completed}/"
-                            f"{segment.nsectors} sectors of "
-                            f"{op.value}@{lba}")
-                    self._position_cylinder = cylinder
-                    self._position_head = head
-                    seek_total += move
-                    rotation_total += rotation_wait
-                    transfer_total += transfer
-                    pre = 0.0
+    # trailhot: hot -- the one wakeup per segment of every disk command
+    def _on_wakeup(self, wakeup: Event) -> None:
+        command = self._active
+        if wakeup is self._wakeup and command is not None:
+            self._then(command)
 
-                    if op is Op.WRITE and data is not None:
-                        offset = (segment.first_lba - lba) * sector_size
-                        self.store.write(
-                            segment.first_lba,
-                            data[offset:offset
-                                 + segment.nsectors * sector_size])
+    # trailhot: hot -- per-segment service-time arithmetic
+    def _begin_segment(self, command: _Command, pre: Ms = 0.0) -> None:
+        """Start the next per-track segment, ``pre`` ms of overhead first.
 
-            if faults is not None and op is Op.WRITE:
-                faults.grow_defect(lba, nsectors)
-            payload = (self.store.read(lba, nsectors)
-                       if op is Op.READ else None)
-            # Inlined IoResult construction and stats fold: one
-            # completion record per command, with the aggregates updated
-            # from the locals already in hand instead of re-reading them
-            # back out of the dataclass.
-            completed_at = self.sim.now
-            overhead_ms = self.command_overhead_ms
-            queue_ms = started_at - enqueued_at
-            result = _new_result(IoResult)
-            result.op = op
-            result.lba = lba
-            result.nsectors = nsectors
-            result.enqueued_at = enqueued_at
-            result.started_at = started_at
-            result.completed_at = completed_at
-            result.queue_ms = queue_ms
-            result.overhead_ms = overhead_ms
-            result.seek_ms = seek_total
-            result.rotation_ms = rotation_total
-            result.transfer_ms = transfer_total
-            result.data = payload
-            stats = self.stats
-            if op is Op.READ:
-                stats.reads += 1
-                stats.sectors_read += nsectors
-            else:
-                stats.writes += 1
-                stats.sectors_written += nsectors
-            stats.busy_ms += completed_at - started_at
-            stats.queue_ms += queue_ms
-            stats.seek_ms += seek_total
-            stats.rotation_ms += rotation_total
-            stats.transfer_ms += transfer_total
-            stats.overhead_ms += overhead_ms
-            return result
-        except Interrupt:
-            # Interrupted outside a transfer (overhead/seek/rotation):
-            # either power failed or the whole drive died.
-            if self._dead:
-                self.stats.dead_commands += 1
-                raise DriveFailedError(
-                    f"{self.name}: drive failed during {op.value}@{lba}",
-                    lba=lba)
-            self.stats.halted_commands += 1
-            raise DiskHaltedError(
-                f"{self.name}: power lost during {op.value}@{lba}")
-        finally:
-            self._queue.release(request)
-
-    def _service_faulty(self, op: Op, lba: int, nsectors: int,
-                        data: Optional[bytes], overhead: float,
-                        ) -> Generator[Event, Any,
-                                       "Tuple[float, float, float]"]:
-        """Phase-by-phase service used when a fault injector is attached.
-
-        Keeps the original one-timeout-per-phase structure so the
-        injector can interleave retries and remaps between phases.
-        Returns ``(seek_total, rotation_total, transfer_total)``.
+        Fault-free, the whole mechanical sequence (overhead, seek/head
+        switch, rotational wait, transfer) is slept in one timeout: the
+        phase durations are computed up front — the rotational wait is
+        evaluated at the instant the transfer would be ready to start —
+        so completion times, disk images and every latency stat equal a
+        phase-by-phase walk.
         """
-        seek_total = 0.0
-        rotation_total = 0.0
-        transfer_total = 0.0
-        yield self.sim.timeout(overhead)
+        geometry = self.geometry
+        first_lba = self._segment_lba + self._segment_sectors
+        track, track_start, spt = geometry.track_extent_of_lba(first_lba)
+        nsectors = min(track_start + spt,
+                       command.lba + command.nsectors) - first_lba
+        self._segment_lba = first_lba
+        self._segment_sectors = nsectors
+        cylinder, head, _spt, _track_start = geometry.track_info(track)
+        sector_time = self.rotation.sector_time(spt)
+        move = self.seek.reposition_time(
+            self._position_cylinder, self._position_head, cylinder, head)
+        now = self.sim.now
+        rotation_wait = self.rotation.time_until_sector(
+            now + pre + move, first_lba - track_start, spt)
+        transfer = nsectors * sector_time
+        command.seek_ms += move
+        command.rotation_ms += rotation_wait
+        command.transfer_ms += transfer
+        self._target_cylinder = cylinder
+        self._target_head = head
+        self._sector_time = sector_time
+        if self.faults is None:
+            self._sleep(pre + move + rotation_wait + transfer,
+                        self._segment_landed,
+                        now + pre + move + rotation_wait)
+        elif move + rotation_wait > 0:
+            self._sleep(move + rotation_wait, self._begin_transfer)
+        else:
+            self._begin_transfer(command)
 
-        for segment in self._plan_segments(lba, nsectors):
-            cylinder, head, spt, track_start = \
-                self.geometry.track_info(segment.track)
-            sector_time = self.rotation.sector_time(spt)
-            first_sector = segment.first_lba - track_start
+    # trailhot: hot -- fault-free segment completion
+    def _segment_landed(self, command: _Command) -> None:
+        """Fault-free: the segment's sleep is over; its sectors land."""
+        self._position_cylinder = self._target_cylinder
+        self._position_head = self._target_head
+        if command.data is not None:
+            self._land(command, self._segment_sectors)
+        self._next_segment(command)
 
-            move = self.seek.reposition_time(
-                self._position_cylinder, self._position_head,
-                cylinder, head)
-            rotation_wait = self.rotation.time_until_sector(
-                self.sim.now + move, first_sector, spt)
-            if move + rotation_wait > 0:
-                yield self.sim.timeout(move + rotation_wait)
-            self._position_cylinder = cylinder
-            self._position_head = head
-            seek_total += move
-            rotation_total += rotation_wait
+    def _land(self, command: _Command, nsectors: Sectors) -> None:
+        """Put the first ``nsectors`` sectors of a write's current
+        segment on the platter."""
+        data = command.data
+        if data is not None and command.op is Op.WRITE and nsectors > 0:
+            sector_size = self.geometry.sector_size
+            first_lba = self._segment_lba
+            offset = (first_lba - command.lba) * sector_size
+            self.store.write(
+                first_lba, data[offset:offset + nsectors * sector_size])
 
-            transfer = segment.nsectors * sector_time
-            segment_started = self.sim.now
-            try:
-                yield self.sim.timeout(transfer)
-            except Interrupt:
-                # Power failed mid-transfer: whole sectors already on
-                # the platter persist, the rest of the command is lost.
-                completed = int(math.floor(
-                    (self.sim.now - segment_started) / sector_time + 1e-9))
-                completed = min(completed, segment.nsectors)
-                if op is Op.WRITE and data is not None and completed > 0:
-                    offset = ((segment.first_lba - lba)
-                              * self.geometry.sector_size)
-                    self.store.write(
-                        segment.first_lba,
-                        data[offset:offset
-                             + completed * self.geometry.sector_size])
-                if self._dead:
-                    self.stats.dead_commands += 1
-                    raise DriveFailedError(
-                        f"{self.name}: drive failed after {completed}/"
-                        f"{segment.nsectors} sectors of {op.value}@{lba}",
-                        lba=lba)
-                raise DiskHaltedError(
-                    f"{self.name}: power lost after {completed}/"
-                    f"{segment.nsectors} sectors of {op.value}@{lba}")
-            transfer_total += transfer
+    def _next_segment(self, command: _Command) -> None:
+        if (self._segment_lba + self._segment_sectors
+                < command.lba + command.nsectors):
+            self._begin_segment(command)
+        else:
+            self._complete(command)
 
-            yield from self._service_segment_faulty(op, segment, lba, data)
-        return seek_total, rotation_total, transfer_total
+    # trailhot: hot -- per-command completion record and stats fold
+    def _complete(self, command: _Command) -> None:
+        """Fold the finished command into the stats and acknowledge it."""
+        op = command.op
+        lba = command.lba
+        nsectors = command.nsectors
+        faults = self.faults
+        if faults is not None and op is Op.WRITE:
+            faults.grow_defect(lba, nsectors)
+        # Inlined IoResult construction and stats fold: one completion
+        # record per command, with the aggregates updated from the
+        # locals already in hand instead of re-reading them back out
+        # of the dataclass.
+        completed_at = self.sim.now
+        started_at = command.started_at
+        overhead_ms = self.command_overhead_ms
+        queue_ms = started_at - command.enqueued_at
+        result = _new_result(IoResult)
+        result.op = op
+        result.lba = lba
+        result.nsectors = nsectors
+        result.enqueued_at = command.enqueued_at
+        result.started_at = started_at
+        result.completed_at = completed_at
+        result.queue_ms = queue_ms
+        result.overhead_ms = overhead_ms
+        result.seek_ms = command.seek_ms
+        result.rotation_ms = command.rotation_ms
+        result.transfer_ms = command.transfer_ms
+        stats = self.stats
+        if op is Op.READ:
+            result.data = self.store.read(lba, nsectors)
+            stats.reads += 1
+            stats.sectors_read += nsectors
+        else:
+            result.data = None
+            stats.writes += 1
+            stats.sectors_written += nsectors
+        stats.busy_ms += completed_at - started_at
+        stats.queue_ms += queue_ms
+        stats.seek_ms += command.seek_ms
+        stats.rotation_ms += command.rotation_ms
+        stats.transfer_ms += command.transfer_ms
+        stats.overhead_ms += overhead_ms
+        self._release()
+        command.event.succeed(result)
 
-    def _service_segment_faulty(self, op: Op, segment: _Segment,
-                                lba: int, data: Optional[bytes],
-                                ) -> Generator[Event, Any, None]:
-        """Fault-aware tail of one segment's service (injector attached).
+    def _release(self) -> None:
+        """The active command is over: start the next waiting one."""
+        self._wakeup = None
+        if self._queue:
+            now = self.sim.now
+            self._start(self._queue.next_command(
+                self._position_cylinder, now), now)
+        else:
+            self._active = None
 
-        Runs after the nominal transfer time has elapsed.  Each sector
-        is checked against the injector: transient failures and
+    # -- aborts --------------------------------------------------------
+
+    def _lost(self, command: _Command, when: str) -> DiskError:
+        """The failure for a command lost to drive death or power loss.
+
+        ``when`` is a ``%s`` template around the command's name.
+        Counts the loss — once per command, in ``dead_commands`` or
+        ``halted_commands``; death wins when the drive is both dead
+        and powered off.
+        """
+        when = when % f"{command.op.value}@{command.lba}"
+        if self._dead:
+            self.stats.dead_commands += 1
+            return DriveFailedError(
+                f"{self.name}: drive failed {when}", lba=command.lba)
+        self.stats.halted_commands += 1
+        return DiskHaltedError(f"{self.name}: power lost {when}")
+
+    def _abort_all(self) -> None:
+        """Power or the drive is gone: fail the active command, then the
+        queue in service order.  Nothing is left to wake up for."""
+        command = self._active
+        if command is not None:
+            self._active = None
+            self._wakeup = None
+            started = self._transfer_started
+            if started is None or self.sim.now < started:
+                # Outside a transfer (overhead/seek/rotation, or a
+                # retry revolution): nothing more persists.
+                when = "during %s"
+            else:
+                # Mid-transfer: the whole sectors already transferred
+                # persist, the rest of the command is lost.
+                completed = min(self._segment_sectors, int(math.floor(
+                    (self.sim.now - started) / self._sector_time + 1e-9)))
+                self._land(command, completed)
+                when = (f"after {completed}/{self._segment_sectors} "
+                        f"sectors of %s")
+            command.event.fail(self._lost(command, when))
+        for command in self._queue.drain():
+            command.event.fail(self._lost(command, "while %s was queued"))
+
+    # -- phases entered only with an injector attached -----------------
+
+    def _begin_transfer(self, command: _Command) -> None:
+        """The arm has settled on the target track: sleep the transfer."""
+        self._position_cylinder = self._target_cylinder
+        self._position_head = self._target_head
+        self._sector_index = 0
+        self._attempts = 0
+        self._sleep(self._segment_sectors * self._sector_time,
+                    self._check_sectors, self.sim.now)
+
+    def _land_remapped(self, command: _Command) -> None:
+        self._check_sectors(command, remapped=True)
+
+    def _check_sectors(self, command: _Command,
+                       remapped: bool = False) -> None:
+        """Fault-aware tail of one segment's service.
+
+        Entered when the nominal transfer time has elapsed and
+        re-entered after every extra revolution.  Each sector is
+        checked against the injector: transient failures and
         unrecoverable (bad) sectors are retried for up to
         ``retry_limit`` extra revolutions each; a write whose target is
-        still failing is remapped to a spare sector, and a read (or a
-        write with the spare pool exhausted) fails the whole command
-        with :class:`UnrecoverableSectorError`.  Sectors that succeeded
-        before the failing one persist, like a real partially-completed
-        command.  Write data may be silently bit-flipped as it lands.
+        still failing is remapped to a spare sector (``remapped``: the
+        revolution to reach it is over, the sector lands unchecked),
+        and a read (or a write with the spare pool exhausted) fails the
+        whole command with :class:`UnrecoverableSectorError`.  Sectors
+        that succeeded before the failing one persist, like a real
+        partially-completed command.  Write data may be silently
+        bit-flipped as it lands.
         """
         faults = self.faults
-        assert faults is not None  # only called with an injector attached
+        assert faults is not None  # phases only entered with an injector
         stats = self.stats
-        retry_limit = faults.plan.retry_limit
+        first_lba = self._segment_lba
+        nsectors = self._segment_sectors
         revolution = self.rotation.rotation_ms
         sector_size = self.geometry.sector_size
-        write = op is Op.WRITE
-        for index in range(segment.nsectors):
-            address = segment.first_lba + index
-            attempts = 0
-            while True:
-                if address in faults.bad_sectors:
-                    failed = True
+        data = command.data
+        write = command.op is Op.WRITE
+        index = self._sector_index
+        while index < nsectors:
+            address = first_lba + index
+            if remapped:
+                remapped = False
+            elif address in faults.bad_sectors \
+                    or self._attempt_fails(faults, write):
+                self._sector_index = index
+                if self._attempts < faults.plan.retry_limit:
+                    self._attempts += 1
+                    stats.retries += 1
+                    self._sleep(revolution, self._check_sectors)
+                elif write and faults.remap(address):
+                    # The controller redirected the target to a
+                    # spare; one more revolution to reach it.
+                    stats.sectors_remapped += 1
+                    stats.retries += 1
+                    self._sleep(revolution, self._land_remapped)
                 else:
-                    failed = faults.attempt_fails(write)
-                    if failed:
-                        stats.transient_errors += 1
-                if not failed:
-                    break
-                if attempts >= retry_limit:
-                    if write and faults.remap(address):
-                        # The controller redirected the target to a
-                        # spare; one more revolution to reach it.
-                        stats.sectors_remapped += 1
-                        stats.retries += 1
-                        yield self.sim.timeout(revolution)
-                        break
                     if write:
                         stats.write_errors += 1
                     else:
                         stats.read_errors += 1
-                    raise UnrecoverableSectorError(
-                        f"{self.name}: unrecoverable {op.value} at LBA "
-                        f"{address} after {attempts} retries",
-                        lba=address)
-                attempts += 1
-                stats.retries += 1
-                yield self.sim.timeout(revolution)
+                    self._release()
+                    command.event.fail(UnrecoverableSectorError(
+                        f"{self.name}: unrecoverable {command.op.value} "
+                        f"at LBA {address} after {self._attempts} "
+                        f"retries", lba=address))
+                return
             if write and data is not None:
-                offset = (address - lba) * sector_size
-                raw = data[offset:offset + sector_size]
-                raw, _corrupted = faults.corrupt_sector(address, raw)
+                offset = (address - command.lba) * sector_size
+                raw, _corrupted = faults.corrupt_sector(
+                    address, data[offset:offset + sector_size])
                 self.store.write_sector(address, raw)
+            index += 1
+            self._attempts = 0
+        self._next_segment(command)
 
-    def _plan_segments(self, lba: int, nsectors: int) -> List[_Segment]:
-        """Split an extent into per-track contiguous segments.
-
-        Memoized per (lba, nsectors): page-aligned data-disk traffic
-        re-reads and re-writes the same extents throughout a run, and
-        the plan depends only on the static geometry.  Callers never
-        mutate the returned segments.  The memo is cleared when it
-        grows past a bound so log-style strictly-increasing address
-        streams cannot grow it without limit.
-        """
-        cache = self._segment_cache
-        key = (lba, nsectors)
-        segments = cache.get(key)
-        if segments is not None:
-            return segments
-        segments = []
-        remaining = nsectors
-        current = lba
-        track_extent = self.geometry.track_extent_of_lba
-        while remaining > 0:
-            track, track_start, track_size = track_extent(current)
-            available = track_start + track_size - current
-            take = available if available < remaining else remaining
-            segments.append(_Segment(track=track, first_lba=current,
-                                     nsectors=take))
-            current += take
-            remaining -= take
-        if len(cache) >= 8192:
-            cache.clear()
-        cache[key] = segments
-        return segments
+    def _attempt_fails(self, faults: FaultInjector, write: bool) -> bool:
+        """Draw one transient-failure decision and count a hit."""
+        failed = faults.attempt_fails(write)
+        if failed:
+            self.stats.transient_errors += 1
+        return failed

@@ -51,7 +51,7 @@ from repro.disk.controller import PRIORITY_READ
 from repro.disk.drive import DiskDrive
 from repro.disk.geometry import DiskGeometry, uniform_geometry
 from repro.errors import DiskError, DriveFailedError, RaidFailedError
-from repro.sim import Event, Process, Simulation
+from repro.sim import Event, Simulation
 from repro.units import Lba, Ms, Sectors
 
 if TYPE_CHECKING:  # pragma: no cover — cycle broken at runtime: the
@@ -452,14 +452,14 @@ class Raid5Array:
     # Public I/O (DiskDrive-compatible call shapes)
 
     def read(self, lba: Lba, nsectors: Sectors,
-             priority: int = PRIORITY_READ) -> Process:
+             priority: int = PRIORITY_READ) -> Event:
         self._check_alive()
         self.geometry.check_extent(lba, nsectors)
         return self.sim.process(self._read(lba, nsectors, priority),
                                 name=f"{self.name}:read@{lba}")
 
     def write(self, lba: Lba, data: bytes,
-              priority: int = PRIORITY_READ) -> Process:
+              priority: int = PRIORITY_READ) -> Event:
         self._check_alive()
         nsectors = max(1, (len(data) + self.sector_size - 1)
                        // self.sector_size)
@@ -728,7 +728,7 @@ class Raid5Array:
             self._release_stripe(stripe)
 
     def _await_all(
-        self, events: Sequence[Process],
+        self, events: Sequence[Event],
     ) -> Generator[Event, Any, None]:
         """Wait for parallel member commands; stray failures defused.
 
@@ -751,7 +751,7 @@ class Raid5Array:
             raise
 
 
-def _absorb_failures(events: Sequence[Process]) -> None:
+def _absorb_failures(events: Sequence[Event]) -> None:
     """Defuse failures of ``events`` that no waiter will consume."""
     for event in events:
         if event.triggered:

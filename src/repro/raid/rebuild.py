@@ -296,7 +296,7 @@ class RebuildEngine:
         array = self.array
         member_lba = stripe * array.stripe_unit
         priority = self.config.priority
-        reads: List[Process] = []
+        reads: List[Event] = []
         survivors: List[DiskDrive] = []
         for index, drive in enumerate(array.drives):
             if index == self.member_index:

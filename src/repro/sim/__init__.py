@@ -2,8 +2,8 @@
 
 This package is the substrate replacing the Linux kernel's block layer
 and real wall-clock time in the Trail reproduction: generator-based
-processes, one-shot events, shared resources with FIFO or priority
-queueing, and measurement probes.
+processes, one-shot events, shared FIFO resources, and measurement
+probes.
 """
 
 from repro.sim.control import (
@@ -14,7 +14,7 @@ from repro.sim.explore import (
 from repro.sim.kernel import Simulation
 from repro.sim.perturb import PerturbedSimulation
 from repro.sim.process import Interrupt, Process, ProcessGenerator
-from repro.sim.resources import PriorityResource, Request, Resource, Store
+from repro.sim.resources import Request, Resource, Store
 from repro.sim.sanitizer import (
     TrailSanitizer, iso_from_env, sanitizer_from_env)
 from repro.sim.monitor import (
@@ -33,7 +33,6 @@ __all__ = [
     "LatencyRecorder",
     "PerturbedSimulation",
     "PhasedLatencyRecorder",
-    "PriorityResource",
     "Process",
     "ProcessGenerator",
     "Request",

@@ -3,10 +3,8 @@
 The disk simulator and drivers use these to model request queues:
 
 * :class:`Resource` — ``capacity`` concurrent holders, FIFO waiters.
-  Models a disk that can service one command at a time.
-* :class:`PriorityResource` — like :class:`Resource` but waiters are
-  served lowest-priority-value first (FIFO within a priority level).
-  Models Trail's "data-disk reads preempt queued writes" policy (§4.3).
+  Models the latches and I/O locks of the layers above the disk (the
+  drive itself keeps its own command queue, see :mod:`repro.disk`).
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``.
   Models the log-disk request queue that the batching logic drains.
 
@@ -16,13 +14,11 @@ and must eventually call ``resource.release(request)``.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, _PENDING
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulation
@@ -31,27 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request(Event):
     """A pending or granted claim on a :class:`Resource`."""
 
-    __slots__ = ("resource", "priority", "enqueued_at", "granted_at",
-                 "cylinder")
+    __slots__ = ("resource", "enqueued_at", "granted_at")
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        # Inlined Event.__init__ — a request is built per disk command,
-        # and the extra constructor frame is measurable at that rate.
-        sim = resource.sim
-        self.sim = sim
-        self._cb1 = None
-        self._callbacks = None
-        self._processed = False
-        self._value = _PENDING
-        self._exception = None
-        self._triggered = False
-        self._defused = False
+    def __init__(self, resource: "Resource") -> None:
+        super().__init__(resource.sim)
         self.resource = resource
-        self.priority = priority
-        self.enqueued_at = sim.now
+        self.enqueued_at = resource.sim.now
         self.granted_at: Optional[float] = None
-        #: Target cylinder, set by position-aware schedulers (elevator).
-        self.cylinder = 0
 
     @property
     def wait_time(self) -> Optional[float]:
@@ -82,29 +64,17 @@ class Resource:
         """Number of requests waiting to be granted."""
         return len(self._waiters)
 
-    # trailhot: hot -- per-disk-command queue entry
-    def request(self, priority: int = 0) -> Request:
-        """Claim the resource; the returned event fires when granted.
-
-        An idle resource grants synchronously without touching the
-        waiter queue — same grant order and timestamps as going through
-        ``_enqueue``/``_dispatch``, minus two frames per command.
-        """
-        req = Request(self, priority)
-        holders = self._holders
-        if not self._waiters and len(holders) < self.capacity:
-            req.granted_at = self.sim.now
-            holders.append(req)
-            req.succeed(req)
-            return req
-        self._enqueue(req)
+    def request(self) -> Request:
+        """Claim the resource; the returned event fires when granted."""
+        req = Request(self)
+        self._waiters.append(req)
         self._dispatch()
         return req
 
     def release(self, request: Request) -> None:
         """Release a granted request, waking the next waiter if any."""
         if request not in self._holders:
-            if self._remove_waiter(request):
+            if self.cancel(request):
                 return  # cancelled while still queued
             raise SimulationError("release() of a request that is not held")
         self._holders.remove(request)
@@ -112,80 +82,15 @@ class Resource:
 
     def cancel(self, request: Request) -> bool:
         """Withdraw a queued request.  Returns False if already granted."""
-        return self._remove_waiter(request)
-
-    # -- queue discipline hooks ----------------------------------------
-
-    def _enqueue(self, req: Request) -> None:
-        self._waiters.append(req)
-
-    def _pop_next(self) -> Request:
-        return self._waiters.popleft()
-
-    def _remove_waiter(self, req: Request) -> bool:
         try:
-            self._waiters.remove(req)
+            self._waiters.remove(request)
             return True
         except ValueError:
             return False
 
     def _dispatch(self) -> None:
         while self._waiters and len(self._holders) < self.capacity:
-            req = self._pop_next()
-            req.granted_at = self.sim.now
-            self._holders.append(req)
-            req.succeed(req)
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are granted lowest priority value first.
-
-    Ties are broken FIFO.  Trail uses priority 0 for data-disk reads and
-    priority 1 for data-disk write-backs so reads never queue behind the
-    write-back stream.
-    """
-
-    def __init__(self, sim: "Simulation", capacity: int = 1) -> None:
-        super().__init__(sim, capacity)
-        self._pq: List[Tuple[int, int, Request]] = []
-        self._counter = itertools.count()
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pq)
-
-    # trailhot: hot -- per-disk-command queue entry (priority variant)
-    def request(self, priority: int = 0) -> Request:
-        """Like :meth:`Resource.request`, with the idle fast path
-        checking the priority heap instead of the FIFO deque."""
-        req = Request(self, priority)
-        holders = self._holders
-        if not self._pq and len(holders) < self.capacity:
-            req.granted_at = self.sim.now
-            holders.append(req)
-            req.succeed(req)
-            return req
-        self._enqueue(req)
-        self._dispatch()
-        return req
-
-    def _enqueue(self, req: Request) -> None:
-        heapq.heappush(self._pq, (req.priority, next(self._counter), req))
-
-    def _pop_next(self) -> Request:
-        return heapq.heappop(self._pq)[2]
-
-    def _remove_waiter(self, req: Request) -> bool:
-        for index, (_prio, _seq, queued) in enumerate(self._pq):
-            if queued is req:
-                self._pq.pop(index)
-                heapq.heapify(self._pq)
-                return True
-        return False
-
-    def _dispatch(self) -> None:
-        while self._pq and len(self._holders) < self.capacity:
-            req = self._pop_next()
+            req = self._waiters.popleft()
             req.granted_at = self.sim.now
             self._holders.append(req)
             req.succeed(req)

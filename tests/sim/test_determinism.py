@@ -1,22 +1,30 @@
 """Determinism gate: the optimized kernel preserves event ordering.
 
 ``tests/sim/golden_tpcc_trace.json`` holds the ``(time, sequence)``
-dispatch order of a fixed seeded TPC-C run, captured on the kernel
-*before* the fast-path rewrite (two-queue scheduler, inlined dispatch,
-single-callback slot).  If any optimization reorders even one event —
-a changed sequence number, a float that rounds differently — the
-sha256 here changes and this test fails.
+dispatch order of a fixed seeded TPC-C run.  If any optimization
+reorders even one event — a changed sequence number, a float that
+rounds differently — the sha256 here changes and this test fails.
 
-This is the strongest claim the perf PR makes: not "the results look
+This is the strongest claim a perf PR makes: not "the results look
 the same" but "the simulation executes the identical event sequence".
+
+A PR that removes events on purpose re-captures ``events``/``sha256``
+and says why; ``image_sha256`` — the digest of every sector the run
+left on the log and data drives — is the part such a PR must NOT
+move.  It was captured before the drive's process-per-command service
+(4 events per command, 4,788 in this run) became a callback machine
+(2 per command, 3,506) and held across that change.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
+from repro.core.instance import TrailInstance
+from repro.db.engine import Transaction
 from repro.sim.kernel import Simulation
 from repro.tpcc import TpccRunConfig, run_tpcc
 
@@ -42,6 +50,21 @@ def test_seeded_tpcc_event_order_matches_golden_trace(monkeypatch):
         self._trace = trace
 
     monkeypatch.setattr(Simulation, "__init__", tracing_init)
+
+    # ... and it builds exactly one TrailInstance, whose drives hold
+    # the disk images.
+    instances = []
+    original_instance_init = TrailInstance.__init__
+
+    def capturing_init(self, *args, **kwargs):
+        original_instance_init(self, *args, **kwargs)
+        instances.append(self)
+
+    monkeypatch.setattr(TrailInstance, "__init__", capturing_init)
+    # Transaction ids come from a process-wide counter and land in WAL
+    # records, so the image depends on how many transactions ran
+    # earlier in this process; pin the counter for the run.
+    monkeypatch.setattr(Transaction, "_ids", itertools.count(1))
     run_tpcc(TpccRunConfig(
         system=golden["system"],
         transactions=golden["transactions"],
@@ -50,6 +73,8 @@ def test_seeded_tpcc_event_order_matches_golden_trace(monkeypatch):
 
     assert len(trace) == golden["events"]
     assert _trace_digest(trace) == golden["sha256"]
+    (instance,) = instances
+    assert instance.fingerprint() == golden["image_sha256"]
 
 
 def test_identical_runs_produce_identical_traces():

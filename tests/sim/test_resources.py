@@ -1,13 +1,13 @@
-"""Unit tests for Resource, PriorityResource, and Store."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import PriorityResource, Resource, Simulation, Store
+from repro.sim import Resource, Simulation, Store
 
 
-def holder(sim, resource, log, name, hold_ms, priority=0):
-    request = resource.request(priority=priority)
+def holder(sim, resource, log, name, hold_ms):
+    request = resource.request()
     yield request
     log.append(("acquire", name, sim.now))
     yield sim.timeout(hold_ms)
@@ -98,50 +98,6 @@ class TestResource:
         sim.process(releaser())
         sim.run()
         assert second.wait_time == 6.0
-
-
-class TestPriorityResource:
-    def test_low_priority_value_first(self, sim):
-        resource = PriorityResource(sim)
-        blocker = resource.request()
-        log = []
-        sim.process(holder(sim, resource, log, "write", 1, priority=5))
-        sim.process(holder(sim, resource, log, "read", 1, priority=0))
-
-        def release_blocker():
-            yield sim.timeout(1)
-            resource.release(blocker)
-
-        sim.process(release_blocker())
-        sim.run()
-        acquires = [entry[1] for entry in log if entry[0] == "acquire"]
-        assert acquires == ["read", "write"]
-
-    def test_fifo_within_priority(self, sim):
-        resource = PriorityResource(sim)
-        blocker = resource.request()
-        log = []
-        for name in ("w1", "w2", "w3"):
-            sim.process(holder(sim, resource, log, name, 1, priority=1))
-
-        def release_blocker():
-            yield sim.timeout(1)
-            resource.release(blocker)
-
-        sim.process(release_blocker())
-        sim.run()
-        acquires = [entry[1] for entry in log if entry[0] == "acquire"]
-        assert acquires == ["w1", "w2", "w3"]
-
-    def test_cancel_reheapifies(self, sim):
-        resource = PriorityResource(sim)
-        resource.request()
-        q1 = resource.request(priority=1)
-        q2 = resource.request(priority=2)
-        assert resource.cancel(q1)
-        assert resource.queue_length == 1
-        assert not resource.cancel(q1)
-        assert resource.cancel(q2)
 
 
 class TestStore:
