@@ -98,13 +98,11 @@ class Table:
 class Transaction:
     """One in-flight transaction."""
 
-    _ids = itertools.count(1)
-
     __slots__ = ("tx_id", "started_at", "last_lsn", "active", "engine",
                  "cpu_debt")
 
     def __init__(self, engine: "TransactionEngine") -> None:
-        self.tx_id = next(self._ids)
+        self.tx_id = next(engine._tx_ids)
         self.engine = engine
         self.started_at = engine.sim.now
         #: End LSN of this transaction's most recent log record.
@@ -159,6 +157,9 @@ class TransactionEngine:
         #: and after images of each modified record.
         self.log_before_images = log_before_images
         self.stats = EngineStats()
+        #: Transaction ids land in WAL bytes, so they are numbered per
+        #: engine: a run's log never depends on what ran before it.
+        self._tx_ids = itertools.count(1)
         self._tables: Dict[str, Table] = {}
         self._next_lba_by_disk: Dict[int, int] = {}
         #: Cached all-zero after-image payloads keyed by length, so the
@@ -205,14 +206,15 @@ class TransactionEngine:
         kernel events and returns an *empty iterable* instead of a
         generator: ``yield from`` over it suspends nothing, so the
         thousands of warm TPC-C accesses per run skip the generator
-        frame entirely.  Cold accesses return the slow-path generator;
-        its lock probe is re-entrant, so the retry is harmless (one
-        extra counted re-entrant acquisition).
+        frame entirely.  Cold accesses return the slow-path generator,
+        told whether the lock is already held so nothing is probed (or
+        counted) twice.
         """
         if not tx.active:
             tx._check_active()
-        if self.locks.try_acquire(tx, (table.table_id, index),
-                                  LockMode.SHARED):
+        locked = self.locks.try_acquire(tx, (table.table_id, index),
+                                        LockMode.SHARED)
+        if locked:
             if index < 0 or index >= table.max_rows:
                 table.page_of(index)  # raises the range DatabaseError
             page_lba = table.start_lba \
@@ -220,14 +222,18 @@ class TransactionEngine:
             if self.pool.try_fetch(table.disk_id, page_lba) is not None:
                 tx.cpu_debt += self.cpu_ms_per_op
                 return _NO_EVENTS
-        return self._read_record_slow(tx, table, index)
+        return self._read_record_slow(tx, table, index, locked)
 
     def _read_record_slow(self, tx: Transaction, table: Table,
-                          index: int) -> Generator:
-        """Cold path of :meth:`read_record` (contended lock or miss)."""
+                          index: int, locked: bool) -> Generator:
+        """Cold path of :meth:`read_record` (contended lock or miss).
+
+        ``locked`` says the warm path already took (and counted) the
+        lock.
+        """
         locks = self.locks
-        if not locks.try_acquire(tx, (table.table_id, index),
-                                 LockMode.SHARED):
+        if not locked and not locks.try_acquire(
+                tx, (table.table_id, index), LockMode.SHARED):
             if tx.cpu_debt:
                 yield self.sim.timeout(tx.cpu_debt)
                 tx.cpu_debt = 0.0
@@ -262,14 +268,17 @@ class TransactionEngine:
         """
         if not tx.active:
             tx._check_active()
-        if self.locks.try_acquire(tx, (table.table_id, index),
-                                  LockMode.EXCLUSIVE):
+        fetched = False
+        locked = self.locks.try_acquire(tx, (table.table_id, index),
+                                        LockMode.EXCLUSIVE)
+        if locked:
             if index < 0 or index >= table.max_rows:
                 table.page_of(index)  # raises the range DatabaseError
             page_lba = table.start_lba \
                 + (index // table.records_per_page) * table.page_sectors
-            if self.pool.try_fetch(table.disk_id, page_lba,
-                                   dirty=True) is not None:
+            fetched = self.pool.try_fetch(table.disk_id, page_lba,
+                                          dirty=True) is not None
+            if fetched:
                 payload = payload_bytes if payload_bytes is not None \
                     else table.spec.record_bytes
                 if self.log_before_images:
@@ -282,16 +291,20 @@ class TransactionEngine:
                     self.stats.log_records += 1
                     tx.last_lsn = lsn
                     return _NO_EVENTS
-        return self._write_record_slow(tx, table, index, payload_bytes)
+        return self._write_record_slow(tx, table, index, payload_bytes,
+                                       locked, fetched)
 
     def _write_record_slow(self, tx: Transaction, table: Table,
-                           index: int,
-                           payload_bytes: Optional[int] = None,
-                           ) -> Generator:
-        """Cold path of :meth:`write_record` (contention/miss/latch)."""
+                           index: int, payload_bytes: Optional[int],
+                           locked: bool, fetched: bool) -> Generator:
+        """Cold path of :meth:`write_record` (contention/miss/latch).
+
+        ``locked`` / ``fetched`` say the warm path already took the
+        lock / hit and dirtied the page, so neither is counted twice.
+        """
         locks = self.locks
-        if not locks.try_acquire(tx, (table.table_id, index),
-                                 LockMode.EXCLUSIVE):
+        if not locked and not locks.try_acquire(
+                tx, (table.table_id, index), LockMode.EXCLUSIVE):
             if tx.cpu_debt:
                 yield self.sim.timeout(tx.cpu_debt)
                 tx.cpu_debt = 0.0
@@ -302,7 +315,8 @@ class TransactionEngine:
             table.page_of(index)  # raises the out-of-range DatabaseError
         page_lba = table.start_lba \
             + (index // table.records_per_page) * table.page_sectors
-        if pool.try_fetch(table.disk_id, page_lba, dirty=True) is None:
+        if not fetched and pool.try_fetch(
+                table.disk_id, page_lba, dirty=True) is None:
             if tx.cpu_debt:
                 yield self.sim.timeout(tx.cpu_debt)
                 tx.cpu_debt = 0.0

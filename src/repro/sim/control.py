@@ -11,10 +11,10 @@ override hook they now share.
 
 :class:`ControlledReady` is a drop-in for the kernel's ready deque.
 ``Event.succeed``/``fail`` and zero-delay timeouts append to
-``sim._ready`` directly (the inlined hot path), so the control point
-wraps the queue object itself rather than hooking ``_schedule_event``
-— every immediate event goes through the policy no matter which code
-path scheduled it.  Because simulated time never decreases, appends
+``sim._ready`` directly — there is no scheduling method to hook — so
+the control point wraps the queue object itself: every immediate
+event goes through the policy no matter which code path scheduled
+it.  Because simulated time never decreases, appends
 arrive already sorted by time; the entries sharing the earliest time
 form the **front group**, and the installed :class:`DispatchPolicy`
 picks which member of that group dispatches next.  Cross-time ordering

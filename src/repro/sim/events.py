@@ -13,12 +13,12 @@ Hot-path notes (see docs/PERFORMANCE.md): almost every event in a
 Trail run has exactly one waiter (the process that yielded it), so the
 first callback lives in a dedicated slot (``_cb1``) and the overflow
 list (``_callbacks``) is only allocated for the rare multi-waiter
-event.  Scheduling is inlined into :meth:`Event.succeed` /
-:meth:`Event.fail` / :class:`Timeout` so one ``yield sim.timeout(d)``
-costs two function calls, not five.  None of this changes observable
-semantics: callback order, sequence numbering, and error propagation
-are identical to the straightforward implementation (the seeded TPC-C
-trace test pins this down).
+event.  Triggering appends straight to the kernel's queues from
+:meth:`Event.succeed` / :meth:`Event.fail` / :class:`Timeout`.
+:meth:`Event.__init__` is where the event slots are initialised and
+every subclass calls it; the one inlined copy that measurement kept is
+the :meth:`Simulation.timeout <repro.sim.kernel.Simulation.timeout>`
+factory (reason and numbers beside it).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ class Event:
     __slots__ = ("sim", "_cb1", "_callbacks", "_processed", "_value",
                  "_exception", "_triggered", "_defused")
 
+    # trailhot: hot -- the one event initialiser, runs per simulated wakeup
     def __init__(self, sim: "Simulation") -> None:
         self.sim = sim
         #: First registered callback; the common single-waiter case
@@ -141,25 +142,6 @@ class Event:
         else:
             self._callbacks.append(callback)
 
-    # trailhot: hot_callee -- callback dispatch behind every event fire
-    def _run_callbacks(self) -> None:
-        # Detach all callbacks before invoking any, so a callback added
-        # *during* this run executes immediately (the event is already
-        # processed) — the same ordering as the list-swap implementation.
-        self._processed = True
-        callback = self._cb1
-        if callback is None:
-            return
-        self._cb1 = None
-        more = self._callbacks
-        if more is None:
-            callback(self)
-        else:
-            self._callbacks = None
-            callback(self)
-            for callback in more:
-                callback(self)
-
     def __repr__(self) -> str:
         state = "processed" if self._processed else (
             "triggered" if self._triggered else "pending")
@@ -175,16 +157,10 @@ class Timeout(Event):
     def __init__(self, sim: "Simulation", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        # Inlined Event.__init__ + scheduling: a Timeout is born triggered,
-        # so the generic pending-state checks are dead weight here.
-        self.sim = sim
-        self._cb1 = None
-        self._callbacks = None
-        self._processed = False
+        Event.__init__(self, sim)
+        # Born triggered: scheduled here, never through succeed().
         self._value = value
-        self._exception = None
         self._triggered = True
-        self._defused = False
         self.delay = delay
         sim._sequence = sequence = sim._sequence + 1
         if delay:
@@ -197,81 +173,30 @@ class Timeout(Event):
 
 
 class Condition(Event):
-    """An event that fires when ``evaluate`` says enough children fired.
+    """An event that fires once ``needed`` of its child events have fired
+    (``None``: all of them).
 
     The condition's value is a dict mapping each *fired* child event to
     its value, so callers can see which events completed.
-    A failing child fails the whole condition immediately.
+    A failing child fails the whole condition immediately; a condition
+    over no events fires at once.
     """
 
-    __slots__ = ("_events", "_evaluate", "_fired")
+    __slots__ = ("_events", "_fired", "_needed")
 
-    def __init__(
-        self,
-        sim: "Simulation",
-        events: Sequence[Event],
-        evaluate: Callable[[int, int], bool],
-    ) -> None:
-        super().__init__(sim)
+    def __init__(self, sim: "Simulation", events: Sequence[Event],
+                 needed: Optional[int] = None) -> None:
+        Event.__init__(self, sim)
         self._events = tuple(events)
-        self._evaluate = evaluate
         self._fired: List[Event] = []
-        for event in self._events:
-            if event.sim is not sim:
-                raise SimulationError("condition mixes events from different sims")
-        if not self._events and evaluate(0, 0):
-            self.succeed({})
-            return
-        for event in self._events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exception is not None:
-            event._defused = True
-            self.fail(event._exception)
-            return
-        self._fired.append(event)
-        if self._evaluate(len(self._events), len(self._fired)):
-            self.succeed({fired: fired._value for fired in self._fired})
-
-
-def _all_fired(total: int, fired: int) -> bool:
-    return fired == total
-
-
-def _any_fired(total: int, fired: int) -> bool:
-    return fired > 0 or total == 0
-
-
-class _AllOf(Condition):
-    """Count-based specialization of :func:`all_of` (no evaluate call)."""
-
-    __slots__ = ("_remaining",)
-
-    def __init__(self, sim: "Simulation", events: Sequence[Event]) -> None:
-        # Inlined Event.__init__ — condition fan-in is hot in batching
-        # and multi-terminal workloads.
-        self.sim = sim
-        self._cb1 = None
-        self._callbacks = None
-        self._processed = False
-        self._value = _PENDING
-        self._exception = None
-        self._triggered = False
-        self._defused = False
-        self._events = tuple(events)
-        self._evaluate = _all_fired
-        self._fired = []
-        self._remaining = len(self._events)
-        on_child = self._on_child
+        self._needed = len(self._events) if needed is None else needed
         for event in self._events:
             if event.sim is not sim:
                 raise SimulationError("condition mixes events from different sims")
         if not self._events:
             self.succeed({})
             return
+        on_child = self._on_child
         for event in self._events:
             event.add_callback(on_child)
 
@@ -283,54 +208,15 @@ class _AllOf(Condition):
             self.fail(event._exception)
             return
         self._fired.append(event)
-        self._remaining = remaining = self._remaining - 1
-        if not remaining:
+        if len(self._fired) == self._needed:
             self.succeed({child: child._value for child in self._fired})
-
-
-class _AnyOf(Condition):
-    """First-child specialization of :func:`any_of`."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulation", events: Sequence[Event]) -> None:
-        self.sim = sim
-        self._cb1 = None
-        self._callbacks = None
-        self._processed = False
-        self._value = _PENDING
-        self._exception = None
-        self._triggered = False
-        self._defused = False
-        self._events = tuple(events)
-        self._evaluate = _any_fired
-        self._fired = []
-        on_child = self._on_child
-        for event in self._events:
-            if event.sim is not sim:
-                raise SimulationError("condition mixes events from different sims")
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            event.add_callback(on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exception is not None:
-            event._defused = True
-            self.fail(event._exception)
-            return
-        self._fired.append(event)
-        self.succeed({event: event._value})
 
 
 def all_of(sim: "Simulation", events: Sequence[Event]) -> Condition:
     """A condition that fires once every event in ``events`` has fired."""
-    return _AllOf(sim, events)
+    return Condition(sim, events)
 
 
 def any_of(sim: "Simulation", events: Sequence[Event]) -> Condition:
     """A condition that fires as soon as any event in ``events`` fires."""
-    return _AnyOf(sim, events)
+    return Condition(sim, events, 1)

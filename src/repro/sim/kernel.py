@@ -28,30 +28,28 @@ two structures that together form one logical priority queue keyed by
   ``(time, sequence)``, so a deque replaces O(log n) heap traffic for
   the most common event class.
 
-The dispatch loop pops whichever head is globally smallest, which
-reproduces exactly the ordering of a single shared heap.  The loop in
-:meth:`run` is the hottest code in the whole reproduction — every
-simulated I/O passes through it several times — so queue heads and
-``heappop`` are bound to locals and per-event callback dispatch is
-inlined.  :meth:`_step` is the single-step equivalent used by
-:meth:`run_until`; both produce identical event ordering (the seeded
-TPC-C trace test pins this down).
+One loop, :meth:`Simulation._dispatch`, pops whichever head is globally
+smallest, which reproduces exactly the ordering of a single shared
+heap.  :meth:`~Simulation.run`, :meth:`~Simulation.run_until` and
+:meth:`~Simulation.step` differ only in the stop condition they hand
+it, and tracing or the sanitizer are two ``is not None`` checks inside
+it — so every way of driving a simulation, timed or instrumented,
+executes the same code (the seeded TPC-C trace test pins the order).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import (
-    Any, Callable, Deque, List, Optional, Sequence, Tuple, Type)
+from typing import Any, Deque, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, Timeout, Condition, all_of, any_of, _PENDING
+from repro.sim.events import Event, Timeout, Condition, all_of, any_of
 from repro.sim.process import Process, ProcessGenerator
 from repro.sim.sanitizer import TrailSanitizer, sanitizer_from_env
 
-_new_timeout: Callable[[Type[Timeout]], Timeout] = Timeout.__new__
-_new_event: Callable[[Type[Event]], Event] = Event.__new__
+#: ``until`` of a dispatch with no deadline: no event time exceeds it.
+_FOREVER = float("inf")
 
 
 class Simulation:
@@ -69,7 +67,7 @@ class Simulation:
         self._trace: Optional[List[Tuple[float, int]]] = None
         #: Runtime atomicity sanitizer (``TRAILSAN=1``), or None.
         #: Components register their atomic groups here at construction
-        #: time; the dispatch loops call ``check()`` at every context
+        #: time; the dispatch loop calls ``check()`` at every context
         #: switch.  Read-only checks: enabling it never changes the
         #: schedule.
         self.sanitizer: Optional[TrailSanitizer] = sanitizer_from_env()
@@ -104,29 +102,25 @@ class Simulation:
     # ------------------------------------------------------------------
     # Factories
 
-    # trailhot: hot -- event factory, runs per simulated wakeup
     def event(self) -> Event:
         """Create a new untriggered event bound to this simulation."""
-        # Inlined Event.__init__ (see docs/PERFORMANCE.md): skipping the
-        # constructor frame is measurable at event-churn rates.
-        event = _new_event(Event)
-        event.sim = self
-        event._cb1 = None
-        event._callbacks = None
-        event._processed = False
-        event._value = _PENDING
-        event._exception = None
-        event._triggered = False
-        event._defused = False
-        return event
+        return Event(self)
 
     # trailhot: hot -- timeout factory, runs per CPU charge / sleep
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` ms from now with ``value``."""
+        # The one inlined copy of Timeout.__init__ + Event.__init__ that
+        # measurement kept (same statements; tests/sim/test_events.py
+        # holds the two to the same resulting state).  Against the
+        # parent commit, `return Timeout(self, delay, value)` measured
+        # kernel-churn -19 % (0/18 alternating pairs won; 0.74x of
+        # `make perf`'s baseline, gate 0.85x) where this copy measures
+        # -6 %, and `make perf-ab` sync-sparse host_ops_per_s -4.3 %
+        # (1/20 pairs won) and -5.6 % (0/10) where this copy measures
+        # -2.6 % (3/10, unresolved).  docs/PERFORMANCE.md, "Fifth pass".
         if delay < 0:
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        # Inlined Timeout.__init__ — identical semantics, one less frame.
-        timeout = _new_timeout(Timeout)
+        timeout = Timeout.__new__(Timeout)
         timeout.sim = self
         timeout._cb1 = None
         timeout._callbacks = None
@@ -145,7 +139,7 @@ class Simulation:
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
         """Start a new process driving ``generator``."""
-        return Process(self, generator, name=name)
+        return Process(self, generator, name)
 
     def all_of(self, events: Sequence[Event]) -> Condition:
         """Condition event that fires when all ``events`` have fired."""
@@ -158,228 +152,34 @@ class Simulation:
     # ------------------------------------------------------------------
     # Execution
 
-    # trailhot: hot -- the dispatch loop every simulated event crosses
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queues drain or the clock reaches ``until``.
 
         Returns the simulation time at which execution stopped.  An
         unhandled process failure propagates out of this call.
         """
-        if until is not None and until < self._now:
+        if until is None:
+            self._dispatch(_FOREVER, None)
+            return self._now
+        if until < self._now:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self._now})")
-        heap = self._heap
-        ready = self._ready
-        pop = heappop
-        popleft = ready.popleft
-        trace = self._trace
-        sanitizer = self.sanitizer
-        if until is None and trace is None and sanitizer is None:
-            # Fast drain-to-empty variant: no deadline, trace, or
-            # sanitizer checks in the loop, and runs of ready events are
-            # drained in a batch.  Two invariants make the batch safe:
-            # every entry in ``ready`` carries the same time (the
-            # current ``now``), and heap pushes made by a callback are
-            # strictly later than ``now`` — so once the ready head
-            # precedes the heap head, the whole ready run does, and new
-            # heap arrivals cannot preempt it.
-            while True:
-                if ready:
-                    if heap:
-                        heap_head = heap[0]
-                        if heap_head < ready[0]:
-                            when, sequence, event = pop(heap)
-                        else:
-                            # Batched ready drain against the cached
-                            # heap head: while it is unchanged and
-                            # strictly ahead of the ready run, only a
-                            # float compare per event is needed.  Any
-                            # push that displaces the head falls back
-                            # to the full (time, sequence) compare.
-                            heap_time = heap_head[0]
-                            while True:
-                                when, sequence, event = popleft()
-                                self._now = when
-                                event._processed = True
-                                callback = event._cb1
-                                if callback is not None:
-                                    event._cb1 = None
-                                    more = event._callbacks
-                                    if more is None:
-                                        callback(event)
-                                    else:
-                                        event._callbacks = None
-                                        callback(event)
-                                        for callback in more:
-                                            callback(event)
-                                if event._exception is not None \
-                                        and not event._defused:
-                                    raise event._exception
-                                if (not ready or ready[0][0] >= heap_time
-                                        or heap[0] is not heap_head):
-                                    break
-                            continue
-                    else:
-                        when, sequence, event = popleft()
-                elif heap:
-                    when, sequence, event = pop(heap)
-                else:
-                    break
-                self._now = when
-                event._processed = True
-                callback = event._cb1
-                if callback is not None:
-                    event._cb1 = None
-                    more = event._callbacks
-                    if more is None:
-                        callback(event)
-                    else:
-                        event._callbacks = None
-                        callback(event)
-                        for callback in more:
-                            callback(event)
-                if event._exception is not None and not event._defused:
-                    raise event._exception
-            return self._now
-        if until is None:
-            # Instrumented drain-to-empty variant (tracing or the
-            # runtime sanitizer active): per-event bookkeeping, same
-            # dispatch order as the fast loop.
-            while True:
-                # Pop the globally smallest (time, sequence) of both queues.
-                if ready:
-                    if heap and heap[0] < ready[0]:
-                        when, sequence, event = pop(heap)
-                    else:
-                        when, sequence, event = popleft()
-                elif heap:
-                    when, sequence, event = pop(heap)
-                else:
-                    break
-                self._now = when
-                if trace is not None:
-                    trace.append((when, sequence))
-                # Inlined Event._run_callbacks: detach-then-invoke so a
-                # callback registered mid-dispatch runs immediately.
-                event._processed = True
-                callback = event._cb1
-                if callback is not None:
-                    event._cb1 = None
-                    more = event._callbacks
-                    if more is None:
-                        callback(event)
-                    else:
-                        event._callbacks = None
-                        callback(event)
-                        for callback in more:
-                            callback(event)
-                if event._exception is not None and not event._defused:
-                    raise event._exception
-                if sanitizer is not None:
-                    sanitizer.check(self._now)
-            return self._now
-        while True:
-            # Pop the globally smallest (time, sequence) of both queues.
-            if ready:
-                if heap and heap[0] < ready[0]:
-                    if heap[0][0] > until:
-                        self._now = until
-                        return until
-                    when, sequence, event = pop(heap)
-                else:
-                    if ready[0][0] > until:
-                        self._now = until
-                        return until
-                    when, sequence, event = popleft()
-            elif heap:
-                if heap[0][0] > until:
-                    self._now = until
-                    return until
-                when, sequence, event = pop(heap)
-            else:
-                break
-            self._now = when
-            if trace is not None:
-                trace.append((when, sequence))
-            event._processed = True
-            callback = event._cb1
-            if callback is not None:
-                event._cb1 = None
-                more = event._callbacks
-                if more is None:
-                    callback(event)
-                else:
-                    event._callbacks = None
-                    callback(event)
-                    for callback in more:
-                        callback(event)
-            if event._exception is not None and not event._defused:
-                raise event._exception
-            if sanitizer is not None:
-                sanitizer.check(self._now)
+        self._dispatch(until, None)
         self._now = until
         return until
 
-    def peek(self) -> Optional[float]:
-        """Time of the next scheduled event, or None if queues are empty."""
-        if self._ready:
-            if self._heap and self._heap[0] < self._ready[0]:
-                return self._heap[0][0]
-            return self._ready[0][0]
-        if self._heap:
-            return self._heap[0][0]
-        return None
-
-    # trailhot: hot -- inlined dispatch loop of every bench scenario
     def run_until(self, event: Event) -> Any:
         """Run until ``event`` has fired; returns its value.
 
         Unlike :meth:`run`, this terminates even when perpetual
         background processes (write-back loops, idle repositioners)
-        keep the event queues non-empty.  The dispatch body is the same
-        inlined loop as :meth:`run` (the per-event ``_step`` frame used
-        to dominate fig3-style sync-write runs); tracing or the
-        sanitizer fall back to the instrumented single-step path.
+        keep the event queues non-empty.
         """
-        target = event
-        if self._trace is not None or self.sanitizer is not None:
-            while not target._processed:
-                if not self._heap and not self._ready:
-                    raise SimulationError(
-                        "event cannot fire: the event heap is empty")
-                self._step()
-            return target.value
-        heap = self._heap
-        ready = self._ready
-        pop = heappop
-        popleft = ready.popleft
-        while not target._processed:
-            if ready:
-                if heap and heap[0] < ready[0]:
-                    when, _sequence, event = pop(heap)
-                else:
-                    when, _sequence, event = popleft()
-            elif heap:
-                when, _sequence, event = pop(heap)
-            else:
-                raise SimulationError(
-                    "event cannot fire: the event heap is empty")
-            self._now = when
-            event._processed = True
-            callback = event._cb1
-            if callback is not None:
-                event._cb1 = None
-                more = event._callbacks
-                if more is None:
-                    callback(event)
-                else:
-                    event._callbacks = None
-                    callback(event)
-                    for callback in more:
-                        callback(event)
-            if event._exception is not None and not event._defused:
-                raise event._exception
-        return target.value
+        self._dispatch(_FOREVER, event)
+        if not event._processed:
+            raise SimulationError(
+                "event cannot fire: the event heap is empty")
+        return event.value
 
     def step(self) -> bool:
         """Dispatch the single next event; False when nothing is queued.
@@ -388,37 +188,75 @@ class Simulation:
         interleaved-instance harness: several simulations advance in
         round-robin, one dispatched event per turn.  Ordering within
         one simulation is identical to :meth:`run` / :meth:`run_until`
-        (all three pop the globally smallest ``(time, sequence)``).
+        (the head event is the one the dispatch loop pops first).
         """
-        if not self._heap and not self._ready:
+        head = self._head()
+        if head is None:
             return False
-        self._step()
+        self._dispatch(_FOREVER, head[2])
         return True
 
-    # trailhot: hot_callee -- single-step dispatch behind step()/run_until
-    def _step(self) -> None:
-        ready = self._ready
+    def peek(self) -> Optional[float]:
+        """Time of the next scheduled event, or None if queues are empty."""
+        head = self._head()
+        return None if head is None else head[0]
+
+    def _head(self) -> Optional[Tuple[float, int, Event]]:
+        """The entry :meth:`_dispatch` would pop next, left queued."""
         heap = self._heap
+        ready = self._ready
         if ready and not (heap and heap[0] < ready[0]):
-            when, sequence, event = ready.popleft()
-        else:
-            when, sequence, event = heappop(heap)
-        self._now = when
-        if self._trace is not None:
-            self._trace.append((when, sequence))
-        event._run_callbacks()
-        if event._exception is not None and not event._defused:
-            raise event._exception
-        if self.sanitizer is not None:
-            self.sanitizer.check(self._now)
+            return ready[0]
+        return heap[0] if heap else None
 
-    # ------------------------------------------------------------------
-    # Internal API used by events
+    # trailhot: hot -- the one dispatch loop every simulated event crosses
+    def _dispatch(self, until: float, target: Optional[Event]) -> None:
+        """Dispatch events in ``(time, sequence)`` order.
 
-    # trailhot: hot_callee -- every succeed/fail lands here
-    def _schedule_event(self, event: Event, delay: float) -> None:
-        self._sequence = sequence = self._sequence + 1
-        if delay:
-            heappush(self._heap, (self._now + delay, sequence, event))
-        else:
-            self._ready.append((self._now, sequence, event))
+        Stops when both queues are empty, when the next event lies after
+        ``until``, or once ``target`` (if given) has been processed.
+        """
+        heap = self._heap
+        ready = self._ready
+        pop = heappop
+        popleft = ready.popleft
+        trace = self._trace
+        sanitizer = self.sanitizer
+        # ``while True`` with the stop test inside, not ``while <test>``:
+        # CPython 3.11 specialises a function's bytecode after 8 calls
+        # or 8 *unconditional* backward jumps.  A conditional loop head
+        # compiles to a conditional back edge, so a ``run()`` that is
+        # called once would execute every event unspecialised
+        # (measured: +250 ns per event on kernel-churn).
+        while True:
+            if target is not None and target._processed:
+                return
+            # Pop the globally smallest (time, sequence) of both queues.
+            # Ready entries carry a time <= now <= until, so only a heap
+            # head can lie past the deadline.
+            if ready and not (heap and heap[0] < ready[0]):
+                when, sequence, event = popleft()
+            elif heap and heap[0][0] <= until:
+                when, sequence, event = pop(heap)
+            else:
+                return
+            self._now = when
+            if trace is not None:
+                trace.append((when, sequence))
+            # Detach all callbacks before invoking any, so a callback
+            # registered mid-dispatch runs immediately (the event is
+            # already processed).
+            event._processed = True
+            callback = event._cb1
+            if callback is not None:
+                event._cb1 = None
+                more = event._callbacks
+                event._callbacks = None
+                callback(event)
+                if more is not None:
+                    for callback in more:
+                        callback(event)
+            if event._exception is not None and not event._defused:
+                raise event._exception
+            if sanitizer is not None:
+                sanitizer.check(self._now)

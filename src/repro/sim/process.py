@@ -31,8 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ProcessGenerator = Generator[Event, Any, Any]
 
-_new_event: Callable[..., Event] = Event.__new__
-
 
 class Interrupt(Exception):
     """Thrown into a process generator by :meth:`Process.interrupt`."""
@@ -62,35 +60,16 @@ class Process(Event):
                 and not hasattr(generator, "throw"):
             raise SimulationError(
                 f"process requires a generator, got {type(generator).__name__}")
-        # Inlined Event.__init__ for the process event itself — TPC-C
-        # spawns a process per transaction and per I/O, so the two
-        # constructor frames here are measurable (see kernel.event()).
-        self.sim = sim
-        self._cb1 = None
-        self._callbacks = None
-        self._processed = False
-        self._value = _PENDING
-        self._exception = None
-        self._triggered = False
-        self._defused = False
+        Event.__init__(self, sim)
         self._generator: Optional[ProcessGenerator] = generator
         self._waiting_on: Optional[Event] = None
         self._bound_resume: Optional[Callable[[Event], None]] = self._resume
         self.name: str = name or getattr(generator, "__name__", "process")
         # Kick off the generator at the current simulation time via an
-        # immediately-triggered initialization event (construction and
-        # succeed() inlined; ordering and sequence numbering identical).
-        init = _new_event(Event)
-        init.sim = self.sim
+        # immediately-triggered initialization event.
+        init = Event(sim)
         init._cb1 = self._bound_resume
-        init._callbacks = None
-        init._processed = False
-        init._value = None
-        init._exception = None
-        init._triggered = True
-        init._defused = False
-        sim._sequence = sequence = sim._sequence + 1
-        sim._ready.append((sim._now, sequence, init))
+        init.succeed()
 
     @property
     def is_alive(self) -> bool:

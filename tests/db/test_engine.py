@@ -1,5 +1,7 @@
 """Unit tests for the transaction engine."""
 
+import random
+
 import pytest
 
 from repro.baselines.group_commit import GroupCommitPolicy, SyncCommitPolicy
@@ -10,6 +12,7 @@ from repro.db.pages import BufferPool
 from repro.db.wal import WriteAheadLog
 from repro.errors import (
     DatabaseError, DeadlockError, IntentionalRollback, TransactionAborted)
+from repro.sim import Simulation
 from tests.conftest import drive_to_completion, make_tiny_drive
 
 
@@ -215,3 +218,30 @@ class TestRunTransaction:
         drive_to_completion(sim, runner())
         assert len(attempts) == 1
         assert engine.stats.aborted == 1
+
+
+class TestEngineIsolation:
+    def test_back_to_back_engines_emit_identical_wal_bytes(self):
+        """Transaction ids land in WAL records, so they must be numbered
+        per engine: what an earlier engine in this process ran cannot
+        show up in a later engine's log."""
+        def wal_image():
+            sim = Simulation()
+            engine, _wal = make_engine(sim)
+            table = engine.create_table(TableSpec("t", 200, 100, 1))
+            rng = random.Random(11)
+
+            def body():
+                for _ in range(6):
+                    tx = engine.begin()
+                    for index in rng.sample(range(100), 4):
+                        yield from engine.write_record(tx, table, index)
+                    yield from engine.commit(tx)
+
+            drive_to_completion(sim, body())
+            store = engine.device.data_disks[0].store
+            return [(lba, store.read(lba, nsectors))
+                    for lba, nsectors in store.written_extents()]
+
+        first, second = wal_image(), wal_image()
+        assert first and first == second

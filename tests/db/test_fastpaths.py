@@ -11,9 +11,9 @@ import struct
 
 import pytest
 
-from repro.baselines.group_commit import SyncCommitPolicy
+from repro.baselines.group_commit import GroupCommitPolicy, SyncCommitPolicy
 from repro.baselines.standard import StandardDriver
-from repro.db.engine import TransactionEngine
+from repro.db.engine import TableSpec, TransactionEngine
 from repro.db.locks import LockManager, LockMode
 from repro.db.pages import BufferPool
 from repro.db.wal import WriteAheadLog
@@ -188,24 +188,56 @@ class TestPagePinAccounting:
         assert pool.dirty_pages == 1
 
 
+def make_engine(sim, policy=None, capacity_pages=64):
+    disks = {0: make_tiny_drive(sim, "wal", cylinders=40),
+             1: make_tiny_drive(sim, "tab", cylinders=40, heads=4,
+                                sectors_per_track=32)}
+    device = StandardDriver(sim, disks)
+    wal = WriteAheadLog(sim, device, disk_id=0, start_lba=0,
+                        capacity_sectors=2048,
+                        policy=policy or SyncCommitPolicy())
+    pool = BufferPool(sim, device, capacity_pages=capacity_pages,
+                      page_sectors=4, flush_interval_ms=0.0)
+    return TransactionEngine(sim, device, wal, pool, LockManager(sim),
+                             cpu_ms_per_op=0.01)
+
+
+class TestRecordAccessAccounting:
+    """A warm-path fallback must not count its lock or page hit twice."""
+
+    def test_uncontended_acquisitions_equal_hits_plus_misses(self, sim):
+        # A 4-page pool under a 40-page table forces misses; a 1 KB log
+        # buffer makes try_append refuse (flush on append) on warm
+        # pages, the fallback that used to re-count the hit as well.
+        engine = make_engine(
+            sim, policy=GroupCommitPolicy(log_buffer_bytes=1024),
+            capacity_pages=4)
+        table = engine.create_table(TableSpec("t", 200, 400, 1))
+        accesses = 0
+
+        def body():
+            nonlocal accesses
+            for start in range(0, 400, 40):
+                tx = engine.begin()
+                for index in range(start, start + 40, 3):
+                    yield from engine.read_record(tx, table, index)
+                    yield from engine.write_record(tx, table, index)
+                    accesses += 2
+                yield from engine.commit(tx)
+
+        drive_to_completion(sim, body())
+        locks, pool = engine.locks.stats, engine.pool.stats
+        assert locks.waits == 0
+        assert pool.misses > 0 and engine.wal.stats.flushes > 0
+        assert pool.hits + pool.misses == accesses
+        assert locks.acquisitions == accesses
+
+
 class TestWalEncodeByteCompat:
     """The cached-buffer encoder must match the original byte-for-byte."""
 
-    def _engine(self, sim):
-        disks = {0: make_tiny_drive(sim, "wal", cylinders=40),
-                 1: make_tiny_drive(sim, "tab", cylinders=40, heads=4,
-                                    sectors_per_track=32)}
-        device = StandardDriver(sim, disks)
-        wal = WriteAheadLog(sim, device, disk_id=0, start_lba=0,
-                            capacity_sectors=2048,
-                            policy=SyncCommitPolicy())
-        pool = BufferPool(sim, device, capacity_pages=64, page_sectors=4,
-                          flush_interval_ms=0.0)
-        return TransactionEngine(sim, device, wal, pool, LockManager(sim),
-                                 cpu_ms_per_op=0.01)
-
     def test_matches_original_pack_plus_zeros(self, sim):
-        engine = self._engine(sim)
+        engine = make_engine(sim)
         header = struct.Struct("<IHII")
         for tx_id, table_id, index, payload in [
                 (1, 2, 3, 0), (7, 1, 900, 64), (2**31, 9, 0, 300),
@@ -216,7 +248,7 @@ class TestWalEncodeByteCompat:
                 tx_id, table_id, index, payload) == reference
 
     def test_payload_cache_returns_equal_but_fresh_records(self, sim):
-        engine = self._engine(sim)
+        engine = make_engine(sim)
         first = engine.encode_log_record(1, 1, 1, 128)
         second = engine.encode_log_record(2, 1, 1, 128)
         assert first[-128:] == second[-128:] == bytes(128)

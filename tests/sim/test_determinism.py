@@ -19,12 +19,10 @@ move.  It was captured before the drive's process-per-command service
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from pathlib import Path
 
 from repro.core.instance import TrailInstance
-from repro.db.engine import Transaction
 from repro.sim.kernel import Simulation
 from repro.tpcc import TpccRunConfig, run_tpcc
 
@@ -61,10 +59,6 @@ def test_seeded_tpcc_event_order_matches_golden_trace(monkeypatch):
         instances.append(self)
 
     monkeypatch.setattr(TrailInstance, "__init__", capturing_init)
-    # Transaction ids come from a process-wide counter and land in WAL
-    # records, so the image depends on how many transactions ran
-    # earlier in this process; pin the counter for the run.
-    monkeypatch.setattr(Transaction, "_ids", itertools.count(1))
     run_tpcc(TpccRunConfig(
         system=golden["system"],
         transactions=golden["transactions"],

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulation, all_of, any_of
+from repro.sim import Simulation, Timeout, all_of, any_of
 
 
 def test_event_starts_pending(sim):
@@ -94,6 +94,27 @@ def test_timeout_fires_at_delay(sim):
 def test_timeout_negative_delay_rejected(sim):
     with pytest.raises(SimulationError):
         sim.timeout(-1.0)
+    with pytest.raises(SimulationError):
+        Timeout(sim, -1.0)
+
+
+@pytest.mark.parametrize("delay", [0, 2.5])
+def test_timeout_factory_equals_the_constructor(delay):
+    """``Simulation.timeout`` keeps an inlined copy of the initialiser:
+    it must leave exactly the state ``Timeout(sim, ...)`` does."""
+    slots = [name for cls in Timeout.__mro__[:-1] for name in cls.__slots__]
+    states = []
+    for build in (lambda sim: sim.timeout(delay, "v"),
+                  lambda sim: Timeout(sim, delay, "v")):
+        sim = Simulation(start_time=1.0)
+        timeout = build(sim)
+        assert type(timeout) is Timeout and timeout.sim is sim
+        queued = [(when, seq) for when, seq, event
+                  in list(sim._heap) + list(sim._ready) if event is timeout]
+        states.append(({name: getattr(timeout, name) for name in slots
+                        if name != "sim"}, queued, bool(sim._heap)))
+    assert states[0] == states[1]
+    assert states[0][1] == [(1.0 + delay, 1)]
 
 
 def test_all_of_waits_for_every_event(sim):
