@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench perf perf-smoke perf-ab ledger-smoke ledger-test ledger-check profile lint trailsan units iso trailhot analyzers sansan test-trailsan test-trailiso test-trailhot typecheck trailmc mc
+.PHONY: test bench perf-smoke perf-ab ledger-smoke ledger-test ledger-check profile lint trailsan units iso trailhot analyzers sansan test-checked typecheck trailmc mc
 
 # Tier-1: the full unit/property/integration suite (includes perf-smoke).
 test:
@@ -10,11 +10,6 @@ test:
 # Regenerate every paper table/figure with shape assertions.
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ -s
-
-# Wall-clock engine gate: >= 2x over the checked-in baseline on the
-# microbenchmarks; rewrites BENCH_perf.json at the repo root.
-perf:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/perf -m perf -q -s
 
 # Interleaved A/B of a reference commit against the working tree on the
 # layered benchmark (BENCHMARK.json): >= 10 pairs alternating which side
@@ -107,21 +102,14 @@ mc:
 	PYTHONPATH=$(PYTHONPATH):. $(PYTHON) -m repro mc crash-recovery \
 		--mutate tail-chain-tear --budget 5
 
-# Tier-1 suite under the TRAILSAN=1 runtime sanitizer: atomic groups
-# are value-checked at every context switch.
-test-trailsan:
-	TRAILSAN=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
-
-# Tier-1 suite under the TRAILISO=1 runtime twin: the interleaved
-# multi-instance matrix widens (tests/integration/test_two_instances).
-test-trailiso:
-	TRAILISO=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
-
-# Perf suite under the TRAILHOT=1 runtime twin: per-scenario
-# allocation budgets (Python calls + peak traced bytes) are measured
-# and gated against benchmarks/perf/BENCH_alloc.json.
-test-trailhot:
-	TRAILHOT=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/perf -q
+# Tier-1 suite with every runtime twin switched on at once (they
+# compose): TRAILSAN=1 value-checks atomic groups at every context
+# switch, TRAILISO=1 widens the interleaved multi-instance matrix
+# (tests/integration/test_two_instances), TRAILHOT=1 measures the
+# per-scenario Python-call and peak-byte budgets against
+# benchmarks/perf/BENCH_alloc.json.
+test-checked:
+	TRAILSAN=1 TRAILISO=1 TRAILHOT=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 # Strict typing over the paper-critical packages (mypy.ini).  mypy is a
 # CI dependency, not a vendored one: when it is absent locally the

@@ -9,16 +9,17 @@ budgets (``benchmarks/perf/BENCH_alloc.json``).
 
 Wall-clock gates must be loose because shared machines are noisy; call
 counts are *deterministic* for the seeded scenarios, so this gate can
-be tight.  A change that reintroduces a per-record generator frame, a
-per-event constructor, or a per-iteration container shows up as a
-call-count jump of thousands long before it is distinguishable from
-noise in ops/sec.
+be tight.  A change that adds a per-record frame, a per-event
+constructor, or a per-iteration container shows up as an exact
+call-count jump long before it is distinguishable from noise in
+ops/sec.
 
 Regenerate the budgets after an intentional change with::
 
     PYTHONPATH=src python -m repro.analysis.hotalloc --update
 
-and gate with ``make test-trailhot`` (the ``TRAILHOT=1`` tier-1 leg).
+and gate with ``make test-checked`` (tier-1 with ``TRAILHOT=1`` and
+the other runtime twins on).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.perf import SCENARIOS
 
-#: Committed per-scenario budgets, next to the wall-clock baseline.
+#: Committed per-scenario budgets.
 DEFAULT_BUDGET_PATH = (Path(__file__).resolve().parents[3]
                        / "benchmarks" / "perf" / "BENCH_alloc.json")
 

@@ -1,11 +1,10 @@
-"""Wall-clock performance scenarios and the ``BENCH_perf.json`` reporter.
+"""Wall-clock performance scenarios.
 
 Simulated time is free; wall-clock time is what caps how far the
 ``--full-scale`` sweeps and the ROADMAP's beyond-paper scaling can go.
-This module defines the canonical scenarios every perf PR is measured
-against and the stable report schema::
-
-    {scenario: {"ops_per_sec": float, "wall_s": float}}
+This module defines the canonical engine scenarios that ``repro
+profile``, the call-count budgets (:mod:`repro.analysis.hotalloc`) and
+the tier-1 smoke test and CI ops/s floors (``tests/perf``) all run.
 
 Scenarios (each takes a ``scale`` multiplier; ``ops`` is scenario-
 specific but fixed per scenario so ops/sec comparisons are meaningful):
@@ -18,25 +17,16 @@ specific but fixed per scenario so ops/sec comparisons are meaningful):
   the full Trail stack (ST41601N log disk + Caviar data disk).
 * ``tpcc-small``     — a small seeded TPC-C run on Trail.
 
-The scenario bodies are deliberately frozen: the checked-in
-pre-optimization baseline (``benchmarks/perf/BENCH_baseline.json``)
-was captured with exactly this code, so speedup ratios measure the
-engine, not the benchmark.
+The scenario bodies are deliberately frozen: the committed call
+budgets (``benchmarks/perf/BENCH_alloc.json``) were counted on exactly
+this code, so a moved count measures the engine, not the scenario.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, NamedTuple
-
-#: Report rows: {scenario: {"ops_per_sec": ..., "wall_s": ...}}.
-BenchReport = Dict[str, Dict[str, float]]
-
-#: The microbenchmarks held to the >= 2x speedup gate.
-MICROBENCHMARKS = ("kernel-churn", "sector-churn")
+from typing import Callable, Mapping, NamedTuple
 
 
 class PerfResult(NamedTuple):
@@ -156,7 +146,7 @@ SCENARIOS: Mapping[str, Callable[[float], int]] = MappingProxyType({
 
 
 # ----------------------------------------------------------------------
-# Runner / reporter
+# Runner
 
 
 def run_scenario(name: str, scale: float = 1.0) -> PerfResult:
@@ -171,31 +161,3 @@ def run_scenario(name: str, scale: float = 1.0) -> PerfResult:
     ops = func(scale)
     wall = time.perf_counter() - start  # trailint: disable=TRL001
     return PerfResult(scenario=name, ops=ops, wall_s=wall)
-
-
-def run_all(scale: float = 1.0) -> BenchReport:
-    """Run every scenario; returns the ``BENCH_perf.json`` mapping."""
-    report: BenchReport = {}
-    for name in SCENARIOS:
-        result = run_scenario(name, scale)
-        report[name] = {
-            "ops_per_sec": round(result.ops_per_sec, 2),
-            "wall_s": round(result.wall_s, 4),
-        }
-    return report
-
-
-def write_report(report: BenchReport, path: Path) -> None:
-    """Write a report mapping as stable, diff-friendly JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def load_report(path: Path) -> BenchReport:
-    """Load a previously written report."""
-    return json.loads(Path(path).read_text())
-
-
-def speedup(new: BenchReport, old: BenchReport, scenario: str) -> float:
-    """ops/sec ratio of ``new`` over ``old`` for ``scenario``."""
-    return (new[scenario]["ops_per_sec"] / old[scenario]["ops_per_sec"])

@@ -95,11 +95,6 @@ class DcdDriver(BlockDevice):
     def sector_size(self) -> int:
         return self.cache_disk.geometry.sector_size
 
-    @property
-    def nvram_fill(self) -> float:
-        """Fraction of the NVRAM currently occupied."""
-        return self._nvram_used / self.nvram_bytes
-
     def start(self) -> None:
         """Launch the background destager."""
         if self._destager is None or not self._destager.is_alive:

@@ -196,12 +196,11 @@ class TrackAllocator:
 
         Raises :class:`LogDiskFullError` if the next track in circular
         order still holds live records — the entire log is full (§4.4).
+        A refused advance retires nothing: the driver retries it after
+        every freed record, and each retry must not count the same
+        track again in the §5.2 utilization figures.
         """
         self._reap_window()
-        spt = self.geometry.track_sectors(self.current_track)
-        self.retired_utilizations.append(self.used_sectors() / spt)
-        self.tracks_consumed += 1
-
         next_position = (self._position + 1) % len(self._tracks)
         next_track = self._tracks[next_position]
         if self._live_counts.get(next_track, 0) > 0 or (
@@ -209,6 +208,9 @@ class TrackAllocator:
             raise LogDiskFullError(
                 f"log disk full: track {next_track} still holds "
                 f"{self._live_counts.get(next_track, 0)} live records")
+        spt = self.geometry.track_sectors(self.current_track)
+        self.retired_utilizations.append(self.used_sectors() / spt)
+        self.tracks_consumed += 1
         self._position = next_position
         self._used_runs = []
         # Stale accounting from the previous lap, if any.

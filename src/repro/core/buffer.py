@@ -46,10 +46,6 @@ class LiveRecord:
     #: Pages (with their logged versions) this record still waits on.
     outstanding: int = 0
     released: bool = False
-    #: Sectors of log-disk space the record occupies (header + payload).
-    @property
-    def footprint_sectors(self) -> Sectors:
-        return 1 + self.nsectors
 
 
 @dataclass
@@ -101,12 +97,6 @@ class BufferManager:
         self.writes_cancelled = 0
         #: Queue entries saved by dedup.
         self.writes_deduplicated = 0
-
-    def set_release_callback(
-        self, callback: Callable[[LiveRecord], None],
-    ) -> None:
-        """Install the driver's record-release hook."""
-        self._on_record_released = callback
 
     def accounting_error(self) -> Optional[str]:
         """None when ``pinned_bytes`` matches the pinned pages, else a

@@ -313,48 +313,6 @@ class TrailDriver(BlockDevice):
         """Sector size of the managed disks."""
         return self.log_drive.geometry.sector_size
 
-    def device_health(self) -> Dict[int, Dict[str, object]]:
-        """Per-data-disk health snapshot, RAID-aware when applicable.
-
-        For a plain :class:`DiskDrive` the entry reports power and
-        whole-drive-death state.  When the target is a RAID array the
-        entry additionally surfaces degraded-mode serving (which member
-        failed, degraded read/write counts, member I/O amplification)
-        and — while a rebuild is running — its status, progress, and
-        any sectors lost to unreadable survivor extents.  Everything is
-        probed structurally so the driver stays ignorant of the
-        concrete target type.
-        """
-        health: Dict[int, Dict[str, object]] = {}
-        for disk_id in sorted(self.data_disks):
-            disk = self.data_disks[disk_id]
-            entry: Dict[str, object] = {
-                "name": disk.name,
-                "halted": bool(getattr(disk, "halted", False)),
-                "dead": bool(getattr(disk, "dead", False)),
-            }
-            stats = getattr(disk, "stats", None)
-            degraded_reads = getattr(stats, "degraded_reads", None)
-            if degraded_reads is not None:  # RAID-fronted target
-                entry["degraded"] = (
-                    getattr(disk, "failed_drive", None) is not None)
-                entry["array_failed"] = bool(
-                    getattr(disk, "array_failed", False))
-                entry["degraded_reads"] = degraded_reads
-                entry["degraded_writes"] = getattr(
-                    stats, "degraded_writes", 0)
-                entry["member_ios"] = getattr(stats, "member_ios", 0)
-                entry["amplification"] = getattr(
-                    stats, "amplification", 0.0)
-                engine = getattr(disk, "rebuild", None)
-                if engine is not None:
-                    entry["rebuild_status"] = engine.status
-                    entry["rebuild_progress"] = engine.progress
-                    entry["rebuild_stripes"] = engine.stripes_rebuilt
-                    entry["rebuild_lost_sectors"] = len(engine.lost_sectors)
-            health[disk_id] = entry
-        return health
-
     def write(self, lba: int, data: bytes, disk_id: int = 0) -> Event:
         # unit: (lba: data_lba)
         """Synchronous write: the event fires once the data is durable.
@@ -440,21 +398,23 @@ class TrailDriver(BlockDevice):
 
     def _notify_idle(self) -> None:
         """Wake flush() waiters if the whole pipeline has drained."""
-        if not self._flush_waiters or not self._is_quiet():
-            return
-        waiters, self._flush_waiters = self._flush_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed()
+        if self._flush_waiters and self._is_quiet():
+            self._wake(self._flush_waiters)
 
     def _on_writeback_idle(self) -> None:
         """The write-back scheduler went quiescent."""
         if self._writeback_waiters:
-            waiters, self._writeback_waiters = self._writeback_waiters, []
-            for event in waiters:
-                if not event.triggered:
-                    event.succeed()
+            self._wake(self._writeback_waiters)
         self._notify_idle()
+
+    @staticmethod
+    def _wake(waiters: List[Event]) -> None:
+        """Succeed every parked event that has not fired; empty the list."""
+        parked = waiters[:]
+        waiters.clear()
+        for event in parked:
+            if not event.triggered:
+                event.succeed()
 
     def clean_shutdown(self) -> Generator[Event, Any, None]:
         """Flush everything and mark the log disk clean (§3.3).
@@ -468,12 +428,20 @@ class TrailDriver(BlockDevice):
         """
         yield from self.flush()
         self._stop_background()
-        if not self._degraded and not self.writeback.failed_pages:
-            try:
-                yield from self._write_headers(crash_var=1)
-            except MediaError:
-                self.stats.log_media_errors += 1
+        if not self._degraded:
+            yield from self._mark_log_clean()
         self._mounted = False
+
+    def _mark_log_clean(self) -> Generator[Event, Any, None]:
+        """Write ``crash_var = 1``, unless parked write-back failures
+        keep their only durable copy on the log disk: then the log must
+        stay dirty so the next mount replays or reports them."""
+        if self.writeback.failed_pages:
+            return
+        try:
+            yield from self._write_headers(crash_var=1)
+        except MediaError:
+            self.stats.log_media_errors += 1
 
     def crash(self) -> None:
         """Inject a power failure: processes die, host memory is lost.
@@ -486,16 +454,10 @@ class TrailDriver(BlockDevice):
         self._mounted = False
         self._log_queue.drain()
         for request in list(self._unacked.values()):
-            if not request.event.triggered:
-                request.event.fail(DiskHaltedError("power failure"))
-                request.event.defuse()
-        self._unacked.clear()
+            self._fail_request(request, DiskHaltedError("power failure"))
         self.buffers.drop_all()
-        for event in self._flush_waiters + self._writeback_waiters:
-            if not event.triggered:
-                event.succeed()
-        self._flush_waiters.clear()
-        self._writeback_waiters.clear()
+        self._wake(self._flush_waiters)
+        self._wake(self._writeback_waiters)
         self.log_drive.halt()
         for disk in self.data_disks.values():
             disk.halt()
@@ -530,12 +492,8 @@ class TrailDriver(BlockDevice):
                 self._writer_busy = False
                 self._last_activity = self.sim.now
                 self._notify_idle()
-        except Interrupt:
+        except (Interrupt, DiskHaltedError):
             self._writer_busy = False
-            return
-        except DiskHaltedError:
-            self._writer_busy = False
-            return
 
     def _write_record(
         self, pending: Deque[_PendingWrite],
@@ -568,34 +526,13 @@ class TrailDriver(BlockDevice):
             self.sim.now + self._pending_move_ms(track), track)
         start_sector = allocator.place(predicted, 1 + total)
         if start_sector is None:
-            yield from self._advance_track()
-            yield from self._write_record_spans(spans, pending)
-            return
-        header_lba = allocator.commit_placement(start_sector, 1 + total)
-        yield from self._emit_record(header_lba, track, spans, total, pending)
-        if not self._degraded:
-            yield from self._after_record(pending)
-
-    def _write_record_spans(
-        self,
-        spans: List[Tuple[_PendingWrite, int, int]],
-        pending: Deque[_PendingWrite],
-    ) -> Generator[Event, Any, None]:
-        """Place already-chosen spans on the (fresh) current track."""
-        allocator = self.allocator
-        predictor = self.predictor
-        geometry = self.geometry
-        assert (allocator is not None and predictor is not None
-                and geometry is not None)
-        total = sum(count for _request, _offset, count in spans)
-        track = allocator.current_track
-        predicted = predictor.predict_sector(
-            self.sim.now + self._pending_move_ms(track), track)
-        start_sector = allocator.place(predicted, 1 + total)
-        if start_sector is None:
+            # The record was sized to the largest free run above, with
+            # no yield since: a refusal is an allocator bug, not a full
+            # track to move on from.
             raise TrailError(
-                f"record of {1 + total} sectors does not fit an empty "
-                f"track of {geometry.track_sectors(track)}")
+                f"record of {1 + total} sectors does not fit track "
+                f"{track} with a free run of "
+                f"{allocator.largest_free_run()}")
         header_lba = allocator.commit_placement(start_sector, 1 + total)
         yield from self._emit_record(header_lba, track, spans, total, pending)
         if not self._degraded:
@@ -701,10 +638,24 @@ class TrailDriver(BlockDevice):
                 for owner in request.records:
                     self.buffers.attach(owner, page, version)
                 self.writeback.enqueue(page)
-                latency = self.sim.now - request.arrival
-                self.stats.sync_writes.record(latency)
-                self._unacked.pop(id(request), None)
-                request.event.succeed(latency)
+                self._acknowledge(request)
+
+    def _acknowledge(self, request: _PendingWrite) -> None:
+        """The write is durable: record its latency and wake the caller."""
+        latency = self.sim.now - request.arrival
+        self.stats.sync_writes.record(latency)
+        self._unacked.pop(id(request), None)
+        if not request.event.triggered:
+            request.event.succeed(latency)
+
+    def _fail_request(self, request: _PendingWrite,
+                      failure: BaseException) -> None:
+        """The write is lost: fail its event, whether or not anyone is
+        still waiting on it."""
+        self._unacked.pop(id(request), None)
+        if not request.event.triggered:
+            request.event.fail(failure)
+            request.event.defuse()
 
     # ------------------------------------------------------------------
     # Degraded mode (log-disk failure)
@@ -735,10 +686,7 @@ class TrailDriver(BlockDevice):
 
         if not self.config.degraded_mode_enabled:
             for request in requests:
-                self._unacked.pop(id(request), None)
-                if not request.event.triggered:
-                    request.event.fail(exc)
-                    request.event.defuse()
+                self._fail_request(request, exc)
             return
 
         yield from self._enter_degraded()
@@ -759,14 +707,7 @@ class TrailDriver(BlockDevice):
             event = self.sim.event()
             self._writeback_waiters.append(event)
             yield event
-        if not self.writeback.failed_pages:
-            # Parked write-back failures keep their only durable copy
-            # on the log disk; in that double-failure case the log must
-            # stay dirty so the next mount reports them.
-            try:
-                yield from self._write_headers(crash_var=1)
-            except MediaError:
-                self.stats.log_media_errors += 1
+        yield from self._mark_log_clean()
 
     def _write_through(
         self, requests: List[_PendingWrite],
@@ -777,17 +718,10 @@ class TrailDriver(BlockDevice):
             try:
                 yield disk.write(request.lba, request.data)
             except MediaError as failure:
-                self._unacked.pop(id(request), None)
-                if not request.event.triggered:
-                    request.event.fail(failure)
-                    request.event.defuse()
+                self._fail_request(request, failure)
                 continue
             self.stats.degraded_writes += 1
-            latency = self.sim.now - request.arrival
-            self.stats.sync_writes.record(latency)
-            self._unacked.pop(id(request), None)
-            if not request.event.triggered:
-                request.event.succeed(latency)
+            self._acknowledge(request)
 
     # ------------------------------------------------------------------
     # Track movement
@@ -869,11 +803,6 @@ class TrailDriver(BlockDevice):
         cost is invisible to foreground writes.
         """
         interval = self.config.idle_reposition_interval_ms
-        allocator = self.allocator
-        predictor = self.predictor
-        geometry = self.geometry
-        assert (allocator is not None and predictor is not None
-                and geometry is not None)
         try:
             while True:
                 yield self.sim.timeout(interval)
@@ -882,19 +811,7 @@ class TrailDriver(BlockDevice):
                 if (self._writer_busy or len(self._log_queue) > 0
                         or self.sim.now - self._last_activity < interval):
                     continue
-                track = allocator.current_track
-                target_sector = predictor.predict_sector(
-                    self.sim.now + self._pending_move_ms(track), track)
-                target_lba = (geometry.track_first_lba(track)
-                              + target_sector)
-                try:
-                    yield self.log_drive.read(target_lba, 1)
-                except MediaError:
-                    continue
-                self._physical_track = track
-                predictor.set_reference(self.sim.now, target_lba)
-                self.stats.repositions += 1
-                self._last_activity = self.sim.now
+                yield from self._reposition_read()
         except (Interrupt, DiskHaltedError):
             return
 

@@ -71,15 +71,6 @@ class HeadPositionPredictor:
         """True once a reference point has been anchored."""
         return self._t0 is not None
 
-    @property
-    def reference_age_ms(self) -> Optional[Ms]:
-        """How long ago the reference was anchored (None if never).
-
-        Callers pass the current time; kept as data so the idle
-        repositioner can decide when to re-anchor.
-        """
-        return self._t0
-
     def set_reference(self, t0: Ms, lba0: Lba) -> None:
         """Anchor the reference point after a repositioning access.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterable, Optional
+from typing import Dict, Generator, Optional
 
 from repro.blockdev import BlockDevice
 from repro.db.locks import LockManager, LockMode
@@ -27,10 +27,6 @@ from repro.sim import Simulation
 _LOG_RECORD_HEADER = struct.Struct("<IHII")
 #: Commit marker appended at transaction commit.
 _COMMIT_MARKER = struct.Struct("<I4s")
-
-#: Returned by the warm record-access paths: ``yield from`` over an
-#: empty tuple suspends nothing and skips the generator frame.
-_NO_EVENTS: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -197,135 +193,57 @@ class TransactionEngine:
         """Start a new transaction."""
         return Transaction(self)
 
-    # trailhot: hot -- per-record read; warm path runs without a frame
     def read_record(self, tx: Transaction, table: Table,
-                    index: int) -> Iterable:
-        """S-lock and fetch the record's page (``yield from`` the result).
+                    index: int) -> Generator:
+        """S-lock and fetch the record's page (``yield from`` the result)."""
+        return self._access(tx, table, index, LockMode.SHARED, None)
 
-        The warm path — uncontended lock, page resident — costs zero
-        kernel events and returns an *empty iterable* instead of a
-        generator: ``yield from`` over it suspends nothing, so the
-        thousands of warm TPC-C accesses per run skip the generator
-        frame entirely.  Cold accesses return the slow-path generator,
-        told whether the lock is already held so nothing is probed (or
-        counted) twice.
-        """
-        if not tx.active:
-            tx._check_active()
-        locked = self.locks.try_acquire(tx, (table.table_id, index),
-                                        LockMode.SHARED)
-        if locked:
-            if index < 0 or index >= table.max_rows:
-                table.page_of(index)  # raises the range DatabaseError
-            page_lba = table.start_lba \
-                + (index // table.records_per_page) * table.page_sectors
-            if self.pool.try_fetch(table.disk_id, page_lba) is not None:
-                tx.cpu_debt += self.cpu_ms_per_op
-                return _NO_EVENTS
-        return self._read_record_slow(tx, table, index, locked)
-
-    def _read_record_slow(self, tx: Transaction, table: Table,
-                          index: int, locked: bool) -> Generator:
-        """Cold path of :meth:`read_record` (contended lock or miss).
-
-        ``locked`` says the warm path already took (and counted) the
-        lock.
-        """
-        locks = self.locks
-        if not locked and not locks.try_acquire(
-                tx, (table.table_id, index), LockMode.SHARED):
-            if tx.cpu_debt:
-                yield self.sim.timeout(tx.cpu_debt)
-                tx.cpu_debt = 0.0
-            yield locks.acquire_slow(tx, (table.table_id, index),
-                                     LockMode.SHARED)
-        pool = self.pool
-        if index < 0 or index >= table.max_rows:
-            table.page_of(index)  # raises the out-of-range DatabaseError
-        page_lba = table.start_lba \
-            + (index // table.records_per_page) * table.page_sectors
-        if pool.try_fetch(table.disk_id, page_lba) is None:
-            if tx.cpu_debt:
-                yield self.sim.timeout(tx.cpu_debt)
-                tx.cpu_debt = 0.0
-            yield pool.fetch_miss(table.disk_id, page_lba)
-        tx.cpu_debt += self.cpu_ms_per_op
-
-    # trailhot: hot -- per-record update; warm path runs without a frame
     def write_record(self, tx: Transaction, table: Table, index: int,
-                     payload_bytes: Optional[int] = None) -> Iterable:
+                     payload_bytes: Optional[int] = None) -> Generator:
         """X-lock, dirty the record's page, and buffer a log record.
 
         ``payload_bytes`` defaults to the table's record size (a full
-        after-image, which is what Berkeley DB logs).  Like
-        :meth:`read_record`, the warm path (uncontended lock, resident
-        page, unlatched WAL with room) returns an empty iterable so
-        ``yield from`` suspends nothing; the externally visible
-        mutation (CPU debt, log-record count, the transaction's LSN)
-        happens only after every fallible step succeeded, so falling
-        back to the slow generator replays exactly the event schedule
-        the single-generator implementation produced.
+        after-image, which is what Berkeley DB logs).
+        """
+        if payload_bytes is None:
+            payload_bytes = table.spec.record_bytes
+        if self.log_before_images:
+            payload_bytes *= 2
+        return self._access(tx, table, index, LockMode.EXCLUSIVE,
+                            payload_bytes)
+
+    # trailhot: hot -- the per-record access path, reads and updates
+    def _access(self, tx: Transaction, table: Table, index: int,
+                mode: LockMode, payload: Optional[int]) -> Generator:
+        """Lock, page, CPU and (for updates) log record of one access.
+
+        ``payload`` is the log record's payload size, None for a read.
+        Every step first tries its synchronous probe; a warm access —
+        uncontended lock, resident page, unlatched WAL with room —
+        yields nothing and costs zero kernel events.  A step that must
+        block first sleeps off the CPU the transaction banked on its
+        warm accesses, in one timeout.
         """
         if not tx.active:
             tx._check_active()
-        fetched = False
-        locked = self.locks.try_acquire(tx, (table.table_id, index),
-                                        LockMode.EXCLUSIVE)
-        if locked:
-            if index < 0 or index >= table.max_rows:
-                table.page_of(index)  # raises the range DatabaseError
-            page_lba = table.start_lba \
-                + (index // table.records_per_page) * table.page_sectors
-            fetched = self.pool.try_fetch(table.disk_id, page_lba,
-                                          dirty=True) is not None
-            if fetched:
-                payload = payload_bytes if payload_bytes is not None \
-                    else table.spec.record_bytes
-                if self.log_before_images:
-                    payload *= 2
-                record = self.encode_log_record(
-                    tx.tx_id, table.table_id, index, payload)
-                lsn = self.wal.try_append(record)
-                if lsn is not None:
-                    tx.cpu_debt += self.cpu_ms_per_op
-                    self.stats.log_records += 1
-                    tx.last_lsn = lsn
-                    return _NO_EVENTS
-        return self._write_record_slow(tx, table, index, payload_bytes,
-                                       locked, fetched)
-
-    def _write_record_slow(self, tx: Transaction, table: Table,
-                           index: int, payload_bytes: Optional[int],
-                           locked: bool, fetched: bool) -> Generator:
-        """Cold path of :meth:`write_record` (contention/miss/latch).
-
-        ``locked`` / ``fetched`` say the warm path already took the
-        lock / hit and dirtied the page, so neither is counted twice.
-        """
-        locks = self.locks
-        if not locked and not locks.try_acquire(
-                tx, (table.table_id, index), LockMode.EXCLUSIVE):
+        write = payload is not None
+        if not self.locks.try_acquire(tx, (table.table_id, index), mode):
             if tx.cpu_debt:
                 yield self.sim.timeout(tx.cpu_debt)
                 tx.cpu_debt = 0.0
-            yield locks.acquire_slow(tx, (table.table_id, index),
-                                     LockMode.EXCLUSIVE)
-        pool = self.pool
+            yield self.locks.acquire_slow(tx, (table.table_id, index), mode)
         if index < 0 or index >= table.max_rows:
             table.page_of(index)  # raises the out-of-range DatabaseError
         page_lba = table.start_lba \
             + (index // table.records_per_page) * table.page_sectors
-        if not fetched and pool.try_fetch(
-                table.disk_id, page_lba, dirty=True) is None:
+        if self.pool.try_fetch(table.disk_id, page_lba, write) is None:
             if tx.cpu_debt:
                 yield self.sim.timeout(tx.cpu_debt)
                 tx.cpu_debt = 0.0
-            yield pool.fetch_miss(table.disk_id, page_lba, dirty=True)
+            yield self.pool.fetch_miss(table.disk_id, page_lba, write)
         tx.cpu_debt += self.cpu_ms_per_op
-        payload = payload_bytes if payload_bytes is not None \
-            else table.spec.record_bytes
-        if self.log_before_images:
-            payload *= 2
+        if not write:
+            return
         # Berkeley DB-style: log records enter the shared log buffer as
         # the update happens, not at commit.  Under concurrency a force
         # therefore carries other transactions' records too — which is

@@ -63,11 +63,6 @@ class IoResult:
         """Service time excluding queueing delay."""
         return self.completed_at - self.started_at
 
-    @property
-    def positioning_ms(self) -> Ms:
-        """Mechanical positioning cost (seek + rotational wait)."""
-        return self.seek_ms + self.rotation_ms
-
 
 @dataclass
 class DriveStats:

@@ -298,11 +298,6 @@ class DiskDrive:
         return self.geometry.track_of(self._position_cylinder,
                                       self._position_head)
 
-    def true_sector_under_head(self) -> int:
-        """Ground-truth sector index under the head right now."""
-        spt = self.geometry.sectors_per_track(self._position_cylinder)
-        return self.rotation.sector_under_head(self.sim.now, spt)
-
     @property
     def queue_length(self) -> int:
         """Commands waiting behind the one in service."""

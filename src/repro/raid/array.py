@@ -279,11 +279,6 @@ class Raid5Array:
             self.start_rebuild(self.rebuild_config)
 
     @property
-    def hot_spares(self) -> Tuple[DiskDrive, ...]:
-        """Standby drives not yet claimed by a rebuild."""
-        return tuple(self._spares)
-
-    @property
     def rebuild(self) -> Optional["RebuildEngine"]:
         """The most recent rebuild engine (any status), if one ran."""
         return self._rebuild

@@ -17,13 +17,11 @@ from repro.sim.process import Interrupt, Process, ProcessGenerator
 from repro.sim.resources import Request, Resource, Store
 from repro.sim.sanitizer import (
     TrailSanitizer, iso_from_env, sanitizer_from_env)
-from repro.sim.monitor import (
-    CounterSet, LatencyRecorder, PhasedLatencyRecorder, UtilizationTracker)
+from repro.sim.monitor import LatencyRecorder, PhasedLatencyRecorder
 
 __all__ = [
     "Condition",
     "ControlledReady",
-    "CounterSet",
     "DispatchPolicy",
     "Event",
     "ExplorationReport",
@@ -43,7 +41,6 @@ __all__ = [
     "Store",
     "Timeout",
     "TrailSanitizer",
-    "UtilizationTracker",
     "all_of",
     "any_of",
     "iso_from_env",

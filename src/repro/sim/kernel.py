@@ -113,11 +113,9 @@ class Simulation:
         # measurement kept (same statements; tests/sim/test_events.py
         # holds the two to the same resulting state).  Against the
         # parent commit, `return Timeout(self, delay, value)` measured
-        # kernel-churn -19 % (0/18 alternating pairs won; 0.74x of
-        # `make perf`'s baseline, gate 0.85x) where this copy measures
-        # -6 %, and `make perf-ab` sync-sparse host_ops_per_s -4.3 %
-        # (1/20 pairs won) and -5.6 % (0/10) where this copy measures
-        # -2.6 % (3/10, unresolved).  docs/PERFORMANCE.md, "Fifth pass".
+        # `make perf-ab` sync-sparse host_ops_per_s -4.3 % (1/20 pairs
+        # won) and -5.6 % (0/10) where this copy measures -2.6 % (3/10,
+        # unresolved).  docs/PERFORMANCE.md, "Fifth pass".
         if delay < 0:
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         timeout = Timeout.__new__(Timeout)

@@ -8,10 +8,7 @@ storing full traces unless asked, so long TPC-C runs stay cheap.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.kernel import Simulation
+from typing import Dict, List, Optional
 
 
 class LatencyRecorder:
@@ -160,63 +157,3 @@ class PhasedLatencyRecorder:
         for recorder in self._recorders.values():
             merged.merge(recorder)
         return merged
-
-
-class CounterSet:
-    """A named bag of monotonically increasing counters."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, float] = {}
-
-    def add(self, name: str, amount: float = 1.0) -> None:
-        """Increment counter ``name`` by ``amount``."""
-        self._counters[name] = self._counters.get(name, 0.0) + amount
-
-    def get(self, name: str) -> float:
-        """Current value of ``name`` (0 if never incremented)."""
-        return self._counters.get(name, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Snapshot of all counters."""
-        return dict(self._counters)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
-        return f"<CounterSet {inner}>"
-
-
-class UtilizationTracker:
-    """Time-weighted average of a piecewise-constant level (queue depth,
-    busy/idle state) over simulated time."""
-
-    def __init__(self, sim: "Simulation",
-                 initial_level: float = 0.0) -> None:
-        self._sim = sim
-        self._level = initial_level
-        self._last_change = sim.now
-        self._weighted_total = 0.0
-        self._start = sim.now
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def set_level(self, level: float) -> None:
-        """Record a level change at the current simulation time."""
-        now = self._sim.now
-        self._weighted_total += self._level * (now - self._last_change)
-        self._level = level
-        self._last_change = now
-
-    def adjust(self, delta: float) -> None:
-        """Shift the level by ``delta`` (e.g. +1 on enqueue, -1 on dequeue)."""
-        self.set_level(self._level + delta)
-
-    def time_average(self) -> float:
-        """Time-weighted mean level from construction until now."""
-        now = self._sim.now
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return self._level
-        total = self._weighted_total + self._level * (now - self._last_change)
-        return total / elapsed

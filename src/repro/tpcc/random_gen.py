@@ -100,10 +100,6 @@ class TpccRandom:
         """Skewed customer id in [1, customers] (clause 2.4.1.5)."""
         return self.nurand(1023, 1, customers, self.C_CUST_ID)
 
-    def customer_last_name(self) -> str:
-        """A last name drawn with the NURand(255) rule."""
-        return last_name(self.nurand(255, 0, 999, self.C_LAST))
-
     def district_id(self, districts: int = 10) -> int:
         """Uniform district id in [1, districts]."""
         return self.uniform(1, districts)

@@ -85,6 +85,27 @@ class TestFifoRotation:
         with pytest.raises(LogDiskFullError):
             allocator.advance()
 
+    def test_refused_advance_changes_no_state(self, geometry):
+        """The driver retries a refused advance after every freed
+        record; a refusal must not retire the track a second time."""
+        ring = TrackAllocator(geometry, usable_tracks=range(1, 4))
+        for _ in range(2):
+            ring.commit_placement(0, 2)
+            ring.advance()
+        ring.commit_placement(3, 5)
+        before = (ring.tracks_consumed, list(ring.retired_utilizations),
+                  list(ring._used_runs), ring.current_track)
+        assert before[0] == 2
+        for _ in range(2):
+            with pytest.raises(LogDiskFullError):
+                ring.advance()
+            assert (ring.tracks_consumed, ring.retired_utilizations,
+                    ring._used_runs, ring.current_track) == before
+        ring.record_released(1)
+        assert ring.advance() == 1
+        assert ring.tracks_consumed == 3
+        assert ring.retired_utilizations == [0.125, 0.125, 0.3125]
+
     def test_wraps_over_released_tracks(self, allocator):
         for _ in range(6):
             allocator.commit_placement(0, 2)

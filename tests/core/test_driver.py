@@ -6,6 +6,7 @@ from repro.core.config import TrailConfig
 from repro.core.driver import TrailDriver, reserved_layout
 from repro.errors import (
     DiskHaltedError, NotATrailDiskError, TrailError)
+from repro.faults import FaultPlan
 from repro.sim import Simulation
 from tests.conftest import drive_to_completion, make_tiny_drive, make_tiny_trail
 
@@ -305,6 +306,64 @@ class TestReferenceAnchoring:
         assert driver.stats.repositions <= driver.stats.physical_log_writes
 
 
+def make_trail_with_unreadable_log_track(which, config):
+    """A mounted stack whose ``which``-th usable log track is latently
+    bad: reads there fail at once, writes are remapped to spares."""
+    sim, driver, log, data_disks = make_tiny_trail(config, mount=False)
+    _header_lbas, usable = reserved_layout(log.geometry, config)
+    first = log.geometry.track_first_lba(usable[which])
+    spt = log.geometry.track_sectors(usable[which])
+    log.attach_faults(FaultPlan(
+        latent_bad_sectors=set(range(first, first + spt)), retry_limit=0))
+    drive_to_completion(sim, driver.mount())
+    return sim, driver, log, data_disks[0], usable
+
+
+class TestRepositionReadMediaError:
+    """Repositioning is a latency optimization: an unreadable anchor
+    sector costs prediction accuracy, never a write."""
+
+    def test_explicit_reposition_read_error_is_swallowed(self):
+        sim, driver, log, data, usable = make_trail_with_unreadable_log_track(
+            1, TrailConfig(idle_reposition_interval_ms=0))
+
+        def workload():
+            # 7 of 16 sectors passes the 30 % threshold: the tail moves
+            # to the bad track and the explicit read there fails.
+            yield driver.write(0, b"a" * SECTOR * 6)
+            yield sim.timeout(30.0)
+            assert driver.allocator.current_track == usable[1]
+            assert log.stats.read_errors == 1
+            assert driver.stats.repositions == 0
+            yield driver.write(64, b"b" * SECTOR * 2)
+
+        drive_to_completion(sim, workload())
+        assert not driver.degraded
+        assert driver.stats.physical_log_writes == 2
+        assert log.stats.sectors_remapped == 3
+        drive_to_completion(sim, driver.flush())
+        assert data.store.read(0, 6) == b"a" * SECTOR * 6
+        assert data.store.read(64, 2) == b"b" * SECTOR * 2
+
+    def test_idle_reposition_read_error_is_swallowed(self):
+        sim, driver, log, data, usable = make_trail_with_unreadable_log_track(
+            0, TrailConfig(idle_reposition_interval_ms=50.0))
+        assert log.stats.read_errors == 1  # the mount-time anchor read
+
+        def workload():
+            yield sim.timeout(160.0)
+            assert log.stats.read_errors > 1  # idle re-anchors failed too
+            assert driver.stats.repositions == 0
+            assert driver.allocator.current_track == usable[0]
+            yield driver.write(64, b"b" * SECTOR * 2)
+
+        drive_to_completion(sim, workload())
+        assert not driver.degraded
+        assert driver.stats.physical_log_writes == 1
+        drive_to_completion(sim, driver.flush())
+        assert data.store.read(64, 2) == b"b" * SECTOR * 2
+
+
 class TestCrashAndRecovery:
     def test_crash_fails_queued_writes(self):
         sim, driver, _log, _data = make_tiny_trail()
@@ -356,17 +415,28 @@ class TestCrashAndRecovery:
             assert data2.store.read_sector(lba) == payload
 
     def test_log_full_blocks_until_writeback_frees_tracks(self):
-        """With a minuscule log, writers stall on LogDiskFull and resume
-        as write-backs release tracks — no failure, no data loss."""
+        """With a minuscule log and a slow data disk, writers stall on
+        LogDiskFull and resume as write-backs release tracks — no
+        failure, no data loss, and a stalled advance retires its track
+        once however often it is retried."""
         sim = Simulation()
         log = make_tiny_drive(sim, "log", cylinders=3, heads=2)  # 6 tracks
         data = make_tiny_drive(sim, "data", cylinders=80, heads=4,
                                sectors_per_track=32)
+        # Every data-disk command pays two extra revolutions, so the
+        # three usable log tracks fill faster than write-back frees them.
+        data.attach_faults(FaultPlan(latency_spike_prob=1.0,
+                                     latency_spike_ms=20.0))
         config = TrailConfig(idle_reposition_interval_ms=0,
                              header_replicas=1)
         TrailDriver.format_disk(log, config)
         driver = TrailDriver(sim, log, {0: data}, config)
         drive_to_completion(sim, driver.mount())
+        allocator = driver.allocator
+        assert allocator.track_count == 3
+        advanced = []
+        advance = allocator.advance
+        allocator.advance = lambda: advanced.append(advance())
 
         def flood():
             events = [driver.write(index * 16, bytes([index]) * SECTOR * 12)
@@ -374,6 +444,10 @@ class TestCrashAndRecovery:
             yield sim.all_of(events)
 
         drive_to_completion(sim, flood())
+        assert driver.stats.log_full_stalls > 0
+        assert driver.stats.sync_writes.count == 12
+        assert allocator.tracks_consumed == len(advanced)
+        assert len(allocator.retired_utilizations) == len(advanced)
         drive_to_completion(sim, driver.flush())
         for index in range(12):
             assert (data.store.read(index * 16, 12)

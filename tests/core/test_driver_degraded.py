@@ -4,6 +4,7 @@ parked write-back failures are never silently discarded."""
 from repro.core.config import TrailConfig
 from repro.core.driver import TrailDriver, reserved_layout
 from repro.core.format import decode_disk_header
+from repro.errors import DiskHaltedError, MediaError
 from repro.faults import FaultPlan
 from repro.sim import Simulation
 from tests.conftest import make_tiny_drive
@@ -11,17 +12,22 @@ from tests.conftest import make_tiny_drive
 SECTOR = 512
 
 
-def _log_tracks_bad_plan(log_drive, config):
-    """A plan that poisons every usable log track but spares the
-    header replicas, so header updates still land."""
+def _log_tracks_bad_plan(log_drive, config, tracks=slice(None)):
+    """A plan that poisons the usable log tracks ``tracks`` selects
+    (default: all of them) but spares the header replicas, so header
+    updates still land."""
     header_lbas, usable = reserved_layout(log_drive.geometry, config)
     geometry = log_drive.geometry
     bad = set()
-    for track in usable:
+    for track in usable[tracks]:
         first = geometry.track_first_lba(track)
         bad.update(range(first, first + geometry.track_sectors(track)))
     return FaultPlan(latent_bad_sectors=bad, retry_limit=1,
                      spare_sectors=0)
+
+
+def _probe_log_drive():
+    return make_tiny_drive(Simulation(), "log", cylinders=30)
 
 
 def build_stack(log_plan=None, data_plan=None, config=None):
@@ -50,9 +56,7 @@ def crash_var_of(log_drive):
 class TestLogDiskDeath:
     def test_degrades_and_every_write_still_acks(self):
         config = TrailConfig(idle_reposition_interval_ms=0)
-        probe_sim = Simulation()
-        probe = make_tiny_drive(probe_sim, "log", cylinders=30)
-        plan = _log_tracks_bad_plan(probe, config)
+        plan = _log_tracks_bad_plan(_probe_log_drive(), config)
 
         sim, driver, log, data, config = build_stack(log_plan=plan)
         assert not driver.degraded
@@ -76,9 +80,7 @@ class TestLogDiskDeath:
 
     def test_transition_marks_log_clean_before_first_ack(self):
         config = TrailConfig(idle_reposition_interval_ms=0)
-        probe_sim = Simulation()
-        probe = make_tiny_drive(probe_sim, "log", cylinders=30)
-        plan = _log_tracks_bad_plan(probe, config)
+        plan = _log_tracks_bad_plan(_probe_log_drive(), config)
 
         sim, driver, log, data, config = build_stack(log_plan=plan)
 
@@ -93,9 +95,7 @@ class TestLogDiskDeath:
 
     def test_crash_while_degraded_skips_recovery_and_keeps_data(self):
         config = TrailConfig(idle_reposition_interval_ms=0)
-        probe_sim = Simulation()
-        probe = make_tiny_drive(probe_sim, "log", cylinders=30)
-        plan = _log_tracks_bad_plan(probe, config)
+        plan = _log_tracks_bad_plan(_probe_log_drive(), config)
 
         sim, driver, log, data, _config = build_stack(log_plan=plan)
         payloads = {}
@@ -119,6 +119,148 @@ class TestLogDiskDeath:
         assert report is None  # clean marker: no recovery pass
         for lba, payload in payloads.items():
             assert data.store.read_sector(lba) == payload
+
+
+class TestDegradedEntryWithBacklog:
+    """The log dies while earlier acknowledged pages still await
+    write-back: the clean marker must wait for them (§4.1)."""
+
+    EARLY = {100 + index * 300: bytes([index + 1]) * SECTOR
+             for index in range(10)}
+
+    def _stack(self):
+        # Only the first usable track takes writes.  The ten-page burst
+        # lands there as one record (11 of 16 sectors, past the 30 %
+        # threshold), the tail moves on, and the next record's write
+        # fails while the scattered pages are still being written back.
+        config = TrailConfig(idle_reposition_interval_ms=0)
+        plan = _log_tracks_bad_plan(_probe_log_drive(), config,
+                                    tracks=slice(1, None))
+        return build_stack(log_plan=plan, config=config)
+
+    def _workload(self, sim, driver, outcome):
+        yield sim.all_of([driver.write(lba, payload)
+                          for lba, payload in self.EARLY.items()])
+        try:
+            yield driver.write(5000, b"z" * SECTOR)
+            outcome.append("acked")
+        except DiskHaltedError:
+            outcome.append("halted")
+
+    @staticmethod
+    def _until_degraded(sim, driver):
+        while not driver.degraded:
+            yield sim.timeout(0.1)
+
+    def test_clean_marker_waits_for_the_backlog(self):
+        sim, driver, log, data, _config = self._stack()
+        header_writes = []
+        write_headers = driver._write_headers
+
+        def spy(crash_var):
+            header_writes.append((crash_var, driver.writeback.quiescent))
+            return write_headers(crash_var)
+
+        driver._write_headers = spy
+        outcome = []
+        workload = sim.process(self._workload(sim, driver, outcome))
+        sim.run_until(sim.process(self._until_degraded(sim, driver)))
+        assert not driver.writeback.quiescent
+        assert header_writes == [] and crash_var_of(log) == 0
+        sim.run_until(workload)
+        assert outcome == ["acked"]
+        assert header_writes == [(1, True)]
+        assert crash_var_of(log) == 1
+        assert driver.stats.degraded_writes == 1
+        for lba, payload in self.EARLY.items():
+            assert data.store.read_sector(lba) == payload
+        assert data.store.read_sector(5000) == b"z" * SECTOR
+
+    def test_crash_during_the_transition_replays_the_backlog(self):
+        sim, driver, log, data, _config = self._stack()
+        outcome = []
+        sim.process(self._workload(sim, driver, outcome))
+        sim.run_until(sim.process(self._until_degraded(sim, driver)))
+        on_disk = [data.store.read_sector(lba) == payload
+                   for lba, payload in self.EARLY.items()]
+        assert not all(on_disk)  # a real backlog
+        driver.crash()
+        sim.run(until=sim.now + 100.0)
+        assert outcome == ["halted"]
+        assert crash_var_of(log) == 0
+
+        log.power_on()
+        data.power_on()
+        remounted = TrailDriver(sim, log, {0: data},
+                                TrailConfig(idle_reposition_interval_ms=0))
+        report = sim.run_until(sim.process(remounted.mount()))
+        assert report is not None and report.sectors_replayed == len(self.EARLY)
+        for lba, payload in self.EARLY.items():
+            assert data.store.read_sector(lba) == payload
+
+
+class TestLogFailureWithoutDegradedMode:
+    def test_failed_records_requests_fail_and_logging_continues(self):
+        config = TrailConfig(idle_reposition_interval_ms=0,
+                             degraded_mode_enabled=False)
+        plan = _log_tracks_bad_plan(_probe_log_drive(), config,
+                                    tracks=slice(0, 1))
+        sim, driver, log, data, _config = build_stack(log_plan=plan,
+                                                      config=config)
+        failures = []
+
+        def workload():
+            # Both land in one record on the bad first track (7 of 16
+            # sectors: the tail then moves to a healthy track).
+            batch = [driver.write(100, b"a" * SECTOR * 3),
+                     driver.write(200, b"b" * SECTOR * 3)]
+            for event in batch:
+                try:
+                    yield event
+                except MediaError as exc:
+                    failures.append(exc)
+            yield driver.write(300, b"c" * SECTOR)
+            yield from driver.flush()
+
+        sim.run_until(sim.process(workload()))
+        assert len(failures) == 2 and failures[0] is failures[1]
+        assert not driver.degraded
+        assert driver._unacked == {}
+        assert driver.stats.log_media_errors == 1
+        assert driver.stats.physical_log_writes == 1
+        assert driver.stats.degraded_writes == 0
+        assert data.store.read_sector(300) == b"c" * SECTOR
+        assert data.store.read(100, 3) == bytes(SECTOR * 3)
+
+
+class TestWriteThroughMediaError:
+    def test_data_disk_error_fails_that_request_only(self):
+        config = TrailConfig(idle_reposition_interval_ms=0)
+        sim, driver, log, data, _config = build_stack(
+            log_plan=_log_tracks_bad_plan(_probe_log_drive(), config),
+            data_plan=FaultPlan(latent_bad_sectors={300}, retry_limit=0,
+                                spare_sectors=0),
+            config=config)
+        outcomes = {}
+
+        def workload():
+            events = {lba: driver.write(lba, bytes([lba % 251]) * SECTOR)
+                      for lba in (299, 300, 301)}
+            for lba, event in events.items():
+                try:
+                    yield event
+                    outcomes[lba] = "acked"
+                except MediaError:
+                    outcomes[lba] = "failed"
+
+        sim.run_until(sim.process(workload()))
+        assert driver.degraded
+        assert outcomes == {299: "acked", 300: "failed", 301: "acked"}
+        assert driver._unacked == {}
+        assert driver.stats.degraded_writes == 2
+        assert driver.stats.sync_writes.count == 2
+        for lba in (299, 301):
+            assert data.store.read_sector(lba) == bytes([lba % 251]) * SECTOR
 
 
 class TestParkedWritebackFailures:

@@ -7,6 +7,8 @@ record encoder.  Each shortcut must behave exactly like the slow path
 it shadows — these tests hold them to that.
 """
 
+import dataclasses
+import hashlib
 import struct
 
 import pytest
@@ -17,7 +19,8 @@ from repro.db.engine import TableSpec, TransactionEngine
 from repro.db.locks import LockManager, LockMode
 from repro.db.pages import BufferPool
 from repro.db.wal import WriteAheadLog
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, DeadlockError
+from repro.sim import Simulation
 from tests.conftest import drive_to_completion, make_tiny_drive
 
 
@@ -231,6 +234,230 @@ class TestRecordAccessAccounting:
         assert pool.misses > 0 and engine.wal.stats.flushes > 0
         assert pool.hits + pool.misses == accesses
         assert locks.acquisitions == accesses
+
+
+# ----------------------------------------------------------------------
+# One access path: every cold cause, alone and combined, against the
+# schedule the four-body implementation produced
+
+#: The record whose access is measured (its own page: 10 records each).
+TARGET = 100
+
+#: (mode, cold causes).  "lock": another transaction holds the record
+#: exclusively until t = 5 ms; "miss": its page is not resident;
+#: "latch": the WAL latch is held until t = 20 ms; "flush": the append
+#: takes a 1 KB group-commit buffer over its limit and forces it.
+ACCESS_CASES = [
+    ("read", ()),
+    ("read", ("lock",)),
+    ("read", ("miss",)),
+    ("read", ("lock", "miss")),
+    ("write", ()),
+    ("write", ("lock",)),
+    ("write", ("miss",)),
+    ("write", ("latch",)),
+    ("write", ("flush",)),
+    ("write", ("lock", "miss", "latch")),
+    ("write", ("lock", "miss", "flush")),
+    ("write", ("lock", "miss", "latch", "flush")),
+]
+
+
+def access_run(mode, causes):
+    """One record access at t = 1 ms with 0.03 ms of banked CPU debt,
+    then a commit; returns everything the access is allowed to move."""
+    sim = Simulation()
+    trace = sim.enable_trace()
+    engine = make_engine(
+        sim, policy=GroupCommitPolicy(log_buffer_bytes=1024)
+        if "flush" in causes else None)
+    table = engine.create_table(TableSpec("t", 200, 400, 1))
+    wal = engine.wal
+    engine.pool.preload(1, table.page_of(0))
+    if "miss" not in causes:
+        engine.pool.preload(1, table.page_of(TARGET))
+    if "lock" in causes:
+        holder = engine.begin()
+        assert engine.locks.try_acquire(
+            holder, (table.table_id, TARGET), LockMode.EXCLUSIVE)
+
+        def release():
+            yield sim.timeout(5.0)
+            engine.abort(holder)
+
+        sim.process(release())
+    if "latch" in causes:
+        def hold_latch():
+            yield sim.timeout(0.5)
+            token = wal._latch.request()
+            yield token
+            yield sim.timeout(19.5)
+            wal._latch.release(token)
+
+        sim.process(hold_latch())
+    seen = {}
+
+    def body():
+        tx = engine.begin()
+        # Warm accesses: two 414-byte log records and 0.03 ms of debt.
+        yield from engine.write_record(tx, table, 0)
+        yield from engine.write_record(tx, table, 1)
+        yield from engine.read_record(tx, table, 2)
+        yield sim.timeout(1.0)
+        if mode == "read":
+            yield from engine.read_record(tx, table, TARGET)
+        else:
+            yield from engine.write_record(tx, table, TARGET)
+        seen["accessed_at"] = sim.now
+        seen["cpu_debt"] = tx.cpu_debt
+        seen["last_lsn"] = tx.last_lsn
+        yield from engine.commit(tx)
+
+    drive_to_completion(sim, body())
+    stats = wal.stats
+    return {
+        **seen,
+        "events": len(trace),
+        "trace": hashlib.sha256(repr(trace).encode()).hexdigest()[:16],
+        "end": sim.now,
+        "locks": dataclasses.astuple(engine.locks.stats),
+        "pool": dataclasses.astuple(engine.pool.stats),
+        "wal": (stats.flushes, stats.bytes_appended, stats.bytes_flushed,
+                stats.flush_io.total, stats.latch_wait_ms),
+        "engine": dataclasses.astuple(engine.stats),
+    }
+
+
+#: Captured at commit 2ca3c75 (warm function + ``_slow`` generator per
+#: access kind) by printing ``access_run`` for every case.
+ACCESS_GOLDEN = {
+    ("read", ()): dict(
+        accessed_at=1.0, cpu_debt=0.04, last_lsn=828, events=13,
+        trace="6acbc108f55f8274", end=11.25, locks=(4, 0, 0, 0.0),
+        pool=(4, 0, 0, 0, 0), wal=(1, 836, 836, 10.21, 0.0),
+        engine=(1, 0, 2)),
+    ("read", ("lock",)): dict(
+        accessed_at=5.0, cpu_debt=0.01, last_lsn=828, events=21,
+        trace="be622278c3e5c455", end=11.25,
+        locks=(5, 1, 0, 3.9699999999999998), pool=(4, 0, 0, 0, 0),
+        wal=(1, 836, 836, 6.24, 0.0), engine=(1, 1, 2)),
+    ("read", ("miss",)): dict(
+        accessed_at=3.75, cpu_debt=0.01, last_lsn=828, events=20,
+        trace="c2349098d2d8839b", end=11.25, locks=(4, 0, 0, 0.0),
+        pool=(3, 1, 0, 0, 0), wal=(1, 836, 836, 7.49, 0.0), engine=(1, 0, 2)),
+    ("read", ("lock", "miss")): dict(
+        accessed_at=13.75, cpu_debt=0.01, last_lsn=828, events=27,
+        trace="dba609bd7d7564ba", end=21.25,
+        locks=(5, 1, 0, 3.9699999999999998), pool=(3, 1, 0, 0, 0),
+        wal=(1, 836, 836, 7.49, 0.0), engine=(1, 1, 2)),
+    ("write", ()): dict(
+        accessed_at=1.0, cpu_debt=0.04, last_lsn=1242, events=13,
+        trace="ba0ae0c5e722effc", end=11.875, locks=(4, 0, 0, 0.0),
+        pool=(4, 0, 0, 0, 0), wal=(1, 1250, 1250, 10.835, 0.0),
+        engine=(1, 0, 3)),
+    ("write", ("lock",)): dict(
+        accessed_at=5.0, cpu_debt=0.01, last_lsn=1242, events=21,
+        trace="2d6bb687722e00c3", end=11.875,
+        locks=(5, 1, 0, 3.9699999999999998), pool=(4, 0, 0, 0, 0),
+        wal=(1, 1250, 1250, 6.865, 0.0), engine=(1, 1, 3)),
+    ("write", ("miss",)): dict(
+        accessed_at=3.75, cpu_debt=0.01, last_lsn=1242, events=20,
+        trace="04828f38f546f134", end=11.875, locks=(4, 0, 0, 0.0),
+        pool=(3, 1, 0, 0, 0), wal=(1, 1250, 1250, 8.115, 0.0),
+        engine=(1, 0, 3)),
+    ("write", ("latch",)): dict(
+        accessed_at=20.0, cpu_debt=0.0, last_lsn=1242, events=21,
+        trace="efabfd3cdd6d3d64", end=31.875, locks=(4, 0, 0, 0.0),
+        pool=(4, 0, 0, 0, 0), wal=(1, 1250, 1250, 11.875, 18.96),
+        engine=(1, 0, 3)),
+    ("write", ("flush",)): dict(
+        accessed_at=11.875, cpu_debt=0.0, last_lsn=1242, events=14,
+        trace="b1a5dec15873d801", end=11.875, locks=(4, 0, 0, 0.0),
+        pool=(4, 0, 0, 0, 0), wal=(1, 1250, 1242, 10.835, 0.0),
+        engine=(1, 0, 3)),
+    ("write", ("lock", "miss", "latch")): dict(
+        accessed_at=20.0, cpu_debt=0.0, last_lsn=1242, events=35,
+        trace="72b41c5b08572d5e", end=31.875,
+        locks=(5, 1, 0, 3.9699999999999998), pool=(3, 1, 0, 0, 0),
+        wal=(1, 1250, 1250, 11.875, 6.24), engine=(1, 1, 3)),
+    ("write", ("lock", "miss", "flush")): dict(
+        accessed_at=21.875, cpu_debt=0.0, last_lsn=1242, events=28,
+        trace="e8158dda61c3a70e", end=21.875,
+        locks=(5, 1, 0, 3.9699999999999998), pool=(3, 1, 0, 0, 0),
+        wal=(1, 1250, 1242, 8.115, 0.0), engine=(1, 1, 3)),
+    ("write", ("lock", "miss", "latch", "flush")): dict(
+        accessed_at=31.875, cpu_debt=0.0, last_lsn=1242, events=33,
+        trace="05378d7b671a7ea2", end=31.875,
+        locks=(5, 1, 0, 3.9699999999999998), pool=(3, 1, 0, 0, 0),
+        wal=(1, 1250, 1242, 11.875, 6.24), engine=(1, 1, 3)),
+}
+
+
+class TestSingleAccessPath:
+    @pytest.mark.parametrize("mode,causes", ACCESS_CASES)
+    def test_schedule_and_counters_match_the_four_body_engine(
+            self, mode, causes):
+        assert access_run(mode, causes) == ACCESS_GOLDEN[(mode, causes)]
+
+    def test_a_warm_access_yields_nothing(self, sim):
+        engine = make_engine(sim)
+        table = engine.create_table(TableSpec("t", 200, 400, 1))
+        engine.pool.preload(1, table.page_of(0))
+        tx = engine.begin()
+        assert list(engine.read_record(tx, table, 0)) == []
+        assert list(engine.write_record(tx, table, 1)) == []
+        assert tx.cpu_debt == 0.02 and tx.last_lsn == 414
+        assert engine.stats.log_records == 1
+
+    @pytest.mark.parametrize("access", ["read_record", "write_record"])
+    @pytest.mark.parametrize("index", [-1, 400])
+    def test_out_of_range_index_raises_between_lock_and_pool(
+            self, sim, access, index):
+        engine = make_engine(sim)
+        table = engine.create_table(TableSpec("t", 200, 400, 1))
+        tx = engine.begin()
+
+        def body():
+            yield from getattr(engine, access)(tx, table, index)
+
+        with pytest.raises(DatabaseError, match="out of range"):
+            drive_to_completion(sim, body())
+        assert engine.locks.held_by(tx) == [(table.table_id, index)]
+        assert engine.pool.stats.accesses == 0
+        assert engine.stats.log_records == 0 and tx.cpu_debt == 0.0
+
+    @pytest.mark.parametrize("access", ["read_record", "write_record"])
+    def test_access_on_a_finished_transaction_raises(self, sim, access):
+        engine = make_engine(sim)
+        table = engine.create_table(TableSpec("t", 200, 400, 1))
+        tx = engine.begin()
+        engine.abort(tx)
+
+        def body():
+            yield from getattr(engine, access)(tx, table, 0)
+
+        with pytest.raises(DatabaseError, match="is finished"):
+            drive_to_completion(sim, body())
+        assert engine.locks.stats.acquisitions == 0
+
+    def test_run_transaction_reraises_deadlock_past_max_retries(self, sim):
+        engine = make_engine(sim)
+        table = engine.create_table(TableSpec("t", 200, 400, 1))
+        attempts = []
+
+        def body(tx):
+            attempts.append(tx.tx_id)
+            yield from engine.write_record(tx, table, len(attempts))
+            raise DeadlockError("victim")
+
+        def runner():
+            yield from engine.run_transaction(body, max_retries=2)
+
+        with pytest.raises(DeadlockError):
+            drive_to_completion(sim, runner())
+        assert attempts == [1, 2, 3]
+        assert engine.stats.aborted == 3 and engine.stats.committed == 0
+        assert engine.locks._locks == {}  # every attempt released its lock
 
 
 class TestWalEncodeByteCompat:

@@ -7,11 +7,11 @@ them.  Every canonical perf scenario executes under the
 traced bytes must stay inside the committed budgets
 (``benchmarks/perf/BENCH_alloc.json``).
 
-Call counts are deterministic for the seeded scenarios, so unlike the
+Call counts are deterministic for the seeded scenarios, so unlike a
 wall-clock gate this one does not need a noise margin beyond the
 budgets' own headroom.  The measurement (profile hook + tracemalloc)
-slows the scenarios several-fold, so the gate only runs on the
-``TRAILHOT=1`` leg (``make test-trailhot`` / the CI perf-smoke job);
+slows the scenarios several-fold, so the gate only runs with
+``TRAILHOT=1`` (``make test-checked``, which CI runs on Python 3.12);
 the schema check below keeps the committed file honest in plain tier-1.
 """
 
@@ -41,7 +41,7 @@ def test_committed_budgets_are_well_formed():
 
 @pytest.mark.skipif(not os.environ.get("TRAILHOT"),
                     reason="allocation budgets only gated when TRAILHOT "
-                           "is set (make test-trailhot / CI perf-smoke)")
+                           "is set (make test-checked)")
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_within_alloc_budget(name):
     """A hot-path allocation regression moves the call count by

@@ -5,8 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import (CounterSet, LatencyRecorder, PhasedLatencyRecorder,
-                       Simulation, UtilizationTracker)
+from repro.sim import LatencyRecorder, PhasedLatencyRecorder
 
 
 class TestLatencyRecorder:
@@ -73,55 +72,6 @@ class TestLatencyRecorder:
                             rel_tol=1e-9, abs_tol=1e-9)
         assert recorder.minimum == min(values)
         assert recorder.maximum == max(values)
-
-
-class TestCounterSet:
-    def test_default_zero(self):
-        counters = CounterSet()
-        assert counters.get("missing") == 0.0
-
-    def test_add_accumulates(self):
-        counters = CounterSet()
-        counters.add("x")
-        counters.add("x", 2.5)
-        assert counters.get("x") == 3.5
-
-    def test_as_dict_is_snapshot(self):
-        counters = CounterSet()
-        counters.add("a")
-        snapshot = counters.as_dict()
-        counters.add("a")
-        assert snapshot == {"a": 1.0}
-
-
-class TestUtilizationTracker:
-    def test_constant_level(self):
-        sim = Simulation()
-        tracker = UtilizationTracker(sim, initial_level=2.0)
-        sim.timeout(10)
-        sim.run()
-        assert tracker.time_average() == 2.0
-
-    def test_step_change(self):
-        sim = Simulation()
-        tracker = UtilizationTracker(sim, initial_level=0.0)
-
-        def stepper():
-            yield sim.timeout(4)
-            tracker.set_level(10.0)
-            yield sim.timeout(6)
-
-        sim.process(stepper())
-        sim.run()
-        # 4 ms at 0 plus 6 ms at 10 over 10 ms total.
-        assert math.isclose(tracker.time_average(), 6.0)
-
-    def test_adjust(self):
-        sim = Simulation()
-        tracker = UtilizationTracker(sim)
-        tracker.adjust(+3)
-        tracker.adjust(-1)
-        assert tracker.level == 2
 
 
 class TestPhasedLatencyRecorder:
