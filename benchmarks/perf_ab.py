@@ -8,7 +8,10 @@ directory (``git archive``: the committed files, nothing else, and no
 worktree registration left behind if the run is killed), and for each
 pair the layered benchmark (``benchmarks/ledger/run.py``, exactly as
 ``BENCHMARK.json`` declares it) runs once on each side in a fresh
-process, alternating which side goes first.
+process, alternating which side goes first.  Each side runs its *own*
+``benchmarks/ledger/``, and a claim needs identical benchmark code on
+both sides, so the tool exits 2 before measuring when ``REF`` and the
+working tree differ in ``BENCHMARK.json`` or ``benchmarks/ledger/``.
 
 Every pair is printed as it finishes; then, per end-to-end metric,
 each side's median and quartiles and whether the working tree is worse
@@ -17,7 +20,9 @@ the claimed metric (``--metric``, default ``host_ops_per_s``) the
 choosing-metrics rule is applied: a gain is shown only when the
 working tree wins at least nine tenths of the pairs (ties count for
 neither side) **and** the medians differ by more than the distance
-between the quartiles of ``REF``'s own runs.
+between the quartiles of ``REF``'s own runs.  Per workload it also
+says whether every ``sim_*`` value was bit-identical between the sides
+in every pair — the precondition of every engine-only claim.
 """
 
 from __future__ import annotations
@@ -33,6 +38,20 @@ import tempfile
 from typing import Any, Dict, List, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: What must be the same on both sides for a pair to compare anything.
+BENCHMARK_PATHS = ("BENCHMARK.json", "benchmarks/ledger")
+
+
+def benchmark_differs(ref: str) -> bool:
+    """True when ``ref``'s benchmark is not the working tree's."""
+    changed = subprocess.run(
+        ["git", "-C", ROOT, "diff", "--quiet", ref, "--", *BENCHMARK_PATHS])
+    if changed.returncode not in (0, 1):
+        raise SystemExit(f"perf-ab: cannot compare against {ref!r}")
+    untracked = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "--others", "--exclude-standard",
+         "--", *BENCHMARK_PATHS], stdout=subprocess.PIPE, text=True)
+    return changed.returncode == 1 or bool(untracked.stdout.strip())
 
 
 def export_ref(ref: str, target: str) -> None:
@@ -100,6 +119,13 @@ def report(workload: str, contract: Dict[str, Dict[str, Any]],
            claimed: str, ref_runs: List[Dict[str, float]],
            change_runs: List[Dict[str, float]]) -> None:
     print(f"\n== {workload}: {len(ref_runs)} pairs ==")
+    sim_names = [name for name in contract if name.startswith("sim_")]
+    moved = sorted({name for ref, change in zip(ref_runs, change_runs)
+                    for name in sim_names if ref[name] != change[name]})
+    print(f"sim-clock metrics ({', '.join(sim_names)}): "
+          + (f"MOVED between the sides: {', '.join(moved)} — not an "
+             "engine-only change" if moved
+             else "bit-identical between the sides in every pair"))
     print(f"{'metric':<20}{'side':<8}{'q1':>12}{'median':>12}{'q3':>12}")
     for name, spec in contract.items():
         ref = [run[name] for run in ref_runs]
@@ -143,6 +169,11 @@ def main(argv: Sequence[str]) -> int:
                         choices=sorted(contract),
                         help="the end-to-end metric a gain is claimed on")
     args = parser.parse_args(argv)
+    if benchmark_differs(args.ref):
+        print(f"perf-ab: {' or '.join(BENCHMARK_PATHS)} differs between "
+              f"{args.ref} and the working tree; a claim needs identical "
+              "benchmark code on both sides", file=sys.stderr)
+        return 2
     if args.pairs < 10:
         print("perf-ab: fewer than 10 pairs cannot support a claim "
               "(choosing-metrics, section 8); measuring anyway",

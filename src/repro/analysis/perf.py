@@ -16,6 +16,9 @@ specific but fixed per scenario so ops/sec comparisons are meaningful):
 * ``fig3-sparse``    — the Fig. 3 sparse synchronous-write sweep on
   the full Trail stack (ST41601N log disk + Caviar data disk).
 * ``tpcc-small``     — a small seeded TPC-C run on Trail.
+* ``crash-recover``  — seeded power cuts under clustered writers, each
+  followed by a remount: the only scenario that runs
+  ``core/recovery.py`` (and every mount after the first).
 
 The scenario bodies are deliberately frozen: the committed call
 budgets (``benchmarks/perf/BENCH_alloc.json``) were counted on exactly
@@ -135,6 +138,41 @@ def tpcc_small(scale: float = 1.0) -> int:
     return result.transactions_completed
 
 
+def crash_recover(scale: float = 1.0) -> int:
+    """Seeded crash + remount cycles on the full Trail stack."""
+    import random
+
+    from repro.analysis.experiments import build_trail_system
+    from repro.errors import ReproError
+
+    cycles = max(2, int(60 * scale))
+    writers = 4
+    system = build_trail_system()
+    sim = system.sim
+    rng = random.Random(7)
+
+    def writer(index, driver):
+        count = 0
+        while True:
+            lba = (rng.randrange(64) * writers + index) * 2
+            count += 1
+            try:
+                yield driver.write(lba, bytes([index + 1, count % 251]) * 512)
+            except ReproError:
+                return  # the power failed under this write
+
+    for _ in range(cycles):
+        for index in range(writers):
+            sim.process(writer(index, system.driver))
+        sim.run(until=sim.now + rng.uniform(60.0, 140.0))
+        system.crash()
+        sim.run(until=sim.now + 50.0)
+        report = system.remount()
+        if report is None or report.corrupt_records or report.chain_broken:
+            raise AssertionError("crash-recover: recovery lost records")
+    return cycles
+
+
 #: Scenario name -> callable(scale) -> ops performed.
 # trailiso: shared_immutable -- scenario registry frozen at import
 SCENARIOS: Mapping[str, Callable[[float], int]] = MappingProxyType({
@@ -142,6 +180,7 @@ SCENARIOS: Mapping[str, Callable[[float], int]] = MappingProxyType({
     "sector-churn": sector_churn,
     "fig3-sparse": fig3_sparse,
     "tpcc-small": tpcc_small,
+    "crash-recover": crash_recover,
 })
 
 

@@ -471,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser("profile", help=cmd_profile.__doc__)
     profile.add_argument("scenario",
                          help="perf scenario name (e.g. kernel-churn, "
-                              "sector-churn, fig3-sparse, tpcc-small)")
+                              "sector-churn, fig3-sparse, tpcc-small, "
+                              "crash-recover)")
     profile.add_argument("--scale", type=float, default=1.0,
                          help="scenario size multiplier")
     profile.add_argument("--top", type=int, default=20,

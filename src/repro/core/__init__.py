@@ -16,7 +16,7 @@ from repro.core.format import (
     BatchEntry, HEADER_FIRST_BYTE, LogDiskHeader, NULL_LBA,
     PAYLOAD_FIRST_BYTE, RecordHeader, decode_disk_header,
     decode_record_header, encode_disk_header, encode_record,
-    is_record_header, restore_payload)
+    record_header_offsets, restore_payload)
 from repro.core.multilog import StripedTrailDriver
 from repro.core.prediction import CalibrationResult, HeadPositionPredictor
 from repro.core.recovery import LocatedRecord, RecoveryManager, RecoveryReport
@@ -51,7 +51,7 @@ __all__ = [
     "decode_record_header",
     "encode_disk_header",
     "encode_record",
-    "is_record_header",
+    "record_header_offsets",
     "reserved_layout",
     "restore_payload",
     "run_interleaved",

@@ -15,12 +15,41 @@ that can hold a record, which is what bounds rotational latency.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.disk.geometry import DiskGeometry
 from repro.errors import LogDiskFullError, TrailError
 from repro.units import Lba, Sectors, Tracks
+
+
+class TrackRing(Sequence[int]):
+    """The circular log's position -> track map, without the list.
+
+    Equal as a sequence to ``[t for t in range(num_tracks) if t not in
+    holes]``, but immutable and O(holes) to build and hold: mounting a
+    35,717-track log disk must not materialise its track list.
+    """
+
+    def __init__(self, num_tracks: Tracks, holes: Iterable[Tracks]) -> None:
+        skipped = sorted({hole for hole in holes if 0 <= hole < num_tracks})
+        self._length = num_tracks - len(skipped)
+        #: ``_resume[i]``: the first position past the i-th hole, so a
+        #: position has as many holes below its track as entries <= it.
+        self._resume = [hole - index for index, hole in enumerate(skipped)]
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index: Any) -> Any:  # int -> Tracks, slice -> list
+        if isinstance(index, slice):
+            return [self[at] for at in range(*index.indices(self._length))]
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("track ring position out of range")
+        return index + bisect_right(self._resume, index)
 
 
 class TrackAllocator:
@@ -34,10 +63,16 @@ class TrackAllocator:
         if not usable_tracks:
             raise TrailError("allocator needs at least one usable track")
         self.geometry = geometry
-        self._tracks: Tuple[int, ...] = tuple(usable_tracks)
-        if len(set(self._tracks)) != len(self._tracks):
-            raise TrailError("usable_tracks contains duplicates")
+        # A ring or a range cannot repeat a track: kept as handed over.
+        tracks = usable_tracks
+        if not isinstance(tracks, (TrackRing, range)):
+            tracks = tuple(tracks)
+            if len(set(tracks)) != len(tracks):
+                raise TrailError("usable_tracks contains duplicates")
+        self._tracks = tracks
         self._position = 0
+        #: The active (tail) track; re-read from the ring only on advance.
+        self.current_track: Tracks = self._tracks[0]
         #: Used (start, length) runs on the current track, sorted.
         self._used_runs: List[Tuple[int, int]] = []
         #: Live (uncommitted) record count per in-window track.
@@ -51,11 +86,6 @@ class TrackAllocator:
 
     # ------------------------------------------------------------------
     # Introspection
-
-    @property
-    def current_track(self) -> Tracks:
-        """The active (tail) track the head is parked on."""
-        return self._tracks[self._position]
 
     @property
     def track_count(self) -> int:
@@ -212,6 +242,7 @@ class TrackAllocator:
         self.retired_utilizations.append(self.used_sectors() / spt)
         self.tracks_consumed += 1
         self._position = next_position
+        self.current_track = next_track
         self._used_runs = []
         # Stale accounting from the previous lap, if any.
         self._live_counts.pop(next_track, None)

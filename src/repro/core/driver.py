@@ -22,7 +22,7 @@ from typing import (
     Any, Deque, Dict, Generator, List, Mapping, Optional, Tuple)
 
 from repro.blockdev import BlockDevice, DataTarget
-from repro.core.allocator import TrackAllocator
+from repro.core.allocator import TrackAllocator, TrackRing
 from repro.core.buffer import BufferManager, LiveRecord
 from repro.core.config import TrailConfig
 from repro.core.format import (
@@ -96,13 +96,14 @@ class _PendingWrite:
 
 def reserved_layout(
     geometry: DiskGeometry, config: TrailConfig,
-) -> Tuple[List[int], List[int]]:
+) -> Tuple[List[int], TrackRing]:
     """Compute (header LBAs, usable tracks) for a log disk.
 
     The primary header lives at sector 0 of track 0 with the geometry
     record right after it (§3.2); replicas are spread evenly across the
     disk "to improve the robustness".  Reserved and replica tracks are
-    excluded from the circular log.
+    excluded from the circular log, which comes back as an arithmetic
+    ring: position -> track, O(reserved tracks) however large the disk.
     """
     reserved = set(range(config.reserved_tracks))
     header_lbas = [geometry.track_first_lba(0)]
@@ -112,15 +113,7 @@ def reserved_layout(
         if track not in reserved:
             reserved.add(track)
             header_lbas.append(geometry.track_first_lba(track))
-    # The reserved set is tiny (the first tracks plus a handful of
-    # replicas); splice the gaps between them as ranges instead of
-    # testing every one of the disk's tracks for membership.
-    usable: List[int] = []
-    cursor = 0
-    for track in sorted(reserved):
-        usable.extend(range(cursor, track))
-        cursor = track + 1
-    usable.extend(range(cursor, geometry.num_tracks))
+    usable = TrackRing(geometry.num_tracks, reserved)
     if not usable:
         raise TrailError("no usable log tracks after reservation")
     return header_lbas, usable
@@ -158,7 +151,6 @@ class TrailDriver(BlockDevice):
         self.last_recovery: Optional[RecoveryReport] = None
 
         self._header_lbas: List[int] = []
-        self._usable_tracks: List[int] = []
         self._log_queue: Store = Store(sim)
         #: Requests accepted but not yet acknowledged (queued or being
         #: assembled into records); failed wholesale on a crash.
@@ -223,17 +215,29 @@ class TrailDriver(BlockDevice):
         if self._mounted:
             raise TrailError("driver is already mounted")
         geometry = self.log_drive.geometry
-        self._header_lbas, self._usable_tracks = reserved_layout(
+        self._header_lbas, usable_tracks = reserved_layout(
             geometry, self.config)
 
-        result = yield self.log_drive.read(self._header_lbas[0], 2)
-        try:
-            header = decode_disk_header(result.data[:geometry.sector_size])
-            stored_geometry = decode_geometry(
-                result.data[geometry.sector_size:])
-        except LogFormatError as exc:
+        # Take the first header copy that reads and decodes (fault-free:
+        # one read).  Any will do: copies are written primary first and
+        # writes acknowledged only while all carry this epoch with
+        # crash_var = 0, so a stale one differs only where re-running an
+        # idempotent recovery, or skipping an empty one, is right (FAULTS.md).
+        failure: Optional[Exception] = None
+        for lba in self._header_lbas:
+            try:
+                image = (yield self.log_drive.read(lba, 2)).data
+                header = decode_disk_header(image[:geometry.sector_size])
+                stored_geometry = decode_geometry(
+                    image[geometry.sector_size:])
+                break
+            except (MediaError, LogFormatError) as exc:
+                failure = failure or exc
+        else:
+            if isinstance(failure, MediaError):
+                raise failure
             raise NotATrailDiskError(
-                f"log disk is not Trail-formatted: {exc}") from exc
+                f"log disk is not Trail-formatted: {failure}") from failure
         if stored_geometry.total_sectors != geometry.total_sectors:
             raise NotATrailDiskError(
                 "on-disk geometry record does not match the drive")
@@ -243,7 +247,7 @@ class TrailDriver(BlockDevice):
         if header.crash_var == 0:
             recovery = RecoveryManager(
                 self.sim, self.log_drive, self.geometry,
-                self._usable_tracks, epoch=header.epoch,
+                usable_tracks, epoch=header.epoch,
                 data_disks=self.data_disks, config=self.config)
             report = yield from recovery.run()
             self.last_recovery = report
@@ -251,7 +255,7 @@ class TrailDriver(BlockDevice):
         self.epoch = header.epoch + 1
         yield from self._write_headers(crash_var=0)
 
-        self.allocator = TrackAllocator(stored_geometry, self._usable_tracks)
+        self.allocator = TrackAllocator(stored_geometry, usable_tracks)
         self.predictor = HeadPositionPredictor(
             stored_geometry,
             rotation_ms=self.log_drive.rotation.rotation_ms,
@@ -289,7 +293,8 @@ class TrailDriver(BlockDevice):
         return overhead_sectors + 1 + self.config.delta_slack_sectors
 
     def _write_headers(self, crash_var: int) -> Generator[Event, Any, None]:
-        """Persist the global header (and replicas) with ``crash_var``."""
+        """Persist the global header (and replicas) with ``crash_var``;
+        every copy is attempted before the first media error is raised."""
         geometry = self.geometry
         epoch = self.epoch
         assert geometry is not None and epoch is not None
@@ -297,8 +302,14 @@ class TrailDriver(BlockDevice):
             LogDiskHeader(epoch=epoch, crash_var=crash_var),
             geometry.sector_size)
         geometry_sector = encode_geometry(geometry, geometry.sector_size)
+        failure: Optional[MediaError] = None
         for lba in self._header_lbas:
-            yield self.log_drive.write(lba, sector + geometry_sector)
+            try:
+                yield self.log_drive.write(lba, sector + geometry_sector)
+            except MediaError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
 
     # ------------------------------------------------------------------
     # Public block-device interface
@@ -461,6 +472,8 @@ class TrailDriver(BlockDevice):
         self.log_drive.halt()
         for disk in self.data_disks.values():
             disk.halt()
+        if self.sim.sanitizer is not None:
+            self.sim.sanitizer.retire(self, self.buffers, self.writeback)
 
     def _stop_background(self) -> None:
         for process in (self._writer_process, self._repositioner_process):

@@ -73,6 +73,8 @@ _FIXED_STRUCT = struct.Struct(_FIXED_FMT)
 _ENTRY_STRUCT = struct.Struct(_ENTRY_FMT)
 _CRC_STRUCT = struct.Struct("<I")
 _PAYLOAD_PREFIX = bytes([PAYLOAD_FIRST_BYTE])
+#: What every record-header sector opens with: marker, then signature.
+_HEADER_PREFIX = bytes([HEADER_FIRST_BYTE]) + TRAIL_SIGNATURE
 
 assert _FIXED_SIZE + MAX_TRAIL_BATCH * _ENTRY_SIZE <= SECTOR_SIZE, (
     "record header must fit one sector")
@@ -270,12 +272,9 @@ def encode_record(
         payload_sectors, sector_size)
 
 
-def payload_crc32(masked_sectors: Sequence[bytes]) -> int:
-    """CRC-32 over the on-platter (masked) payload sector images."""
-    crc = 0
-    for sector in masked_sectors:
-        crc = zlib.crc32(sector, crc)
-    return crc
+def payload_crc32(masked_payload: bytes) -> int:
+    """CRC-32 over a record's contiguous on-platter (masked) payload."""
+    return zlib.crc32(masked_payload)
 
 
 def decode_record_header(
@@ -292,8 +291,7 @@ def decode_record_header(
     if len(sector) < _FIXED_SIZE:
         raise LogFormatError(f"sector too short: {len(sector)} bytes")
     (first_byte, signature, epoch, sequence_id, prev_sect, log_head,
-     payload_crc, header_crc, batch_size) = struct.unpack_from(
-        _FIXED_FMT, sector)
+     payload_crc, header_crc, batch_size) = _FIXED_STRUCT.unpack_from(sector)
     if first_byte != HEADER_FIRST_BYTE:
         raise LogFormatError(
             f"not a record header: first byte {first_byte:#04x}")
@@ -312,41 +310,50 @@ def decode_record_header(
     if len(sector) < _FIXED_SIZE + batch_size * _ENTRY_SIZE:
         raise LogFormatError("sector too short for declared batch size")
 
-    entries = []
-    offset = _FIXED_SIZE
-    for _ in range(batch_size):
-        first_data_byte, log_lba, data_lba, major, minor = struct.unpack_from(
-            _ENTRY_FMT, sector, offset)
-        offset += _ENTRY_SIZE
-        entries.append(BatchEntry(
-            data_lba=DataLba(data_lba), log_lba=LogLba(log_lba),
-            first_data_byte=first_data_byte,
-            data_major=major, data_minor=minor))
+    table = sector[_FIXED_SIZE:_FIXED_SIZE + batch_size * _ENTRY_SIZE]
+    entries = tuple(
+        BatchEntry(data_lba=DataLba(data_lba), log_lba=LogLba(log_lba),
+                   first_data_byte=first_data_byte,
+                   data_major=major, data_minor=minor)
+        for first_data_byte, log_lba, data_lba, major, minor
+        in _ENTRY_STRUCT.iter_unpack(table))
     return RecordHeader(epoch=epoch, sequence_id=sequence_id,
                         prev_sect=LogLba(prev_sect),
                         log_head=LogLba(log_head),
-                        entries=tuple(entries), payload_crc=payload_crc,
+                        entries=entries, payload_crc=payload_crc,
                         header_crc=header_crc)
 
 
-def is_record_header(sector: bytes, expected_epoch: Optional[int] = None) -> bool:
-    """Cheap predicate used by track scans."""
-    try:
-        decode_record_header(sector, expected_epoch)
-        return True
-    except LogFormatError:
-        return False
+def record_header_offsets(image: bytes,
+                          sector_size: int = SECTOR_SIZE) -> List[int]:
+    """Sector-aligned offsets of ``image`` that open like a record header.
+
+    The cheap predicate of a track scan: every other sector fails the
+    first two checks of :func:`decode_record_header`, and every offset
+    returned is only a candidate that still has to pass all of them.
+    """
+    return [index * sector_size
+            for index, marker in enumerate(image[::sector_size])
+            if marker == HEADER_FIRST_BYTE
+            and image.startswith(_HEADER_PREFIX, index * sector_size)]
 
 
-def restore_payload(entry: BatchEntry, masked_sector: bytes) -> bytes:
-    """Undo the 0x00 first-byte masking of a logged payload sector."""
-    if not masked_sector:
-        raise LogFormatError("empty payload sector")
-    if masked_sector[0] != PAYLOAD_FIRST_BYTE:
+def restore_payload(entries: Sequence[BatchEntry],
+                    masked_payload: bytes) -> bytes:
+    """Undo the 0x00 first-byte masking of a record's contiguous payload
+    image (one sector per entry, as read back), in one buffer."""
+    if not (entries and masked_payload) or len(masked_payload) % len(entries):
         raise LogFormatError(
-            f"payload sector does not start with the 0x00 marker: "
-            f"{masked_sector[0]:#04x}")
-    return bytes([entry.first_data_byte]) + masked_sector[1:]
+            f"{len(entries)} entries but {len(masked_payload)} payload bytes")
+    restored = bytearray(masked_payload)
+    sector_size = len(restored) // len(entries)
+    for entry, offset in zip(entries, range(0, len(restored), sector_size)):
+        if restored[offset] != PAYLOAD_FIRST_BYTE:
+            raise LogFormatError(
+                f"payload sector does not start with the 0x00 marker: "
+                f"{restored[offset]:#04x}")
+        restored[offset] = entry.first_data_byte
+    return bytes(restored)
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,10 @@ breakdown can be reproduced:
    and it dominates recovery time because its data-disk accesses are
    random.
 
+Host cost follows disk cost — pay for the records touched, not for the
+disk: a track scan decodes only the sectors that open like a header, and
+a replayed record is verified, un-masked and coalesced as one buffer.
+
 Beyond the paper's power-loss-only model, recovery also survives a
 faulty log disk: track scans fall back to sector-by-sector reads and
 skip unreadable sectors; every record is checksum-verified (header and
@@ -42,7 +46,7 @@ from repro.blockdev import DataTarget
 from repro.core.config import TrailConfig
 from repro.core.format import (
     RecordHeader, NULL_LBA, decode_record_header, payload_crc32,
-    restore_payload)
+    record_header_offsets, restore_payload)
 from repro.disk.drive import DiskDrive
 from repro.disk.geometry import DiskGeometry
 from repro.errors import LogFormatError, MediaError, RecoveryError
@@ -124,7 +128,8 @@ class RecoveryManager:
         self.sim = sim
         self.log_drive = log_drive
         self.geometry = geometry
-        self.usable_tracks = tuple(usable_tracks)
+        #: Position -> track, kept as handed over: no O(N) copy to mount.
+        self.usable_tracks = usable_tracks
         self.epoch = epoch
         self.data_disks = data_disks
         self.config = config or TrailConfig()
@@ -228,33 +233,22 @@ class RecoveryManager:
         first_lba = self.geometry.track_first_lba(track)
         nsectors = self.geometry.track_sectors(track)
         sector_size = self.geometry.sector_size
-        sectors: List[Optional[bytes]] = []
         try:
-            result = yield self.log_drive.read(first_lba, nsectors)
-            sectors = [result.data[index * sector_size:
-                                   (index + 1) * sector_size]
-                       for index in range(nsectors)]
+            image = (yield self.log_drive.read(first_lba, nsectors)).data
         except MediaError:
+            sectors: List[bytes] = []
             for index in range(nsectors):
                 try:
                     result = yield self.log_drive.read(first_lba + index, 1)
                     sectors.append(result.data)
                 except MediaError:
-                    sectors.append(None)
+                    # Stands in as zeros: never a header candidate.
+                    sectors.append(bytes(sector_size))
                     self._report.unreadable_sectors += 1
+            image = b"".join(sectors)
         self._report.tracks_scanned += 1
-        youngest: Optional[LocatedRecord] = None
-        for index, raw in enumerate(sectors):
-            if raw is None:
-                continue
-            try:
-                header = decode_record_header(raw, expected_epoch=self.epoch)
-            except LogFormatError:
-                continue
-            if (youngest is None
-                    or header.sequence_id > youngest.header.sequence_id):
-                youngest = LocatedRecord(header_lba=first_lba + index,
-                                         header=header)
+        youngest = _youngest_in_track(image, first_lba, sector_size,
+                                      self.epoch)
         self._track_cache[track] = youngest
         return youngest
 
@@ -273,15 +267,11 @@ class RecoveryManager:
             header = located.header
             if header.batch_size == 0:
                 return located
-            sector_size = self.geometry.sector_size
             intact = False
             try:
                 result = yield self.log_drive.read(located.header_lba + 1,
                                                    header.batch_size)
-                masked = [result.data[index * sector_size:
-                                      (index + 1) * sector_size]
-                          for index in range(header.batch_size)]
-                intact = payload_crc32(masked) == header.payload_crc
+                intact = payload_crc32(result.data) == header.payload_crc
             except MediaError:
                 # Payload unreadable: indistinguishable from a tear.
                 self._report.unreadable_sectors += 1
@@ -400,13 +390,11 @@ class RecoveryManager:
             if header.batch_size == 0:
                 continue
             sequence = header.sequence_id
-            masked: Optional[List[bytes]] = None
+            masked: Optional[bytes] = None
             try:
                 payload = yield self.log_drive.read(
                     located.header_lba + 1, header.batch_size)
-                masked = [payload.data[index * sector_size:
-                                       (index + 1) * sector_size]
-                          for index in range(header.batch_size)]
+                masked = payload.data
             except MediaError:
                 self._report.unreadable_sectors += 1
             if masked is None or payload_crc32(masked) != header.payload_crc:
@@ -418,18 +406,17 @@ class RecoveryManager:
                     at_risk.append((sequence, entry.data_major,
                                     entry.data_lba))
                 continue
-            restored: List[bytes] = []
             for index, entry in enumerate(header.entries):
-                raw = masked[index]
                 if entry.log_lba != located.header_lba + 1 + index:
                     raise RecoveryError(
                         f"record {sequence} entry {index} log "
                         f"LBA {entry.log_lba} is not contiguous with its "
                         "header")
-                restored.append(restore_payload(entry, raw))
+            restored = restore_payload(header.entries, masked)
             # Group consecutive entries targeting contiguous data-disk
             # sectors into single writes.
-            for disk_id, lba, data in _coalesce(header, restored):
+            for disk_id, lba, data in _coalesce(header, restored,
+                                                sector_size):
                 disk = self.data_disks.get(disk_id)
                 if disk is None:
                     raise RecoveryError(
@@ -456,23 +443,39 @@ class RecoveryManager:
         self._report.dropped_sectors.extend(sorted(dropped))
 
 
+def _youngest_in_track(image: bytes, first_lba: int, sector_size: int,
+                       epoch: int) -> Optional[LocatedRecord]:
+    """The youngest ``epoch`` record headed in a track image: only the
+    candidate sectors are decoded, each in full."""
+    youngest: Optional[LocatedRecord] = None
+    for offset in record_header_offsets(image, sector_size):
+        try:
+            header = decode_record_header(
+                image[offset:offset + sector_size], expected_epoch=epoch)
+        except LogFormatError:
+            continue
+        if (youngest is None
+                or header.sequence_id > youngest.header.sequence_id):
+            youngest = LocatedRecord(
+                header_lba=first_lba + offset // sector_size, header=header)
+    return youngest
+
+
 def _coalesce(
-    header: RecordHeader, restored: Sequence[bytes],
+    header: RecordHeader, restored: bytes, sector_size: int,
 ) -> List[Tuple[int, int, bytes]]:
-    """Merge adjacent entries with contiguous data-disk targets."""
+    """Merge adjacent entries with contiguous data-disk targets; each
+    group's data is one slice of the un-masked payload image."""
     groups: List[Tuple[int, int, bytes]] = []
-    current_disk: Optional[int] = None
-    current_lba = 0
-    current_data = b""
-    for entry, data in zip(header.entries, restored):
-        disk_id = entry.data_major
-        if (current_disk == disk_id
-                and entry.data_lba == current_lba + len(current_data) // len(data)):
-            current_data += data
-        else:
-            if current_disk is not None:
-                groups.append((current_disk, current_lba, current_data))
-            current_disk, current_lba, current_data = disk_id, entry.data_lba, bytes(data)
-    if current_disk is not None:
-        groups.append((current_disk, current_lba, current_data))
+    entries = header.entries
+    start = 0
+    for index in range(1, len(entries) + 1):
+        if (index < len(entries)
+                and entries[index].data_major == entries[start].data_major
+                and entries[index].data_lba
+                == entries[start].data_lba + index - start):
+            continue
+        groups.append((entries[start].data_major, entries[start].data_lba,
+                       restored[start * sector_size:index * sector_size]))
+        start = index
     return groups

@@ -29,7 +29,7 @@ schedule as a plain run.
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.errors import SanitizerError
 
@@ -42,23 +42,26 @@ Judge = Callable[[Tuple[object, ...], Tuple[object, ...]], Optional[str]]
 
 
 class _InvariantGroup:
-    __slots__ = ("name", "invariant")
+    __slots__ = ("name", "invariant", "owner")
 
     def __init__(self, name: str, invariant: Invariant) -> None:
         self.name = name
         self.invariant = invariant
+        #: The object whose state is checked (see ``retire``).
+        self.owner: object = getattr(invariant, "__self__", None)
 
     def verify(self) -> Optional[str]:
         return self.invariant()
 
 
 class _TransitionGroup:
-    __slots__ = ("name", "probe", "judge", "_last")
+    __slots__ = ("name", "probe", "judge", "owner", "_last")
 
     def __init__(self, name: str, probe: Probe, judge: Judge) -> None:
         self.name = name
         self.probe = probe
         self.judge = judge
+        self.owner: object = getattr(probe, "__self__", None)
         self._last: Optional[Tuple[object, ...]] = None
 
     def verify(self) -> Optional[str]:
@@ -74,7 +77,7 @@ class TrailSanitizer:
     """Checks declared atomic groups at every context switch."""
 
     def __init__(self) -> None:
-        self._groups: List[object] = []
+        self._groups: List[Union[_InvariantGroup, _TransitionGroup]] = []
         self._verifiers: List[Callable[[], Optional[str]]] = []
         #: Context switches inspected (for tests and smoke reporting).
         self.checks = 0
@@ -96,6 +99,19 @@ class TrailSanitizer:
         self._groups.append(group)
         self._verifiers.append(group.verify)
         self.group_names.append(name)
+
+    def retire(self, *owners: object) -> None:
+        """Drop every group registered with a bound method of ``owners``.
+
+        A crashed driver's memory is gone; without this a remount on
+        the same simulation keeps probing the dead driver's state next
+        to its replacement's at every context switch.
+        """
+        keep = [index for index, group in enumerate(self._groups)
+                if not any(group.owner is owner for owner in owners)]
+        self._groups = [self._groups[index] for index in keep]
+        self._verifiers = [self._verifiers[index] for index in keep]
+        self.group_names = [self.group_names[index] for index in keep]
 
     def check(self, now: float) -> None:
         """Verify every group; raise SanitizerError on the first tear."""

@@ -1,6 +1,10 @@
 """Degraded mode: the Trail driver survives a dying log disk, and
 parked write-back failures are never silently discarded."""
 
+import dataclasses
+
+import pytest
+
 from repro.core.config import TrailConfig
 from repro.core.driver import TrailDriver, reserved_layout
 from repro.core.format import decode_disk_header
@@ -120,6 +124,44 @@ class TestLogDiskDeath:
         for lba, payload in payloads.items():
             assert data.store.read_sector(lba) == payload
 
+    def test_failed_replica_write_does_not_strand_later_copies(self):
+        """mount() falls back to any header copy that decodes, so the
+        clean marker must reach every copy that can take it: a replica
+        whose write fails must not leave the copies behind it at
+        crash_var = 0 while write-through acknowledgements proceed."""
+        sim, driver, log, data, config = build_stack()
+        header_lbas, _usable = reserved_layout(log.geometry, config)
+        plan = _log_tracks_bad_plan(log, config)
+        log.attach_faults(dataclasses.replace(
+            plan, latent_bad_sectors=plan.latent_bad_sectors
+            | {header_lbas[1]}))
+        payload = b"w" * SECTOR
+
+        def one_write():
+            yield driver.write(70, payload)
+
+        sim.run_until(sim.process(one_write()))
+        assert driver.degraded and driver.stats.degraded_writes == 1
+        assert driver.stats.log_media_errors == 2  # the record, a replica
+        assert [decode_disk_header(log.store.read_sector(lba)).crash_var
+                for lba in header_lbas] == [1, 0, 1]
+
+        # Crash, lose the primary too: the mount skips the unreadable
+        # replica, trusts the last copy's clean marker and replays
+        # nothing over the write-through data.
+        driver.crash()
+        damaged = bytearray(log.store.read_sector(header_lbas[0]))
+        damaged[20] ^= 0x01
+        log.store.write_sector(header_lbas[0], bytes(damaged))
+        log.power_on()
+        data.power_on()
+        remounted = TrailDriver(sim, log, {0: data}, config)
+        with pytest.raises(MediaError):
+            # Loud: the new epoch's header cannot reach the bad replica.
+            sim.run_until(sim.process(remounted.mount()))
+        assert remounted.last_recovery is None
+        assert data.store.read_sector(70) == payload
+
 
 class TestDegradedEntryWithBacklog:
     """The log dies while earlier acknowledged pages still await
@@ -197,6 +239,49 @@ class TestDegradedEntryWithBacklog:
         assert report is not None and report.sectors_replayed == len(self.EARLY)
         for lba, payload in self.EARLY.items():
             assert data.store.read_sector(lba) == payload
+
+    def test_known_limitation_stale_replica_that_reads_back_valid(self):
+        """docs/FAULTS.md "Known limitations", pinned so that a reorder
+        of mount()'s fallback cannot widen it unnoticed.  A replica
+        whose clean-marker write failed keeps ``crash_var = 0``; if it
+        later reads back valid and every copy before it is damaged,
+        mount() takes it and replays pre-failure records over newer
+        write-through data.  Closing the limitation flips the marked
+        assertions."""
+        sim, driver, log, data, config = self._stack()
+        header_lbas, _usable = reserved_layout(log.geometry, config)
+        plan = log.faults.plan
+        log.attach_faults(dataclasses.replace(
+            plan, latent_bad_sectors=plan.latent_bad_sectors
+            | {header_lbas[1]}))
+        lba, old = next(iter(self.EARLY.items()))
+        newer = b"n" * SECTOR
+
+        def workload():
+            yield sim.all_of([driver.write(at, payload)
+                              for at, payload in self.EARLY.items()])
+            yield driver.write(lba, newer)  # kills the log: written through
+
+        sim.run_until(sim.process(workload()))
+        assert driver.degraded and driver.stats.degraded_writes == 1
+        assert data.store.read_sector(lba) == newer
+        assert [decode_disk_header(log.store.read_sector(at)).crash_var
+                for at in header_lbas] == [1, 0, 1]
+
+        # The failed replica turns out readable after all, and the
+        # primary is lost.
+        driver.crash()
+        log.attach_faults(FaultPlan())
+        damaged = bytearray(log.store.read_sector(header_lbas[0]))
+        damaged[20] ^= 0x01
+        log.store.write_sector(header_lbas[0], bytes(damaged))
+        log.power_on()
+        data.power_on()
+        remounted = TrailDriver(sim, log, {0: data}, config)
+        report = sim.run_until(sim.process(remounted.mount()))
+        assert report is not None                       # the limitation
+        assert report.sectors_replayed == len(self.EARLY)
+        assert data.store.read_sector(lba) == old       # the limitation
 
 
 class TestLogFailureWithoutDegradedMode:

@@ -10,7 +10,8 @@ from repro.core.format import (
     BatchEntry, HEADER_FIRST_BYTE, LogDiskHeader, NULL_LBA,
     PAYLOAD_FIRST_BYTE, RecordHeader, decode_disk_header,
     decode_geometry, decode_record_header, encode_disk_header,
-    encode_geometry, encode_record, is_record_header, restore_payload)
+    encode_geometry, encode_record, payload_crc32, record_header_offsets,
+    restore_payload)
 from repro.disk.geometry import DiskGeometry, Zone
 from repro.errors import LogFormatError
 
@@ -35,12 +36,11 @@ class TestRecordRoundTrip:
         sectors = encode_record(header, [payload])
         assert len(sectors) == 2
         decoded = decode_record_header(sectors[0])
-        from repro.core.format import payload_crc32
-        assert decoded.payload_crc == payload_crc32(sectors[1:])
+        assert decoded.payload_crc == payload_crc32(b"".join(sectors[1:]))
         assert decoded == dataclasses.replace(
             header, payload_crc=decoded.payload_crc,
             header_crc=decoded.header_crc)
-        assert restore_payload(decoded.entries[0], sectors[1]) == payload
+        assert restore_payload(decoded.entries, sectors[1]) == payload
 
     def test_marker_bytes(self):
         payload = bytes([0xFF]) + bytes(511)  # payload starting with 0xFF!
@@ -50,7 +50,7 @@ class TestRecordRoundTrip:
         assert sectors[1][0] == PAYLOAD_FIRST_BYTE
         # The original 0xFF first byte survives the round trip.
         decoded = decode_record_header(sectors[0])
-        assert restore_payload(decoded.entries[0], sectors[1]) == payload
+        assert restore_payload(decoded.entries, sectors[1]) == payload
 
     def test_payload_sector_never_parses_as_header(self):
         # Even adversarial payloads cannot be mistaken for a header,
@@ -60,7 +60,9 @@ class TestRecordRoundTrip:
         payload = fake_header  # payload that *is* a valid header image
         header = make_record([payload])
         sectors = encode_record(header, [payload])
-        assert not is_record_header(sectors[1])
+        assert record_header_offsets(b"".join(sectors)) == [0]
+        with pytest.raises(LogFormatError):
+            decode_record_header(sectors[1])
 
     def test_batch_of_max_size(self):
         payloads = [bytes([index]) + bytes(511)
@@ -69,9 +71,8 @@ class TestRecordRoundTrip:
         sectors = encode_record(header, payloads)
         decoded = decode_record_header(sectors[0])
         assert decoded.batch_size == MAX_TRAIL_BATCH
-        for entry, original, encoded in zip(decoded.entries, payloads,
-                                            sectors[1:]):
-            assert restore_payload(entry, encoded) == original
+        assert restore_payload(decoded.entries, b"".join(sectors[1:])) \
+            == b"".join(payloads)
 
     def test_batch_too_large_rejected(self):
         payloads = [bytes(512)] * (MAX_TRAIL_BATCH + 1)
@@ -107,9 +108,8 @@ class TestRecordRoundTrip:
         assert decoded.epoch == epoch
         assert decoded.sequence_id == sequence_id
         assert decoded.batch_size == len(payloads)
-        restored = [restore_payload(entry, sector)
-                    for entry, sector in zip(decoded.entries, sectors[1:])]
-        assert restored == list(payloads)
+        assert restore_payload(decoded.entries, b"".join(sectors[1:])) \
+            == b"".join(payloads)
 
 
 class TestHeaderValidation:
@@ -131,15 +131,22 @@ class TestHeaderValidation:
     def test_epoch_check(self):
         sectors = encode_record(make_record([bytes(512)], epoch=3),
                                 [bytes(512)])
-        assert is_record_header(sectors[0], expected_epoch=3)
-        assert not is_record_header(sectors[0], expected_epoch=4)
+        assert decode_record_header(sectors[0], expected_epoch=3).epoch == 3
+        with pytest.raises(LogFormatError):
+            decode_record_header(sectors[0], expected_epoch=4)
 
     def test_restore_payload_requires_marker(self):
         entry = BatchEntry(data_lba=0, log_lba=0, first_data_byte=7)
         with pytest.raises(LogFormatError):
-            restore_payload(entry, bytes([1]) + bytes(511))
+            restore_payload([entry], bytes([1]) + bytes(511))
         with pytest.raises(LogFormatError):
-            restore_payload(entry, b"")
+            restore_payload([entry], b"")
+        with pytest.raises(LogFormatError):
+            restore_payload([], bytes(512))
+        with pytest.raises(LogFormatError):  # not one sector per entry
+            restore_payload([entry, entry], bytes(1023))
+        with pytest.raises(LogFormatError):  # second sector unmarked
+            restore_payload([entry, entry], bytes(512) + bytes([9]) * 512)
 
     def test_invalid_first_data_byte(self):
         with pytest.raises(LogFormatError):

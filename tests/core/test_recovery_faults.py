@@ -10,10 +10,12 @@ RecoveryReport.
 
 import random
 
+import pytest
+
 from repro.core.config import TrailConfig
-from repro.core.driver import TrailDriver
-from repro.core.format import decode_record_header, is_record_header
-from repro.errors import LogFormatError
+from repro.core.driver import TrailDriver, reserved_layout
+from repro.core.format import decode_disk_header, decode_record_header
+from repro.errors import LogFormatError, MediaError, NotATrailDiskError
 from repro.faults import FaultPlan
 from repro.sim import Simulation
 from tests.conftest import make_tiny_drive
@@ -61,6 +63,14 @@ def run_and_crash(seed=0, writes=25, crash_at_ms=150.0, gap_ms=1.0):
 
 def remount(log_snapshot, data_snapshot, log_plan=None, data_plan=None):
     """Fresh stack over the snapshots; returns (report, data store)."""
+    report, _log, data = remount_drives(log_snapshot, data_snapshot,
+                                        log_plan, data_plan)
+    return report, data.store
+
+
+def remount_drives(log_snapshot, data_snapshot, log_plan=None,
+                   data_plan=None):
+    """Fresh stack over the snapshots; (report, log drive, data drive)."""
     config = TrailConfig(idle_reposition_interval_ms=0)
     sim = Simulation()
     log = make_tiny_drive(sim, "log", cylinders=30)
@@ -74,7 +84,7 @@ def remount(log_snapshot, data_snapshot, log_plan=None, data_plan=None):
         data.attach_faults(data_plan)
     driver = TrailDriver(sim, log, {0: data}, config)
     report = sim.run_until(sim.process(driver.mount()))
-    return report, data.store
+    return report, log, data
 
 
 def find_records(log_snapshot, epoch=1):
@@ -85,10 +95,8 @@ def find_records(log_snapshot, epoch=1):
     """
     records = []
     for lba, sector in log_snapshot.items():
-        if not is_record_header(sector, expected_epoch=epoch):
-            continue
         try:
-            header = decode_record_header(sector)
+            header = decode_record_header(sector, expected_epoch=epoch)
         except LogFormatError:
             continue
         records.append((lba, header))
@@ -252,3 +260,83 @@ class TestCleanPathUnchanged:
             set(report.dropped_sectors))
         for lba, payload in acked.items():
             assert store.read_sector(lba) == payload
+
+
+class TestHeaderReplicaFallback:
+    """§4.1 keeps header replicas "to improve the robustness": mount
+    takes the first copy that reads and decodes, so damage to the
+    primary no longer strands the acknowledged writes behind it."""
+
+    @staticmethod
+    def header_lbas(log_snap):
+        sim = Simulation()
+        probe = make_tiny_drive(sim, "log", cylinders=30)
+        lbas, _usable = reserved_layout(probe.geometry, TrailConfig())
+        assert len(lbas) == 3 and all(lba in log_snap for lba in lbas)
+        return lbas
+
+    def test_bit_flipped_primary_recovers_from_a_replica(self):
+        acked, log_snap, data_snap = run_and_crash(seed=21)
+        assert acked
+        primary = self.header_lbas(log_snap)[0]
+        flip_bit(log_snap, primary, 20, 0x01)
+        with pytest.raises(LogFormatError):
+            decode_disk_header(log_snap[primary])
+        report, log, data = remount_drives(log_snap, data_snap)
+        assert report is not None and report.records_found > 0
+        assert not report.damaged
+        for lba, payload in acked.items():
+            assert data.store.read_sector(lba) == payload
+        # Mount rewrites every copy, which repairs the damaged one.
+        repaired = decode_disk_header(log.store.read_sector(primary))
+        assert (repaired.epoch, repaired.crash_var) == (2, 0)
+
+    def test_latent_bad_primary_sector_recovers_from_a_replica(self):
+        acked, log_snap, data_snap = run_and_crash(seed=22)
+        assert acked
+        primary = self.header_lbas(log_snap)[0]
+        plan = FaultPlan(latent_bad_sectors={primary}, retry_limit=0)
+        report, log, data = remount_drives(log_snap, data_snap,
+                                           log_plan=plan)
+        assert report is not None and report.records_found > 0
+        for lba, payload in acked.items():
+            assert data.store.read_sector(lba) == payload
+        assert log.stats.read_errors == 1
+
+    def test_every_copy_flipped_is_not_a_trail_disk(self):
+        _acked, log_snap, data_snap = run_and_crash(seed=23)
+        for lba in self.header_lbas(log_snap):
+            flip_bit(log_snap, lba, 20, 0x01)
+        with pytest.raises(NotATrailDiskError, match="checksum"):
+            remount(log_snap, data_snap)
+
+    def test_every_copy_unreadable_raises_the_media_error(self):
+        _acked, log_snap, data_snap = run_and_crash(seed=23)
+        plan = FaultPlan(
+            latent_bad_sectors=set(self.header_lbas(log_snap)),
+            retry_limit=0)
+        with pytest.raises(MediaError):
+            remount(log_snap, data_snap, log_plan=plan)
+
+    def test_fault_free_mount_reads_one_header_copy(self):
+        _acked, log_snap, data_snap = run_and_crash(seed=24)
+        header_lbas = self.header_lbas(log_snap)
+        sim = Simulation()
+        log = make_tiny_drive(sim, "log", cylinders=30)
+        data = make_tiny_drive(sim, "data", cylinders=80, heads=4,
+                               sectors_per_track=32)
+        log.store.restore(log_snap)
+        data.store.restore(data_snap)
+        reads = []
+        plain_read = log.read
+
+        def counting_read(lba, nsectors, **kwargs):
+            reads.append(lba)
+            return plain_read(lba, nsectors, **kwargs)
+
+        log.read = counting_read
+        driver = TrailDriver(sim, log, {0: data},
+                             TrailConfig(idle_reposition_interval_ms=0))
+        sim.run_until(sim.process(driver.mount()))
+        assert [lba for lba in reads if lba in header_lbas] \
+            == header_lbas[:1]

@@ -7,5 +7,5 @@ def scan(raw: bytes):
     return decode_record_header(raw)
 
 
-def replay(entry, masked: bytes) -> bytes:
-    return restore_payload(entry, masked)
+def replay(entries, masked: bytes) -> bytes:
+    return restore_payload(entries, masked)

@@ -31,6 +31,7 @@ FLOOR_OPS_PER_SEC = {
     "sector-churn": 570_000.0,
     "fig3-sparse": 3_300.0,
     "tpcc-small": 170.0,
+    "crash-recover": 24.0,
 }
 
 

@@ -60,6 +60,27 @@ def test_components_register_groups(san_sim: Simulation) -> None:
     assert "wb-counters" in names
 
 
+def test_crashed_driver_retires_its_groups(san_sim: Simulation) -> None:
+    """Host memory died with the crash: a remount on the same simulation
+    must not keep probing the dead driver next to its replacement."""
+    sanitizer = san_sim.sanitizer
+    assert sanitizer is not None
+    driver = make_trail(san_sim)
+    sanitizer.add_invariant("bystander", lambda: None)
+    before = sorted(sanitizer.group_names)
+    driver.crash()
+    assert sanitizer.group_names == ["bystander"]
+    driver.log_drive.power_on()
+    driver.data_disks[0].power_on()
+    remounted = TrailDriver(san_sim, driver.log_drive, driver.data_disks,
+                            driver.config)
+    drive_to_completion(san_sim, remounted.mount(), name="remount")
+    assert sorted(sanitizer.group_names) == before
+    remounted.buffers.pinned_bytes += 77  # the live driver is still watched
+    with pytest.raises(SanitizerError, match="pinned-accounting"):
+        san_sim.run_until(san_sim.timeout(1.0))
+
+
 def test_clean_workload_passes_with_checks(san_sim: Simulation) -> None:
     driver = make_trail(san_sim)
 
