@@ -14,14 +14,19 @@ bench:
 # Interleaved A/B of a reference commit against the working tree on the
 # layered benchmark (BENCHMARK.json): >= 10 pairs alternating which side
 # runs first, every pair printed, medians + quartiles per side, and the
-# gain rule (>= 9/10 wins and median gap > REF's quartile distance).
-# Usage: make perf-ab REF=<sha> [WORKLOAD=crash-recover] [PAIRS=10] [SEED=7]
+# gain rule (>= 9/10 wins and median gap > REF's quartile distance),
+# applied to METRIC: any end_to_end metric of BENCHMARK.json (another
+# name is refused before anything is measured).
+# Usage: make perf-ab REF=<sha> [WORKLOAD=crash-recover] [PAIRS=10] [SEED=7] [METRIC=host_ops_per_s]
+#   e.g. make perf-ab REF=<sha> WORKLOAD=burst-rw METRIC=peak_rss_mb
 PAIRS ?= 10
 SEED ?= 7
+METRIC ?= host_ops_per_s
 perf-ab:
-	@test -n "$(REF)" || { echo "usage: make perf-ab REF=<sha> [WORKLOAD=<name>] [PAIRS=10] [SEED=7]"; exit 2; }
+	@test -n "$(REF)" || { echo "usage: make perf-ab REF=<sha> [WORKLOAD=<name>] [PAIRS=10] [SEED=7] [METRIC=host_ops_per_s]"; exit 2; }
 	$(PYTHON) benchmarks/perf_ab.py --ref $(REF) --pairs $(PAIRS) \
-		--seed $(SEED) $(if $(WORKLOAD),--workload $(WORKLOAD))
+		--seed $(SEED) --metric $(METRIC) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # Fast perf sanity (< 30 s, part of tier-1): scenarios run, schema holds.
 perf-smoke:

@@ -1,7 +1,7 @@
 """Interleaved A/B of a reference commit against the working tree.
 
-``make perf-ab REF=<sha> [WORKLOAD=...]`` — the measurement protocol of
-docs/PERFORMANCE.md ("Keeping it honest") as a command.  Wall-clock
+``make perf-ab REF=<sha> [WORKLOAD=...] [METRIC=...]`` — the measurement
+protocol of docs/PERFORMANCE.md ("Keeping it honest") as a command.  Wall-clock
 numbers on this container drift by ~15 % between sessions, so a
 speed-up is only read off *pairs*: ``REF`` is exported into a scratch
 directory (``git archive``: the committed files, nothing else, and no
@@ -16,7 +16,9 @@ working tree differ in ``BENCHMARK.json`` or ``benchmarks/ledger/``.
 Every pair is printed as it finishes; then, per end-to-end metric,
 each side's median and quartiles and whether the working tree is worse
 than ``REF`` by more than the metric's ``BENCHMARK.json`` bound.  For
-the claimed metric (``--metric``, default ``host_ops_per_s``) the
+the claimed metric (``--metric`` / ``METRIC=``, default
+``host_ops_per_s``; a name that is not an ``end_to_end`` metric of
+``BENCHMARK.json`` is refused before anything runs) the
 choosing-metrics rule is applied: a gain is shown only when the
 working tree wins at least nine tenths of the pairs (ties count for
 neither side) **and** the medians differ by more than the distance

@@ -9,34 +9,62 @@ of the disk content to zero" (§4.1).
 ``snapshot``/``restore`` let crash tests capture persistent state at an
 arbitrary instant and rewind to it, modelling a power failure that
 loses everything except what reached the platter.  Snapshots are
-copy-on-write: taking one is O(1) — the chunk map is shared until the
-next mutation, which first privatizes it.  Treat a returned snapshot
+copy-on-write: taking one is O(1) — the chunk maps are shared until the
+next mutation, which first privatizes them.  Treat a returned snapshot
 as opaque/read-only.
 
-Hot-path notes (see docs/PERFORMANCE.md): storage is chunked, not
-per-sector.  Sectors live in fixed-size ``bytearray`` chunks of
-:data:`CHUNK_SECTORS` sectors; a multi-sector write is one C-level
-slice splice into the chunk instead of one dict store per sector, and
-a contiguous read is one slice out.  Which sectors were *written* is a
-per-chunk bitmask (chunks are zero-filled, so reads need no mask), and
-``written_extents`` decomposes the masks with bit arithmetic.
-Snapshots share both the chunk dict and the chunk buffers; the first
-mutation after a snapshot copies the dicts, and each chunk is copied
-at most once on first touch (per-chunk copy-on-write).
+Hot-path notes (see docs/PERFORMANCE.md, "Eighth pass"): the store
+keeps what was written, not what was touched.  A chunk index (a
+neighbourhood of :data:`CHUNK_SECTORS` sectors) maps to the *pieces*
+written there: immutable whole-sector ``bytes`` keyed by their byte
+offset inside the chunk, never overlapping, never leaving the chunk —
+so host memory follows the sectors written, and Trail writes sparsely
+on purpose.  A write that fits one chunk keeps the caller's ``bytes``
+object itself (anything mutable is copied once); a write over older
+pieces cuts them to what survives on either side; a read that starts
+a stored piece or lies inside one is a slice of it, any other read
+gathers the overlapping pieces into one zero-initialised buffer.
+Which sectors were *written* is a per-chunk bitmask (set exactly where
+a piece lies) that ``written_extents`` decomposes with bit arithmetic.
+A chunk's piece map is replaced, never mutated, so snapshots share
+every map and every piece and the first mutation after one copies
+only the two top-level dicts.
 """
 
 from __future__ import annotations
 
-from typing import (Dict, Iterator, List, Mapping, Optional, Set, Tuple,
-                    Union)
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import AddressError
 from repro.units import SECTOR_SIZE, Lba, Sectors
 
-#: Sectors per storage chunk.  32 sectors = 16 KiB chunks at the
-#: standard sector size: big enough that track-sized I/O touches one or
-#: two chunks, small enough that sparse writes stay cheap to copy.
+#: Sectors per storage chunk.  32 sectors = 16 KiB neighbourhoods at
+#: the standard sector size: big enough that track-sized I/O touches one
+#: or two chunks, small enough that a chunk holds a handful of pieces.
 CHUNK_SECTORS = 32
+
+#: One chunk's pieces: byte offset inside the chunk -> the bytes there.
+Pieces = Dict[int, bytes]
+
+
+def _cut(pieces: Pieces, at: int, stop: int) -> Pieces:
+    """``pieces`` without the bytes ``[at, stop)``, as a new map.
+
+    What survives of a cut piece is re-sliced (copied), so a small
+    remnant never keeps a large blob alive.
+    """
+    kept: Pieces = {}
+    for start, piece in pieces.items():
+        end = start + len(piece)
+        if end <= at or start >= stop:
+            kept[start] = piece
+        else:
+            if start < at:
+                kept[start] = piece[:at - start]
+            if end > stop:
+                kept[stop] = piece[stop - end:]
+    return kept
+
 
 def _decompose_mask(mask: int) -> Tuple[Tuple[int, int], ...]:
     """(start_bit, length) runs of consecutive ones in ``mask``.
@@ -71,17 +99,16 @@ class SectorSnapshot:
     before handing it to :meth:`SectorStore.restore`.
     """
 
-    __slots__ = ("sector_size", "_chunks", "_masks", "_count", "_owned")
+    __slots__ = ("sector_size", "_chunks", "_masks", "_count", "_shared")
 
-    def __init__(self, sector_size: int, chunks: Dict[int, bytearray],
+    def __init__(self, sector_size: int, chunks: Dict[int, Pieces],
                  masks: Dict[int, int], count: int) -> None:
         self.sector_size = sector_size
         self._chunks = chunks
         self._masks = masks
         self._count = count
-        #: Chunk indexes whose buffers this snapshot may mutate in
-        #: place; None while the dicts themselves are still shared.
-        self._owned: Optional[Set[int]] = None
+        #: True while the two dicts are shared with a store.
+        self._shared = True
 
     # -- mapping protocol (written sectors only) -----------------------
 
@@ -92,32 +119,18 @@ class SectorSnapshot:
         return self.keys()
 
     def keys(self) -> Iterator[int]:
-        masks = self._masks
-        for index in sorted(masks):
-            mask = masks[index]
-            base = index * CHUNK_SECTORS
-            offset = 0
-            while mask:
-                if mask & 1:
-                    yield base + offset
-                mask >>= 1
-                offset += 1
+        for lba, _sector in self.items():
+            yield lba
 
     def items(self) -> Iterator[Tuple[int, bytes]]:
         size = self.sector_size
         chunks = self._chunks
-        masks = self._masks
-        for index in sorted(masks):
-            mask = masks[index]
-            chunk = chunks[index]
-            base = index * CHUNK_SECTORS
-            offset = 0
-            while mask:
-                if mask & 1:
-                    start = offset * size
-                    yield (base + offset, bytes(chunk[start:start + size]))
-                mask >>= 1
-                offset += 1
+        for index in sorted(chunks):
+            first = index * CHUNK_SECTORS * size
+            for at, piece in sorted(chunks[index].items()):
+                for offset in range(0, len(piece), size):
+                    yield ((first + at + offset) // size,
+                           piece[offset:offset + size])
 
     def values(self) -> Iterator[bytes]:
         for _lba, sector in self.items():
@@ -130,21 +143,20 @@ class SectorSnapshot:
         return bool(self._masks.get(index, 0) >> offset & 1)
 
     def __getitem__(self, lba: int) -> bytes:
-        index, offset = divmod(lba, CHUNK_SECTORS)
-        if not self._masks.get(index, 0) >> offset & 1:
+        sector = self.get(lba)
+        if sector is None:
             raise KeyError(lba)
-        size = self.sector_size
-        start = offset * size
-        return bytes(self._chunks[index][start:start + size])
+        return sector
 
     def get(self, lba: Lba, default: Optional[bytes] = None,
             ) -> Optional[bytes]:
         index, offset = divmod(lba, CHUNK_SECTORS)
-        if not self._masks.get(index, 0) >> offset & 1:
-            return default
         size = self.sector_size
-        start = offset * size
-        return bytes(self._chunks[index][start:start + size])
+        at = offset * size
+        for start, piece in self._chunks.get(index, {}).items():
+            if start <= at < start + len(piece):
+                return piece[at - start:at - start + size]
+        return default
 
     def __setitem__(self, lba: int, data: bytes) -> None:
         """Replace (or add) one sector — crash tests damage records."""
@@ -153,26 +165,18 @@ class SectorSnapshot:
             raise AddressError(
                 f"sector write must be exactly {size} bytes, "
                 f"got {len(data)}")
-        owned = self._owned
-        if owned is None:
+        if self._shared:
             self._chunks = dict(self._chunks)
             self._masks = dict(self._masks)
-            owned = self._owned = set()
+            self._shared = False
         index, offset = divmod(lba, CHUNK_SECTORS)
-        chunk = self._chunks.get(index)
-        if chunk is None:
-            chunk = self._chunks[index] = bytearray(CHUNK_SECTORS * size)
-            self._masks[index] = 0
-            owned.add(index)
-        elif index not in owned:
-            chunk = self._chunks[index] = bytearray(chunk)
-            owned.add(index)
-        start = offset * size
-        chunk[start:start + size] = data
-        bit = 1 << offset
-        mask = self._masks[index]
-        if not mask & bit:
-            self._masks[index] = mask | bit
+        at = offset * size
+        pieces = _cut(self._chunks.get(index, {}), at, at + size)
+        pieces[at] = bytes(data)
+        self._chunks[index] = pieces
+        mask = self._masks.get(index, 0)
+        if not mask >> offset & 1:
+            self._masks[index] = mask | 1 << offset
             self._count += 1
 
     def __eq__(self, other: object) -> bool:
@@ -197,11 +201,10 @@ Snapshot = Union[SectorSnapshot, Dict[int, bytes]]
 
 
 class SectorStore:
-    """A sparse, chunked map from LBA to sector contents."""
+    """A sparse map from LBA to sector contents, kept as written pieces."""
 
-    __slots__ = ("total_sectors", "sector_size", "_chunk_bytes",
-                 "_zero_chunk", "_chunks", "_masks", "_owned", "_shared",
-                 "_written_count", "_extent_cache", "_mask_runs")
+    __slots__ = ("total_sectors", "sector_size", "_chunks", "_masks",
+                 "_shared", "_written_count", "_extent_cache", "_mask_runs")
 
     def __init__(self, total_sectors: Sectors,
                  sector_size: int = SECTOR_SIZE) -> None:
@@ -209,16 +212,13 @@ class SectorStore:
             raise AddressError(f"total_sectors must be >= 1, got {total_sectors}")
         self.total_sectors = total_sectors
         self.sector_size = sector_size
-        self._chunk_bytes = CHUNK_SECTORS * sector_size
-        self._zero_chunk = bytes(self._chunk_bytes)
-        #: chunk index -> CHUNK_SECTORS sectors of raw bytes.
-        self._chunks: Dict[int, bytearray] = {}
-        #: chunk index -> bitmask of written sectors within the chunk.
+        #: chunk index -> the pieces written into that chunk.  A piece
+        #: map is replaced, never mutated: a snapshot may share it.
+        self._chunks: Dict[int, Pieces] = {}
+        #: chunk index -> bitmask of written sectors within the chunk
+        #: (never 0: a chunk that loses its last sector is deleted).
         self._masks: Dict[int, int] = {}
-        #: Chunks whose buffer is exclusively ours (safe to mutate in
-        #: place).  Everything else is shared with a snapshot.
-        self._owned: Set[int] = set()
-        #: True while the *dicts* are shared with a snapshot.
+        #: True while the two dicts are shared with a snapshot.
         self._shared = False
         self._written_count = 0
         self._extent_cache: Optional[List[Tuple[int, int]]] = None
@@ -230,56 +230,22 @@ class SectorStore:
         """Number of sectors that have ever been written."""
         return self._written_count
 
-    # ------------------------------------------------------------------
-    # Copy-on-write plumbing
-
-    def _writable_chunk(self, index: int) -> bytearray:
-        """The chunk buffer for ``index``, owned and safe to mutate."""
-        if self._shared:
-            self._chunks = dict(self._chunks)
-            self._masks = dict(self._masks)
-            self._shared = False
-            self._owned.clear()
-        chunk = self._chunks.get(index)
-        if chunk is None:
-            chunk = bytearray(self._chunk_bytes)
-            self._chunks[index] = chunk
-            self._masks[index] = 0
-            self._owned.add(index)
-        elif index not in self._owned:
-            chunk = bytearray(chunk)
-            self._chunks[index] = chunk
-            self._owned.add(index)
-        return chunk
-
     def _privatize_maps(self) -> None:
+        """Copy-on-write: stop sharing the two dicts with a snapshot."""
         self._chunks = dict(self._chunks)
         self._masks = dict(self._masks)
         self._shared = False
-        self._owned.clear()
 
     # ------------------------------------------------------------------
     # Write path
 
     def write_sector(self, lba: Lba, data: bytes) -> None:
         """Store one sector of exactly ``sector_size`` bytes at ``lba``."""
-        if lba < 0 or lba >= self.total_sectors:
-            self._check_lba(lba)
-        size = self.sector_size
-        if len(data) != size:
+        if len(data) != self.sector_size:
             raise AddressError(
-                f"sector write must be exactly {size} bytes, "
+                f"sector write must be exactly {self.sector_size} bytes, "
                 f"got {len(data)}")
-        self._extent_cache = None
-        index, offset = divmod(lba, CHUNK_SECTORS)
-        chunk = self._writable_chunk(index)
-        start = offset * size
-        chunk[start:start + size] = data
-        bit = 1 << offset
-        mask = self._masks[index]
-        if not mask & bit:
-            self._masks[index] = mask | bit
-            self._written_count += 1
+        self.write(lba, data)
 
     def write(self, lba: Lba, data: bytes) -> None:
         """Store a multi-sector extent; ``data`` is padded to whole sectors."""
@@ -290,61 +256,53 @@ class SectorStore:
         nsectors = (length + size - 1) // size
         if lba < 0 or nsectors < 1 or lba + nsectors > self.total_sectors:
             self._check_extent(lba, nsectors)
-        if length != nsectors * size:
+        if type(data) is not bytes or length != nsectors * size:
+            # Keep nothing the caller can still mutate (one copy), and
+            # only whole sectors.
             data = bytes(data) + bytes(nsectors * size - length)
         self._extent_cache = None
-        index, offset = divmod(lba, CHUNK_SECTORS)
-        if offset + nsectors <= CHUNK_SECTORS:
-            # Single-chunk fast path: one splice, one mask update.
-            chunk = self._writable_chunk(index)
-            start = offset * size
-            chunk[start:start + len(data)] = data
-            masks = self._masks
-            bits = ((1 << nsectors) - 1) << offset
-            mask = masks[index]
-            added = bits & ~mask
-            if added:
-                masks[index] = mask | bits
-                self._written_count += added.bit_count()
-            return
+        if self._shared:
+            self._privatize_maps()
+        chunks = self._chunks
         masks = self._masks
+        index, offset = divmod(lba, CHUNK_SECTORS)
         position = 0
-        remaining = nsectors
-        while remaining:
-            index, offset = divmod(lba, CHUNK_SECTORS)
+        while True:
             take = CHUNK_SECTORS - offset
-            if take > remaining:
-                take = remaining
-            chunk = self._writable_chunk(index)
-            masks = self._masks  # _writable_chunk may have copied it
-            start = offset * size
+            if take > nsectors:
+                take = nsectors
+            at = offset * size
             nbytes = take * size
-            chunk[start:start + nbytes] = memoryview(data)[
-                position:position + nbytes]
+            # The whole of ``data`` when it fits the chunk: a full-range
+            # slice of a ``bytes`` is the object itself, not a copy.
+            piece = data[position:position + nbytes]
             bits = ((1 << take) - 1) << offset
-            mask = masks[index]
+            mask = masks.get(index, 0)
+            if not mask:
+                chunks[index] = {at: piece}
+            elif not mask & bits or len(chunks[index].get(at, b"")) == nbytes:
+                # Beside the older pieces, or exactly over one of them.
+                chunks[index] = {**chunks[index], at: piece}
+            else:
+                pieces = chunks[index] = _cut(chunks[index], at, at + nbytes)
+                pieces[at] = piece
             added = bits & ~mask
             if added:
                 masks[index] = mask | bits
                 self._written_count += added.bit_count()
-            lba += take
+            nsectors -= take
+            if not nsectors:
+                return
             position += nbytes
-            remaining -= take
+            index += 1
+            offset = 0
 
     # ------------------------------------------------------------------
     # Read path
 
     def read_sector(self, lba: Lba) -> bytes:
         """Read one sector; unwritten sectors are all-zeros."""
-        if lba < 0 or lba >= self.total_sectors:
-            self._check_lba(lba)
-        index, offset = divmod(lba, CHUNK_SECTORS)
-        chunk = self._chunks.get(index)
-        size = self.sector_size
-        start = offset * size
-        if chunk is None:
-            return self._zero_chunk[start:start + size]
-        return bytes(chunk[start:start + size])
+        return self.read(lba, 1)
 
     def read(self, lba: Lba, nsectors: Sectors) -> bytes:
         """Read ``nsectors`` contiguous sectors starting at ``lba``."""
@@ -353,32 +311,39 @@ class SectorStore:
         size = self.sector_size
         chunks = self._chunks
         index, offset = divmod(lba, CHUNK_SECTORS)
+        # The read is bytes [start, stop) of chunk ``index``; past the
+        # chunk's end it runs on into the next ones.
+        start = offset * size
+        nbytes = nsectors * size
+        stop = start + nbytes
+        pieces = chunks.get(index)
         if offset + nsectors <= CHUNK_SECTORS:
-            # Single-chunk fast path.
-            chunk = chunks.get(index)
-            start = offset * size
-            nbytes = nsectors * size
-            if chunk is None:
-                return self._zero_chunk[start:start + nbytes]
-            return bytes(chunk[start:start + nbytes])
-        parts: List[bytes] = []
-        zero = self._zero_chunk
-        remaining = nsectors
-        while remaining:
-            take = CHUNK_SECTORS - offset
-            if take > remaining:
-                take = remaining
-            chunk = chunks.get(index)
-            start = offset * size
-            nbytes = take * size
-            if chunk is None:
-                parts.append(zero[start:start + nbytes])
-            else:
-                parts.append(bytes(chunk[start:start + nbytes]))
-            remaining -= take
+            if pieces is None:
+                return bytes(nbytes)
+            piece = pieces.get(start)
+            if piece is not None and len(piece) >= nbytes:
+                return piece[:nbytes]  # the piece itself when all of it
+        gathered: Optional[bytearray] = None
+        chunk_bytes = CHUNK_SECTORS * size
+        while True:
+            if pieces is not None:
+                for at, piece in pieces.items():
+                    end = at + len(piece)
+                    if at < stop and end > start:
+                        if at <= start and end >= stop:
+                            return piece[start - at:stop - at]
+                        if gathered is None:
+                            gathered = bytearray(nbytes)
+                        low = at - start if at > start else 0
+                        part = piece[low + start - at:stop - at]
+                        gathered[low:low + len(part)] = part
+            stop -= chunk_bytes
+            if stop <= 0:
+                # Nothing stored there: unwritten sectors read as zeros.
+                return bytes(nbytes) if gathered is None else bytes(gathered)
+            start -= chunk_bytes
             index += 1
-            offset = 0
-        return b"".join(parts)
+            pieces = chunks.get(index)
 
     def is_written(self, lba: Lba) -> bool:
         """True if ``lba`` has been written since format/clear."""
@@ -392,15 +357,10 @@ class SectorStore:
 
     def clear(self) -> None:
         """Reset every sector to zeros (re-format)."""
-        if self._shared:
-            # The old maps live on in a snapshot; start fresh ones.
-            self._chunks = {}
-            self._masks = {}
-            self._shared = False
-        else:
-            self._chunks.clear()
-            self._masks.clear()
-        self._owned.clear()
+        # Any old maps live on in the snapshots that share them.
+        self._chunks = {}
+        self._masks = {}
+        self._shared = False
         self._written_count = 0
         self._extent_cache = None
 
@@ -412,37 +372,28 @@ class SectorStore:
             self.clear()
             return
         self._extent_cache = None
+        if self._shared:
+            self._privatize_maps()
+        chunks = self._chunks
+        masks = self._masks
         size = self.sector_size
-        remaining = nsectors
-        while remaining:
-            index, offset = divmod(lba, CHUNK_SECTORS)
-            take = CHUNK_SECTORS - offset
-            if take > remaining:
-                take = remaining
-            mask = self._masks.get(index)
-            if mask is None:
-                lba += take
-                remaining -= take
-                continue
-            bits = ((1 << take) - 1) << offset
-            removed = mask & bits
-            new_mask = mask & ~bits
+        index, offset = divmod(lba, CHUNK_SECTORS)
+        while nsectors > 0:
+            take = min(CHUNK_SECTORS - offset, nsectors)
+            mask = masks.get(index, 0)
+            removed = mask & ((1 << take) - 1) << offset
             if removed:
                 self._written_count -= removed.bit_count()
-            if new_mask == 0:
-                if self._shared:
-                    self._privatize_maps()
-                del self._chunks[index]
-                del self._masks[index]
-                self._owned.discard(index)
-            elif removed:
-                chunk = self._writable_chunk(index)
-                start = offset * size
-                nbytes = take * size
-                chunk[start:start + nbytes] = self._zero_chunk[:nbytes]
-                self._masks[index] = new_mask
-            lba += take
-            remaining -= take
+                if removed == mask:
+                    del chunks[index]
+                    del masks[index]
+                else:
+                    at = offset * size
+                    chunks[index] = _cut(chunks[index], at, at + take * size)
+                    masks[index] = mask & ~removed
+            nsectors -= take
+            index += 1
+            offset = 0
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -450,9 +401,6 @@ class SectorStore:
     def snapshot(self) -> SectorSnapshot:
         """O(1) copy-on-write view of the persistent state."""
         self._shared = True
-        # Every chunk buffer is now referenced by the snapshot; the
-        # next in-place mutation must copy its chunk first.
-        self._owned = set()
         return SectorSnapshot(self.sector_size, self._chunks, self._masks,
                               self._written_count)
 
@@ -460,41 +408,26 @@ class SectorStore:
         """Rewind the store to a previously captured snapshot.
 
         Accepts a :class:`SectorSnapshot` (adopted copy-on-write) or a
-        plain sparse ``{lba: sector_bytes}`` dict.
+        plain sparse ``{lba: sector_bytes}`` dict, which is checked like
+        any other write — and before the store is touched.
         """
         if isinstance(snapshot, SectorSnapshot):
             self._chunks = snapshot._chunks
             self._masks = snapshot._masks
             self._written_count = snapshot._count
-            self._shared = True
-            self._owned = set()
-            # The snapshot's buffers are now also ours; neither side
-            # may keep mutating chunks in place.
-            snapshot._owned = None
-        else:
-            size = self.sector_size
-            chunks: Dict[int, bytearray] = {}
-            masks: Dict[int, int] = {}
-            count = 0
-            chunk_bytes = self._chunk_bytes
-            for lba, sector in snapshot.items():
-                index, offset = divmod(lba, CHUNK_SECTORS)
-                chunk = chunks.get(index)
-                if chunk is None:
-                    chunk = chunks[index] = bytearray(chunk_bytes)
-                    masks[index] = 0
-                start = offset * size
-                chunk[start:start + size] = sector
-                bit = 1 << offset
-                if not masks[index] & bit:
-                    masks[index] |= bit
-                    count += 1
-            self._chunks = chunks
-            self._masks = masks
-            self._written_count = count
-            self._shared = False
-            self._owned = set(chunks)
-        self._extent_cache = None
+            # Both sides now hold the same two dicts.
+            self._shared = snapshot._shared = True
+            self._extent_cache = None
+            return
+        for lba, sector in snapshot.items():
+            self._check_lba(lba)
+            if len(sector) != self.sector_size:
+                raise AddressError(
+                    f"sector {lba} must be exactly {self.sector_size} "
+                    f"bytes, got {len(sector)}")
+        self.clear()
+        for lba, sector in snapshot.items():
+            self.write(lba, sector)
 
     # ------------------------------------------------------------------
     # Introspection

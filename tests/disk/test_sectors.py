@@ -1,5 +1,7 @@
 """Unit and property tests for the sector store."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +96,80 @@ class TestSnapshot:
         snapshot = store.snapshot()
         store.write_sector(0, b"b" * 512)
         assert snapshot[0] == b"a" * 512
+
+
+class TestRestoreFromPlainDict:
+    """restore() takes the ``{lba: bytes}`` form crash tests hand back
+    after damaging sectors, so it checks it like any other write."""
+
+    def test_round_trip(self, store):
+        store.write(10, b"A" * 512 + b"B" * 512)
+        plain = dict(store.snapshot())
+        plain[11] = b"X" * 512
+        plain[40] = b"Y" * 512
+        store.restore(plain)
+        assert store.read(10, 2) == b"A" * 512 + b"X" * 512
+        assert store.read_sector(40) == b"Y" * 512
+        assert list(store.written_extents()) == [(10, 2), (40, 1)]
+        assert len(store) == 3
+
+    @pytest.mark.parametrize("bad", [
+        # A short sector: the parent spliced its three bytes over a
+        # 512-byte slot and shifted every later sector of the chunk.
+        {0: b"abc", 1: b"B" * 512},
+        {1: b"B" * 512, 2: b"C" * 513},    # long sector
+        {1: b"B" * 512, 64: b"C" * 512},   # past the end of the store
+        {-1: b"C" * 512},
+        {1000: b"C" * 512},
+    ])
+    def test_bad_sector_rejected_and_store_unchanged(self, store, bad):
+        store.write(1, b"k" * 1024)
+        snapshot = store.snapshot()
+        with pytest.raises(AddressError):
+            store.restore(bad)
+        assert store.read(0, 64) == bytes(512) + b"k" * 1024 + bytes(61 * 512)
+        assert list(store.written_extents()) == [(1, 2)]
+        assert len(store) == 2
+        assert store.snapshot() == snapshot
+
+
+class TestRightSized:
+    """Host memory follows the sectors written, not the 32-sector
+    neighbourhoods touched (Trail writes sparsely on purpose)."""
+
+    def test_sparse_records_cost_what_they_hold(self):
+        store = SectorStore(total_sectors=2000 * 61 + 3)
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            for index in range(2000):
+                record = bytes([index % 251]) * (3 * 512)
+                store.write(index * 61, record)
+            after, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 6000
+        assert after - before <= 1.5 * 6000 * 512
+
+    def test_rewriting_a_page_keeps_one_page(self):
+        """Replaced and cut pieces are released, and the sector that
+        survives of a 16 KiB blob does not keep the blob alive."""
+        store = SectorStore(total_sectors=64)
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            store.write(0, bytes([7]) * (32 * 512))
+            for index in range(1000):
+                store.write(8, bytes([index % 251]) * (8 * 512))
+            store.erase(0, 8)
+            store.erase(16, 15)
+            after, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.read(8, 8) == bytes([999 % 251]) * (8 * 512)
+        assert store.read_sector(31) == bytes([7]) * 512
+        assert list(store.written_extents()) == [(8, 8), (31, 1)]
+        assert after - before <= 2 * 8 * 512
 
 
 class TestWrittenExtents:
