@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench perf-smoke perf-ab ledger-smoke ledger-test ledger-check profile lint trailsan units iso trailhot analyzers sansan test-checked typecheck trailmc mc
+.PHONY: test bench perf-smoke perf-ab ledger-smoke ledger-test ledger-check profile lint trailsan units iso analyzers test-checked typecheck trailmc mc
 
 # Tier-1: the full unit/property/integration suite (includes perf-smoke).
 test:
@@ -73,14 +73,6 @@ units:
 iso:
 	$(PYTHON) -m tools.trailiso src tools
 
-# Hot-region allocation & complexity analysis (docs/STATIC_ANALYSIS.md):
-# per-iteration container/closure churn, slotless instantiation,
-# repeated lookups, accidental quadratics, THP001-THP008 plus THP000
-# annotation hygiene — seeded from `# trailhot: hot` annotations on
-# the dispatch/WAL/lock/buffer/encode paths, over src/.
-trailhot:
-	$(PYTHON) -m tools.trailhot src
-
 # Static schedule-interference analysis (docs/STATIC_ANALYSIS.md):
 # per-yield-segment footprints over annotated shared state and the
 # segment independence relation consumed by `make mc`.  An extraction
@@ -88,14 +80,13 @@ trailhot:
 trailmc:
 	$(PYTHON) -m tools.trailmc src
 
-# All five repo-native lint passes over ONE shared parse
+# All four repo-native lint passes over ONE shared parse
 # (tools/analysis/driver.py): identical findings to the individual
-# targets above, but each file is read and parsed once and the report
-# carries per-tool wall-clock plus the reparse time the single pass
-# saved.  `sansan` kept as the historical alias.
+# targets above, but each file is read, parsed and tokenized once and
+# the report carries per-tool wall-clock plus the reparse time the
+# single pass saved.
 analyzers:
 	$(PYTHON) -m tools.analysis
-sansan: analyzers
 
 # Bounded schedule model checking: enumerate same-time dispatch orders
 # and cross-instance interleavings (preemption bound 3, 250 schedules

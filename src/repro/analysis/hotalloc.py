@@ -1,11 +1,11 @@
-"""Dynamic twin of the ``trailhot`` static analyzer (``TRAILHOT=1``).
+"""Per-scenario call and allocation budgets (``TRAILHOT=1``).
 
-``tools/trailhot`` proves the annotated hot regions are allocation-lean
-by reading the code; this module proves it by running them.  Each
-canonical perf scenario executes under a ``sys.setprofile`` hook that
-counts Python function calls and under ``tracemalloc`` for peak traced
-bytes, and both numbers are gated against checked-in per-scenario
-budgets (``benchmarks/perf/BENCH_alloc.json``).
+The per-event and per-record paths stay lean because this module
+measures them: each canonical perf scenario executes under a
+``sys.setprofile`` hook that counts Python function calls and under
+``tracemalloc`` for peak traced bytes, and both numbers are gated
+against checked-in per-scenario budgets
+(``benchmarks/perf/BENCH_alloc.json``).
 
 Wall-clock gates must be loose because shared machines are noisy; call
 counts are *deterministic* for the seeded scenarios, so this gate can

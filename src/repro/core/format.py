@@ -204,7 +204,6 @@ def encode_record_raw(
     return [bytes(packed)] + masked
 
 
-# trailhot: hot_callee -- the one-copy encoder behind every log write
 def encode_record_stream(
     epoch: int,
     sequence_id: int,

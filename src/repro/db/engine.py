@@ -80,7 +80,6 @@ class Table:
     def extent_sectors(self) -> int:
         return self.page_count * self.page_sectors
 
-    # trailhot: hot_callee -- record-to-LBA mapping, runs per access
     def page_of(self, index: int) -> int:
         """First LBA of the page holding record ``index``."""
         if index < 0 or index >= self.max_rows:
@@ -212,7 +211,6 @@ class TransactionEngine:
         return self._access(tx, table, index, LockMode.EXCLUSIVE,
                             payload_bytes)
 
-    # trailhot: hot -- the per-record access path, reads and updates
     def _access(self, tx: Transaction, table: Table, index: int,
                 mode: LockMode, payload: Optional[int]) -> Generator:
         """Lock, page, CPU and (for updates) log record of one access.
@@ -260,7 +258,6 @@ class TransactionEngine:
             lsn = yield self.wal.append_slow(record)
         tx.last_lsn = lsn
 
-    # trailhot: hot_callee -- WAL record encode behind every update
     def encode_log_record(self, tx_id: int, table_id: int, index: int,
                           payload: int) -> bytes:
         """Encode one update record: header plus ``payload`` zero bytes.
@@ -275,7 +272,6 @@ class TransactionEngine:
         return _LOG_RECORD_HEADER.pack(tx_id, table_id, index,
                                        payload) + zeros
 
-    # trailhot: hot -- runs per transaction commit
     def commit(self, tx: Transaction) -> Generator:
         """Commit: log force per policy; returns the durability event.
 
@@ -309,7 +305,6 @@ class TransactionEngine:
         tx.active = False
         self.locks.release_all(tx)
 
-    # trailhot: hot -- the per-transaction retry driver
     def run_transaction(self, body, max_retries: int = 5) -> Generator:
         """Execute ``body(tx)`` (a generator) with abort/retry.
 

@@ -93,7 +93,6 @@ class LockManager:
         return self.sim.process(self._acquire_slow(owner, resource, mode),
                                 name=f"lock:{resource}")
 
-    # trailhot: hot -- sync lock grant, runs per TPC-C record access
     def try_acquire(self, owner: Any, resource: Any, mode: LockMode) -> bool:
         """Synchronous fast path: grant without touching the kernel.
 
@@ -177,7 +176,6 @@ class LockManager:
         self.stats.acquisitions += 1
         return True
 
-    # trailhot: hot -- runs at every transaction commit/abort
     def release_all(self, owner: Any) -> None:
         """Release every lock held by ``owner`` (commit/abort).
 
@@ -208,7 +206,6 @@ class LockManager:
         return [resource for resource in self._locks
                 if resource in held_set]
 
-    # trailhot: hot_callee -- wakes waiters on every contended release
     def _dispatch(self, resource: Any, state: _LockState) -> None:
         """Grant queued requests FIFO while compatible.
 
@@ -241,7 +238,7 @@ class LockManager:
             holders[owner] = bit if held is None else held | bit
             held_set = all_held.get(owner)
             if held_set is None:
-                held_set = all_held[owner] = set()  # trailhot: disable=THP001 -- first lock this owner holds; one set per owner lifetime
+                held_set = all_held[owner] = set()
             held_set.add(resource)
             if not grant.triggered:
                 grant.succeed(True)

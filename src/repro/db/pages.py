@@ -120,7 +120,6 @@ class BufferPool:
         """Number of frames currently cached."""
         return len(self._frames)
 
-    # trailhot: hot -- pool hit, runs per TPC-C record access
     def try_fetch(self, disk_id: int, lba: int,
                   dirty: bool = False) -> Optional[_Frame]:
         """Synchronous fast path: return the frame on a cache hit.
@@ -147,7 +146,6 @@ class BufferPool:
         return self.sim.process(self._fetch_miss(disk_id, lba, dirty),
                                 name=f"pool-fetch@{lba}")
 
-    # trailhot: hot -- event-returning page access on the same path
     def fetch(self, disk_id: int, lba: int, dirty: bool = False):
         """Access one page; yield the returned event for the frame.
 

@@ -107,7 +107,6 @@ class WriteAheadLog:
         """Total bytes ever appended (the next record's start LSN)."""
         return self._next_lsn
 
-    # trailhot: hot -- sync WAL append, runs per TPC-C record update
     def try_append(self, payload: bytes) -> Optional[int]:
         """Synchronous fast path: buffer ``payload``, return its end LSN.
 
@@ -135,7 +134,6 @@ class WriteAheadLog:
         """Latched/flushing append path (process; yield its event)."""
         return self.sim.process(self._append(payload), name="wal-append")
 
-    # trailhot: hot -- event-returning append wrapper on the same path
     def append(self, payload: bytes):
         """Append a record; the returned event's value is the record's
         end LSN.
@@ -174,7 +172,6 @@ class WriteAheadLog:
             yield from self._flush_io(descriptor)
         return lsn
 
-    # trailhot: hot -- runs per transaction commit
     def commit(self, lsn: int):
         """Run the policy's commit-time force; process value is the
         *durability event* for ``lsn``.
@@ -186,7 +183,6 @@ class WriteAheadLog:
         """
         return self.sim.process(self._commit(lsn), name="wal-commit")
 
-    # trailhot: hot_callee -- the per-commit force body
     def _commit(self, lsn: int) -> Generator:
         durable = self.sim.event()
         if lsn <= self._durable_lsn:
@@ -228,7 +224,6 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------------
 
-    # trailhot: hot_callee -- detaches the buffer on every force
     def _snapshot(self) -> Optional[Tuple[bytes, int, int, int]]:
         """Detach the buffered byte range for flushing (latch held).
 
@@ -263,7 +258,6 @@ class WriteAheadLog:
                             if tail_len else b"")
         return padded, aligned_start, end_lsn, len(self._buffer)
 
-    # trailhot: hot_callee -- the force I/O behind every group commit
     def _flush_io(self, descriptor: Tuple[bytes, int, int, int]) -> Generator:
         """Write a detached, sector-aligned byte range to the region.
 

@@ -198,7 +198,6 @@ class DiskDrive:
         return self.submit(Op.WRITE, lba, nsectors, data=padded,
                            priority=priority)
 
-    # trailhot: hot -- per-disk-command entry: validate, queue or start
     def submit(
         self,
         op: Op,
@@ -333,13 +332,11 @@ class DiskDrive:
         self._wakeup = wakeup = self.sim.timeout(delay)
         wakeup.add_callback(self._wake)
 
-    # trailhot: hot -- the one wakeup per segment of every disk command
     def _on_wakeup(self, wakeup: Event) -> None:
         command = self._active
         if wakeup is self._wakeup and command is not None:
             self._then(command)
 
-    # trailhot: hot -- per-segment service-time arithmetic
     def _begin_segment(self, command: _Command, pre: Ms = 0.0) -> None:
         """Start the next per-track segment, ``pre`` ms of overhead first.
 
@@ -380,7 +377,6 @@ class DiskDrive:
         else:
             self._begin_transfer(command)
 
-    # trailhot: hot -- fault-free segment completion
     def _segment_landed(self, command: _Command) -> None:
         """Fault-free: the segment's sleep is over; its sectors land."""
         self._position_cylinder = self._target_cylinder
@@ -407,7 +403,6 @@ class DiskDrive:
         else:
             self._complete(command)
 
-    # trailhot: hot -- per-command completion record and stats fold
     def _complete(self, command: _Command) -> None:
         """Fold the finished command into the stats and acknowledge it."""
         op = command.op

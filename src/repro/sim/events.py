@@ -47,7 +47,6 @@ class Event:
     __slots__ = ("sim", "_cb1", "_callbacks", "_processed", "_value",
                  "_exception", "_triggered", "_defused")
 
-    # trailhot: hot -- the one event initialiser, runs per simulated wakeup
     def __init__(self, sim: "Simulation") -> None:
         self.sim = sim
         #: First registered callback; the common single-waiter case
@@ -101,7 +100,6 @@ class Event:
         """Mark this event's failure as handled (kernel won't re-raise)."""
         self._defused = True
 
-    # trailhot: hot -- inlined scheduling, runs per event trigger
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self._triggered:
@@ -126,7 +124,6 @@ class Event:
         sim._ready.append((sim._now, sequence, self))
         return self
 
-    # trailhot: hot -- waiter registration, runs per yield
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)`` to run when the event fires.
 
@@ -153,7 +150,6 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    # trailhot: hot -- born-triggered event, one per sleep/CPU charge
     def __init__(self, sim: "Simulation", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")

@@ -106,7 +106,6 @@ class Simulation:
         """Create a new untriggered event bound to this simulation."""
         return Event(self)
 
-    # trailhot: hot -- timeout factory, runs per CPU charge / sleep
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` ms from now with ``value``."""
         # The one inlined copy of Timeout.__init__ + Event.__init__ that
@@ -207,7 +206,6 @@ class Simulation:
             return ready[0]
         return heap[0] if heap else None
 
-    # trailhot: hot -- the one dispatch loop every simulated event crosses
     def _dispatch(self, until: float, target: Optional[Event]) -> None:
         """Dispatch events in ``(time, sequence)`` order.
 

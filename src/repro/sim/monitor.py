@@ -91,7 +91,14 @@ class LatencyRecorder:
         return data[low] * (1.0 - frac) + data[high] * frac
 
     def merge(self, other: "LatencyRecorder") -> None:
-        """Fold another recorder's samples into this one."""
+        """Fold another recorder's samples into this one.
+
+        A recorder that keeps samples refuses one that did not: its
+        count and mean would move while its percentiles could not.
+        """
+        if self._samples is not None and other._samples is None:
+            raise ValueError("cannot merge a keep_samples=False recorder "
+                             "into one that keeps samples")
         self._count += other._count
         self._total += other._total
         self._total_sq += other._total_sq

@@ -109,7 +109,6 @@ class Process(Event):
         self._generator = None
         self.succeed(stop.value)
 
-    # trailhot: hot -- runs once per yield of every process
     def _resume(self, event: Event) -> None:
         """Resume the generator with ``event``'s outcome."""
         if self._triggered:

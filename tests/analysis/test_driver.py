@@ -4,7 +4,7 @@ The driver must be a pure re-plumbing of the standalone tools: same
 path scopes, same excludes, same findings — just one parse.  These
 tests pin the scoping and error-wrapping seams on a synthetic tree;
 the equivalence over the real repo is CI's ``make analyzers`` run
-(same ``check_file`` code path as the five individual targets).
+(same ``check_file`` code path as the four individual targets).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -25,18 +26,10 @@ from tools.analysis.engine import run as run_standalone  # noqa: E402
 
 CLEAN = "def helper(value):\n    return value + 1\n"
 
-#: A hot-annotated function that trips exactly one THP001 (list display
-#: per iteration of a hot loop) — the minimal trailhot-dirty input.
-HOT_DIRTY = textwrap.dedent("""\
-    # trailhot: hot -- synthetic hot path for the driver tests
-    def hot_loop(values):
-        out = []
-        for value in values:
-            out.append([value])
-        return out
-""")
+#: A module-level mutable container: exactly one TIS001.
+ISO_DIRTY = "_CACHE = {}\n"
 
-ALL_TOOLS = ["trailint", "trailsan", "trailunits", "trailiso", "trailhot"]
+ALL_TOOLS = ["trailint", "trailsan", "trailunits", "trailiso"]
 
 
 @pytest.fixture
@@ -65,13 +58,11 @@ class TestRunAll:
         report = run_all(root=str(tree))
         checked = {run.name: run.files_checked for run in report.runs}
         # trailint covers src+tests+tools; trailsan/trailunits/trailiso
-        # skip tests/; trailhot only sweeps src/ (annotations live on
-        # the engine's hot paths, not in tests or the tools tree).
+        # skip tests/.
         assert checked["trailint"] == 3
         assert checked["trailsan"] == 2
         assert checked["trailunits"] == 2
         assert checked["trailiso"] == 2
-        assert checked["trailhot"] == 1
 
     def test_findings_carry_the_owning_tool(self, tree):
         (tree / "src/repro/noisy.py").write_text(
@@ -82,17 +73,18 @@ class TestRunAll:
         assert "TRL010" in by_tool["trailint"]
         assert not by_tool["trailsan"]
 
-    def test_trailhot_findings_reach_the_aggregate(self, tree):
-        """A hot-region finding appears under trailhot and nowhere else."""
-        (tree / "src/repro/hot.py").write_text(HOT_DIRTY, encoding="utf-8")
+    def test_trailiso_findings_reach_the_aggregate(self, tree):
+        """An isolation finding appears under trailiso and nowhere else."""
+        (tree / "src/repro/shared.py").write_text(ISO_DIRTY,
+                                                  encoding="utf-8")
         report = run_all(root=str(tree))
         by_tool = {run.name: [f.code for f in run.findings]
                    for run in report.runs}
-        assert by_tool["trailhot"] == ["THP001"]
-        for other in ("trailsan", "trailunits", "trailiso"):
-            assert not any(code.startswith("THP")
+        assert by_tool["trailiso"] == ["TIS001"]
+        for other in ("trailint", "trailsan", "trailunits"):
+            assert not any(code.startswith("TIS")
                            for code in by_tool[other])
-        assert report.findings >= 1
+        assert report.findings == 1
 
     def test_suppressions_match_the_standalone_tool(self, tree):
         """Driver suppression handling is byte-identical to standalone.
@@ -100,17 +92,16 @@ class TestRunAll:
         The same suppressed finding must be hidden (and counted) by
         both the shared-parse driver and the standalone engine run.
         """
-        suppressed_src = HOT_DIRTY.replace(
-            "out.append([value])",
-            "out.append([value])  "
-            "# trailhot: disable=THP001 -- synthetic fixture")
-        (tree / "src/repro/hot.py").write_text(
+        suppressed_src = ISO_DIRTY.replace(
+            "\n", "  # trailiso: disable=TIS001 -- synthetic fixture\n")
+        (tree / "src/repro/shared.py").write_text(
             suppressed_src, encoding="utf-8")
         report = run_all(root=str(tree))
-        driver_run = {run.name: run for run in report.runs}["trailhot"]
+        driver_run = {run.name: run for run in report.runs}["trailiso"]
 
-        from tools.trailhot.engine import SPEC
-        standalone = run_standalone(SPEC, ["src"], root=str(tree))
+        from tools.trailiso.engine import SPEC
+        standalone = run_standalone(SPEC, ["src", "tools"],
+                                    root=str(tree))
 
         assert [f.code for f in driver_run.findings] \
             == [f.code for f in standalone.findings] == []
@@ -126,7 +117,6 @@ class TestRunAll:
         assert "TSN000" in codes["trailsan"]
         assert "TUN000" in codes["trailunits"]
         assert "TIS000" in codes["trailiso"]
-        assert "THP000" in codes["trailhot"]
 
     def test_crashing_tool_fails_loudly(self, tree, monkeypatch):
         """A tool that raises mid-run must not report a false clean.
@@ -135,7 +125,7 @@ class TestRunAll:
         check: a crashed analyzer propagates out of ``run_all`` so CI
         fails red instead of green-with-a-missing-tool.
         """
-        from tools.trailhot.engine import SPEC
+        from tools.trailunits.engine import SPEC
 
         def boom(files):
             raise RuntimeError("rule crashed mid-run")
@@ -151,14 +141,81 @@ class TestRunAll:
     def test_saved_parse_seconds_prices_the_shared_parse(self, tree):
         """The saving estimate reflects the scope overlap, never < 0."""
         report = run_all(root=str(tree))
-        # Standalone the five tools would parse 3+2+2+2+1 = 10 files;
-        # the union is 3, so 7 reparses were avoided.
+        # Standalone the four tools would parse 3+2+2+2 = 9 files;
+        # the union is 3, so 6 reparses were avoided.
         standalone = sum(run.files_checked for run in report.runs)
-        assert standalone == 10
+        assert standalone == 9
         assert report.files_parsed == 3
         assert report.saved_parse_seconds >= 0.0
-        expected = (report.parse_seconds / report.files_parsed) * 7
+        expected = (report.parse_seconds / report.files_parsed) * 6
         assert report.saved_parse_seconds == pytest.approx(expected)
+
+
+#: ``service_time`` with and without a ``# unit:`` lookalike in a
+#: string default.  Only a comment token declares dimensions.
+SIGNATURE = ("def service_time(delay_ms: float, size: int{tag}) -> float:\n"
+             "    return delay_ms + size\n")
+UNIT_LOOKALIKE = ', tag: str = "# unit: (delay_ms: ms, size: bytes) -> ms"'
+
+#: One lookalike per grammar, each inside a string literal.  Read as
+#: comments they would suppress the TRL010 and the TIS001, invent a
+#: TSN001 (``count`` guarded, touched across a yield without the lock)
+#: and unused-suppression hygiene findings.
+LOOKALIKES = textwrap.dedent("""\
+    NOTE = "# trailiso: shared_immutable -- a string, not a comment"
+    _CACHE = {}
+    LABEL = "# trailsan: disable=TSN001 -- a string, not a comment"
+    UNIT = "# trailunits: disable=TUN001 -- a string, not a comment"
+
+    def report(value):
+        print(value, "# trailint: disable=TRL010 -- a string")
+
+    class Counter:
+        def __init__(self, sim):
+            self.sim = sim
+            self.count = len("# trailsan: guarded_by(lock)")
+
+        def tick(self):
+            self.count += 1
+            yield self.sim.timeout(0)
+            self.count += 1
+""")
+
+
+def _findings(report):
+    return {run.name: [(f.code, f.line) for f in run.findings]
+            for run in report.runs}
+
+
+class TestSharedComments:
+    """Every pass reads one tokenize pass's comments, nothing else."""
+
+    def test_unit_lookalike_in_a_string_declares_nothing(self, tree):
+        path = tree / "src/repro/core/timing.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(SIGNATURE.format(tag=""), encoding="utf-8")
+        plain = _findings(run_all(root=str(tree)))
+        path.write_text(SIGNATURE.format(tag=UNIT_LOOKALIKE),
+                        encoding="utf-8")
+        assert plain["trailunits"] == [("TUN008", 1)]
+        assert _findings(run_all(root=str(tree))) == plain
+
+    def test_lookalikes_in_strings_are_ignored_by_every_pass(self, tree):
+        (tree / "src/repro/lookalikes.py").write_text(LOOKALIKES,
+                                                      encoding="utf-8")
+        report = run_all(root=str(tree))
+        assert _findings(report) == {
+            "trailint": [("TRL010", 7)], "trailsan": [],
+            "trailunits": [], "trailiso": [("TIS001", 2)]}
+        assert all(run.suppressed == 0 for run in report.runs)
+
+    def test_each_file_is_tokenized_once_per_run(self, tree, monkeypatch):
+        calls = []
+        real = tokenize.generate_tokens
+        monkeypatch.setattr(tokenize, "generate_tokens",
+                            lambda readline: calls.append(1)
+                            or real(readline))
+        assert run_all(root=str(tree)).files_parsed == len(calls) == 3
 
 
 class TestCli:
@@ -166,7 +223,7 @@ class TestCli:
         assert main(["--root", str(tree)]) == 0
         out = capsys.readouterr().out
         assert "parsed 3 files once" in out
-        assert "5 tools clean" in out
+        assert "4 tools clean" in out
 
     def test_findings_exit_one_with_json(self, tree, capsys):
         (tree / "src/repro/noisy.py").write_text(

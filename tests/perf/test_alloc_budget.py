@@ -1,8 +1,6 @@
-"""TRAILHOT=1 runtime twin: per-scenario allocation budgets.
+"""TRAILHOT=1: per-scenario call and allocation budgets.
 
-The static half (``make trailhot``) proves the annotated hot regions
-are allocation-lean by reading them; this gate proves it by running
-them.  Every canonical perf scenario executes under the
+Every canonical perf scenario executes under the
 ``repro.analysis.hotalloc`` harness and its Python-call count and peak
 traced bytes must stay inside the committed budgets
 (``benchmarks/perf/BENCH_alloc.json``).

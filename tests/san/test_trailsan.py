@@ -22,6 +22,7 @@ if str(TOOLS) not in sys.path:
 
 from trailsan import REGISTRY, SanConfig, run_paths  # noqa: E402
 from trailsan.model import build_module_model, parse_annotations  # noqa: E402
+from tools.analysis.engine import read_comments  # noqa: E402
 import ast  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -151,7 +152,7 @@ def test_core_annotations_are_resolved():
     }
     for relpath, (cls_name, group, members) in expectations.items():
         source = (REPO / relpath).read_text()
-        model = build_module_model(ast.parse(source), source)
+        model = build_module_model(ast.parse(source), read_comments(source))
         assert cls_name in model.classes, relpath
         groups = model.classes[cls_name].groups
         assert set(groups.get(group, ())) == members, (relpath, groups)
@@ -165,11 +166,11 @@ def test_annotation_grammar():
                 self.b = 2  # trailsan: atomic_group(pair)
                 self.c = {}  # trailsan: atomic_group(pair)
         """)
-    model = build_module_model(ast.parse(source), source)
+    model = build_module_model(ast.parse(source), read_comments(source))
     cls = model.classes["C"]
     assert cls.guarded == {"a": "lock"}
     assert cls.groups == {"pair": ["b", "c"]}
-    annotations = parse_annotations(source)
+    annotations = parse_annotations(read_comments(source))
     assert annotations[3] == [("guarded_by", "lock")]
 
 
@@ -181,7 +182,7 @@ def test_wrapped_assignment_annotation_attaches():
                     {}  # trailsan: atomic_group(tail)
                 self.link = 0  # trailsan: atomic_group(tail)
         """)
-    model = build_module_model(ast.parse(source), source)
+    model = build_module_model(ast.parse(source), read_comments(source))
     assert set(model.classes["C"].groups["tail"]) == {"records", "link"}
 
 

@@ -62,6 +62,20 @@ class TestLatencyRecorder:
         assert left.maximum == 5.0
         assert sorted(left.samples) == [1.0, 3.0, 5.0]
 
+    def test_merge_refuses_a_sampleless_recorder(self):
+        """Counts without samples would read mean 67.0 but p99 1.0."""
+        left = LatencyRecorder(keep_samples=True)
+        right = LatencyRecorder()
+        left.record(1.0)
+        right.record(100.0)
+        right.record(100.0)
+        with pytest.raises(ValueError, match="keep_samples"):
+            left.merge(right)
+        assert left.count == 1
+        assert left.mean == 1.0
+        assert left.maximum == 1.0
+        assert left.samples == [1.0]
+
     @given(st.lists(st.floats(min_value=0, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=50))
     def test_mean_matches_reference(self, values):

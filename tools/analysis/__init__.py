@@ -1,6 +1,6 @@
-"""Shared analyzer runtime for trailint, trailsan and trailunits.
+"""Shared analyzer runtime for trailint, trailsan, trailunits and trailiso.
 
-The three repo-native analyzers differ only in their rules and per-file
+The four repo-native analyzers differ only in their rules and per-file
 models; everything operational is defined once here:
 
 * :class:`~tools.analysis.findings.Finding` — the one diagnostic shape.
@@ -8,8 +8,10 @@ models; everything operational is defined once here:
   :class:`~tools.analysis.registry.Rule` — per-tool rule sets.
 * :mod:`~tools.analysis.suppressions` — the ``# <tool>: disable=``
   grammar, optional ``-- reason`` capture, and hygiene policing.
-* :mod:`~tools.analysis.engine` — walking, parsing, scope matching,
-  and the :class:`~tools.analysis.engine.ToolSpec` each tool fills in.
+* :mod:`~tools.analysis.engine` — walking, parsing, the one
+  :func:`~tools.analysis.engine.read_comments` pass every suppression
+  and annotation grammar reads, scope matching, and the
+  :class:`~tools.analysis.engine.ToolSpec` each tool fills in.
 * :mod:`~tools.analysis.cli` — the common argparse front-end.
 * :mod:`~tools.analysis.fixtures` — fixture helpers for the test
   suites.
@@ -17,7 +19,7 @@ models; everything operational is defined once here:
 
 from tools.analysis.engine import (
     AnalyzerConfig, FileContext, ParsedFile, RunReport, ToolSpec,
-    check_file, run, run_paths, walk)
+    check_file, read_comments, run, run_paths, walk)
 from tools.analysis.findings import Finding
 from tools.analysis.registry import Registry, Rule, dotted_name
 from tools.analysis.suppressions import (
@@ -36,6 +38,7 @@ __all__ = [
     "check_file",
     "dotted_name",
     "parse_suppressions",
+    "read_comments",
     "run",
     "run_paths",
     "suppression_pattern",

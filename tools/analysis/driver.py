@@ -1,14 +1,14 @@
 """One-parse driver for the repo-native analyzers (``make analyzers``).
 
-Running the five lint passes as separate processes reads and parses
-the overlapping ``src``/``tests``/``tools`` trees up to five times
-and pays five interpreter start-ups.  This driver resolves and parses
-every input file exactly once, then hands the shared source/AST to
-each tool in turn — preserving each tool's path scope (the same path
-sets the individual Makefile targets pass), exclude patterns,
-suppression handling, and exit semantics — and reports per-tool
-wall-clock so a newly slow rule is visible in CI logs instead of
-hiding inside one aggregate number.
+Running the four lint passes as separate processes reads and parses
+the overlapping ``src``/``tests``/``tools`` trees up to four times
+and pays four interpreter start-ups.  This driver resolves, parses
+and tokenizes every input file exactly once, then hands the shared
+AST and comments to each tool in turn — preserving each tool's path
+scope (the same path sets the individual Makefile targets pass),
+exclude patterns, suppression handling, and exit semantics — and
+reports per-tool wall-clock so a newly slow rule is visible in CI logs
+instead of hiding inside one aggregate number.
 
 The per-file work is byte-identical to the standalone tools: the
 driver reuses :func:`tools.analysis.engine.check_file` and each
@@ -38,7 +38,7 @@ for _extra in (_TOOLS_DIR, _REPO_ROOT):
         sys.path.insert(0, _extra)
 
 from tools.analysis.engine import (
-    ParsedFile, ToolSpec, check_file, walk)
+    Comments, ParsedFile, ToolSpec, check_file, read_comments, walk)
 from tools.analysis.findings import Finding
 
 NAME = "analyzers"
@@ -55,7 +55,6 @@ def _clock() -> float:
 
 def _specs() -> List[Tuple[ToolSpec, Tuple[str, ...]]]:
     """Every driven tool with the path scope its Makefile target uses."""
-    from tools.trailhot.engine import SPEC as trailhot_spec
     from tools.trailint.engine import SPEC as trailint_spec
     from tools.trailiso.engine import SPEC as trailiso_spec
     from tools.trailsan.engine import SPEC as trailsan_spec
@@ -65,7 +64,6 @@ def _specs() -> List[Tuple[ToolSpec, Tuple[str, ...]]]:
         (trailsan_spec, ("src", "tools")),
         (trailunits_spec, ("src", "tools")),
         (trailiso_spec, ("src", "tools")),
-        (trailhot_spec, ("src",)),
     ]
 
 
@@ -75,8 +73,8 @@ class RawFile:
 
     path: str
     relpath: str
-    source: str = ""
     tree: Optional[ast.Module] = None
+    comments: Comments = field(default_factory=list)
     #: (line, col, message) when unreadable or syntactically invalid;
     #: re-wrapped under each tool's own error code at check time.
     error: Optional[Tuple[int, int, str]] = None
@@ -132,8 +130,9 @@ def parse_once(root: str, paths: Sequence[str]) -> List[RawFile]:
         raw = RawFile(path=full, relpath=rel)
         try:
             with open(full, encoding="utf-8") as handle:
-                raw.source = handle.read()
-            raw.tree = ast.parse(raw.source, filename=rel)
+                source = handle.read()
+            raw.tree = ast.parse(source, filename=rel)
+            raw.comments = read_comments(source)
         except (OSError, UnicodeDecodeError) as exc:
             raw.error = (1, 1, f"cannot read file: {exc}")
         except SyntaxError as exc:
@@ -159,8 +158,8 @@ def _tool_files(spec: ToolSpec, raws: Sequence[RawFile],
         if any(fnmatch(raw.relpath, pattern) for pattern in exclude):
             continue
         parsed = ParsedFile(path=raw.path, relpath=raw.relpath,
-                            explicit=False, source=raw.source,
-                            tree=raw.tree)
+                            explicit=False, tree=raw.tree,
+                            comments=raw.comments)
         if raw.error is not None:
             line, col, message = raw.error
             parsed.error = Finding(path=raw.relpath, line=line, col=col,

@@ -6,14 +6,17 @@ registry, the default paths/excludes, the per-file context object
 rules receive, and an optional whole-run :meth:`ToolSpec.prepare` hook
 for analyses that need cross-file state (trailunits builds its
 signature table there).  Everything else — walking inputs, parsing
-each file once, matching rule scopes, applying suppressions and
-policing them — lives here and behaves identically for every tool.
+each file and tokenizing its comments once, matching rule scopes,
+applying suppressions and policing them — lives here and behaves
+identically for every tool.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import os
+import tokenize
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from typing import (
@@ -24,6 +27,9 @@ from tools.analysis.registry import Registry, Rule
 from tools.analysis.suppressions import (
     apply_suppressions, check_hygiene, parse_suppressions,
     suppression_pattern)
+
+#: ``(line, text)`` of every comment token of one file, in source order.
+Comments = List[Tuple[int, str]]
 
 #: Directory basenames skipped during directory walks.
 SKIP_DIRS = frozenset({
@@ -63,9 +69,10 @@ class FileContext:
     contexts through :meth:`ToolSpec.make_context`.
     """
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(self, path: str, comments: Comments,
+                 tree: ast.Module) -> None:
         self.path = path
-        self.source = source
+        self.comments = comments
         self.tree = tree
 
     def finding(self, node: ast.AST, code: str, message: str) -> Finding:
@@ -82,8 +89,10 @@ class ParsedFile:
     path: str          # absolute
     relpath: str       # posix relpath from the analysis root
     explicit: bool     # named directly on the command line
-    source: str = ""
     tree: Optional[ast.Module] = None
+    #: Read once, with the tree; every suppression and annotation
+    #: grammar is parsed from these, never from the raw source.
+    comments: Comments = field(default_factory=list)
     error: Optional[Finding] = None   # unreadable / syntax error
 
 
@@ -126,7 +135,7 @@ class ToolSpec:
     def make_context(self, parsed: ParsedFile,
                      shared: object) -> FileContext:
         assert parsed.tree is not None
-        return FileContext(parsed.relpath, parsed.source, parsed.tree)
+        return FileContext(parsed.relpath, parsed.comments, parsed.tree)
 
     def make_config(self) -> AnalyzerConfig:
         config = self.config_class()
@@ -176,20 +185,36 @@ def walk(root: str, paths: Sequence[str],
     return chosen
 
 
+def read_comments(source: str) -> Comments:
+    """Every comment token of ``source``: the one tokenize pass per file.
+
+    A ``#`` inside a string literal is not a comment, so text that
+    merely looks like a suppression or an annotation is never read as
+    one.
+    """
+    try:
+        return [(tok.start[0], tok.string) for tok in
+                tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT]
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return []
+
+
 def parse_file(spec: ToolSpec, path: str, relpath: str,
                explicit: bool) -> ParsedFile:
     """Read and parse one file, capturing failures as findings."""
     parsed = ParsedFile(path=path, relpath=relpath, explicit=explicit)
     try:
         with open(path, encoding="utf-8") as handle:
-            parsed.source = handle.read()
+            source = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         parsed.error = Finding(path=relpath, line=1, col=1,
                                code=spec.error_code,
                                message=f"cannot read file: {exc}")
         return parsed
     try:
-        parsed.tree = ast.parse(parsed.source, filename=relpath)
+        parsed.tree = ast.parse(source, filename=relpath)
+        parsed.comments = read_comments(source)
     except SyntaxError as exc:
         parsed.error = Finding(path=relpath, line=exc.lineno or 1,
                                col=(exc.offset or 0) + 1,
@@ -217,7 +242,7 @@ def check_file(spec: ToolSpec, parsed: ParsedFile,
         raw.extend(rule.check(ctx))
 
     pattern = suppression_pattern(spec.name, spec.prefix)
-    suppressions = parse_suppressions(parsed.source, pattern)
+    suppressions = parse_suppressions(parsed.comments, pattern)
     kept, used, hidden = apply_suppressions(raw, suppressions)
     kept.extend(check_hygiene(spec, parsed.relpath, suppressions,
                               used, config))

@@ -22,16 +22,14 @@ whether a suppression is genuinely unused.
 
 from __future__ import annotations
 
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Pattern, Set, Tuple
 
 from tools.analysis.findings import Finding
 
 if TYPE_CHECKING:
-    from tools.analysis.engine import AnalyzerConfig, ToolSpec
+    from tools.analysis.engine import AnalyzerConfig, Comments, ToolSpec
 
 
 @dataclass
@@ -54,29 +52,23 @@ def suppression_pattern(tool_name: str, prefix: str) -> Pattern[str]:
         rf"(?:\s*--\s*(?P<reason>\S.*?))?\s*$")
 
 
-def parse_suppressions(source: str,
+def parse_suppressions(comments: "Comments",
                        pattern: Pattern[str]) -> Suppressions:
-    """Collect every suppression comment in ``source``."""
+    """Collect every suppression among one file's ``(line, text)``
+    comments."""
     sup = Suppressions()
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [tok for tok in tokens
-                    if tok.type == tokenize.COMMENT]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return sup
-    for tok in comments:
-        match = pattern.search(tok.string)
+    for line, text in comments:
+        match = pattern.search(text)
         if match is None:
             continue
         file_wide = match.group("kind") == "disable-file"
         has_reason = match.group("reason") is not None
         for code in match.group("codes").replace(" ", "").split(","):
-            sup.declared.append((tok.start[0], code, file_wide,
-                                 has_reason))
+            sup.declared.append((line, code, file_wide, has_reason))
             if file_wide:
                 sup.file_wide.add(code)
             else:
-                sup.by_line.setdefault(tok.start[0], set()).add(code)
+                sup.by_line.setdefault(line, set()).add(code)
     return sup
 
 

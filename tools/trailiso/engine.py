@@ -12,7 +12,8 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Sequence, Tuple
 
-from tools.analysis.engine import FileContext, ParsedFile, ToolSpec
+from tools.analysis.engine import (
+    Comments, FileContext, ParsedFile, ToolSpec)
 from tools.analysis.engine import run_paths as _shared_run_paths
 from tools.analysis.findings import Finding
 from tools.trailiso.model import ModuleModel, collect_state
@@ -36,14 +37,14 @@ DEFAULT_EXCLUDE_PATTERNS: Tuple[str, ...] = (
 class IsoContext(FileContext):
     """Per-file context: the cached isolation model."""
 
-    def __init__(self, path: str, source: str,
+    def __init__(self, path: str, comments: Comments,
                  tree: ast.Module) -> None:
-        super().__init__(path, source, tree)
+        super().__init__(path, comments, tree)
         self._model: Optional[ModuleModel] = None
 
     def model(self) -> ModuleModel:
         if self._model is None:
-            self._model = collect_state(self.tree, self.source)
+            self._model = collect_state(self.tree, self.comments)
         return self._model
 
     def line_finding(self, line: int, code: str,
@@ -75,7 +76,7 @@ class TrailisoSpec(ToolSpec):
     def make_context(self, parsed: ParsedFile,
                      shared: object) -> IsoContext:
         assert parsed.tree is not None
-        return IsoContext(parsed.relpath, parsed.source, parsed.tree)
+        return IsoContext(parsed.relpath, parsed.comments, parsed.tree)
 
 
 SPEC = TrailisoSpec()

@@ -21,12 +21,11 @@ shared by every TIS rule through the engine's context cache:
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from tools.analysis.engine import Comments
 from tools.analysis.registry import dotted_name
 
 #: The one annotation kind trailiso understands.
@@ -120,25 +119,18 @@ class ModuleModel:
     ambient: List[Tuple[ast.AST, str]] = field(default_factory=list)
 
 
-def parse_annotations(source: str) -> List[Annotation]:
+def parse_annotations(comments: Comments) -> List[Annotation]:
     """Collect every ``# trailiso: <kind>`` comment in the file.
 
     Real comment tokens only — the grammar appearing in docstrings
     (this module documents itself) is not an annotation.
     """
     found: List[Annotation] = []
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [tok for tok in tokens
-                    if tok.type == tokenize.COMMENT]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return found
-    for tok in comments:
-        match = _ANNOTATION.search(tok.string)
+    for line, text in comments:
+        match = _ANNOTATION.search(text)
         if match is None:
             continue
-        found.append(Annotation(line=tok.start[0],
-                                kind=match.group("kind"),
+        found.append(Annotation(line=line, kind=match.group("kind"),
                                 reason=match.group("reason")))
     return found
 
@@ -192,10 +184,10 @@ def _annotation_for(node: ast.stmt,
     return None
 
 
-def collect_state(tree: ast.Module, source: str) -> ModuleModel:
+def collect_state(tree: ast.Module, comments: Comments) -> ModuleModel:
     """Module/class mutable bindings, annotations and ambient reads."""
     model = ModuleModel()
-    model.annotations = parse_annotations(source)
+    model.annotations = parse_annotations(comments)
     by_line = {ann.line: ann for ann in model.annotations}
 
     def scan_block(body: List[ast.stmt],

@@ -41,6 +41,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from tools.analysis.engine import read_comments
 from tools.trailsan.model import (
     ClassModel, FunctionScan, ModuleModel, Touch, build_module_model)
 
@@ -228,7 +229,7 @@ def module_segments(relpath: str, tree: ast.Module,
     or final segment); callers with whole-corpus visibility tighten
     them via :func:`delegated_targets` + :func:`refine_escapes`.
     """
-    model = build_module_model(tree, source)
+    model = build_module_model(tree, read_comments(source))
     base = os.path.basename(relpath)
     segments: List[Segment] = []
     for node in tree.body:

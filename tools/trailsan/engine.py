@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from tools.analysis.engine import (
-    AnalyzerConfig, FileContext, ParsedFile, ToolSpec, check_file,
-    parse_file)
+    AnalyzerConfig, Comments, FileContext, ParsedFile, ToolSpec,
+    check_file, parse_file)
 from tools.analysis.engine import run_paths as _shared_run_paths
 from tools.analysis.findings import Finding
 
@@ -57,15 +57,16 @@ class SanContext(FileContext):
     shared by every rule.
     """
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
-        super().__init__(path, source, tree)
+    def __init__(self, path: str, comments: Comments,
+                 tree: ast.Module) -> None:
+        super().__init__(path, comments, tree)
         self._model: Optional[ModuleModel] = None
         self._scans: Optional[
             List[Tuple[FunctionScan, Optional[ClassModel]]]] = None
 
     def model(self) -> ModuleModel:
         if self._model is None:
-            self._model = build_module_model(self.tree, self.source)
+            self._model = build_module_model(self.tree, self.comments)
         return self._model
 
     def scans(self) -> List[Tuple[FunctionScan, Optional[ClassModel]]]:
@@ -107,7 +108,7 @@ class TrailsanSpec(ToolSpec):
     def make_context(self, parsed: ParsedFile,
                      shared: object) -> SanContext:
         assert parsed.tree is not None
-        return SanContext(parsed.relpath, parsed.source, parsed.tree)
+        return SanContext(parsed.relpath, parsed.comments, parsed.tree)
 
 
 SPEC = TrailsanSpec()

@@ -32,11 +32,11 @@ scheduled peer could observe.
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
+
+from tools.analysis.engine import Comments
 
 #: ``# trailsan: guarded_by(name)`` / ``# trailsan: atomic_group(name)``
 ANNOTATION_RE = re.compile(
@@ -76,17 +76,12 @@ def dotted_name(node: ast.AST) -> str:
     return ""
 
 
-def parse_annotations(source: str) -> Dict[int, List[Tuple[str, str]]]:
+def parse_annotations(comments: Comments) -> Dict[int, List[Tuple[str, str]]]:
     """Map line number -> [(kind, argument), ...] for trailsan comments."""
     annotations: Dict[int, List[Tuple[str, str]]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [tok for tok in tokens if tok.type == tokenize.COMMENT]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return annotations
-    for tok in comments:
-        for match in ANNOTATION_RE.finditer(tok.string):
-            annotations.setdefault(tok.start[0], []).append(
+    for line, text in comments:
+        for match in ANNOTATION_RE.finditer(text):
+            annotations.setdefault(line, []).append(
                 (match.group("kind"), match.group("arg")))
     return annotations
 
@@ -171,9 +166,9 @@ def _stmt_annotations(stmt: ast.stmt,
     return found
 
 
-def build_module_model(tree: ast.Module, source: str) -> ModuleModel:
+def build_module_model(tree: ast.Module, comments: Comments) -> ModuleModel:
     """Resolve annotations and generator functions for one file."""
-    annotations = parse_annotations(source)
+    annotations = parse_annotations(comments)
     model = ModuleModel()
 
     for node in tree.body:

@@ -17,7 +17,7 @@ import ast
 from typing import List, Optional, Sequence, Tuple
 
 from tools.analysis.engine import (
-    FileContext, ParsedFile, ToolSpec)
+    Comments, FileContext, ParsedFile, ToolSpec)
 from tools.analysis.engine import run_paths as _shared_run_paths
 from tools.analysis.findings import Finding
 from tools.trailunits.infer import Issue, analyze_functions
@@ -42,9 +42,9 @@ DEFAULT_EXCLUDE_PATTERNS: Tuple[str, ...] = (
 class UnitsContext(FileContext):
     """Per-file context: cached inference issues + this file's sigs."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module,
+    def __init__(self, path: str, comments: Comments, tree: ast.Module,
                  tables: Tables) -> None:
-        super().__init__(path, source, tree)
+        super().__init__(path, comments, tree)
         self.tables = tables
         self._issues: Optional[List[Issue]] = None
 
@@ -96,7 +96,7 @@ class TrailunitsSpec(ToolSpec):
         tables = Tables()
         for parsed in files:
             if parsed.tree is not None:
-                tables.add_file(parsed.relpath, parsed.source,
+                tables.add_file(parsed.relpath, parsed.comments,
                                 parsed.tree)
         return tables
 
@@ -104,7 +104,7 @@ class TrailunitsSpec(ToolSpec):
                      shared: object) -> UnitsContext:
         assert parsed.tree is not None
         tables = shared if isinstance(shared, Tables) else Tables()
-        return UnitsContext(parsed.relpath, parsed.source, parsed.tree,
+        return UnitsContext(parsed.relpath, parsed.comments, parsed.tree,
                             tables)
 
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from tools.analysis.engine import Comments
 from tools.trailunits import lattice
 from tools.trailunits.lattice import (
     UNKNOWN, annotation_dim, heuristic_dim, is_numeric_annotation,
@@ -111,16 +112,16 @@ class Tables:
 
     # -- construction -------------------------------------------------
 
-    def add_file(self, relpath: str, source: str,
+    def add_file(self, relpath: str, comments: Comments,
                  tree: ast.Module) -> None:
-        lines = source.splitlines()
+        by_line = dict(comments)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_func(relpath, lines, node, owner=None)
+                self._add_func(relpath, by_line, node, owner=None)
             elif isinstance(node, ast.ClassDef):
-                self._add_class(relpath, lines, node)
+                self._add_class(relpath, by_line, node)
 
-    def _add_class(self, relpath: str, lines: List[str],
+    def _add_class(self, relpath: str, by_line: Dict[int, str],
                    cls: ast.ClassDef) -> None:
         for stmt in cls.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(
@@ -129,7 +130,7 @@ class Tables:
                                   annotation_dim(stmt.annotation))
             elif isinstance(stmt, (ast.FunctionDef,
                                    ast.AsyncFunctionDef)):
-                self._add_func(relpath, lines, stmt, owner=cls.name)
+                self._add_func(relpath, by_line, stmt, owner=cls.name)
                 self._collect_self_attrs(stmt)
 
     def _collect_self_attrs(self, func: ast.AST) -> None:
@@ -149,10 +150,10 @@ class Tables:
         else:
             self.attr_dims[name] = dim
 
-    def _add_func(self, relpath: str, lines: List[str], func: ast.AST,
-                  owner: Optional[str]) -> None:
+    def _add_func(self, relpath: str, by_line: Dict[int, str],
+                  func: ast.AST, owner: Optional[str]) -> None:
         assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        comment = _signature_comment(lines, func)
+        comment = _signature_comment(by_line, func)
         comment_params: Dict[str, str] = {}
         comment_ret = UNKNOWN
         if comment is not None:
@@ -202,15 +203,18 @@ class Tables:
         return heuristic_dim(name)
 
 
-def _signature_comment(lines: Sequence[str], func: ast.AST,
+def _signature_comment(by_line: Dict[int, str], func: ast.AST,
                        ) -> Optional[Tuple[Dict[str, str], str]]:
-    """``# unit:`` comment on the def line(s) or the line above."""
+    """``# unit:`` comment on the def line(s) or the line above.
+
+    ``by_line`` maps a line to its comment token, so a ``# unit:``
+    inside a string literal (a default value, say) is not read.
+    """
     assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-    first = func.lineno - 1
-    last = (func.body[0].lineno - 2 if func.body else first)
-    span = range(max(0, first - 1), min(len(lines), last + 1))
-    for index in span:
-        parsed = parse_unit_comment(lines[index])
+    last = func.body[0].lineno - 1 if func.body else func.lineno
+    for line in range(func.lineno - 1, last + 1):
+        text = by_line.get(line)
+        parsed = parse_unit_comment(text) if text is not None else None
         if parsed is not None:
             return parsed
     return None
