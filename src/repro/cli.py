@@ -273,6 +273,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
               "yes" if report.chain_broken else "no"],
              ["sectors dropped", len(report.dropped_sectors)]],
             title="recovery report"))
+    audit = result.audit
+    if not audit.ok:
+        print(f"\ndurability audit FAILED: lost {audit.lost}, "
+              f"invented {audit.invented}")
+        return 1
     return 0
 
 

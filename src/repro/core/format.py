@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import MAX_TRAIL_BATCH, TRAIL_SIGNATURE
 from repro.disk.geometry import DiskGeometry, Zone
-from repro.errors import LogFormatError
+from repro.errors import LogFormatError, RecordChecksumError
 from repro.units import SECTOR_SIZE, DataLba, LogLba
 
 #: Marker byte opening every record-header sector.
@@ -285,7 +285,9 @@ def decode_record_header(
     Raises :class:`LogFormatError` if the sector is not a valid Trail
     record header (wrong marker byte, signature, or an epoch mismatch
     when ``expected_epoch`` is given) — the recovery scanner relies on
-    this to reject payload sectors and stale garbage.
+    this to reject payload sectors and stale garbage.  A sector that
+    opens like a header but fails the header CRC raises the subclass
+    :class:`RecordChecksumError`: that is damage, not empty space.
     """
     if len(sector) < _FIXED_SIZE:
         raise LogFormatError(f"sector too short: {len(sector)} bytes")
@@ -299,7 +301,7 @@ def decode_record_header(
     zeroed = bytearray(sector)
     zeroed[_HEADER_CRC_OFFSET:_HEADER_CRC_OFFSET + 4] = b"\x00\x00\x00\x00"
     if zlib.crc32(zeroed) != header_crc:
-        raise LogFormatError(
+        raise RecordChecksumError(
             f"record header checksum mismatch (sequence {sequence_id})")
     if batch_size > MAX_TRAIL_BATCH:
         raise LogFormatError(f"batch_size {batch_size} exceeds maximum")

@@ -49,7 +49,8 @@ from repro.core.format import (
     record_header_offsets, restore_payload)
 from repro.disk.drive import DiskDrive
 from repro.disk.geometry import DiskGeometry
-from repro.errors import LogFormatError, MediaError, RecoveryError
+from repro.errors import (
+    LogFormatError, MediaError, RecordChecksumError, RecoveryError)
 from repro.sim import Event, Simulation
 from repro.units import Ms
 
@@ -86,8 +87,9 @@ class RecoveryReport:
     pending: List[LocatedRecord] = field(default_factory=list)
     #: Log-disk sectors that could not be read (skipped during scans).
     unreadable_sectors: int = 0
-    #: Pending records that failed checksum verification or could not
-    #: be read during replay (excludes the legal torn youngest).
+    #: Records that failed checksum verification (pending ones, or a
+    #: header met by a track scan) or could not be read during replay
+    #: (excludes the legal torn youngest).
     corrupt_records: int = 0
     #: ``(disk_id, data_lba)`` pairs whose logged copy was dropped
     #: without being replayed (torn, corrupt, or unreadable record, or
@@ -96,8 +98,9 @@ class RecoveryReport:
     #: earlier write-back or genuinely lost — never silently dropped.
     dropped_sectors: List[Tuple[int, int]] = field(default_factory=list)
     #: True when the prev_sect chain walk hit an unreadable or
-    #: non-decodable sector before reaching the log_head bound: records
-    #: older than the break could not be enumerated.
+    #: non-decodable sector before reaching the log_head bound, or a
+    #: track scan met a record header that fails its CRC: records on
+    #: the far side of the damage could not be enumerated.
     chain_broken: bool = False
 
     @property
@@ -248,7 +251,7 @@ class RecoveryManager:
             image = b"".join(sectors)
         self._report.tracks_scanned += 1
         youngest = _youngest_in_track(image, first_lba, sector_size,
-                                      self.epoch)
+                                      self.epoch, self._report)
         self._track_cache[track] = youngest
         return youngest
 
@@ -444,14 +447,21 @@ class RecoveryManager:
 
 
 def _youngest_in_track(image: bytes, first_lba: int, sector_size: int,
-                       epoch: int) -> Optional[LocatedRecord]:
+                       epoch: int, report: RecoveryReport,
+                       ) -> Optional[LocatedRecord]:
     """The youngest ``epoch`` record headed in a track image: only the
-    candidate sectors are decoded, each in full."""
+    candidate sectors are decoded, each in full.  A candidate failing
+    its header CRC may be the youngest acknowledged record, so it is
+    reported as a broken chain, never skipped as empty."""
     youngest: Optional[LocatedRecord] = None
     for offset in record_header_offsets(image, sector_size):
         try:
             header = decode_record_header(
                 image[offset:offset + sector_size], expected_epoch=epoch)
+        except RecordChecksumError:
+            report.corrupt_records += 1
+            report.chain_broken = True
+            continue
         except LogFormatError:
             continue
         if (youngest is None

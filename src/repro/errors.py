@@ -147,6 +147,11 @@ class LogFormatError(TrailError):
     """An on-disk log structure failed to parse or validate."""
 
 
+class RecordChecksumError(LogFormatError):
+    """A sector opens like a record header but fails the header CRC:
+    a damaged record, which recovery reports instead of skipping."""
+
+
 class LogDiskFullError(TrailError):
     """The circular log ran out of free tracks (Section 4.4)."""
 

@@ -3,9 +3,11 @@
 Each scenario builds a small Trail testbed, attaches a seeded
 :class:`~repro.faults.plan.FaultPlan` to one or more drives, runs a
 write workload (crashing and remounting where the scenario calls for
-it), and returns the error/retry/remap/degraded-mode counters for the
-CLI to render.  Scenarios are deterministic: the same ``--seed``
-reproduces the same fault sequence and the same tables.
+it), audits the data disks against the
+:class:`~repro.faults.oracle.DurabilityOracle` the workload fed, and
+returns the audit plus the error/retry/remap/degraded-mode counters
+for the CLI to render.  Scenarios are deterministic: the same
+``--seed`` reproduces the same fault sequence and the same tables.
 
 This module imports the full Trail stack, so it must never be imported
 from ``repro.faults.__init__`` (the drive layer imports
@@ -15,9 +17,9 @@ from ``repro.faults.__init__`` (the drive layer imports
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from random import Random
 from types import MappingProxyType
-from typing import (
-    Any, Callable, Generator, List, Mapping, Optional, Tuple)
+from typing import Any, Callable, Generator, List, Mapping, Optional
 
 from repro.core.config import TrailConfig
 from repro.core.instance import TrailInstance
@@ -25,6 +27,7 @@ from repro.core.recovery import RecoveryReport
 from repro.disk.drive import DiskDrive
 from repro.disk.presets import tiny_test_disk
 from repro.errors import DiskHaltedError, MediaError, TrailError
+from repro.faults.oracle import Audit, DurabilityOracle
 from repro.faults.plan import FaultPlan
 from repro.sim import Event, Simulation
 
@@ -43,6 +46,8 @@ class ScenarioResult:
     #: [metric, value] pairs from the Trail driver itself.
     driver_rows: List[List[object]] = field(default_factory=list)
     recovery: Optional[RecoveryReport] = None
+    #: The data disks checked against every write the workload issued.
+    audit: Audit = field(default_factory=Audit)
     notes: List[str] = field(default_factory=list)
 
 
@@ -60,28 +65,50 @@ def _build_testbed(config: Optional[TrailConfig] = None,
     return TrailInstance(sim, log_drive, data_drives, trail_config)
 
 
-def _writer(bed: TrailInstance[DiskDrive], count: int, seed: int,
-            gap_ms: float = 2.0,
-            span: Optional[int] = None,
-            ) -> Generator[Event, Any, Tuple[int, int]]:
+def _writer(bed: TrailInstance[DiskDrive], oracle: DurabilityOracle,
+            count: int, seed: int, gap_ms: float = 2.0,
+            ) -> Generator[Event, Any, None]:
     """Issue ``count`` seeded single-page writes, tolerating failures."""
-    from random import Random
     rng = Random(seed)
     sector_size = bed.driver.sector_size
-    if span is None:
-        span = bed.data_drives[0].geometry.total_sectors
-    acked = failed = 0
+    span = bed.data_drives[0].geometry.total_sectors
     for index in range(count):
         lba = rng.randrange(0, span - 4)
         payload = bytes([index % 251] * sector_size)
+        oracle.issue(lba, payload)
         try:
             yield bed.driver.write(lba, payload)
-            acked += 1
+            oracle.ack(lba, payload)
         except (MediaError, DiskHaltedError, TrailError):
-            failed += 1  # media failure, power loss, or driver down
+            # Media failure, power loss, or driver down.
+            oracle.fail(lba, payload)
         if gap_ms > 0:
             yield bed.sim.timeout(gap_ms)
-    return acked, failed
+
+
+def _audit(bed: TrailInstance[DiskDrive], oracle: DurabilityOracle,
+           result: ScenarioResult) -> None:
+    """Check the data disks against the oracle; note what it found."""
+    audit = result.audit = oracle.audit(
+        lambda disk, lba: bed.data_drives[disk].store.read_sector(lba),
+        result.recovery)
+    result.notes.append(
+        f"{oracle.acked_writes} writes acknowledged, "
+        f"{oracle.failed_writes} failed")
+    result.notes.append(
+        f"audit of the data disks: {audit.verified} sectors verified, "
+        f"{len(audit.excused)} reported lost, {len(audit.lost)} lost "
+        f"and {len(audit.invented)} invented without a report")
+
+
+def _write_flush_audit(bed: TrailInstance[DiskDrive],
+                       result: ScenarioResult, count: int, seed: int) -> None:
+    """Seeded writes, a full flush, then the audit (no crash)."""
+    oracle = DurabilityOracle(bed.driver.sector_size)
+    bed.sim.run_until(bed.sim.process(
+        _writer(bed, oracle, count=count, seed=seed)))
+    bed.sim.run_until(bed.sim.process(bed.driver.flush()))
+    _audit(bed, oracle, result)
 
 
 def _collect(bed: TrailInstance[DiskDrive],
@@ -128,13 +155,7 @@ def _scenario_flaky_data_disk(seed: int) -> ScenarioResult:
         seed=seed, transient_write_error_prob=0.25,
         latent_bad_sectors=frozenset(range(200, 208)),
         retry_limit=2, spare_sectors=32))
-    process = bed.sim.process(_writer(bed, count=150, seed=seed))
-    acked, failed = bed.sim.run_until(process)
-    bed.sim.run_until(bed.sim.process(bed.driver.flush()))
-    result.notes.append(f"{acked} writes acknowledged, {failed} failed")
-    result.notes.append(
-        "every acknowledged write survived on the log disk while the "
-        "write-back scheduler retried and remapped the flaky targets")
+    _write_flush_audit(bed, result, count=150, seed=seed)
     _collect(bed, result)
     return result
 
@@ -155,10 +176,7 @@ def _scenario_dying_log_disk(seed: int) -> ScenarioResult:
     bed.log_drive.attach_faults(FaultPlan(
         seed=seed, latent_bad_sectors=bad, retry_limit=1,
         spare_sectors=0))
-    process = bed.sim.process(_writer(bed, count=120, seed=seed))
-    acked, failed = bed.sim.run_until(process)
-    bed.sim.run_until(bed.sim.process(bed.driver.flush()))
-    result.notes.append(f"{acked} writes acknowledged, {failed} failed")
+    _write_flush_audit(bed, result, count=120, seed=seed)
     if bed.driver.degraded:
         result.notes.append(
             "the driver abandoned the log disk and now acknowledges "
@@ -179,16 +197,14 @@ def _scenario_corrupt_log_crash(seed: int) -> ScenarioResult:
         yield bed.sim.timeout(120.0)
         bed.driver.crash()
 
-    writer = bed.sim.process(_writer(bed, count=200, seed=seed,
-                                     gap_ms=1.0))
+    oracle = DurabilityOracle(bed.driver.sector_size)
+    bed.sim.process(_writer(bed, oracle, count=200, seed=seed, gap_ms=1.0))
     bed.sim.process(crasher())
     bed.sim.run()
-    acked, failed = writer.value if writer.processed else (0, 0)
-    result.notes.append(
-        f"crashed at t=120 ms: {acked} writes acknowledged, "
-        f"{failed} failed")
+    result.notes.append("crashed at t=120 ms")
 
     result.recovery = report = bed.remount()
+    _audit(bed, oracle, result)
     if report is not None and report.damaged:
         result.notes.append(
             "recovery found bit-flipped records via the payload CRC and "
@@ -207,10 +223,7 @@ def _scenario_latency_spikes(seed: int) -> ScenarioResult:
                      latency_spike_ms=25.0)
     bed.log_drive.attach_faults(plan)
     bed.data_drives[0].attach_faults(plan)
-    process = bed.sim.process(_writer(bed, count=150, seed=seed))
-    acked, failed = bed.sim.run_until(process)
-    bed.sim.run_until(bed.sim.process(bed.driver.flush()))
-    result.notes.append(f"{acked} writes acknowledged, {failed} failed")
+    _write_flush_audit(bed, result, count=150, seed=seed)
     result.notes.append(
         "spikes stretch individual commands but corrupt nothing; "
         "compare mean latency against a clean run of the same seed")

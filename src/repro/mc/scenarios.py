@@ -37,14 +37,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import (
-    Any, Dict, Generator, List, Mapping, Optional, Sequence, Tuple)
+from typing import Any, Generator, List, Mapping, Optional, Tuple
 
 from repro.core.config import TrailConfig
 from repro.core.driver import TrailDriver
 from repro.core.instance import TrailInstance
+from repro.core.recovery import RecoveryReport
 from repro.disk.drive import DiskDrive
 from repro.disk.presets import tiny_test_disk
+from repro.faults.oracle import DurabilityOracle
 from repro.faults.plan import FaultPlan
 from repro.sim.events import Event
 from repro.sim.explore import (
@@ -67,14 +68,15 @@ def _payload(writer: int, round_no: int, nsectors: int) -> bytes:
     return bytes((seed + i) % 256 for i in range(nsectors * SECTOR))
 
 
-def _writer(driver: TrailDriver, writer: int,
+def _writer(driver: TrailDriver, writer: int, oracle: DurabilityOracle,
             ) -> Generator[Event, Any, None]:
     base = writer * STRIDE * ROUNDS
     for round_no in range(ROUNDS):
-        nsectors = 1 + (writer + round_no) % 2
-        yield driver.write(
-            base + round_no * STRIDE,
-            _payload(writer, round_no, nsectors))
+        lba = base + round_no * STRIDE
+        payload = _payload(writer, round_no, 1 + (writer + round_no) % 2)
+        oracle.issue(lba, payload)
+        yield driver.write(lba, payload)
+        oracle.ack(lba, payload)
 
 
 def _build_instance(controller: ScheduleController,
@@ -107,12 +109,23 @@ def _data_digest(instance: TrailInstance[DiskDrive]) -> str:
     return digest.hexdigest()
 
 
-def _run_workload(instance: TrailInstance[DiskDrive]) -> None:
+def _audit_failure(instance: TrailInstance[DiskDrive],
+                   oracle: DurabilityOracle,
+                   report: Optional[RecoveryReport] = None) -> Optional[str]:
+    """None when the data disks pass ``oracle``'s audit, else why not."""
+    audit = oracle.audit(
+        lambda disk, lba: instance.data_drives[disk].store.read_sector(lba),
+        report)
+    return None if audit.ok else f"durability audit failed: {audit}"
+
+
+def _run_workload(instance: TrailInstance[DiskDrive],
+                  oracle: DurabilityOracle) -> None:
     sim = instance.sim
     driver = instance.driver
 
     def workload() -> Generator[Event, Any, None]:
-        writers = [sim.process(_writer(driver, w), name=f"w{w}")
+        writers = [sim.process(_writer(driver, w, oracle), name=f"w{w}")
                    for w in range(WRITERS)]
         yield sim.all_of(writers)
 
@@ -125,32 +138,27 @@ def _scenario_crash_recovery(
 
     The crash lands after every write is acknowledged — Trail's §4.1
     guarantee then pins the outcome: whatever mix of log placement and
-    write-back progress this schedule reached, remount recovery plus a
-    full flush must rebuild the same data-disk bytes.
+    write-back progress this schedule reached, remount recovery must
+    pass the durability oracle's audit, and recovery plus a full flush
+    must rebuild the same data-disk bytes.
     """
     instance = _build_instance(controller)
     sim = instance.sim
     drive(sim, sim.process(instance.driver.mount(), name="mount"))
-    _run_workload(instance)
+    oracle = DurabilityOracle()
+    _run_workload(instance, oracle)
     instance.crash()
-
-    instance.log_drive.power_on()
-    for target in instance.data_drives.values():
-        target.power_on()
-    recovered = TrailDriver(sim, instance.log_drive,
-                            instance.data_drives,
-                            instance.driver.config)
-    remount = sim.process(recovered.mount(), name="remount")
-    drive(sim, remount)
-    report = remount.value
+    report = instance.remount()
+    failure = _audit_failure(instance, oracle, report)
 
     def finish() -> Generator[Event, Any, None]:
-        yield from recovered.flush()
-        yield from recovered.clean_shutdown()
+        yield from instance.driver.flush()
+        yield from instance.driver.clean_shutdown()
 
     drive(sim, sim.process(finish(), name="finish"))
     return RunResult(
         digests=(_data_digest(instance),),
+        failure=failure,
         note="recovery ran" if report is not None else "no recovery")
 
 
@@ -174,14 +182,16 @@ def _scenario_writeback_faults(
         retry_limit=10,
     ))
     drive(sim, sim.process(instance.driver.mount(), name="mount"))
-    _run_workload(instance)
+    oracle = DurabilityOracle()
+    _run_workload(instance, oracle)
 
     def finish() -> Generator[Event, Any, None]:
         yield from instance.driver.flush()
         yield from instance.driver.clean_shutdown()
 
     drive(sim, sim.process(finish(), name="finish"))
-    return RunResult(digests=(_data_digest(instance),))
+    return RunResult(digests=(_data_digest(instance),),
+                     failure=_audit_failure(instance, oracle))
 
 
 def _scenario_two_instance(
@@ -195,30 +205,38 @@ def _scenario_two_instance(
     match the canonical round-robin run exactly.
     """
     runs: List[Tuple[Simulation, Event]] = []
-    instances: List[TrailInstance[DiskDrive]] = []
+    instances: List[Tuple[TrailInstance[DiskDrive], DurabilityOracle]] = []
     for tag in ("a", "b"):
         instance = _build_instance(controller)
         sim = instance.sim
         driver = instance.driver
+        oracle = DurabilityOracle()
 
         def lifecycle(sim: Simulation = sim,
                       driver: TrailDriver = driver,
+                      oracle: DurabilityOracle = oracle,
                       ) -> Generator[Event, Any, None]:
             yield from driver.mount()
-            writers = [sim.process(_writer(driver, w), name=f"w{w}")
+            writers = [sim.process(_writer(driver, w, oracle),
+                                   name=f"w{w}")
                        for w in range(WRITERS)]
             yield sim.all_of(writers)
             yield from driver.flush()
             yield from driver.clean_shutdown()
 
         runs.append((sim, sim.process(lifecycle(), name=f"life-{tag}")))
-        instances.append(instance)
+        instances.append((instance, oracle))
     drive_interleaved(controller, runs)
     digests: List[str] = []
-    for instance in instances:
+    failures: List[str] = []
+    for instance, oracle in instances:
         digests.append(instance.fingerprint())
         digests.append(instance.trace_digest())
-    return RunResult(digests=tuple(digests))
+        failure = _audit_failure(instance, oracle)
+        if failure is not None:
+            failures.append(failure)
+    return RunResult(digests=tuple(digests),
+                     failure="; ".join(failures) or None)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ from repro.errors import (
     DiskHaltedError, NotATrailDiskError, TrailError)
 from repro.faults import FaultPlan
 from repro.sim import Simulation
-from tests.conftest import drive_to_completion, make_tiny_drive, make_tiny_trail
+from tests.conftest import (
+    cold_restart, drive_to_completion, make_tiny_drive, make_tiny_trail)
 
 SECTOR = 512
 
@@ -401,18 +402,10 @@ class TestCrashAndRecovery:
         driver.crash()
         sim.run(until=10_000)
 
-        sim2 = Simulation()
-        log2 = make_tiny_drive(sim2, "log", cylinders=30)
-        data2 = make_tiny_drive(sim2, "data", cylinders=80, heads=4,
-                                sectors_per_track=32)
-        log2.store.restore(log.store.snapshot())
-        data2.store.restore(data_disks[0].store.snapshot())
-        config = TrailConfig(idle_reposition_interval_ms=0)
-        recovered = TrailDriver(sim2, log2, {0: data2}, config)
-        report = sim2.run_until(sim2.process(recovered.mount()))
-        assert report is not None
+        restart = cold_restart(log, data_disks)
+        assert restart.report is not None
         for lba, payload in acked.items():
-            assert data2.store.read_sector(lba) == payload
+            assert restart.data[0].store.read_sector(lba) == payload
 
     def test_log_full_blocks_until_writeback_frees_tracks(self):
         """With a minuscule log and a slow data disk, writers stall on

@@ -6,12 +6,13 @@ import dataclasses
 import pytest
 
 from repro.core.config import TrailConfig
-from repro.core.driver import TrailDriver, reserved_layout
+from repro.core.driver import reserved_layout
 from repro.core.format import decode_disk_header
 from repro.errors import DiskHaltedError, MediaError
 from repro.faults import FaultPlan
 from repro.sim import Simulation
-from tests.conftest import make_tiny_drive
+from tests.conftest import (
+    cold_restart, drive_to_completion, make_tiny_drive, make_tiny_trail)
 
 SECTOR = 512
 
@@ -34,22 +35,6 @@ def _probe_log_drive():
     return make_tiny_drive(Simulation(), "log", cylinders=30)
 
 
-def build_stack(log_plan=None, data_plan=None, config=None):
-    config = config or TrailConfig(idle_reposition_interval_ms=0)
-    sim = Simulation()
-    log = make_tiny_drive(sim, "log", cylinders=30)
-    data = make_tiny_drive(sim, "data", cylinders=80, heads=4,
-                           sectors_per_track=32)
-    TrailDriver.format_disk(log, config)
-    if log_plan is not None:
-        log.attach_faults(log_plan)
-    if data_plan is not None:
-        data.attach_faults(data_plan)
-    driver = TrailDriver(sim, log, {0: data}, config)
-    sim.run_until(sim.process(driver.mount()))
-    return sim, driver, log, data, config
-
-
 def crash_var_of(log_drive):
     header_lbas, _ = reserved_layout(
         log_drive.geometry, TrailConfig())
@@ -62,7 +47,7 @@ class TestLogDiskDeath:
         config = TrailConfig(idle_reposition_interval_ms=0)
         plan = _log_tracks_bad_plan(_probe_log_drive(), config)
 
-        sim, driver, log, data, config = build_stack(log_plan=plan)
+        sim, driver, log, data = make_tiny_trail(log_plan=plan)
         assert not driver.degraded
 
         payloads = {}
@@ -80,13 +65,13 @@ class TestLogDiskDeath:
         assert driver.stats.degraded_writes == 6
         assert driver.stats.log_media_errors >= 1
         for lba, payload in payloads.items():
-            assert data.store.read_sector(lba) == payload
+            assert data[0].store.read_sector(lba) == payload
 
     def test_transition_marks_log_clean_before_first_ack(self):
         config = TrailConfig(idle_reposition_interval_ms=0)
         plan = _log_tracks_bad_plan(_probe_log_drive(), config)
 
-        sim, driver, log, data, config = build_stack(log_plan=plan)
+        sim, driver, log, data = make_tiny_trail(log_plan=plan)
 
         def one_write():
             yield driver.write(50, b"x" * SECTOR)
@@ -101,7 +86,7 @@ class TestLogDiskDeath:
         config = TrailConfig(idle_reposition_interval_ms=0)
         plan = _log_tracks_bad_plan(_probe_log_drive(), config)
 
-        sim, driver, log, data, _config = build_stack(log_plan=plan)
+        sim, driver, log, data = make_tiny_trail(log_plan=plan)
         payloads = {}
 
         def workload():
@@ -115,21 +100,18 @@ class TestLogDiskDeath:
         assert driver.degraded
         driver.crash()
 
-        log.power_on()
-        data.power_on()
-        remounted = TrailDriver(sim, log, {0: data},
-                                TrailConfig(idle_reposition_interval_ms=0))
-        report = sim.run_until(sim.process(remounted.mount()))
-        assert report is None  # clean marker: no recovery pass
+        restart = cold_restart(log, data)
+        assert restart.report is None  # clean marker: no recovery pass
         for lba, payload in payloads.items():
-            assert data.store.read_sector(lba) == payload
+            assert restart.data[0].store.read_sector(lba) == payload
 
     def test_failed_replica_write_does_not_strand_later_copies(self):
         """mount() falls back to any header copy that decodes, so the
         clean marker must reach every copy that can take it: a replica
         whose write fails must not leave the copies behind it at
         crash_var = 0 while write-through acknowledgements proceed."""
-        sim, driver, log, data, config = build_stack()
+        sim, driver, log, data = make_tiny_trail()
+        config = driver.config
         header_lbas, _usable = reserved_layout(log.geometry, config)
         plan = _log_tracks_bad_plan(log, config)
         log.attach_faults(dataclasses.replace(
@@ -153,14 +135,12 @@ class TestLogDiskDeath:
         damaged = bytearray(log.store.read_sector(header_lbas[0]))
         damaged[20] ^= 0x01
         log.store.write_sector(header_lbas[0], bytes(damaged))
-        log.power_on()
-        data.power_on()
-        remounted = TrailDriver(sim, log, {0: data}, config)
+        restart = cold_restart(log, data, mount=False)
         with pytest.raises(MediaError):
             # Loud: the new epoch's header cannot reach the bad replica.
-            sim.run_until(sim.process(remounted.mount()))
-        assert remounted.last_recovery is None
-        assert data.store.read_sector(70) == payload
+            drive_to_completion(restart.sim, restart.driver.mount())
+        assert restart.driver.last_recovery is None
+        assert restart.data[0].store.read_sector(70) == payload
 
 
 class TestDegradedEntryWithBacklog:
@@ -178,7 +158,7 @@ class TestDegradedEntryWithBacklog:
         config = TrailConfig(idle_reposition_interval_ms=0)
         plan = _log_tracks_bad_plan(_probe_log_drive(), config,
                                     tracks=slice(1, None))
-        return build_stack(log_plan=plan, config=config)
+        return make_tiny_trail(config, log_plan=plan)
 
     def _workload(self, sim, driver, outcome):
         yield sim.all_of([driver.write(lba, payload)
@@ -195,7 +175,7 @@ class TestDegradedEntryWithBacklog:
             yield sim.timeout(0.1)
 
     def test_clean_marker_waits_for_the_backlog(self):
-        sim, driver, log, data, _config = self._stack()
+        sim, driver, log, data = self._stack()
         header_writes = []
         write_headers = driver._write_headers
 
@@ -215,15 +195,15 @@ class TestDegradedEntryWithBacklog:
         assert crash_var_of(log) == 1
         assert driver.stats.degraded_writes == 1
         for lba, payload in self.EARLY.items():
-            assert data.store.read_sector(lba) == payload
-        assert data.store.read_sector(5000) == b"z" * SECTOR
+            assert data[0].store.read_sector(lba) == payload
+        assert data[0].store.read_sector(5000) == b"z" * SECTOR
 
     def test_crash_during_the_transition_replays_the_backlog(self):
-        sim, driver, log, data, _config = self._stack()
+        sim, driver, log, data = self._stack()
         outcome = []
         sim.process(self._workload(sim, driver, outcome))
         sim.run_until(sim.process(self._until_degraded(sim, driver)))
-        on_disk = [data.store.read_sector(lba) == payload
+        on_disk = [data[0].store.read_sector(lba) == payload
                    for lba, payload in self.EARLY.items()]
         assert not all(on_disk)  # a real backlog
         driver.crash()
@@ -231,14 +211,11 @@ class TestDegradedEntryWithBacklog:
         assert outcome == ["halted"]
         assert crash_var_of(log) == 0
 
-        log.power_on()
-        data.power_on()
-        remounted = TrailDriver(sim, log, {0: data},
-                                TrailConfig(idle_reposition_interval_ms=0))
-        report = sim.run_until(sim.process(remounted.mount()))
-        assert report is not None and report.sectors_replayed == len(self.EARLY)
+        restart = cold_restart(log, data)
+        assert restart.report is not None
+        assert restart.report.sectors_replayed == len(self.EARLY)
         for lba, payload in self.EARLY.items():
-            assert data.store.read_sector(lba) == payload
+            assert restart.data[0].store.read_sector(lba) == payload
 
     def test_known_limitation_stale_replica_that_reads_back_valid(self):
         """docs/FAULTS.md "Known limitations", pinned so that a reorder
@@ -248,7 +225,8 @@ class TestDegradedEntryWithBacklog:
         mount() takes it and replays pre-failure records over newer
         write-through data.  Closing the limitation flips the marked
         assertions."""
-        sim, driver, log, data, config = self._stack()
+        sim, driver, log, data = self._stack()
+        config = driver.config
         header_lbas, _usable = reserved_layout(log.geometry, config)
         plan = log.faults.plan
         log.attach_faults(dataclasses.replace(
@@ -264,7 +242,7 @@ class TestDegradedEntryWithBacklog:
 
         sim.run_until(sim.process(workload()))
         assert driver.degraded and driver.stats.degraded_writes == 1
-        assert data.store.read_sector(lba) == newer
+        assert data[0].store.read_sector(lba) == newer
         assert [decode_disk_header(log.store.read_sector(at)).crash_var
                 for at in header_lbas] == [1, 0, 1]
 
@@ -275,13 +253,10 @@ class TestDegradedEntryWithBacklog:
         damaged = bytearray(log.store.read_sector(header_lbas[0]))
         damaged[20] ^= 0x01
         log.store.write_sector(header_lbas[0], bytes(damaged))
-        log.power_on()
-        data.power_on()
-        remounted = TrailDriver(sim, log, {0: data}, config)
-        report = sim.run_until(sim.process(remounted.mount()))
-        assert report is not None                       # the limitation
-        assert report.sectors_replayed == len(self.EARLY)
-        assert data.store.read_sector(lba) == old       # the limitation
+        restart = cold_restart(log, data)
+        assert restart.report is not None               # the limitation
+        assert restart.report.sectors_replayed == len(self.EARLY)
+        assert restart.data[0].store.read_sector(lba) == old  # the limitation
 
 
 class TestLogFailureWithoutDegradedMode:
@@ -290,8 +265,7 @@ class TestLogFailureWithoutDegradedMode:
                              degraded_mode_enabled=False)
         plan = _log_tracks_bad_plan(_probe_log_drive(), config,
                                     tracks=slice(0, 1))
-        sim, driver, log, data, _config = build_stack(log_plan=plan,
-                                                      config=config)
+        sim, driver, log, data = make_tiny_trail(config, log_plan=plan)
         failures = []
 
         def workload():
@@ -314,14 +288,14 @@ class TestLogFailureWithoutDegradedMode:
         assert driver.stats.log_media_errors == 1
         assert driver.stats.physical_log_writes == 1
         assert driver.stats.degraded_writes == 0
-        assert data.store.read_sector(300) == b"c" * SECTOR
-        assert data.store.read(100, 3) == bytes(SECTOR * 3)
+        assert data[0].store.read_sector(300) == b"c" * SECTOR
+        assert data[0].store.read(100, 3) == bytes(SECTOR * 3)
 
 
 class TestWriteThroughMediaError:
     def test_data_disk_error_fails_that_request_only(self):
         config = TrailConfig(idle_reposition_interval_ms=0)
-        sim, driver, log, data, _config = build_stack(
+        sim, driver, log, data = make_tiny_trail(
             log_plan=_log_tracks_bad_plan(_probe_log_drive(), config),
             data_plan=FaultPlan(latent_bad_sectors={300}, retry_limit=0,
                                 spare_sectors=0),
@@ -345,7 +319,7 @@ class TestWriteThroughMediaError:
         assert driver.stats.degraded_writes == 2
         assert driver.stats.sync_writes.count == 2
         for lba in (299, 301):
-            assert data.store.read_sector(lba) == bytes([lba % 251]) * SECTOR
+            assert data[0].store.read_sector(lba) == bytes([lba % 251]) * SECTOR
 
 
 class TestParkedWritebackFailures:
@@ -356,7 +330,7 @@ class TestParkedWritebackFailures:
                          retry_limit=0, spare_sectors=0)
 
     def test_flush_completes_with_parked_page(self):
-        sim, driver, log, data, _config = build_stack(
+        sim, driver, log, data = make_tiny_trail(
             data_plan=self._plan())
 
         def workload():
@@ -368,10 +342,10 @@ class TestParkedWritebackFailures:
         assert len(driver.writeback.failed_pages) == 1
         key = next(iter(driver.writeback.failed_pages))
         assert key[1] == self.BAD_LBA
-        assert data.store.read_sector(500) == b"q" * SECTOR
+        assert data[0].store.read_sector(500) == b"q" * SECTOR
 
     def test_shutdown_withholds_clean_marker_and_recovery_reports(self):
-        sim, driver, log, data, _config = build_stack(
+        sim, driver, log, data = make_tiny_trail(
             data_plan=self._plan())
 
         def workload():
@@ -382,23 +356,12 @@ class TestParkedWritebackFailures:
         sim.run_until(sim.process(workload()))
         assert crash_var_of(log) == 0  # forced through recovery
 
-        log_snap = log.store.snapshot()
-        data_snap = data.store.snapshot()
-        sim2 = Simulation()
-        log2 = make_tiny_drive(sim2, "log", cylinders=30)
-        data2 = make_tiny_drive(sim2, "data", cylinders=80, heads=4,
-                                sectors_per_track=32)
-        log2.store.restore(log_snap)
-        data2.store.restore(data_snap)
-        data2.attach_faults(self._plan())
-        remounted = TrailDriver(sim2, log2, {0: data2},
-                                TrailConfig(idle_reposition_interval_ms=0))
-        report = sim2.run_until(sim2.process(remounted.mount()))
+        report = cold_restart(log, data).report  # same bad sector
         assert report is not None
         assert (0, self.BAD_LBA) in report.dropped_sectors
 
     def test_remap_capable_remount_replays_the_parked_sector(self):
-        sim, driver, log, data, _config = build_stack(
+        sim, driver, log, data = make_tiny_trail(
             data_plan=self._plan())
 
         def workload():
@@ -407,26 +370,17 @@ class TestParkedWritebackFailures:
 
         sim.run_until(sim.process(workload()))
 
-        log_snap = log.store.snapshot()
-        data_snap = data.store.snapshot()
-        sim2 = Simulation()
-        log2 = make_tiny_drive(sim2, "log", cylinders=30)
-        data2 = make_tiny_drive(sim2, "data", cylinders=80, heads=4,
-                                sectors_per_track=32)
-        log2.store.restore(log_snap)
-        data2.store.restore(data_snap)
         # The replacement drive is healthy: replay must succeed.
-        remounted = TrailDriver(sim2, log2, {0: data2},
-                                TrailConfig(idle_reposition_interval_ms=0))
-        report = sim2.run_until(sim2.process(remounted.mount()))
-        assert report is not None
-        assert report.dropped_sectors == []
-        assert data2.store.read_sector(self.BAD_LBA) == b"p" * SECTOR
+        restart = cold_restart(log, data, plans=False)
+        assert restart.report is not None
+        assert restart.report.dropped_sectors == []
+        assert restart.data[0].store.read_sector(self.BAD_LBA) \
+            == b"p" * SECTOR
 
 
 class TestEventDrivenFlush:
     def test_idle_flush_returns_without_advancing_time(self):
-        sim, driver, _log, _data, _config = build_stack()
+        sim, driver, _log, _data = make_tiny_trail()
         before = sim.now
 
         def body():
@@ -437,7 +391,7 @@ class TestEventDrivenFlush:
         assert end == before
 
     def test_concurrent_flushes_all_wake(self):
-        sim, driver, _log, data, _config = build_stack()
+        sim, driver, _log, data = make_tiny_trail()
         done = []
 
         def writer():
@@ -452,4 +406,4 @@ class TestEventDrivenFlush:
         sim.process(flusher("b"))
         sim.run()
         assert sorted(done) == ["a", "b"]
-        assert data.store.read_sector(64) == b"w" * SECTOR
+        assert data[0].store.read_sector(64) == b"w" * SECTOR

@@ -5,27 +5,14 @@ import random
 
 import pytest
 
-from repro.core.config import TrailConfig
 from repro.core.multilog import StripedTrailDriver
 from repro.errors import TrailError
-from repro.sim import Simulation
-from tests.conftest import drive_to_completion, make_tiny_drive
+from repro.faults.oracle import DurabilityOracle
+from tests.conftest import (
+    cold_restart, drive_to_completion, make_striped, make_tiny_drive,
+    write_until_crash)
 
 SECTOR = 512
-
-
-def make_striped(stripes=2, mount=True):
-    sim = Simulation()
-    log_drives = [make_tiny_drive(sim, f"log{i}", cylinders=30)
-                  for i in range(stripes)]
-    data = {0: make_tiny_drive(sim, "data", cylinders=80, heads=4,
-                               sectors_per_track=32)}
-    config = TrailConfig(idle_reposition_interval_ms=0)
-    StripedTrailDriver.format_disks(log_drives, config)
-    driver = StripedTrailDriver(sim, log_drives, data, config)
-    if mount:
-        sim.run_until(sim.process(driver.mount()))
-    return sim, driver, log_drives, data
 
 
 class TestBasics:
@@ -102,43 +89,14 @@ class TestOrderingAndDurability:
     def test_crash_recovery_across_stripes(self):
         sim, driver, logs, data = make_striped()
         rng = random.Random(3)
-        acked = {}
-
-        def workload():
-            try:
-                for index in range(40):
-                    lba = rng.randrange(0, 2000)
-                    payload = bytes([index + 1]) * SECTOR
-                    yield driver.write(lba, payload)
-                    acked[lba] = payload
-            except Exception:
-                return
-
-        process = sim.process(workload())
-
-        def crasher():
-            yield sim.timeout(90.0)
-            if process.is_alive:
-                process.interrupt()
-            driver.crash()
-
-        sim.process(crasher())
-        sim.run()
-
-        sim2 = Simulation()
-        logs2 = [make_tiny_drive(sim2, f"log{i}", cylinders=30)
-                 for i in range(2)]
-        data2 = {0: make_tiny_drive(sim2, "data", cylinders=80, heads=4,
-                                    sectors_per_track=32)}
-        for fresh, old in zip(logs2, logs):
-            fresh.store.restore(old.store.snapshot())
-        data2[0].store.restore(data[0].store.snapshot())
-        config = TrailConfig(idle_reposition_interval_ms=0)
-        recovered = StripedTrailDriver(sim2, logs2, data2, config)
-        reports = sim2.run_until(sim2.process(recovered.mount()))
-        assert any(report is not None for report in reports)
-        for lba, payload in acked.items():
-            assert data2[0].store.read_sector(lba) == payload
+        oracle = DurabilityOracle()
+        write_until_crash(sim, driver, oracle,
+                          [(rng.randrange(0, 2000), index + 1)
+                           for index in range(40)], 90.0)
+        restart = cold_restart(logs, data)
+        assert any(report is not None for report in restart.report)
+        audit = restart.audit(oracle)
+        assert audit.ok, audit
 
 
 class TestLatencyHiding:

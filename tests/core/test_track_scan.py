@@ -13,8 +13,9 @@ from repro.core.config import TRAIL_SIGNATURE
 from repro.core.format import (
     BatchEntry, HEADER_FIRST_BYTE, NULL_LBA, RecordHeader,
     decode_record_header, encode_record, record_header_offsets)
-from repro.core.recovery import LocatedRecord, _youngest_in_track
-from repro.errors import LogFormatError
+from repro.core.recovery import (
+    LocatedRecord, RecoveryReport, _youngest_in_track)
+from repro.errors import LogFormatError, RecordChecksumError
 
 SECTOR = 512
 EPOCH = 5
@@ -69,28 +70,33 @@ def sectors(draw):
 
 
 def decode_every_sector(image):
-    """The scan as it was: full decode of each sector, youngest wins."""
-    youngest = None
+    """The scan as it was: full decode of each sector, youngest wins;
+    plus whether any sector was a header that failed its CRC."""
+    youngest, damaged = None, False
     for index in range(len(image) // SECTOR):
         try:
             header = decode_record_header(
                 image[index * SECTOR:(index + 1) * SECTOR],
                 expected_epoch=EPOCH)
+        except RecordChecksumError:
+            damaged = True
+            continue
         except LogFormatError:
             continue
         if (youngest is None
                 or header.sequence_id > youngest.header.sequence_id):
             youngest = LocatedRecord(header_lba=FIRST_LBA + index,
                                      header=header)
-    return youngest
+    return youngest, damaged
 
 
 @settings(max_examples=200)
 @given(st.lists(sectors(), min_size=0, max_size=24))
 def test_header_first_scan_equals_decoding_every_sector(track):
     image = b"".join(track)
-    assert _youngest_in_track(image, FIRST_LBA, SECTOR, EPOCH) \
-        == decode_every_sector(image)
+    report = RecoveryReport()
+    youngest = _youngest_in_track(image, FIRST_LBA, SECTOR, EPOCH, report)
+    assert (youngest, report.chain_broken) == decode_every_sector(image)
 
 
 @given(st.lists(sectors(), min_size=0, max_size=24))

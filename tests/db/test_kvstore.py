@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.group_commit import GroupCommitPolicy
 from repro.baselines.standard import StandardDriver
-from repro.core.config import TrailConfig
-from repro.core.driver import TrailDriver
 from repro.db.kvstore import DurableKv
-from repro.errors import DatabaseError, DiskHaltedError
+from repro.errors import DatabaseError
 from repro.sim import Simulation
-from tests.conftest import drive_to_completion, make_tiny_drive
+from tests.conftest import (
+    cold_restart, crash_at, drive_to_completion, make_tiny_drive,
+    make_tiny_trail)
 
 
 def standard_kv(sim, **kwargs):
@@ -19,6 +19,13 @@ def standard_kv(sim, **kwargs):
                            sectors_per_track=32)
     device = StandardDriver(sim, {0: disk})
     return DurableKv(sim, device, capacity_sectors=2048, **kwargs), disk
+
+
+def restarted_kv(disk):
+    """A fresh store over ``disk``'s platters after a power cycle."""
+    restart = cold_restart(None, {0: disk})
+    return DurableKv(restart.sim, StandardDriver(restart.sim, restart.data),
+                     capacity_sectors=2048)
 
 
 class TestBasics:
@@ -93,13 +100,8 @@ class TestRecovery:
         del expected[b"k3"]
 
         # Fresh store instance over the same device: replay the log.
-        sim2 = Simulation()
-        disk2 = make_tiny_drive(sim2, "kv", cylinders=60, heads=4,
-                                sectors_per_track=32)
-        disk2.store.restore(disk.store.snapshot())
-        device2 = StandardDriver(sim2, {0: disk2})
-        kv2 = DurableKv(sim2, device2, capacity_sectors=2048)
-        replayed = drive_to_completion(sim2, kv2.recover())
+        kv2 = restarted_kv(disk)
+        replayed = drive_to_completion(kv2.sim, kv2.recover())
         assert replayed == 41
         assert {key: kv2.get(key) for key in expected} == expected
         assert kv2.get(b"k3") is None
@@ -108,13 +110,7 @@ class TestRecovery:
         """End to end: KV on Trail; power failure; block-level Trail
         recovery runs at mount; then KV-level WAL replay restores every
         acknowledged put."""
-        sim = Simulation()
-        log_drive = make_tiny_drive(sim, "log", cylinders=30)
-        data_drive = make_tiny_drive(sim, "data", cylinders=80, heads=4,
-                                     sectors_per_track=32)
-        config = TrailConfig(idle_reposition_interval_ms=0)
-        TrailDriver.format_disk(log_drive, config)
-        trail = TrailDriver(sim, log_drive, {0: data_drive}, config)
+        sim, trail, log_drive, data = make_tiny_trail(mount=False)
         kv = DurableKv(sim, trail, capacity_sectors=2048)
         acked = {}
 
@@ -129,35 +125,15 @@ class TestRecovery:
             except (Exception,):
                 return
 
-        process = sim.process(workload())
-
-        def crasher():
-            yield sim.timeout(120.0)
-            if process.is_alive:
-                process.interrupt()
-            trail.crash()
-
-        sim.process(crasher())
-        sim.run()
+        crash_at(sim, trail, sim.process(workload()), 120.0)
         assert acked, "crash happened before any put completed"
 
-        # Remount on surviving media.
-        sim2 = Simulation()
-        log2 = make_tiny_drive(sim2, "log", cylinders=30)
-        data2 = make_tiny_drive(sim2, "data", cylinders=80, heads=4,
-                                sectors_per_track=32)
-        log2.store.restore(log_drive.store.snapshot())
-        data2.store.restore(data_drive.store.snapshot())
-        trail2 = TrailDriver(sim2, log2, {0: data2}, config)
-        kv2 = DurableKv(sim2, trail2, capacity_sectors=2048)
-
-        def remount_and_replay():
-            report = yield sim2.process(trail2.mount())
-            assert report is not None  # Trail-level recovery ran
-            replayed = yield from kv2.recover()
-            return replayed
-
-        replayed = sim2.run_until(sim2.process(remount_and_replay()))
+        # Remount on surviving media: Trail-level recovery, then KV
+        # replay.
+        restart = cold_restart(log_drive, data)
+        assert restart.report is not None
+        kv2 = DurableKv(restart.sim, restart.driver, capacity_sectors=2048)
+        replayed = drive_to_completion(restart.sim, kv2.recover())
         assert replayed >= len(acked)
         for key, value in acked.items():
             assert kv2.get(key) == value, key
@@ -177,13 +153,8 @@ class TestRecovery:
         corrupted[30] ^= 0xFF
         disk.store.write_sector(0, bytes(corrupted))
 
-        sim2 = Simulation()
-        disk2 = make_tiny_drive(sim2, "kv", cylinders=60, heads=4,
-                                sectors_per_track=32)
-        disk2.store.restore(disk.store.snapshot())
-        device2 = StandardDriver(sim2, {0: disk2})
-        kv2 = DurableKv(sim2, device2, capacity_sectors=2048)
-        replayed = drive_to_completion(sim2, kv2.recover())
+        kv2 = restarted_kv(disk)
+        replayed = drive_to_completion(kv2.sim, kv2.recover())
         assert replayed < 2
         assert kv2.stats.torn_tail_detected
 
@@ -225,11 +196,6 @@ def test_recovery_round_trip_property(contents):
 
     drive_to_completion(sim, body())
 
-    sim2 = Simulation()
-    disk2 = make_tiny_drive(sim2, "kv", cylinders=60, heads=4,
-                            sectors_per_track=32)
-    disk2.store.restore(disk.store.snapshot())
-    kv2 = DurableKv(sim2, StandardDriver(sim2, {0: disk2}),
-                    capacity_sectors=2048)
-    drive_to_completion(sim2, kv2.recover())
+    kv2 = restarted_kv(disk)
+    drive_to_completion(kv2.sim, kv2.recover())
     assert {key: kv2.get(key) for key in contents} == contents

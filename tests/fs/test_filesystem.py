@@ -10,7 +10,7 @@ from repro.fs import BLOCK_BYTES, FileSystem, FsError
 from repro.fs.structures import Bitmap, Inode, Superblock, decode_dirents, \
     encode_dirent
 from repro.sim import Simulation
-from tests.conftest import drive_to_completion, make_tiny_drive
+from tests.conftest import cold_restart, drive_to_completion, make_tiny_drive
 
 TOTAL_BLOCKS = 64
 
@@ -235,17 +235,9 @@ class TestMountAndDurability:
         device.crash()
         sim.run(until=sim.now + 1000)
 
-        sim2 = Simulation()
-        log2 = make_tiny_drive(sim2, "log", cylinders=30,
-                               sectors_per_track=64)
-        disk2 = make_tiny_drive(sim2, "data", cylinders=80, heads=4,
-                                sectors_per_track=32)
-        log2.store.restore(log.store.snapshot())
-        disk2.store.restore(disk.store.snapshot())
-        config = TrailConfig(idle_reposition_interval_ms=0)
-        device2 = TrailDriver(sim2, log2, {0: disk2}, config)
-        drive_to_completion(sim2, device2.mount())  # Trail recovery
-        fs2 = FileSystem(sim2, device2)
+        restart = cold_restart(log, {0: disk})  # Trail recovery
+        sim2 = restart.sim
+        fs2 = FileSystem(sim2, restart.driver)
         drive_to_completion(sim2, fs2.mount())
         assert fs2.check() == []
         for name, payload in written.items():

@@ -3,75 +3,34 @@
 "Trail provides the same level of data integrity guarantee as
 traditional synchronous disk write implementations" (§4.1): every
 write acknowledged before a power failure must be readable from the
-data disks after recovery, for *any* workload and *any* crash instant.
+data disks after recovery, and recovery must not invent data, for
+*any* workload and *any* crash instant.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import TrailConfig
-from repro.core.driver import TrailDriver
-from repro.sim import Interrupt, Simulation
-from tests.conftest import make_tiny_drive
-
-SECTOR = 512
+import repro.core.recovery
+from repro.faults.oracle import DurabilityOracle
+from tests.conftest import cold_restart, make_tiny_trail, write_until_crash
 
 
-def build_stack(log_snapshot=None, data_snapshot=None):
-    sim = Simulation()
-    log = make_tiny_drive(sim, "log", cylinders=30)
-    data = make_tiny_drive(sim, "data", cylinders=80, heads=4,
-                           sectors_per_track=32)
-    if log_snapshot is not None:
-        log.store.restore(log_snapshot)
-    if data_snapshot is not None:
-        data.store.restore(data_snapshot)
-    return sim, log, data
+def audit_restart(oracle, restart):
+    assert restart.report is not None  # crash_var was 0: recovery ran
+    return restart.audit(oracle)
 
 
-def crash_and_recover(seed, crash_at_ms, writes, gap_ms):
-    """Run a random workload, crash at ``crash_at_ms``, recover.
-
-    Returns (acked writes, recovered data store).
-    """
-    config = TrailConfig(idle_reposition_interval_ms=0)
-    sim, log, data = build_stack()
-    TrailDriver.format_disk(log, config)
-    driver = TrailDriver(sim, log, {0: data}, config)
+def crash_schedule(seed, crash_at_ms, gap_ms):
+    """40 random single-sector writes, a crash, a remount: the audit."""
+    sim, driver, log, data = make_tiny_trail()
     rng = random.Random(seed)
-    acked = {}
-
-    def workload():
-        try:
-            yield sim.process(driver.mount())
-            for index in range(writes):
-                lba = rng.randrange(0, 2000)
-                payload = bytes([(seed + index) % 255 + 1]) * SECTOR
-                yield driver.write(lba, payload)
-                acked[lba] = payload
-                if gap_ms:
-                    yield sim.timeout(gap_ms)
-        except Exception:
-            return
-
-    process = sim.process(workload())
-
-    def crasher():
-        yield sim.timeout(crash_at_ms)
-        if process.is_alive:
-            process.interrupt("power failure")
-        driver.crash()
-
-    sim.process(crasher())
-    sim.run()
-
-    sim2, log2, data2 = build_stack(log.store.snapshot(),
-                                    data.store.snapshot())
-    recovered = TrailDriver(sim2, log2, {0: data2}, config)
-    report = sim2.run_until(sim2.process(recovered.mount()))
-    assert report is not None  # crash_var was 0, recovery must run
-    return acked, data2.store
+    oracle = DurabilityOracle()
+    writes = [(rng.randrange(0, 2000), (seed + index) % 255 + 1)
+              for index in range(40)]
+    write_until_crash(sim, driver, oracle, writes, crash_at_ms, gap_ms)
+    return audit_restart(oracle, cold_restart(log, data))
 
 
 @settings(max_examples=25, deadline=None)
@@ -80,62 +39,37 @@ def crash_and_recover(seed, crash_at_ms, writes, gap_ms):
        gap_ms=st.sampled_from([0.0, 0.5, 2.0]))
 def test_acknowledged_writes_survive_any_crash_instant(
         seed, crash_at_ms, gap_ms):
-    acked, store = crash_and_recover(seed, crash_at_ms, writes=40,
-                                     gap_ms=gap_ms)
-    for lba, payload in acked.items():
-        assert store.read_sector(lba) == payload, (
-            f"lost acknowledged write at LBA {lba} "
-            f"(seed={seed}, crash_at={crash_at_ms})")
+    audit = crash_schedule(seed, crash_at_ms, gap_ms)
+    assert audit.ok and not audit.excused, audit
+
+
+def test_never_invents_half_catches_torn_youngest_replay(monkeypatch):
+    """With recovery's payload CRC disabled, a torn youngest record is
+    replayed as if intact (the historical replay bug).  Its sectors were
+    never acknowledged, so an acked-only check sees nothing: only the
+    oracle's never-invents half catches the garbage it writes."""
+    monkeypatch.setattr(repro.core.recovery, "payload_crc32",
+                        lambda _payload: mock.ANY)
+    audits = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        audits.append(crash_schedule(seed, rng.uniform(30.0, 400.0),
+                                     rng.choice([0.0, 0.5, 2.0])))
+    assert not any(audit.lost for audit in audits)
+    assert any(audit.invented for audit in audits)
 
 
 def test_double_crash_still_recovers():
-    """Crash during recovery-free operation, recover, crash again."""
-    config = TrailConfig(idle_reposition_interval_ms=0)
-    sim, log, data = build_stack()
-    TrailDriver.format_disk(log, config)
-    driver = TrailDriver(sim, log, {0: data}, config)
-    acked = {}
-
-    def phase(sim, driver, base, count=15):
-        try:
-            yield sim.process(driver.mount())
-            for index in range(count):
-                lba = base + index * 4
-                payload = bytes([index + 1]) * SECTOR
-                yield driver.write(lba, payload)
-                acked[lba] = payload
-        except Exception:
-            return
-
-    process = sim.process(phase(sim, driver, base=0))
-
-    def crasher():
-        yield sim.timeout(80.0)
-        if process.is_alive:
-            process.interrupt()
-        driver.crash()
-
-    sim.process(crasher())
-    sim.run()
-
+    """Crash, recover, write more, crash again: both epochs survive."""
+    sim, driver, log, data = make_tiny_trail()
+    oracle = DurabilityOracle()
+    write_until_crash(sim, driver, oracle,
+                      [(index * 4, index + 1) for index in range(15)],
+                      80.0)
     # Second epoch: mount (runs recovery), write more, crash again.
-    sim2, log2, data2 = build_stack(log.store.snapshot(),
-                                    data.store.snapshot())
-    driver2 = TrailDriver(sim2, log2, {0: data2}, config)
-    process2 = sim2.process(phase(sim2, driver2, base=1000))
-
-    def crasher2():
-        yield sim2.timeout(400.0)
-        if process2.is_alive:
-            process2.interrupt()
-        driver2.crash()
-
-    sim2.process(crasher2())
-    sim2.run()
-
-    sim3, log3, data3 = build_stack(log2.store.snapshot(),
-                                    data2.store.snapshot())
-    driver3 = TrailDriver(sim3, log3, {0: data3}, config)
-    sim3.run_until(sim3.process(driver3.mount()))
-    for lba, payload in acked.items():
-        assert data3.store.read_sector(lba) == payload
+    second = cold_restart(log, data)
+    write_until_crash(second.sim, second.driver, oracle,
+                      [(1000 + index * 4, index + 1) for index in range(15)],
+                      400.0)
+    audit = audit_restart(oracle, cold_restart(second.log, second.data))
+    assert audit.ok and not audit.excused, audit

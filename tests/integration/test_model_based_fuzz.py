@@ -1,8 +1,8 @@
-"""Model-based fuzzing: the driver vs a plain dictionary oracle.
+"""Model-based fuzzing: the driver vs the durability oracle.
 
 Random interleavings of writes, reads, flushes, and overwrites across
 several data disks, executed against TrailDriver (and the striped
-variant), are checked against an in-memory model: every read must
+variant), are checked against ``repro.faults.oracle``: every read must
 return exactly what the model says — through any combination of
 staging-buffer hits, partial overlays, and data-disk reads.
 """
@@ -13,40 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import TrailConfig
-from repro.core.multilog import StripedTrailDriver
 from repro.core.driver import TrailDriver, reserved_layout
 from repro.errors import MediaError, TrailError
 from repro.faults import FaultPlan
+from repro.faults.oracle import DurabilityOracle
 from repro.sim import Simulation
-from tests.conftest import make_tiny_drive
+from tests.conftest import (
+    cold_restart, crash_at, make_striped, make_tiny_drive, make_tiny_trail)
 
 SECTOR = 512
 SPAN = 1500  # LBAs the fuzz touches per disk
-
-
-def build_trail(sim, data_disk_count):
-    log = make_tiny_drive(sim, "log", cylinders=40)
-    data = {i: make_tiny_drive(sim, f"d{i}", cylinders=80, heads=4,
-                               sectors_per_track=32)
-            for i in range(data_disk_count)}
-    config = TrailConfig(idle_reposition_interval_ms=0)
-    TrailDriver.format_disk(log, config)
-    driver = TrailDriver(sim, log, data, config)
-    sim.run_until(sim.process(driver.mount()))
-    return driver
-
-
-def build_striped(sim, data_disk_count):
-    logs = [make_tiny_drive(sim, f"log{i}", cylinders=40)
-            for i in range(2)]
-    data = {i: make_tiny_drive(sim, f"d{i}", cylinders=80, heads=4,
-                               sectors_per_track=32)
-            for i in range(data_disk_count)}
-    config = TrailConfig(idle_reposition_interval_ms=0)
-    StripedTrailDriver.format_disks(logs, config)
-    driver = StripedTrailDriver(sim, logs, data, config)
-    sim.run_until(sim.process(driver.mount()))
-    return driver
 
 
 PAGE_SECTORS = 4  # uniform aligned pages, per the BlockDevice contract
@@ -55,7 +31,7 @@ PAGE_SECTORS = 4  # uniform aligned pages, per the BlockDevice contract
 def run_fuzz(driver, sim, seed, operations):
     rng = random.Random(seed)
     disk_ids = sorted(driver.data_disks)
-    model = {}  # (disk_id, lba) -> sector bytes
+    oracle = DurabilityOracle()
 
     def body():
         for op_index in range(operations):
@@ -66,16 +42,15 @@ def run_fuzz(driver, sim, seed, operations):
                 lba = page * PAGE_SECTORS
                 fill = (op_index % 255) + 1
                 payload = bytes([fill]) * (PAGE_SECTORS * SECTOR)
+                oracle.issue(lba, payload, disk_id)
                 yield driver.write(lba, payload, disk_id=disk_id)
-                for offset in range(PAGE_SECTORS):
-                    model[(disk_id, lba + offset)] = bytes([fill]) * SECTOR
+                oracle.ack(lba, payload, disk_id)
             elif action < 0.9:  # read 1-8 sectors and check
                 lba = rng.randrange(0, SPAN)
                 nsectors = rng.randint(1, 8)
                 data = yield driver.read(lba, nsectors, disk_id=disk_id)
                 for offset in range(nsectors):
-                    expected = model.get((disk_id, lba + offset),
-                                         bytes(SECTOR))
+                    expected = oracle.expected(disk_id, lba + offset)
                     actual = data[offset * SECTOR:(offset + 1) * SECTOR]
                     assert actual == expected, (
                         f"op {op_index}: disk {disk_id} LBA "
@@ -86,33 +61,32 @@ def run_fuzz(driver, sim, seed, operations):
             else:
                 yield sim.timeout(rng.uniform(0.1, 5.0))
         yield from driver.flush()
-        # Final audit: every modelled sector is on its data disk.
-        for (disk_id, lba), expected in model.items():
-            data = yield driver.read(lba, 1, disk_id=disk_id)
-            assert data == expected, (disk_id, lba)
 
     sim.run_until(sim.process(body(), name="fuzz"))
+    # Final audit: every modelled sector is on its data disk.
+    audit = oracle.audit(
+        lambda disk, lba: driver.data_disks[disk].store.read_sector(lba))
+    assert audit.ok, audit
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23, 99])
 def test_trail_matches_model(seed):
-    sim = Simulation()
-    driver = build_trail(sim, data_disk_count=2)
+    sim, driver, _log, _data = make_tiny_trail(data_disks=2,
+                                               log_cylinders=40)
     run_fuzz(driver, sim, seed, operations=120)
 
 
 @pytest.mark.parametrize("seed", [3, 41])
 def test_striped_trail_matches_model(seed):
-    sim = Simulation()
-    driver = build_striped(sim, data_disk_count=2)
+    sim, driver, _logs, _data = make_striped(data_disks=2,
+                                             log_cylinders=40)
     run_fuzz(driver, sim, seed, operations=100)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_trail_matches_model_property(seed):
-    sim = Simulation()
-    driver = build_trail(sim, data_disk_count=1)
+    sim, driver, _log, _data = make_tiny_trail(log_cylinders=40)
     run_fuzz(driver, sim, seed, operations=60)
 
 
@@ -122,10 +96,11 @@ def test_trail_matches_model_property(seed):
 # Each schedule derives two random FaultPlans (log + data), runs a
 # random write workload under them, crashes at a random time, then
 # remounts over the surviving platters with the same plans attached.
-# The invariant is the durability contract from docs/FAULTS.md: every
-# acknowledged write is either readable afterwards or *reported* —
-# listed in RecoveryReport.dropped_sectors, covered by a chain-break
-# flag, or lost to a mount that failed loudly.  Silence is the only
+# The invariant is the durability contract from docs/FAULTS.md, as the
+# oracle audits it: every acknowledged write is either readable
+# afterwards or *reported* — listed in RecoveryReport.dropped_sectors,
+# covered by a chain-break flag, or lost to a mount that failed
+# loudly — and no sector holds data nobody wrote.  Silence is the only
 # failure.
 
 
@@ -179,9 +154,9 @@ def run_crash_fault_schedule(seed):
     data.attach_faults(data_plan)
     driver = TrailDriver(sim, log, {0: data}, config)
 
-    acked = {}
-    crash_at = rng.uniform(30.0, 220.0)
-    writes = rng.randint(10, 40)
+    oracle = DurabilityOracle()
+    crash_ms = rng.uniform(30.0, 400.0)
+    writes = rng.randint(10, 60)
 
     def workload():
         try:
@@ -189,67 +164,49 @@ def run_crash_fault_schedule(seed):
             for index in range(writes):
                 lba = rng.randrange(0, SPAN)
                 payload = bytes([(seed + index) % 255 + 1]) * SECTOR
+                oracle.issue(lba, payload)
                 try:
                     yield driver.write(lba, payload)
                 except (MediaError, TrailError):
+                    oracle.fail(lba, payload)
                     continue  # failed loudly: not acknowledged
-                acked[lba] = payload
+                oracle.ack(lba, payload)
                 if rng.random() < 0.3:
                     yield sim.timeout(rng.uniform(0.1, 4.0))
         except Exception:
             return  # power failure / dead drive: workload over
 
-    process = sim.process(workload())
-
-    def crasher():
-        yield sim.timeout(crash_at)
-        if process.is_alive:
-            process.interrupt("power failure")
-        driver.crash()
-
-    sim.process(crasher())
-    sim.run()
+    crash_at(sim, driver, sim.process(workload()), crash_ms)
 
     # Remount a fresh stack over the surviving platters with the same
     # fault plans (fresh injectors: same seed, same behaviour).
-    sim2 = Simulation()
-    log2 = make_tiny_drive(sim2, "log", cylinders=40)
-    data2 = make_tiny_drive(sim2, "data", cylinders=80, heads=4,
-                            sectors_per_track=32)
-    log2.store.restore(log.store.snapshot())
-    data2.store.restore(data.store.snapshot())
-    log2.attach_faults(log_plan)
-    data2.attach_faults(data_plan)
-    remounted = TrailDriver(sim2, log2, {0: data2}, config)
     try:
-        report = sim2.run_until(sim2.process(remounted.mount()))
+        restart = cold_restart(log, {0: data})
     except Exception as exc:
         # A loud mount failure (shredded header, dead log disk) is a
         # reported outcome: nothing was claimed durable-and-fine.
-        return ("mount-failed", type(exc).__name__, sorted(acked))
-
-    dropped = set(report.dropped_sectors) if report else set()
-    chain_broken = bool(report and report.chain_broken)
-    lost, excused = [], []
-    for lba, payload in sorted(acked.items()):
-        if data2.store.read_sector(lba) == payload:
-            continue
-        if (0, lba) in dropped or chain_broken:
-            excused.append(lba)
-            continue
-        lost.append(lba)
-    assert not lost, (
-        f"seed {seed}: acked sectors {lost} lost without a report "
-        f"(dropped={sorted(dropped)}, chain_broken={chain_broken})")
-    return ("mounted", sorted(acked), sorted(excused),
-            sorted(dropped), chain_broken,
-            None if report is None else report.records_found)
+        return ("mount-failed", type(exc).__name__, oracle.acked_writes)
+    report = restart.report
+    audit = restart.audit(oracle)
+    assert audit.ok, (
+        f"seed {seed}: sectors lost {audit.lost} / invented "
+        f"{audit.invented} without a report ({report})")
+    return ("mounted", oracle.acked_writes, audit.verified, audit.excused,
+            None if report is None else (report.dropped_sectors,
+                                         report.chain_broken,
+                                         report.records_found))
 
 
 class TestCrashFaultFuzz:
-    @pytest.mark.parametrize("seed", list(range(20)))
+    # 228 and 394 once lost an acked write silently: a header bit flip
+    # made the log scan skip the youngest record as if it were empty.
+    @pytest.mark.parametrize("seed", list(range(20)) + [228, 394])
     def test_no_silent_loss_under_random_faults(self, seed):
         run_crash_fault_schedule(seed)
+
+    def test_sweep_of_schedules_reports_every_loss(self):
+        for seed in range(20, 600):
+            run_crash_fault_schedule(seed)
 
     def test_same_seed_same_outcome(self):
         assert (run_crash_fault_schedule(1234)

@@ -9,7 +9,8 @@ too — the kill-during-rebuild storm).  The invariants:
 * foreground I/O never raises — a single member death plus any number
   of spare deaths is a performance event, not an error;
 * after the storm settles, every acknowledged sector reads back
-  byte-identical to the in-memory reference model;
+  byte-identical to the durability oracle's model, and no sector
+  holds data nobody wrote;
 * a completed rebuild leaves parity consistent;
 * the same seed reproduces the identical outcome summary.
 """
@@ -19,6 +20,7 @@ import random
 import pytest
 
 from repro.faults import FaultPlan, start_drive_faults
+from repro.faults.oracle import DurabilityOracle
 from repro.raid import Raid5Array, RebuildConfig
 from repro.raid.array import _xor
 from repro.sim import Simulation
@@ -73,7 +75,8 @@ def run_drive_kill_schedule(seed):
             FaultPlan(seed=seed + 1,
                       death_at_ms=kill_at + rng.uniform(2.0, 25.0)))
 
-    model = {}
+    oracle = DurabilityOracle()
+    written = []  # page LBAs, for mid-storm reads
     pages = array.total_sectors // PAGE
 
     def workload():
@@ -83,13 +86,15 @@ def run_drive_kill_schedule(seed):
                 lba = rng.randrange(pages) * PAGE
                 fill = (seed + op_index) % 255 + 1
                 data = bytes([fill]) * (PAGE * SECTOR)
+                oracle.issue(lba, data)
                 yield array.write(lba, data)
-                for offset in range(PAGE):
-                    model[lba + offset] = bytes([fill]) * SECTOR
-            elif action < 0.9 and model:
-                lba = rng.choice(sorted(model))
+                oracle.ack(lba, data)
+                written.append(lba)
+            elif action < 0.9 and written:
+                lba = rng.choice(written)
                 result = yield array.read(lba, 1)
-                assert bytes(result.data[:SECTOR]) == model[lba], (
+                assert bytes(result.data[:SECTOR]) \
+                    == oracle.expected(0, lba), (
                     f"seed {seed} op {op_index}: LBA {lba} diverged "
                     f"mid-storm")
             else:
@@ -111,16 +116,10 @@ def run_drive_kill_schedule(seed):
         if engine.active:
             sim.run_until(engine.done)
 
-    def audit():
-        wrong = []
-        for lba in sorted(model):
-            result = yield array.read(lba, 1)
-            if bytes(result.data[:SECTOR]) != model[lba]:
-                wrong.append(lba)
-        return wrong
-    mismatches = drive_to_completion(sim, audit(), name=f"audit-{seed}")
-    assert mismatches == [], (
-        f"seed {seed}: sectors {mismatches} lost after the storm")
+    audit = oracle.audit(
+        lambda _disk, lba: bytes(sim.run_until(array.read(lba, 1))
+                                 .data[:SECTOR]))
+    assert audit.ok, f"seed {seed}: {audit} after the storm"
 
     status = "no-rebuild" if engine is None else engine.status
     if status == "complete":
@@ -132,7 +131,7 @@ def run_drive_kill_schedule(seed):
             array.failed_drive, array.array_failed,
             stats.degraded_reads, stats.degraded_writes,
             stats.gate_waits, stats.member_ios, stats.op_retries,
-            sorted(model))
+            oracle.acked_writes, audit.verified)
 
 
 class TestDriveKillFuzz:

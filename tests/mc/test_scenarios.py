@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.recovery import RecoveryManager
 from repro.mc import (
     MUTATIONS, SCENARIOS, default_oracle, explore_scenario,
     tail_chain_tear)
@@ -89,3 +90,18 @@ class TestMutations:
         report = explore_scenario(scenario, budget=2,
                                   preemption_bound=1)
         assert report.ok
+
+    def test_skipped_replay_fails_the_durability_audit(self, monkeypatch):
+        """Recovery that finds the chain but replays nothing leaves
+        acknowledged writes off the data disk: the oracle's audit
+        turns that into the schedule's failure."""
+        def replay_nothing(self, chain):
+            return
+            yield
+
+        monkeypatch.setattr(RecoveryManager, "replay", replay_nothing)
+        report = explore_scenario(SCENARIOS["crash-recovery"], budget=1,
+                                  preemption_bound=0)
+        assert not report.ok
+        assert "durability audit failed" in report.failures[0].failure
+        assert "lost=[(0, " in report.failures[0].failure

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import (
     DriveFailedError, RaidFailedError, UnrecoverableSectorError)
 from repro.faults import FaultPlan
+from repro.faults.oracle import DurabilityOracle
 from repro.raid import Raid5Array, RebuildConfig
 from repro.raid.array import _xor
 from repro.sim import Simulation
@@ -31,9 +32,9 @@ def make_array(sim, members=4, stripe_unit=4, spares=1, cylinders=10,
 
 
 def fill_array(sim, array, seed=0, pages=None):
-    """Seeded page writes over the whole span; returns the model."""
+    """Seeded page writes over the whole span; returns the oracle."""
     rng = random.Random(seed)
-    model = {}
+    oracle = DurabilityOracle()
     span = array.total_sectors // PAGE
     chosen = range(span) if pages is None else pages
 
@@ -41,11 +42,11 @@ def fill_array(sim, array, seed=0, pages=None):
         for page in chosen:
             lba = page * PAGE
             data = bytes([rng.randrange(256)]) * (PAGE * SECTOR)
-            for offset in range(PAGE):
-                model[lba + offset] = data[:SECTOR]
+            oracle.issue(lba, data)
             yield array.write(lba, data)
+            oracle.ack(lba, data)
     drive_to_completion(sim, body())
-    return model
+    return oracle
 
 
 def force_detection(sim, array, stripe=0):
@@ -65,15 +66,11 @@ def wait_rebuild(sim, array):
     return engine
 
 
-def read_all(sim, array, model):
-    def body():
-        mismatches = []
-        for lba in sorted(model):
-            result = yield array.read(lba, 1)
-            if bytes(result.data[:SECTOR]) != model[lba]:
-                mismatches.append(lba)
-        return mismatches
-    return drive_to_completion(sim, body())
+def read_all(sim, array, oracle):
+    """The oracle's audit of every written sector, read via the array."""
+    return oracle.audit(
+        lambda _disk, lba: bytes(sim.run_until(array.read(lba, 1))
+                                 .data[:SECTOR]))
 
 
 def parity_clean(array):
@@ -90,7 +87,7 @@ def parity_clean(array):
 class TestOnlineRebuild:
     def test_rebuild_reconstructs_byte_identical(self, sim):
         array, drives, spares = make_array(sim)
-        model = fill_array(sim, array)
+        oracle = fill_array(sim, array)
         drives[1].fail()
         force_detection(sim, array)
         engine = wait_rebuild(sim, array)
@@ -98,13 +95,13 @@ class TestOnlineRebuild:
         assert engine.stripes_rebuilt == array.stripes_total
         assert array.failed_drive is None
         assert array.drives[1] is spares[0]  # spare swapped in
-        assert read_all(sim, array, model) == []
+        assert read_all(sim, array, oracle).ok
         assert parity_clean(array)
         assert engine.lost_sectors == []
 
     def test_rebuild_under_foreground_traffic(self, sim):
         array, drives, _spares = make_array(sim, cylinders=10)
-        model = fill_array(sim, array)
+        oracle = fill_array(sim, array)
         rng = random.Random(7)
         drives[2].fail()
 
@@ -116,17 +113,18 @@ class TestOnlineRebuild:
                 lba = page * PAGE
                 if rng.random() < 0.5:
                     result = yield array.read(lba, 1)
-                    assert bytes(result.data[:SECTOR]) == model[lba]
+                    assert bytes(result.data[:SECTOR]) \
+                        == oracle.expected(0, lba)
                 else:
                     data = bytes([rng.randrange(256)]) * (PAGE * SECTOR)
-                    for offset in range(PAGE):
-                        model[lba + offset] = data[:SECTOR]
+                    oracle.issue(lba, data)
                     yield array.write(lba, data)
+                    oracle.ack(lba, data)
                 yield sim.timeout(rng.uniform(0.1, 2.0))
         drive_to_completion(sim, traffic())
         engine = wait_rebuild(sim, array)
         assert engine.status == "complete"
-        assert read_all(sim, array, model) == []
+        assert read_all(sim, array, oracle).ok
         assert parity_clean(array)
 
     def test_checkpoint_watermark_stays_consistent(self, sim):
@@ -175,7 +173,7 @@ class TestOnlineRebuild:
 class TestHaltDuringRebuild:
     def test_halt_pauses_at_checkpoint_and_resumes(self, sim):
         array, drives, _spares = make_array(sim)
-        model = fill_array(sim, array)
+        oracle = fill_array(sim, array)
         drives[1].fail()
         force_detection(sim, array)
         engine = array.rebuild
@@ -198,14 +196,14 @@ class TestHaltDuringRebuild:
         assert engine.status == "running"
         wait_rebuild(sim, array)
         assert engine.status == "complete"
-        assert read_all(sim, array, model) == []
+        assert read_all(sim, array, oracle).ok
         assert parity_clean(array)
 
     def test_halt_resume_is_idempotent_per_stripe(self, sim):
         # Re-copying the checkpoint stripe after resume must not
         # corrupt it: halt/power-cycle several times mid-rebuild.
         array, drives, _spares = make_array(sim)
-        model = fill_array(sim, array)
+        oracle = fill_array(sim, array)
         drives[2].fail()
         force_detection(sim, array)
         engine = array.rebuild
@@ -221,14 +219,14 @@ class TestHaltDuringRebuild:
         drive_to_completion(sim, bouncer())
         wait_rebuild(sim, array)
         assert engine.status == "complete"
-        assert read_all(sim, array, model) == []
+        assert read_all(sim, array, oracle).ok
         assert parity_clean(array)
 
 
 class TestFaultStorms:
     def test_spare_death_aborts_rebuild_array_stays_degraded(self, sim):
         array, drives, spares = make_array(sim)
-        model = fill_array(sim, array)
+        oracle = fill_array(sim, array)
         drives[1].fail()
         force_detection(sim, array)
         engine = array.rebuild
@@ -243,7 +241,7 @@ class TestFaultStorms:
         assert "spare" in (engine.abort_reason or "")
         assert array.failed_drive == 1  # still degraded
         assert not array.array_failed
-        assert read_all(sim, array, model) == []  # degraded service
+        assert read_all(sim, array, oracle).ok  # degraded service
 
     def test_second_survivor_death_fails_array_loudly(self, sim):
         array, drives, _spares = make_array(sim)
@@ -264,7 +262,7 @@ class TestFaultStorms:
 
     def test_unreadable_survivor_sector_is_salvaged(self, sim):
         array, drives, _spares = make_array(sim)
-        model = fill_array(sim, array)
+        oracle = fill_array(sim, array)
         # One survivor sector becomes unrecoverable *after* the fill,
         # so the copier's reconstruct read trips on it.
         bad_lba = 0
@@ -282,23 +280,20 @@ class TestFaultStorms:
         # The rest of the array is intact: only stripe 0 — the bad
         # sector itself (still unreadable on the live member) and the
         # reconstructed row that needed it — may misbehave.
-        def audit():
-            wrong = []
-            for lba in sorted(model):
-                try:
-                    result = yield array.read(lba, 1)
-                except UnrecoverableSectorError:
-                    wrong.append(lba)
-                    continue
-                if bytes(result.data[:SECTOR]) != model[lba]:
-                    wrong.append(lba)
-            return wrong
+        def read_sector(_disk, lba):
+            try:
+                return bytes(sim.run_until(array.read(lba, 1))
+                             .data[:SECTOR])
+            except UnrecoverableSectorError:
+                return None
+        audit = oracle.audit(read_sector)
         stripe0 = set(range(array.stripe_unit * (len(drives) - 1)))
-        assert set(drive_to_completion(sim, audit())) <= stripe0
+        assert not audit.invented
+        assert {lba for _disk, lba in audit.lost} <= stripe0
 
     def test_rebuild_restarts_on_next_spare_after_spare_death(self, sim):
         array, drives, spares = make_array(sim, spares=2)
-        model = fill_array(sim, array)
+        oracle = fill_array(sim, array)
         drives[1].fail()
         force_detection(sim, array)
         first = array.rebuild
@@ -316,7 +311,7 @@ class TestFaultStorms:
         assert second.spare is spares[1]
         assert second.status == "complete"
         assert array.failed_drive is None
-        assert read_all(sim, array, model) == []
+        assert read_all(sim, array, oracle).ok
         assert parity_clean(array)
 
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults.oracle import Audit, DurabilityOracle
+from repro.faults.scenarios import SCENARIOS
 
 
 class TestParser:
@@ -53,6 +55,24 @@ class TestCommands:
     def test_unknown_device_rejected(self):
         with pytest.raises(SystemExit):
             main(["trace", "--device", "floppy"])
+
+
+class TestFaultsCommand:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_scenario_passes_its_durability_audit(self, name,
+                                                        capsys):
+        assert main(["faults", name]) == 0
+        out = capsys.readouterr().out
+        assert "writes acknowledged" in out
+        assert "0 lost and 0 invented without a report" in out
+
+    def test_failed_audit_exits_nonzero(self, monkeypatch, capsys):
+        monkeypatch.setattr(DurabilityOracle, "audit",
+                            lambda self, read, report=None:
+                            Audit(lost=[(0, 7)]))
+        assert main(["faults", "latency-spikes"]) == 1
+        assert "durability audit FAILED: lost [(0, 7)]" \
+            in capsys.readouterr().out
 
 
 class TestRaidRebuildCommand:
