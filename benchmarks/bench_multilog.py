@@ -33,9 +33,8 @@ def run_clustered(stripes: int) -> float:
     log_drives = [st41601n().make_drive(sim, f"log{i}")
                   for i in range(stripes)]
     data = {0: wd_caviar_10gb().make_drive(sim, "data0")}
-    config = TrailConfig()
-    StripedTrailDriver.format_disks(log_drives, config)
-    driver = StripedTrailDriver(sim, log_drives, data, config)
+    StripedTrailDriver.format_disks(log_drives)
+    driver = StripedTrailDriver(sim, log_drives, data, TrailConfig())
     sim.run_until(sim.process(driver.mount()))
 
     latencies = []

@@ -37,7 +37,7 @@ def main() -> None:
 
     # ------------------------------------------------------- phase 1
     sim, log_drive, data_drive = build()
-    TrailDriver.format_disk(log_drive, config)
+    TrailDriver.format_disk(log_drive)
     driver = TrailDriver(sim, log_drive, {0: data_drive}, config)
     acknowledged = {}
 

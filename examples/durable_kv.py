@@ -49,7 +49,7 @@ def crash_and_recover() -> None:
     log_drive = st41601n().make_drive(sim, "log")
     data_drive = wd_caviar_10gb().make_drive(sim, "data")
     config = TrailConfig()
-    TrailDriver.format_disk(log_drive, config)
+    TrailDriver.format_disk(log_drive)
     trail = TrailDriver(sim, log_drive, {0: data_drive}, config)
     kv = DurableKv(sim, trail, capacity_sectors=4096)
     acked = {}

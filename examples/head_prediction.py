@@ -50,7 +50,7 @@ def drift_demo() -> None:
                                     sectors_per_track=32).make_drive(
             sim, "data")
         config = TrailConfig(idle_reposition_interval_ms=interval_ms)
-        TrailDriver.format_disk(log_drive, config)
+        TrailDriver.format_disk(log_drive)
         driver = TrailDriver(sim, log_drive, {0: data_drive}, config)
 
         def workload():

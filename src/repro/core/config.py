@@ -1,16 +1,18 @@
 """Tunable parameters of the Trail driver.
 
-Defaults follow the paper: 30 % track-utilization threshold before the
-head moves to the next track (§4.2), batching bounded by the record
-header's array capacity (§3.2), and periodic idle repositioning to keep
-the prediction reference fresh (§3.1).  The ablation flags let
-benchmarks turn individual mechanisms off to measure their
-contribution.
+Only the knobs the paper's experiments turn live here: the 30 %
+track-utilization threshold before the head moves to the next track
+(§4.2), periodic idle repositioning to keep the prediction reference
+fresh (§3.1), and the three recovery optimizations Fig. 4 ablates
+(§3.3).  The rest is fixed by the design: records batch up to
+:data:`MAX_TRAIL_BATCH` sectors, the on-disk layout is a function of
+the geometry (``reserved_layout``), and a dead log disk always
+degrades the driver to write-through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 #: Maximum sectors described by one write record (MAX_TRAIL_BATCH).
@@ -29,29 +31,10 @@ class TrailConfig:
     #: Move to the next track once the current track is this full (§4.2).
     track_utilization_threshold: float = 0.30
 
-    #: Upper bound on sectors batched into one write record.
-    max_batch_sectors: int = MAX_TRAIL_BATCH
-
-    #: Coalesce queued requests into one physical log write (§4.2).
-    #: Disabling reproduces Table 1's batch-size-1 behaviour.
-    batching_enabled: bool = True
-
-    #: Extra prediction margin in sectors on top of the calibrated δ.
-    #: δ itself is measured by ``HeadPositionPredictor.calibrate``.
-    delta_slack_sectors: int = 1
-
     #: Re-anchor the prediction reference after this much log-disk idle
     #: time (§3.1's periodic repositioning).  ``0`` disables the
     #: repositioner.
     idle_reposition_interval_ms: float = 250.0
-
-    #: Tracks reserved at the front of the disk for the global header,
-    #: its replicas, and the geometry record (§3.2: "stored at the first
-    #: track ... also replicated at several other places").
-    reserved_tracks: int = 2
-
-    #: Number of additional header replicas spread across the disk.
-    header_replicas: int = 2
 
     #: Record the ``log_head`` recovery bound in each record (§3.3's
     #: second optimization).  Disabling forces recovery to trace the
@@ -66,48 +49,10 @@ class TrailConfig:
     #: (Fig. 4(b): recovery is >3.5x faster when this is skipped).
     recovery_writeback: bool = True
 
-    #: Host staging-buffer budget in bytes (0 = unlimited).  The paper
-    #: uses "part of the host memory"; the driver applies backpressure
-    #: to incoming writes when the pinned set would exceed this.
-    buffer_budget_bytes: int = 0
-
-    #: Queue priority separation: data-disk reads ahead of write-backs.
-    reads_preempt_writebacks: bool = True
-
-    #: Bounded retry attempts the write-back scheduler makes when a
-    #: data-disk write fails with a media error, with exponential
-    #: backoff between attempts.
-    writeback_retry_limit: int = 4
-
-    #: Backoff before the first write-back retry; doubles per attempt.
-    writeback_retry_base_ms: float = 1.0
-
-    #: Degrade gracefully when the log disk dies: flip to synchronous
-    #: write-through to the data disks (the paper notes Trail
-    #: "degenerates to a standard disk") instead of failing every
-    #: subsequent write.  Disabling makes a log-disk media failure
-    #: propagate to the caller, for ablation.
-    degraded_mode_enabled: bool = True
-
     def __post_init__(self) -> None:
         if not 0.0 < self.track_utilization_threshold <= 1.0:
             raise ValueError(
                 "track_utilization_threshold must be in (0, 1], got "
                 f"{self.track_utilization_threshold}")
-        if not 1 <= self.max_batch_sectors <= MAX_TRAIL_BATCH:
-            raise ValueError(
-                f"max_batch_sectors must be in [1, {MAX_TRAIL_BATCH}], got "
-                f"{self.max_batch_sectors}")
-        if self.reserved_tracks < 1:
-            raise ValueError(
-                f"reserved_tracks must be >= 1, got {self.reserved_tracks}")
         if self.idle_reposition_interval_ms < 0:
             raise ValueError("idle_reposition_interval_ms must be >= 0")
-        if self.header_replicas < 0:
-            raise ValueError("header_replicas must be >= 0")
-        if self.delta_slack_sectors < 0:
-            raise ValueError("delta_slack_sectors must be >= 0")
-        if self.writeback_retry_limit < 0:
-            raise ValueError("writeback_retry_limit must be >= 0")
-        if self.writeback_retry_base_ms < 0:
-            raise ValueError("writeback_retry_base_ms must be >= 0")

@@ -24,7 +24,7 @@ from typing import (
 from repro.blockdev import BlockDevice, DataTarget
 from repro.core.allocator import TrackAllocator, TrackRing
 from repro.core.buffer import BufferManager, LiveRecord
-from repro.core.config import TrailConfig
+from repro.core.config import MAX_TRAIL_BATCH, TrailConfig
 from repro.core.format import (
     LogDiskHeader, NULL_LBA, PAYLOAD_FIRST_BYTE, decode_disk_header,
     decode_geometry, encode_disk_header, encode_geometry,
@@ -95,20 +95,25 @@ class _PendingWrite:
 
 
 def reserved_layout(
-    geometry: DiskGeometry, config: TrailConfig,
+    geometry: DiskGeometry,
 ) -> Tuple[List[int], TrackRing]:
     """Compute (header LBAs, usable tracks) for a log disk.
 
-    The primary header lives at sector 0 of track 0 with the geometry
-    record right after it (§3.2); replicas are spread evenly across the
-    disk "to improve the robustness".  Reserved and replica tracks are
-    excluded from the circular log, which comes back as an arithmetic
-    ring: position -> track, O(reserved tracks) however large the disk.
+    The layout is a function of the geometry alone, so format and
+    every later mount agree on it.  The primary header lives at sector
+    0 of track 0 with the geometry record right after it, and the first
+    two tracks are reserved (§3.2: "stored at the first track ... also
+    replicated at several other places"); two replicas are spread
+    evenly across the disk "to improve the robustness".  Reserved and
+    replica tracks are excluded from the circular log, which comes back
+    as an arithmetic ring: position -> track, O(reserved tracks)
+    however large the disk.
     """
-    reserved = set(range(config.reserved_tracks))
+    replicas = 2
+    reserved = {0, 1}
     header_lbas = [geometry.track_first_lba(0)]
-    for index in range(1, config.header_replicas + 1):
-        track = (index * geometry.num_tracks) // (config.header_replicas + 1)
+    for index in range(1, replicas + 1):
+        track = (index * geometry.num_tracks) // (replicas + 1)
         track = min(track, geometry.num_tracks - 1)
         if track not in reserved:
             reserved.add(track)
@@ -143,10 +148,7 @@ class TrailDriver(BlockDevice):
         self.predictor: Optional[HeadPositionPredictor] = None
         self.buffers = BufferManager(self._on_record_released)
         self.writeback = WritebackScheduler(
-            sim, self.data_disks, self.buffers,
-            reads_preempt_writebacks=self.config.reads_preempt_writebacks,
-            retry_limit=self.config.writeback_retry_limit,
-            retry_base_ms=self.config.writeback_retry_base_ms)
+            sim, self.data_disks, self.buffers)
         self.writeback.on_idle = self._on_writeback_idle
         self.last_recovery: Optional[RecoveryReport] = None
 
@@ -189,12 +191,10 @@ class TrailDriver(BlockDevice):
     # Formatting and mounting
 
     @staticmethod
-    def format_disk(log_drive: DiskDrive,
-                    config: Optional[TrailConfig] = None) -> None:
+    def format_disk(log_drive: DiskDrive) -> None:
         """Offline format: wipe the disk, write header + geometry (§4.1)."""
-        config = config or TrailConfig()
         geometry = log_drive.geometry
-        header_lbas, _usable = reserved_layout(geometry, config)
+        header_lbas, _usable = reserved_layout(geometry)
         log_drive.store.clear()
         header = encode_disk_header(LogDiskHeader(epoch=0, crash_var=1),
                                     geometry.sector_size)
@@ -215,8 +215,7 @@ class TrailDriver(BlockDevice):
         if self._mounted:
             raise TrailError("driver is already mounted")
         geometry = self.log_drive.geometry
-        self._header_lbas, usable_tracks = reserved_layout(
-            geometry, self.config)
+        self._header_lbas, usable_tracks = reserved_layout(geometry)
 
         # Take the first header copy that reads and decodes (fault-free:
         # one read).  Any will do: copies are written primary first and
@@ -281,7 +280,7 @@ class TrailDriver(BlockDevice):
         ``HeadPositionPredictor.calibrate`` measures the real value (the
         paper's procedure); this estimate — overhead expressed in
         sector times, plus one sector for the floor() in the prediction
-        formula, plus the configured slack — seeds the predictor so a
+        formula, plus one sector of slack — seeds the predictor so a
         driver is usable without a calibration pass.
         """
         geometry = self.geometry
@@ -290,7 +289,7 @@ class TrailDriver(BlockDevice):
         sector_time = self.log_drive.rotation.rotation_ms / outer_spt
         overhead_sectors = int(self.log_drive.command_overhead_ms
                                / sector_time) + 1
-        return overhead_sectors + 1 + self.config.delta_slack_sectors
+        return overhead_sectors + 1 + 1
 
     def _write_headers(self, crash_var: int) -> Generator[Event, Any, None]:
         """Persist the global header (and replicas) with ``crash_var``;
@@ -492,16 +491,14 @@ class TrailDriver(BlockDevice):
                 first = yield self._log_queue.get()
                 self._writer_busy = True
                 pending: Deque[_PendingWrite] = deque([first])
-                if self.config.batching_enabled:
-                    pending.extend(self._log_queue.drain())
+                pending.extend(self._log_queue.drain())
                 while pending:
                     if self._degraded:
                         yield from self._write_through(list(pending))
                         pending.clear()
                     else:
                         yield from self._write_record(pending)
-                    if self.config.batching_enabled:
-                        pending.extend(self._log_queue.drain())
+                    pending.extend(self._log_queue.drain())
                 self._writer_busy = False
                 self._last_activity = self.sim.now
                 self._notify_idle()
@@ -521,8 +518,7 @@ class TrailDriver(BlockDevice):
                or allocator.utilization() >= 1.0):
             yield from self._advance_track()
 
-        capacity = min(self.config.max_batch_sectors,
-                       allocator.largest_free_run() - 1)
+        capacity = min(MAX_TRAIL_BATCH, allocator.largest_free_run() - 1)
         spans: List[Tuple[_PendingWrite, int, int]] = []
         total = 0
         while pending and total < capacity:
@@ -625,9 +621,9 @@ class TrailDriver(BlockDevice):
 
         try:
             result = yield self.log_drive.write(header_lba, blob)
-        except MediaError as exc:
+        except MediaError:
             self.stats.log_media_errors += 1
-            yield from self._log_write_failed(exc, spans, pending)
+            yield from self._log_write_failed(spans, pending)
             return
 
         # The record enters the live tail only once it is on the
@@ -675,19 +671,16 @@ class TrailDriver(BlockDevice):
 
     def _log_write_failed(
         self,
-        exc: MediaError,
         spans: List[Tuple[_PendingWrite, int, int]],
         pending: Deque[_PendingWrite],
     ) -> Generator[Event, Any, None]:
         """A log write exhausted the drive's retries and spares.
 
-        With degraded mode enabled the driver abandons the log disk and
-        "degenerates to a standard disk": it drains the write-back
-        backlog, marks the log clean so stale records are never
-        replayed over newer write-through data, and services the failed
-        record's requests (and everything after them) synchronously.
-        With it disabled the affected requests fail with the media
-        error and logging continues on the remaining tracks.
+        The driver abandons the log disk and "degenerates to a standard
+        disk": it drains the write-back backlog, marks the log clean so
+        stale records are never replayed over newer write-through data,
+        and services the failed record's requests (and everything after
+        them) synchronously.
         """
         requests: List[_PendingWrite] = []
         for request, _offset, _count in spans:
@@ -696,11 +689,6 @@ class TrailDriver(BlockDevice):
         for request in requests:
             if request in pending:
                 pending.remove(request)
-
-        if not self.config.degraded_mode_enabled:
-            for request in requests:
-                self._fail_request(request, exc)
-            return
 
         yield from self._enter_degraded()
         yield from self._write_through(requests)

@@ -74,7 +74,7 @@ class TrailInstance(Generic[DataT]):
         self.data_drives: Dict[int, DataT] = dict(data_disks)
         trail_config = config if config is not None else TrailConfig()
         if format_log:
-            TrailDriver.format_disk(log_drive, trail_config)
+            TrailDriver.format_disk(log_drive)
         self.driver = TrailDriver(
             sim, log_drive, self.data_drives, trail_config)
         #: Report of the most recent mount's recovery pass, if any.

@@ -56,11 +56,10 @@ class StripedTrailDriver(BlockDevice):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def format_disks(log_drives: Sequence[DiskDrive],
-                     config: Optional[TrailConfig] = None) -> None:
+    def format_disks(log_drives: Sequence[DiskDrive]) -> None:
         """Format every log disk as a Trail log disk."""
         for log_drive in log_drives:
-            TrailDriver.format_disk(log_drive, config)
+            TrailDriver.format_disk(log_drive)
 
     def mount(
         self,

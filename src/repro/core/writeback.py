@@ -22,10 +22,17 @@ from typing import Any, Callable, Dict, Generator, Mapping, Optional, Tuple
 
 from repro.blockdev import DataTarget
 from repro.core.buffer import BufferManager, PageKey, PendingPage
-from repro.disk.controller import PRIORITY_READ, PRIORITY_WRITE
+from repro.disk.controller import PRIORITY_WRITE
 from repro.errors import DiskHaltedError, MediaError, TrailError
 from repro.sim import Event, Interrupt, Process, Simulation, Store
 from repro.units import Ms
+
+#: Retries of a write-back that failed with a media error, before its
+#: target is relocated to spares.
+RETRY_LIMIT = 4
+
+#: Backoff before the first retry; it doubles per attempt.
+RETRY_BASE_MS: Ms = 1.0
 
 
 class WritebackScheduler:
@@ -36,19 +43,12 @@ class WritebackScheduler:
         sim: Simulation,
         data_disks: Mapping[int, DataTarget],
         buffers: BufferManager,
-        reads_preempt_writebacks: bool = True,
-        retry_limit: int = 4,
-        retry_base_ms: Ms = 1.0,
     ) -> None:
         if not data_disks:
             raise TrailError("write-back scheduler needs >= 1 data disk")
         self.sim = sim
         self.data_disks = data_disks
         self.buffers = buffers
-        self._write_priority = (PRIORITY_WRITE if reads_preempt_writebacks
-                                else PRIORITY_READ)
-        self.retry_limit = retry_limit
-        self.retry_base_ms = retry_base_ms
         self.queue: Store = Store(sim)
         self.pages_written = 0  # trailsan: atomic_group(wb-counters)
         self.sectors_written = 0  # trailsan: atomic_group(wb-counters)
@@ -192,28 +192,25 @@ class WritebackScheduler:
         ``DiskHaltedError`` propagates (power failure is not a media
         fault).
         """
-        backoff = self.retry_base_ms
-        for attempt in range(self.retry_limit + 1):
+        backoff = RETRY_BASE_MS
+        for attempt in range(RETRY_LIMIT + 1):
             try:
-                yield disk.write(page.lba, data,
-                                 priority=self._write_priority)
+                yield disk.write(page.lba, data, priority=PRIORITY_WRITE)
                 return True
             except DiskHaltedError:
                 raise
             except MediaError:
-                if attempt == self.retry_limit:
+                if attempt == RETRY_LIMIT:
                     break
                 self.write_retries += 1
-                if backoff > 0:
-                    yield self.sim.timeout(backoff)
+                yield self.sim.timeout(backoff)
                 backoff *= 2
         # Persistently failing target: relocate its bad sectors to
         # spares and try once more.
         if disk.relocate(page.lba, page.nsectors) > 0:
             self.pages_relocated += 1
             try:
-                yield disk.write(page.lba, data,
-                                 priority=self._write_priority)
+                yield disk.write(page.lba, data, priority=PRIORITY_WRITE)
                 return True
             except DiskHaltedError:
                 raise

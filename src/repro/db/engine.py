@@ -140,7 +140,6 @@ class TransactionEngine:
         pool: BufferPool,
         lock_manager: Optional[LockManager] = None,
         cpu_ms_per_op: float = 0.05,
-        log_before_images: bool = True,
     ) -> None:
         self.sim = sim
         self.device = device
@@ -148,9 +147,6 @@ class TransactionEngine:
         self.pool = pool
         self.locks = lock_manager or LockManager(sim)
         self.cpu_ms_per_op = cpu_ms_per_op
-        #: Berkeley DB-style physical logging stores both the before
-        #: and after images of each modified record.
-        self.log_before_images = log_before_images
         self.stats = EngineStats()
         #: Transaction ids land in WAL bytes, so they are numbered per
         #: engine: a run's log never depends on what ran before it.
@@ -202,14 +198,14 @@ class TransactionEngine:
         """X-lock, dirty the record's page, and buffer a log record.
 
         ``payload_bytes`` defaults to the table's record size (a full
-        after-image, which is what Berkeley DB logs).
+        after-image).  The log record carries twice that: Berkeley
+        DB-style physical logging stores both the before and after
+        images of each modified record.
         """
         if payload_bytes is None:
             payload_bytes = table.spec.record_bytes
-        if self.log_before_images:
-            payload_bytes *= 2
         return self._access(tx, table, index, LockMode.EXCLUSIVE,
-                            payload_bytes)
+                            payload_bytes * 2)
 
     def _access(self, tx: Transaction, table: Table, index: int,
                 mode: LockMode, payload: Optional[int]) -> Generator:

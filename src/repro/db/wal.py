@@ -55,7 +55,6 @@ class WriteAheadLog:
         start_lba: int,
         capacity_sectors: int,
         policy: CommitPolicy,
-        latch_during_flush: Optional[bool] = None,
     ) -> None:
         if capacity_sectors < 8:
             raise DatabaseError(
@@ -71,10 +70,9 @@ class WriteAheadLog:
         #: group-commit "I/O clustering").  When False, the latch only
         #: covers buffer snapshots, so concurrent commits issue
         #: concurrent forces that a Trail log disk batches together.
-        #: Default: latch for group commit, concurrent for sync forces.
-        if latch_during_flush is None:
-            latch_during_flush = not policy.wait_for_durable
-        self.latch_during_flush = latch_during_flush
+        #: Derived from the policy: latch for group commit, concurrent
+        #: for sync forces.
+        self.latch_during_flush = not policy.wait_for_durable
         self.stats = WalStats()
 
         self._latch = Resource(sim, capacity=1)

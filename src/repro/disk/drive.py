@@ -53,7 +53,7 @@ from repro.disk.controller import (
     DriveStats, IoResult, Op, PRIORITY_READ, _Command)
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import RotationModel, SeekModel
-from repro.disk.scheduler import ElevatorQueue, PriorityQueue
+from repro.disk.scheduler import PriorityQueue
 from repro.disk.sectors import SectorStore
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.sim import Event, Simulation
@@ -76,8 +76,6 @@ class DiskDrive:
         command_overhead_ms: Ms = 0.5,
         store: Optional[SectorStore] = None,
         name: str = "disk",
-        scheduling: str = "priority",
-        starvation_ms: Optional[Ms] = None,
     ) -> None:
         self.sim = sim
         self.geometry = geometry
@@ -88,16 +86,8 @@ class DiskDrive:
             geometry.total_sectors, geometry.sector_size)
         self.name = name
         self.stats = DriveStats()
-        self.scheduling = scheduling
         #: Commands waiting behind the one in service.
-        self._queue: Union[PriorityQueue, ElevatorQueue]
-        if scheduling == "priority":
-            self._queue = PriorityQueue()
-        elif scheduling == "elevator":
-            self._queue = ElevatorQueue(geometry, starvation_ms)
-        else:
-            raise ValueError(
-                f"unknown scheduling discipline {scheduling!r}")
+        self._queue = PriorityQueue()
         self._position_cylinder = 0
         self._position_head = 0
         self._halted = False
@@ -453,9 +443,7 @@ class DiskDrive:
         """The active command is over: start the next waiting one."""
         self._wakeup = None
         if self._queue:
-            now = self.sim.now
-            self._start(self._queue.next_command(
-                self._position_cylinder, now), now)
+            self._start(self._queue.next_command(), self.sim.now)
         else:
             self._active = None
 

@@ -123,7 +123,6 @@ class Raid5Array:
         stripe_unit_sectors: Sectors = 8,
         name: str = "raid5",
         spares: Sequence[DiskDrive] = (),
-        auto_rebuild: bool = True,
         rebuild_config: Optional["RebuildConfig"] = None,
     ) -> None:
         if len(drives) < 3:
@@ -149,9 +148,8 @@ class Raid5Array:
         self._failed: Optional[int] = None
         self._array_failed = False
         self.rotation = drives[0].rotation  # facade for introspection
-        #: Whether a member failure starts a rebuild automatically
-        #: whenever a hot spare is available.
-        self.auto_rebuild = auto_rebuild
+        #: Throttle for every rebuild: a member failure starts one
+        #: automatically whenever a hot spare is available.
         self.rebuild_config = rebuild_config
         self._rebuild: Optional["RebuildEngine"] = None
         self._spares: List[DiskDrive] = []
@@ -224,7 +222,7 @@ class Raid5Array:
         """Mark one member failed; reads reconstruct via parity.
 
         The first failure degrades the array (and starts a rebuild when
-        a hot spare is attached and :attr:`auto_rebuild` is on).  A
+        a hot spare is attached).  A
         *second* distinct failure exceeds RAID-5 redundancy: the array
         transitions to failed and raises
         :class:`~repro.errors.RaidFailedError` — here and on every
@@ -250,7 +248,7 @@ class Raid5Array:
                 f"{self._failed} is still lost — RAID-5 survives only "
                 f"one failure")
         self._failed = index
-        if self.auto_rebuild and self._spares:
+        if self._spares:
             self.start_rebuild(self.rebuild_config)
 
     @property
@@ -265,8 +263,7 @@ class Raid5Array:
     def add_hot_spare(self, spare: DiskDrive) -> None:
         """Attach a standby drive the rebuild engine may claim.
 
-        If a member is already lost (and :attr:`auto_rebuild` is on)
-        the rebuild starts immediately.
+        If a member is already lost the rebuild starts immediately.
         """
         needed = self._units_per_drive * self.stripe_unit
         if spare.geometry.total_sectors < needed:
@@ -274,8 +271,7 @@ class Raid5Array:
                 f"spare {spare.name} holds {spare.geometry.total_sectors}"
                 f" sectors; members need {needed}")
         self._spares.append(spare)
-        if (self.auto_rebuild and self._failed is not None
-                and not self.rebuild_active):
+        if self._failed is not None and not self.rebuild_active:
             self.start_rebuild(self.rebuild_config)
 
     @property
@@ -335,7 +331,7 @@ class Raid5Array:
         with none left the array just stays degraded."""
         if self._array_failed or self._failed is None:
             return
-        if self.auto_rebuild and self._spares:
+        if self._spares:
             self.start_rebuild(self.rebuild_config)
 
     def _note_drive_death(self) -> None:

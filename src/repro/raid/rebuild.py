@@ -8,12 +8,12 @@ write it to the spare, advance the checkpoint, unlock.  Foreground
 traffic keeps flowing the whole time:
 
 * **Scheduling** — rebuild commands are issued at
-  :data:`~repro.disk.controller.PRIORITY_REBUILD`, below foreground
-  reads *and* write-backs, so reconstruction soaks up idle head time
-  instead of stealing it (the elevator's ``starvation_ms`` aging knob
-  bounds how long a saturated foreground can starve it).  The
-  ``stripes_per_burst`` / ``pause_ms`` throttle caps the engine's duty
-  cycle independently of queue priorities.
+  :data:`~repro.disk.controller.PRIORITY_REBUILD`, strictly below
+  foreground reads *and* write-backs, so reconstruction soaks up idle
+  head time instead of stealing it; nothing ages a waiting rebuild
+  command, so a saturated foreground delays it for as long as it
+  lasts.  Only the ``stripes_per_burst`` / ``pause_ms`` throttle shapes
+  the engine's duty cycle.
 * **Bad sectors** — an unreadable survivor extent degrades to
   per-sector salvage reads; sectors that stay unreadable are recorded
   in :attr:`RebuildEngine.lost_sectors` and reconstruct as zeros (the
@@ -48,7 +48,7 @@ from repro.units import Lba, Ms, Sectors
 
 @dataclass(frozen=True)
 class RebuildConfig:
-    """Throttle and scheduling knobs for one rebuild run."""
+    """Throttle knobs for one rebuild run."""
 
     #: Stripes copied back-to-back before the engine yields the array
     #: to foreground traffic for ``pause_ms``.
@@ -58,17 +58,10 @@ class RebuildConfig:
     #: flat out (fastest rebuild, worst foreground latency).
     pause_ms: Ms = 2.0
 
-    #: Member-disk queue priority for rebuild commands.
-    priority: int = PRIORITY_REBUILD
-
     #: Hint exported through the array to Trail's write-back scheduler:
     #: how long a write-back should park when it sees the array
     #: rebuilding.  0 disables parking.
     writeback_defer_ms: Ms = 0.0
-
-    #: Relocate-and-retry attempts for an unwritable spare target
-    #: before its sectors are recorded as lost.
-    spare_write_retries: int = 1
 
     def __post_init__(self) -> None:
         if self.stripes_per_burst < 1:
@@ -77,8 +70,6 @@ class RebuildConfig:
             raise ValueError("pause_ms must be >= 0")
         if self.writeback_defer_ms < 0:
             raise ValueError("writeback_defer_ms must be >= 0")
-        if self.spare_write_retries < 0:
-            raise ValueError("spare_write_retries must be >= 0")
 
 
 class RebuildEngine:
@@ -295,14 +286,13 @@ class RebuildEngine:
         # unit: (stripe: scalar)
         array = self.array
         member_lba = stripe * array.stripe_unit
-        priority = self.config.priority
         reads: List[Event] = []
         survivors: List[DiskDrive] = []
         for index, drive in enumerate(array.drives):
             if index == self.member_index:
                 continue
             request = drive.read(member_lba, array.stripe_unit,
-                                 priority=priority)
+                                 priority=PRIORITY_REBUILD)
             # A halt or death storm can fail several survivor reads in
             # one kernel step — before this generator is thrown into —
             # so each carries a defuse-on-failure callback from birth.
@@ -348,7 +338,7 @@ class RebuildEngine:
             self.salvage_reads += 1
             try:
                 result = yield drive.read(address, 1,
-                                          priority=self.config.priority)
+                                          priority=PRIORITY_REBUILD)
             except UnrecoverableSectorError:
                 self.lost_sectors.append((drive.name, address))
                 sectors.append(bytes(sector_size))
@@ -363,20 +353,20 @@ class RebuildEngine:
         """Land one reconstructed stripe unit on the spare.
 
         An unwritable target is relocated to the spare-sector pool and
-        retried (``spare_write_retries`` times); sectors that stay
-        unwritable are recorded as lost and skipped — the copier keeps
-        going rather than wedging the whole rebuild on one bad spot.
+        retried once; sectors that stay unwritable are recorded as lost
+        and skipped — the copier keeps going rather than wedging the
+        whole rebuild on one bad spot.
         """
         # unit: (stripe: scalar)
         member_lba = stripe * self.array.stripe_unit
-        attempts_left = self.config.spare_write_retries
+        relocated = False
         while True:
             try:
                 yield self.spare.write(member_lba, content,
-                                       priority=self.config.priority)
+                                       priority=PRIORITY_REBUILD)
             except UnrecoverableSectorError as error:
-                if attempts_left > 0:
-                    attempts_left -= 1
+                if not relocated:
+                    relocated = True
                     self.spare_relocations += self.spare.relocate(
                         member_lba, self.array.stripe_unit)
                     continue

@@ -67,10 +67,8 @@ class RaidRebuildConfig:
     #: orders writes to *identical* extents; a workload issuing
     #: overlapping mixed-size extents would race its own write-backs.)
     page_sectors: int = 4
-    #: Rebuild throttle: stripes copied per burst, pause between bursts.
-    rebuild_stripes_per_burst: int = 8
-    rebuild_pause_ms: float = 2.0
-    #: Write-back defer hint advertised while the rebuild runs.
+    #: Write-back defer hint advertised while the rebuild runs (the
+    #: rebuild throttle itself keeps ``RebuildConfig``'s defaults).
     writeback_defer_ms: float = 2.0
     #: Member-drive size knob (cylinders of the tiny test geometry).
     member_cylinders: int = 40
@@ -166,8 +164,6 @@ def run_raid_rebuild(config: RaidRebuildConfig) -> RaidRebuildResult:
         sim, members, stripe_unit_sectors=config.stripe_unit_sectors,
         spares=[spare],
         rebuild_config=RebuildConfig(
-            stripes_per_burst=config.rebuild_stripes_per_burst,
-            pause_ms=config.rebuild_pause_ms,
             writeback_defer_ms=config.writeback_defer_ms))
     instance = TrailInstance(
         sim, log_drive, {0: array},

@@ -64,7 +64,7 @@ def make_tiny_trail(
         for disk_id in range(data_disks)
     }
     trail_config = config or TrailConfig(idle_reposition_interval_ms=0)
-    TrailDriver.format_disk(log_drive, trail_config)
+    TrailDriver.format_disk(log_drive)
     if log_plan is not None:
         log_drive.attach_faults(log_plan)
     if data_plan is not None:
@@ -87,9 +87,9 @@ def make_striped(stripes: int = 2, data_disks: int = 1,
                                  heads=4, sectors_per_track=32)
         for disk_id in range(data_disks)
     }
-    config = TrailConfig(idle_reposition_interval_ms=0)
-    StripedTrailDriver.format_disks(logs, config)
-    driver = StripedTrailDriver(sim, logs, data, config)
+    StripedTrailDriver.format_disks(logs)
+    driver = StripedTrailDriver(
+        sim, logs, data, TrailConfig(idle_reposition_interval_ms=0))
     if mount:
         sim.run_until(sim.process(driver.mount()))
     return sim, driver, logs, data

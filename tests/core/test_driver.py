@@ -1,6 +1,7 @@
 """Integration-grade unit tests for the Trail driver (§4)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.config import TrailConfig
 from repro.core.driver import TrailDriver, reserved_layout
@@ -65,11 +66,11 @@ class TestFormatAndMount:
         with pytest.raises(TrailError):
             TrailDriver(sim, log, {})
 
-    def test_reserved_layout_excludes_header_tracks(self):
+    @given(cylinders=st.integers(6, 60), heads=st.integers(1, 4))
+    def test_reserved_layout_excludes_header_tracks(self, cylinders, heads):
         sim = Simulation()
-        log = make_tiny_drive(sim, "log", cylinders=30)
-        config = TrailConfig(reserved_tracks=2, header_replicas=2)
-        header_lbas, usable = reserved_layout(log.geometry, config)
+        log = make_tiny_drive(sim, "log", cylinders=cylinders, heads=heads)
+        header_lbas, usable = reserved_layout(log.geometry)
         assert len(header_lbas) == 3
         header_tracks = {log.geometry.track_of_lba(lba)
                          for lba in header_lbas}
@@ -169,19 +170,6 @@ class TestWritePath:
         assert driver.stats.physical_log_writes < 6
         assert driver.stats.batch_sizes.maximum >= 2
 
-    def test_batching_disabled_one_record_each(self):
-        config = TrailConfig(batching_enabled=False,
-                             idle_reposition_interval_ms=0)
-        sim, driver, _log, _data = make_tiny_trail(config)
-
-        def burst():
-            events = [driver.write(index * 4, bytes([index]) * SECTOR)
-                      for index in range(6)]
-            yield sim.all_of(events)
-
-        drive_to_completion(sim, burst())
-        assert driver.stats.physical_log_writes == 6
-
     def test_track_switch_after_threshold(self):
         config = TrailConfig(track_utilization_threshold=0.30,
                              idle_reposition_interval_ms=0)
@@ -274,7 +262,7 @@ class TestReferenceAnchoring:
             data = make_tiny_drive(sim, "data", cylinders=80, heads=4,
                                    sectors_per_track=32)
             config = TrailConfig(idle_reposition_interval_ms=interval)
-            TrailDriver.format_disk(log, config)
+            TrailDriver.format_disk(log)
             driver = TrailDriver(sim, log, {0: data}, config)
             drive_to_completion(sim, driver.mount())
 
@@ -311,7 +299,7 @@ def make_trail_with_unreadable_log_track(which, config):
     """A mounted stack whose ``which``-th usable log track is latently
     bad: reads there fail at once, writes are remapped to spares."""
     sim, driver, log, data_disks = make_tiny_trail(config, mount=False)
-    _header_lbas, usable = reserved_layout(log.geometry, config)
+    _header_lbas, usable = reserved_layout(log.geometry)
     first = log.geometry.track_first_lba(usable[which])
     spt = log.geometry.track_sectors(usable[which])
     log.attach_faults(FaultPlan(
@@ -413,17 +401,16 @@ class TestCrashAndRecovery:
         failure, no data loss, and a stalled advance retires its track
         once however often it is retried."""
         sim = Simulation()
-        log = make_tiny_drive(sim, "log", cylinders=3, heads=2)  # 6 tracks
+        log = make_tiny_drive(sim, "log", cylinders=7, heads=1)  # 7 tracks
         data = make_tiny_drive(sim, "data", cylinders=80, heads=4,
                                sectors_per_track=32)
         # Every data-disk command pays two extra revolutions, so the
         # three usable log tracks fill faster than write-back frees them.
         data.attach_faults(FaultPlan(latency_spike_prob=1.0,
                                      latency_spike_ms=20.0))
-        config = TrailConfig(idle_reposition_interval_ms=0,
-                             header_replicas=1)
-        TrailDriver.format_disk(log, config)
-        driver = TrailDriver(sim, log, {0: data}, config)
+        TrailDriver.format_disk(log)
+        driver = TrailDriver(sim, log, {0: data},
+                             TrailConfig(idle_reposition_interval_ms=0))
         drive_to_completion(sim, driver.mount())
         allocator = driver.allocator
         assert allocator.track_count == 3

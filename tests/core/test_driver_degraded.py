@@ -5,7 +5,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import TrailConfig
 from repro.core.driver import reserved_layout
 from repro.core.format import decode_disk_header
 from repro.errors import DiskHaltedError, MediaError
@@ -17,11 +16,11 @@ from tests.conftest import (
 SECTOR = 512
 
 
-def _log_tracks_bad_plan(log_drive, config, tracks=slice(None)):
+def _log_tracks_bad_plan(log_drive, tracks=slice(None)):
     """A plan that poisons the usable log tracks ``tracks`` selects
     (default: all of them) but spares the header replicas, so header
     updates still land."""
-    header_lbas, usable = reserved_layout(log_drive.geometry, config)
+    header_lbas, usable = reserved_layout(log_drive.geometry)
     geometry = log_drive.geometry
     bad = set()
     for track in usable[tracks]:
@@ -36,16 +35,14 @@ def _probe_log_drive():
 
 
 def crash_var_of(log_drive):
-    header_lbas, _ = reserved_layout(
-        log_drive.geometry, TrailConfig())
+    header_lbas, _ = reserved_layout(log_drive.geometry)
     sector = log_drive.store.read_sector(header_lbas[0])
     return decode_disk_header(sector).crash_var
 
 
 class TestLogDiskDeath:
     def test_degrades_and_every_write_still_acks(self):
-        config = TrailConfig(idle_reposition_interval_ms=0)
-        plan = _log_tracks_bad_plan(_probe_log_drive(), config)
+        plan = _log_tracks_bad_plan(_probe_log_drive())
 
         sim, driver, log, data = make_tiny_trail(log_plan=plan)
         assert not driver.degraded
@@ -68,8 +65,7 @@ class TestLogDiskDeath:
             assert data[0].store.read_sector(lba) == payload
 
     def test_transition_marks_log_clean_before_first_ack(self):
-        config = TrailConfig(idle_reposition_interval_ms=0)
-        plan = _log_tracks_bad_plan(_probe_log_drive(), config)
+        plan = _log_tracks_bad_plan(_probe_log_drive())
 
         sim, driver, log, data = make_tiny_trail(log_plan=plan)
 
@@ -83,8 +79,7 @@ class TestLogDiskDeath:
         assert crash_var_of(log) == 1
 
     def test_crash_while_degraded_skips_recovery_and_keeps_data(self):
-        config = TrailConfig(idle_reposition_interval_ms=0)
-        plan = _log_tracks_bad_plan(_probe_log_drive(), config)
+        plan = _log_tracks_bad_plan(_probe_log_drive())
 
         sim, driver, log, data = make_tiny_trail(log_plan=plan)
         payloads = {}
@@ -111,9 +106,8 @@ class TestLogDiskDeath:
         whose write fails must not leave the copies behind it at
         crash_var = 0 while write-through acknowledgements proceed."""
         sim, driver, log, data = make_tiny_trail()
-        config = driver.config
-        header_lbas, _usable = reserved_layout(log.geometry, config)
-        plan = _log_tracks_bad_plan(log, config)
+        header_lbas, _usable = reserved_layout(log.geometry)
+        plan = _log_tracks_bad_plan(log)
         log.attach_faults(dataclasses.replace(
             plan, latent_bad_sectors=plan.latent_bad_sectors
             | {header_lbas[1]}))
@@ -155,10 +149,9 @@ class TestDegradedEntryWithBacklog:
         # lands there as one record (11 of 16 sectors, past the 30 %
         # threshold), the tail moves on, and the next record's write
         # fails while the scattered pages are still being written back.
-        config = TrailConfig(idle_reposition_interval_ms=0)
-        plan = _log_tracks_bad_plan(_probe_log_drive(), config,
+        plan = _log_tracks_bad_plan(_probe_log_drive(),
                                     tracks=slice(1, None))
-        return make_tiny_trail(config, log_plan=plan)
+        return make_tiny_trail(log_plan=plan)
 
     def _workload(self, sim, driver, outcome):
         yield sim.all_of([driver.write(lba, payload)
@@ -226,8 +219,7 @@ class TestDegradedEntryWithBacklog:
         write-through data.  Closing the limitation flips the marked
         assertions."""
         sim, driver, log, data = self._stack()
-        config = driver.config
-        header_lbas, _usable = reserved_layout(log.geometry, config)
+        header_lbas, _usable = reserved_layout(log.geometry)
         plan = log.faults.plan
         log.attach_faults(dataclasses.replace(
             plan, latent_bad_sectors=plan.latent_bad_sectors
@@ -259,47 +251,12 @@ class TestDegradedEntryWithBacklog:
         assert restart.data[0].store.read_sector(lba) == old  # the limitation
 
 
-class TestLogFailureWithoutDegradedMode:
-    def test_failed_records_requests_fail_and_logging_continues(self):
-        config = TrailConfig(idle_reposition_interval_ms=0,
-                             degraded_mode_enabled=False)
-        plan = _log_tracks_bad_plan(_probe_log_drive(), config,
-                                    tracks=slice(0, 1))
-        sim, driver, log, data = make_tiny_trail(config, log_plan=plan)
-        failures = []
-
-        def workload():
-            # Both land in one record on the bad first track (7 of 16
-            # sectors: the tail then moves to a healthy track).
-            batch = [driver.write(100, b"a" * SECTOR * 3),
-                     driver.write(200, b"b" * SECTOR * 3)]
-            for event in batch:
-                try:
-                    yield event
-                except MediaError as exc:
-                    failures.append(exc)
-            yield driver.write(300, b"c" * SECTOR)
-            yield from driver.flush()
-
-        sim.run_until(sim.process(workload()))
-        assert len(failures) == 2 and failures[0] is failures[1]
-        assert not driver.degraded
-        assert driver._unacked == {}
-        assert driver.stats.log_media_errors == 1
-        assert driver.stats.physical_log_writes == 1
-        assert driver.stats.degraded_writes == 0
-        assert data[0].store.read_sector(300) == b"c" * SECTOR
-        assert data[0].store.read(100, 3) == bytes(SECTOR * 3)
-
-
 class TestWriteThroughMediaError:
     def test_data_disk_error_fails_that_request_only(self):
-        config = TrailConfig(idle_reposition_interval_ms=0)
         sim, driver, log, data = make_tiny_trail(
-            log_plan=_log_tracks_bad_plan(_probe_log_drive(), config),
+            log_plan=_log_tracks_bad_plan(_probe_log_drive()),
             data_plan=FaultPlan(latent_bad_sectors={300}, retry_limit=0,
-                                spare_sectors=0),
-            config=config)
+                                spare_sectors=0))
         outcomes = {}
 
         def workload():

@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.core.config import TrailConfig
 from repro.core.driver import reserved_layout
 from repro.core.format import decode_disk_header, decode_record_header
 from repro.errors import LogFormatError, MediaError, NotATrailDiskError
@@ -190,7 +189,7 @@ class TestHeaderReplicaFallback:
 
     @staticmethod
     def header_lbas(log):
-        lbas, _usable = reserved_layout(log.geometry, TrailConfig())
+        lbas, _usable = reserved_layout(log.geometry)
         written = log.store.snapshot()
         assert len(lbas) == 3 and all(lba in written for lba in lbas)
         return lbas

@@ -6,6 +6,10 @@ instead of a materialised track list) under the promise that nothing
 modelled moves.  These scenarios were captured on the parent commit
 (56ede07) by running ``python tests/core/test_recovery_pinned.py`` there
 and pasting the output into ``PINNED``; they pass unchanged afterwards.
+``wrapped_log`` got its short ring from a reserved-tracks setting that
+no longer exists; it now runs on a two-cylinder log drive instead, and
+its entry was re-captured the same way on the commit before that
+setting was removed (0c32c6f).
 
 Each scenario runs seeded 1 KB writers on the default drives
 (``build_trail_system()``: ST41601N log disk, WD Caviar data disk),
@@ -25,7 +29,6 @@ import random
 import pytest
 
 from repro.analysis.experiments import build_trail_system
-from repro.core.config import TrailConfig
 from repro.core.instance import _digest_trace
 from repro.disk.presets import st41601n
 from repro.errors import ReproError
@@ -36,13 +39,13 @@ WRITERS = 4
 SLOTS_PER_WRITER = 48
 
 
-def crashed_system(seed, burst_ms, gap_ms, config=None):
+def crashed_system(seed, burst_ms, gap_ms, log_spec=None):
     """Seeded closed-loop writers for ``burst_ms``, then a power cut.
 
     Returns ``(system, tail_track)``: the log track the allocator was
     filling when the power went.
     """
-    system = build_trail_system(config=config)
+    system = build_trail_system(log_spec=log_spec)
     sim = system.sim
     driver = system.driver
 
@@ -144,13 +147,15 @@ def torn_youngest():
 
 
 def wrapped_log():
-    """A 12-track ring (the rest of the disk reserved) on its second lap."""
-    ring = 12
-    config = TrailConfig(
-        reserved_tracks=st41601n().geometry().num_tracks - ring)
-    system, _tail = crashed_system(seed=3, burst_ms=450.0, gap_ms=0.0,
-                                   config=config)
-    assert system.driver.allocator.tracks_consumed > ring
+    """A two-cylinder ST41601N log (34 tracks, a 30-track ring) on its
+    second lap."""
+    full = st41601n()
+    spec = dataclasses.replace(full, zones=(
+        dataclasses.replace(full.zones[0], cylinder_count=2),))
+    system, _tail = crashed_system(seed=3, burst_ms=600.0, gap_ms=0.0,
+                                   log_spec=spec)
+    allocator = system.driver.allocator
+    assert allocator.tracks_consumed > allocator.track_count
     return recover(system)[1]
 
 
@@ -392,26 +397,26 @@ PINNED = {
         "chain_broken": False,
         "corrupt_records": 0,
         "data_sha256":
-            "21da39a9f69ea5f8a931f28806cca1ef6bb37858810adb3c3cf2c5550dcbcb1a",
-        "data_writes_issued": 141,
+            "1fc0598c26141c129c5d809bdcd00b24adb91fc41ef1c478fcd4745d707e39b2",
+        "data_writes_issued": 475,
         "dropped_sectors": [],
-        "locate_ms": "138.64734299516908",
+        "locate_ms": "140.70048309178742",
         "log_sha256":
-            "aeb14fcb5a8d81fee0899f5e80debc91cf07cf1ceedd389bbda9928d659c50e1",
+            "b3091b4caf857bbec0b4ad80c6c0a6cd65343f017a4e49fb7b7351551a622a6c",
         "pending":
-            "53a3211208c2f7e7b8f797da57b33d871e1a08d2c72166cf602ca4fdba3c7849",
-        "rebuild_ms": "216.84587813620067",
-        "records_found": 36,
-        "remount_events": 447,
+            "82562032a936168eb2a1bbdef6c4be322d37e9980bff92df7c1eff3f1b0b98c6",
+        "rebuild_ms": "923.9130434782608",
+        "records_found": 120,
+        "remount_events": 1458,
         "remount_trace":
-            "2db3a3d8e6e76232ef3489dbb6122615243520b2e4a2d08ccefd503ed49b77ff",
-        "sectors_replayed": 288,
+            "7418716ca2f3585502d434a0f440c5e8fc4c1cd13d2b2c8ef8e13241ae4aa963",
+        "sectors_replayed": 960,
         "torn_records_dropped": 0,
-        "tracks_scanned": 5,
+        "tracks_scanned": 6,
         "unreadable_sectors": 0,
-        "writeback_ms": "1212.9318996415768",
+        "writeback_ms": "4007.3671497584537",
         "writeback_performed": True,
-        "youngest_sequence": 53,
+        "youngest_sequence": 147,
     },
 }
 

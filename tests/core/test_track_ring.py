@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.experiments import build_trail_system
 from repro.core.allocator import TrackAllocator, TrackRing
-from repro.core.config import TrailConfig
 from repro.core.driver import reserved_layout
 from repro.disk.geometry import uniform_geometry
 from repro.disk.presets import st41601n
@@ -69,29 +68,30 @@ class TestRingEqualsTheListItReplaces:
 
 
 class TestReservedLayout:
-    @given(st.integers(1, 8), st.integers(0, 6))
-    def test_usable_tracks_match_the_reservation(self, reserved_tracks,
-                                                 header_replicas):
-        geometry = uniform_geometry(cylinders=15, heads=2,
-                                    sectors_per_track=16)
-        config = TrailConfig(reserved_tracks=reserved_tracks,
-                             header_replicas=header_replicas)
-        header_lbas, usable = reserved_layout(geometry, config)
+    @given(st.integers(4, 60), st.integers(1, 4), st.integers(8, 96))
+    def test_usable_tracks_match_the_reservation(self, cylinders, heads,
+                                                 sectors_per_track):
+        geometry = uniform_geometry(cylinders=cylinders, heads=heads,
+                                    sectors_per_track=sectors_per_track)
+        header_lbas, usable = reserved_layout(geometry)
         header_tracks = {geometry.track_of_lba(lba) for lba in header_lbas}
-        reserved = set(range(reserved_tracks)) | header_tracks
+        reserved = {0, 1} | header_tracks
         assert list(usable) == [track for track in range(geometry.num_tracks)
                                 if track not in reserved]
         assert len(header_lbas) == len(header_tracks)
+        assert header_lbas[0] == 0
 
-    def test_a_fully_reserved_disk_is_refused(self):
-        geometry = uniform_geometry(cylinders=2, heads=2,
-                                    sectors_per_track=16)
+    @given(st.integers(1, 3), st.integers(8, 96))
+    def test_a_fully_reserved_disk_is_refused(self, tracks,
+                                              sectors_per_track):
+        geometry = uniform_geometry(cylinders=tracks, heads=1,
+                                    sectors_per_track=sectors_per_track)
         with pytest.raises(TrailError):
-            reserved_layout(geometry, TrailConfig(reserved_tracks=4))
+            reserved_layout(geometry)
 
-    def test_default_log_disk_skips_its_four_reserved_tracks(self):
+    def test_default_log_disk_loses_four_tracks_to_the_layout(self):
         geometry = st41601n().geometry()
-        _header_lbas, usable = reserved_layout(geometry, TrailConfig())
+        _header_lbas, usable = reserved_layout(geometry)
         assert len(usable) == geometry.num_tracks - 4
         assert (usable[0], usable[-1]) == (2, geometry.num_tracks - 1)
 

@@ -10,12 +10,11 @@ from tests.conftest import make_tiny_drive
 SECTOR = 512
 
 
-def make_setup(sim, reads_preempt=True):
+def make_setup(sim):
     disk = make_tiny_drive(sim, "data")
     released = []
     buffers = BufferManager(released.append)
-    scheduler = WritebackScheduler(sim, {0: disk}, buffers,
-                                   reads_preempt_writebacks=reads_preempt)
+    scheduler = WritebackScheduler(sim, {0: disk}, buffers)
     return disk, buffers, scheduler, released
 
 

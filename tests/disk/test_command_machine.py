@@ -6,7 +6,7 @@ timeout, and the last segment's callback starts the next waiting
 command before succeeding the command's event.  These tests pin what
 that machine owes its callers: the event count, exact persistence on
 power loss, immunity to timeouts left behind by aborted commands, the
-two queue disciplines, the latency decomposition, and — with a fault
+queue discipline, the latency decomposition, and — with a fault
 injector attached — the same seeded outcomes as the process-based
 service path it replaced.
 """
@@ -33,15 +33,12 @@ SECTOR = 512
 SPT = 16  # sectors per track of the tiny drive
 
 
-def make_drive(sim, scheduling="priority", cylinders=20,
-               starvation_ms=None):
-    spec = tiny_test_disk(cylinders=cylinders, heads=2,
-                          sectors_per_track=SPT)
+def make_drive(sim):
+    spec = tiny_test_disk(cylinders=20, heads=2, sectors_per_track=SPT)
     return DiskDrive(
         sim=sim, geometry=spec.geometry(), seek=spec.seek_model(),
         rotation=RotationModel(spec.rpm),
-        command_overhead_ms=spec.command_overhead_ms, name="disk",
-        scheduling=scheduling, starvation_ms=starvation_ms)
+        command_overhead_ms=spec.command_overhead_ms, name="disk")
 
 
 def watch(event, log, tag):
@@ -117,9 +114,8 @@ class TestEventsPerCommand:
         assert done.value.nsectors == 4
         assert len(trace) == 3
 
-    @pytest.mark.parametrize("scheduling", ["priority", "elevator"])
-    def test_queued_commands_add_no_events(self, sim, scheduling):
-        drive = make_drive(sim, scheduling)
+    def test_queued_commands_add_no_events(self, sim):
+        drive = make_drive(sim)
         trace = sim.enable_trace()
         events = [drive.write(lba, bytes(SECTOR))
                   for lba in (0, 200, 100, 300)]
@@ -371,11 +367,7 @@ class TestStaleTimeouts:
 
 
 # ----------------------------------------------------------------------
-# (d) Queue disciplines
-
-def lba_of_cylinder(drive, cylinder):
-    return drive.geometry.chs_to_lba(cylinder, 0, 0)
-
+# (d) Queue discipline
 
 def service_order(sim, drive, submissions):
     """Submit ``(tag, lba, priority)`` now; tags in completion order."""
@@ -431,68 +423,6 @@ class TestPriorityThenArrival:
         assert first.queue_ms == 0.0
         assert second.started_at == first.completed_at
         assert second.queue_ms == first.completed_at - second.enqueued_at
-
-
-class TestClook:
-    def test_same_instant_submissions_sweep_then_wrap(self, sim):
-        drive = make_drive(sim, "elevator", cylinders=100)
-        order = service_order(sim, drive, [
-            ("pin60", lba_of_cylinder(drive, 60), PRIORITY_READ),
-            ("c80", lba_of_cylinder(drive, 80), PRIORITY_READ),
-            ("c5", lba_of_cylinder(drive, 5), PRIORITY_READ),
-            ("c70", lba_of_cylinder(drive, 70), PRIORITY_READ),
-            ("c60", lba_of_cylinder(drive, 60), PRIORITY_READ)])
-        assert order == ["pin60", "c60", "c70", "c80", "c5"]
-
-    def test_same_cylinder_goes_in_arrival_order(self, sim):
-        drive = make_drive(sim, "elevator", cylinders=100)
-        base = lba_of_cylinder(drive, 40)
-        order = service_order(sim, drive, [
-            ("pin", 0, PRIORITY_READ),
-            ("a", base + 3, PRIORITY_READ), ("b", base, PRIORITY_READ),
-            ("c", base + 7, PRIORITY_READ)])
-        assert order == ["pin", "a", "b", "c"]
-
-    def test_priority_class_dominates_position(self, sim):
-        drive = make_drive(sim, "elevator", cylinders=100)
-        order = service_order(sim, drive, [
-            ("pin50", lba_of_cylinder(drive, 50), PRIORITY_READ),
-            ("w-near", lba_of_cylinder(drive, 51), PRIORITY_WRITE),
-            ("r-far", lba_of_cylinder(drive, 90), PRIORITY_READ),
-            ("r-behind", lba_of_cylinder(drive, 10), PRIORITY_READ)])
-        assert order == ["pin50", "r-far", "r-behind", "w-near"]
-
-    def test_starvation_aging_promotes_an_old_waiter(self):
-        def rebuild_turn(starvation_ms):
-            sim = Simulation()
-            drive = make_drive(sim, "elevator", cylinders=100,
-                               starvation_ms=starvation_ms)
-            log = []
-            watch(drive.read(0, 1), log, "pin")
-            watch(drive.read(lba_of_cylinder(drive, 50), 1,
-                             priority=PRIORITY_REBUILD), log, "rebuild")
-
-            def foreground(tag, cylinder):
-                # Two of these keep a read waiting at all times, and
-                # the sweep between them passes the rebuild's cylinder.
-                for index in range(8):
-                    yield watch(
-                        drive.read(lba_of_cylinder(drive, cylinder), 1),
-                        log, f"{tag}{index}")
-
-            sim.process(foreground("a", 10))
-            sim.process(foreground("b", 80))
-            sim.run()
-            tags = [tag for tag, *_ in log]
-            return tags.index("rebuild"), len(tags), log
-
-        # Strict priority serves the rebuild read dead last ...
-        turn, count, _log = rebuild_turn(None)
-        assert turn == count - 1
-        # ... aging promotes it once it has waited 30 ms.
-        turn, count, log = rebuild_turn(30.0)
-        assert turn < count - 1
-        assert 30.0 <= log[turn][2].queue_ms < 50.0
 
 
 # ----------------------------------------------------------------------

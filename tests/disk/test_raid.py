@@ -147,7 +147,7 @@ class TestTrailFrontedRaid:
         array = Raid5Array(sim, members, stripe_unit_sectors=4)
         log_drive = make_tiny_drive(sim, "log", cylinders=30)
         config = TrailConfig(idle_reposition_interval_ms=0)
-        TrailDriver.format_disk(log_drive, config)
+        TrailDriver.format_disk(log_drive)
         trail = TrailDriver(sim, log_drive, {0: array}, config)
         drive_to_completion(sim, trail.mount())
 

@@ -34,7 +34,7 @@ def trail_fs():
     disk = make_tiny_drive(sim, "data", cylinders=80, heads=4,
                            sectors_per_track=32)
     config = TrailConfig(idle_reposition_interval_ms=0)
-    TrailDriver.format_disk(log, config)
+    TrailDriver.format_disk(log)
     device = TrailDriver(sim, log, {0: disk}, config)
     drive_to_completion(sim, device.mount())
     fs = drive_to_completion(

@@ -106,8 +106,7 @@ def test_trail_matches_model_property(seed):
 
 def _random_fault_plans(rng, log_drive):
     """Two mild-but-nasty plans derived deterministically from ``rng``."""
-    _header_lbas, usable = reserved_layout(log_drive.geometry,
-                                           TrailConfig())
+    _header_lbas, usable = reserved_layout(log_drive.geometry)
     geometry = log_drive.geometry
     log_candidates = [
         geometry.track_first_lba(track) + offset
@@ -149,7 +148,7 @@ def run_crash_fault_schedule(seed):
     data = make_tiny_drive(sim, "data", cylinders=80, heads=4,
                            sectors_per_track=32)
     log_plan, data_plan = _random_fault_plans(rng, log)
-    TrailDriver.format_disk(log, config)
+    TrailDriver.format_disk(log)
     log.attach_faults(log_plan)
     data.attach_faults(data_plan)
     driver = TrailDriver(sim, log, {0: data}, config)

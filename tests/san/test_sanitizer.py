@@ -34,7 +34,7 @@ def make_trail(sim: Simulation) -> TrailDriver:
     data = {0: make_tiny_drive(sim, "data0", cylinders=80, heads=4,
                                sectors_per_track=32)}
     config = TrailConfig(idle_reposition_interval_ms=0)
-    TrailDriver.format_disk(log_drive, config)
+    TrailDriver.format_disk(log_drive)
     driver = TrailDriver(sim, log_drive, data, config)
     drive_to_completion(sim, driver.mount(), name="mount")
     return driver

@@ -53,7 +53,7 @@ def _build_trail(sim: Simulation) -> Tuple[TrailDriver, Dict[int, DiskDrive]]:
         for disk_id in range(2)
     }
     config = TrailConfig(idle_reposition_interval_ms=0)
-    TrailDriver.format_disk(log_drive, config)
+    TrailDriver.format_disk(log_drive)
     driver = TrailDriver(sim, log_drive, data, config)
     drive_to_completion(sim, driver.mount(), name="mount")
     return driver, data
