@@ -1,4 +1,4 @@
-"""Per-scenario call and allocation budgets (``TRAILHOT=1``).
+"""Per-scenario call and allocation budgets.
 
 The per-event and per-record paths stay lean because this module
 measures them: each canonical perf scenario executes under a
@@ -18,8 +18,8 @@ Regenerate the budgets after an intentional change with::
 
     PYTHONPATH=src python -m repro.analysis.hotalloc --update
 
-and gate with ``make test-checked`` (tier-1 with ``TRAILHOT=1`` and
-the other runtime twins on).
+Every tier-1 run gates them (``tests/perf/test_alloc_budget.py``), with
+the sanitizer off, as ``--update`` measures them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ DEFAULT_BUDGET_PATH = (Path(__file__).resolve().parents[3]
                        / "benchmarks" / "perf" / "BENCH_alloc.json")
 
 #: Scale every scenario is measured and gated at.  Small enough that
-#: the TRAILHOT=1 leg stays fast; the call counts still cover thousands
+#: the tier-1 gate stays fast; the call counts still cover thousands
 #: of record accesses, so a per-record regression moves them by >10%.
 GATE_SCALE = 0.05
 

@@ -48,10 +48,6 @@ class DcdStats:
     destaged_sectors: int = 0
     cache_disk_reads_for_destage: int = 0
 
-    @property
-    def logging_io_ms(self) -> float:
-        return self.sync_writes.total
-
 
 class DcdDriver(BlockDevice):
     """NVRAM + log-structured cache disk + data disk."""

@@ -39,10 +39,6 @@ class LfsStats:
     segments_cleaned: int = 0
     live_sectors_copied: int = 0
 
-    @property
-    def logging_io_ms(self) -> float:
-        return self.sync_writes.total
-
 
 @dataclass
 class _Segment:

@@ -114,9 +114,6 @@ class BufferManager:
     # ------------------------------------------------------------------
     # Introspection
 
-    def __len__(self) -> int:
-        return len(self._pages)
-
     @property
     def pending_pages(self) -> int:
         """Number of distinct pages awaiting write-back."""

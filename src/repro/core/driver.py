@@ -30,7 +30,7 @@ from repro.core.format import (
     decode_geometry, encode_disk_header, encode_geometry,
     encode_record_stream)
 from repro.core.prediction import HeadPositionPredictor
-from repro.units import LogLba, Ms
+from repro.units import LogLba
 from repro.core.recovery import RecoveryManager, RecoveryReport
 from repro.core.writeback import WritebackScheduler
 from repro.disk.controller import PRIORITY_READ
@@ -64,11 +64,6 @@ class TrailStats:
     #: Writes acknowledged via the degraded synchronous write-through
     #: path after the log disk was abandoned.
     degraded_writes: int = 0
-
-    @property
-    def logging_io_ms(self) -> Ms:
-        """Total time callers spent blocked on synchronous log writes."""
-        return self.sync_writes.total
 
 
 class _PendingWrite:

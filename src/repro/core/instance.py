@@ -8,7 +8,8 @@ recovery manager), and the format/mount calls that bind them.  Ad-hoc
 assembly is exactly how cross-instance state leaks slip in: anything a
 component stashes at module scope is shared by *every* stack in the
 process, which the ``tools/trailiso`` static pass forbids and the
-``TRAILISO=1`` interleaved-twin harness checks at runtime.
+interleaved-twin harness (``tests/integration/test_two_instances.py``)
+checks at runtime.
 
 :class:`TrailInstance` is the one sanctioned assembly.  Two instances
 in one process share nothing but immutable module constants, so:
@@ -107,11 +108,6 @@ class TrailInstance(Generic[DataT]):
         }
         return TrailInstance(sim, log_drive, data_drives, config,
                              mount=mount)
-
-    @property
-    def config(self) -> TrailConfig:
-        """The driver's configuration."""
-        return self.driver.config
 
     def mount(self) -> Optional[RecoveryReport]:
         """Advance the simulation through mount (and any recovery)."""

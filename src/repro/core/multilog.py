@@ -30,7 +30,6 @@ from repro.core.recovery import RecoveryReport
 from repro.disk.drive import DiskDrive
 from repro.errors import TrailError
 from repro.sim import Event, Simulation
-from repro.units import Ms
 
 
 class StripedTrailDriver(BlockDevice):
@@ -114,27 +113,3 @@ class StripedTrailDriver(BlockDevice):
         """Power failure across the whole array."""
         for stripe in self.stripes:
             stripe.crash()
-
-    # ------------------------------------------------------------------
-    # Aggregate statistics
-
-    @property
-    def mean_sync_write_ms(self) -> Ms:
-        total = 0.0
-        count = 0
-        for stripe in self.stripes:
-            recorder = stripe.stats.sync_writes
-            total += recorder.total
-            count += recorder.count
-        if count == 0:
-            raise TrailError("no synchronous writes recorded")
-        return total / count
-
-    @property
-    def physical_log_writes(self) -> int:
-        return sum(stripe.stats.physical_log_writes
-                   for stripe in self.stripes)
-
-    @property
-    def repositions(self) -> int:
-        return sum(stripe.stats.repositions for stripe in self.stripes)

@@ -123,11 +123,6 @@ class EngineStats:
     aborted: int = 0
     log_records: int = 0
 
-    @property
-    def abort_rate(self) -> float:
-        total = self.committed + self.aborted
-        return self.aborted / total if total else 0.0
-
 
 class TransactionEngine:
     """Locks + pages + WAL glued into begin/access/commit primitives."""

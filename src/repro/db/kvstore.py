@@ -92,10 +92,6 @@ class DurableKv:
         self.stats.gets += 1
         return self._data.get(bytes(key))
 
-    def keys(self):
-        """Snapshot of all keys."""
-        return list(self._data.keys())
-
     # ------------------------------------------------------------------
     # Mutations (run inside a sim process: ``yield from kv.put(...)``)
 

@@ -96,11 +96,6 @@ class WriteAheadLog:
         return self._durable_lsn
 
     @property
-    def buffered_bytes(self) -> int:
-        """Bytes appended but not yet forced."""
-        return len(self._buffer)
-
-    @property
     def appended_lsn(self) -> int:
         """Total bytes ever appended (the next record's start LSN)."""
         return self._next_lsn

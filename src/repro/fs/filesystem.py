@@ -41,10 +41,6 @@ class FileHandle:
         self.inode_number = inode_number
         self.name = name
 
-    @property
-    def size(self) -> int:
-        return self.fs._inodes[self.inode_number].size
-
 
 class FileSystem:
     """A mountable file system on one data disk of a block device."""
@@ -217,14 +213,6 @@ class FileSystem:
             if block in self._dirty_blocks:
                 yield from self._write_block(
                     block, self._dirty_blocks.pop(block))
-        yield from self._flush_metadata()
-
-    def sync_all(self) -> Generator[Event, Any, None]:
-        """Force every dirty block and all metadata (like sync(2))."""
-        self._check_mounted()
-        for block in sorted(self._dirty_blocks):
-            yield from self._write_block(block,
-                                         self._dirty_blocks.pop(block))
         yield from self._flush_metadata()
 
     def unlink(self, name: str) -> Generator[Event, Any, None]:

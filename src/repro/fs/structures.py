@@ -149,10 +149,6 @@ class Bitmap:
         if len(self._bits) != BLOCK_BYTES:
             raise FsError("bitmap block must be exactly one block")
 
-    @property
-    def capacity(self) -> int:
-        return BLOCK_BYTES * 8
-
     def is_set(self, index: int) -> bool:
         return bool(self._bits[index // 8] & (1 << (index % 8)))
 

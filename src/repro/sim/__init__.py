@@ -15,8 +15,7 @@ from repro.sim.kernel import Simulation
 from repro.sim.perturb import PerturbedSimulation
 from repro.sim.process import Interrupt, Process, ProcessGenerator
 from repro.sim.resources import Request, Resource, Store
-from repro.sim.sanitizer import (
-    TrailSanitizer, iso_from_env, sanitizer_from_env)
+from repro.sim.sanitizer import TrailSanitizer, sanitizer_from_env
 from repro.sim.monitor import LatencyRecorder, PhasedLatencyRecorder
 
 __all__ = [
@@ -43,6 +42,5 @@ __all__ = [
     "TrailSanitizer",
     "all_of",
     "any_of",
-    "iso_from_env",
     "sanitizer_from_env",
 ]

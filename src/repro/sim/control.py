@@ -121,10 +121,6 @@ class ControlledReady:
         #: Memoized chosen index within the front group, or None.
         self._head: Optional[int] = None
 
-    @property
-    def policy(self) -> DispatchPolicy:
-        return self._policy
-
     def append(self, item: Entry) -> None:
         self._head = None
         self._entries.append(item)
@@ -190,9 +186,6 @@ class ControlledReady:
             raise IndexError(
                 "ControlledReady exposes only the chosen head ([0])")
         return self._entries[self._choose()]
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __bool__(self) -> bool:
         return bool(self._entries)

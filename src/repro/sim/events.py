@@ -91,11 +91,6 @@ class Event:
         """The failure exception, or None if pending/succeeded."""
         return self._exception
 
-    @property
-    def defused(self) -> bool:
-        """True if some waiter consumed this event's failure."""
-        return self._defused
-
     def defuse(self) -> None:
         """Mark this event's failure as handled (kernel won't re-raise)."""
         self._defused = True
@@ -163,9 +158,6 @@ class Timeout(Event):
             heappush(sim._heap, (sim._now + delay, sequence, self))
         else:
             sim._ready.append((sim._now, sequence, self))
-
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay} at {id(self):#x}>"
 
 
 class Condition(Event):

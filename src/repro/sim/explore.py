@@ -227,9 +227,6 @@ class IndependenceOracle:
     def __len__(self) -> int:
         return len(self._segments)
 
-    def footprint(self, key: SegKey) -> Optional[Footprint]:
-        return self._segments.get(key)
-
     def commutes(self, a: KeySet, b: KeySet) -> bool:
         """True when every pair of resumed segments commutes.
 

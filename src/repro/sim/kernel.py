@@ -65,11 +65,11 @@ class Simulation:
         #: ``(time, sequence)`` pair here — the determinism tests use
         #: this to prove optimizations preserve event ordering.
         self._trace: Optional[List[Tuple[float, int]]] = None
-        #: Runtime atomicity sanitizer (``TRAILSAN=1``), or None.
-        #: Components register their atomic groups here at construction
-        #: time; the dispatch loop calls ``check()`` at every context
-        #: switch.  Read-only checks: enabling it never changes the
-        #: schedule.
+        #: Runtime atomicity sanitizer (``TRAILSAN=1``, set for every
+        #: test session), or None.  Components register their atomic
+        #: groups here at construction time; the dispatch loop calls
+        #: ``check()`` at every context switch.  Read-only checks:
+        #: enabling it never changes the schedule.
         self.sanitizer: Optional[TrailSanitizer] = sanitizer_from_env()
 
     @property
@@ -181,8 +181,8 @@ class Simulation:
     def step(self) -> bool:
         """Dispatch the single next event; False when nothing is queued.
 
-        The public single-step interface used by the ``TRAILISO``
-        interleaved-instance harness: several simulations advance in
+        The public single-step interface used by the interleaved
+        multi-instance harness: several simulations advance in
         round-robin, one dispatched event per turn.  Ordering within
         one simulation is identical to :meth:`run` / :meth:`run_until`
         (the head event is the one the dispatch loop pops first).

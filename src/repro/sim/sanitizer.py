@@ -11,6 +11,11 @@ atomic groups at construction time; a group observed torn at a context
 switch raises :class:`~repro.errors.SanitizerError` immediately, with
 the simulated time and the violated invariant in the message.
 
+The test suite sets ``TRAILSAN=1`` for every session
+(``tests/conftest.py``), so tier-1 runs every simulation checked.
+Benchmarks, the CLI and the examples leave it unset: the per-event
+checks halve the throughput of the TPC-C perf scenario.
+
 Two registration forms cover the annotated groups:
 
 * :meth:`TrailSanitizer.add_invariant` — a stateless predicate over
@@ -128,21 +133,12 @@ class TrailSanitizer:
 
 
 def sanitizer_from_env() -> Optional[TrailSanitizer]:
-    """A fresh sanitizer when ``TRAILSAN`` is enabled, else None."""
+    """A fresh sanitizer when ``TRAILSAN`` is enabled, else None.
+
+    The one environment read in ``repro``, and so the one sanctioned
+    perimeter for ambient reads (TIS004).
+    """
     flag = os.environ.get("TRAILSAN", "")
     if flag == "" or flag == "0":
         return None
     return TrailSanitizer()
-
-
-def iso_from_env() -> bool:
-    """True when ``TRAILISO`` is enabled.
-
-    The runtime twin of ``tools/trailiso``: test suites widen their
-    interleaved multi-instance matrices when this is set.  Like
-    ``TRAILSAN``, any value but empty/``0`` enables it.  This module
-    is the one sanctioned perimeter for ambient environment reads
-    (TIS004) — everything downstream takes plain parameters.
-    """
-    flag = os.environ.get("TRAILISO", "")
-    return flag != "" and flag != "0"

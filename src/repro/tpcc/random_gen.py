@@ -138,7 +138,3 @@ class TpccRandom:
     def threshold(self) -> int:
         """Stock-Level threshold: uniform in [10, 20]."""
         return self.uniform(10, 20)
-
-    def shuffle(self, items: List) -> None:
-        """In-place shuffle with this generator's state."""
-        self._rng.shuffle(items)

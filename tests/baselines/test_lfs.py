@@ -24,6 +24,7 @@ def test_read_your_writes(sim):
 
     def body():
         yield driver.write(100, b"V" * SECTOR)
+        yield from driver.flush()  # writes are already durable: a no-op
         return (yield driver.read(100, 1))
 
     assert drive_to_completion(sim, body()) == b"V" * SECTOR

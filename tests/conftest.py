@@ -3,12 +3,15 @@
 Most tests run on the ``tiny_test_disk`` drive model: 10 ms revolution,
 sub-millisecond seeks, 40 tracks — large enough to exercise wraparound
 and recovery, small enough that every test is instant.
+
+Every session runs with ``TRAILSAN=1`` (``repro.sim.sanitizer``): a
+test that needs the plain engine unsets it with ``monkeypatch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import pytest
 
@@ -20,6 +23,13 @@ from repro.disk.presets import tiny_test_disk
 from repro.faults import FaultPlan
 from repro.faults.oracle import Audit, DurabilityOracle
 from repro.sim import Simulation
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _sanitized_session() -> Iterator[None]:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TRAILSAN", "1")
+        yield
 
 
 @pytest.fixture

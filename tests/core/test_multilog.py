@@ -25,6 +25,12 @@ class TestBasics:
         assert driver.mounted
         assert all(stripe.mounted for stripe in driver.stripes)
 
+    def test_clean_shutdown_unmounts_every_stripe(self):
+        sim, driver, _logs, _data = make_striped()
+        assert driver.sector_size == SECTOR
+        drive_to_completion(sim, driver.clean_shutdown())
+        assert not any(stripe.mounted for stripe in driver.stripes)
+
     def test_write_read_round_trip(self):
         sim, driver, _logs, _data = make_striped()
 

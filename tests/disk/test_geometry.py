@@ -22,6 +22,7 @@ class TestConstruction:
         assert zoned.num_cylinders == 30
         assert zoned.num_tracks == 120
         assert zoned.total_sectors == 4 * 10 * (20 + 16 + 12)
+        assert "30 cyl x 4 heads, 3 zones, 1920 sectors" in repr(zoned)
 
     def test_capacity_bytes(self, zoned):
         assert zoned.capacity_bytes == zoned.total_sectors * 512

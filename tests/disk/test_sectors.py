@@ -96,6 +96,7 @@ class TestSnapshot:
         snapshot = store.snapshot()
         store.write_sector(0, b"b" * 512)
         assert snapshot[0] == b"a" * 512
+        assert len(snapshot) == 1 and list(snapshot) == [0]
 
 
 class TestRestoreFromPlainDict:

@@ -1,4 +1,4 @@
-"""The ``TRAILISO`` runtime twin: two Trail instances, one process.
+"""The runtime twin of ``tools/trailiso``: Trail instances, one process.
 
 ``tools/trailiso`` statically forbids cross-instance state (module
 mutables, context escapes, ambient singletons).  This suite is the
@@ -9,10 +9,7 @@ asserts each instance produces the byte-identical disk image and
 event-order trace it produces when run alone.  Any module-level leak
 between the stacks (a shared cache, a shared counter, a shared RNG)
 shifts a sequence number or a sector somewhere and breaks the digest.
-
-With ``TRAILISO=1`` (see :func:`repro.sim.iso_from_env`) the seed
-matrix widens and a three-way interleave joins the matrix; the default
-run keeps one pair as the regression anchor.
+Four seed pairs and a three-way interleave run in every tier-1 run.
 """
 
 from random import Random
@@ -22,14 +19,10 @@ import pytest
 from repro.core.config import TrailConfig
 from repro.core.instance import TrailInstance, run_interleaved
 from repro.disk.presets import tiny_test_disk
-from repro.sim import Simulation, iso_from_env
+from repro.sim import Simulation
 from repro.tpcc import TpccRunConfig, run_tpcc
 
-#: (seed_a, seed_b) pairs; the anchor pair always runs, the rest only
-#: under TRAILISO=1.
-SEED_PAIRS = [(3, 11)]
-if iso_from_env():
-    SEED_PAIRS += [(3, 3), (5, 17), (29, 31)]
+SEED_PAIRS = [(3, 11), (3, 3), (5, 17), (29, 31)]
 
 WRITES = 40
 
@@ -97,8 +90,6 @@ def test_same_seed_pair_is_identical():
     assert trace_a == trace_b
 
 
-@pytest.mark.skipif(not iso_from_env(),
-                    reason="three-way interleave only under TRAILISO=1")
 def test_three_way_interleave_matches_solo():
     seeds = (3, 11, 23)
     solo = [run_solo(seed) for seed in seeds]

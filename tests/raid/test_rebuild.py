@@ -85,6 +85,14 @@ def parity_clean(array):
 
 
 class TestOnlineRebuild:
+    def test_relocate_reaches_the_member_drive(self, sim):
+        array, drives, _spares = make_array(sim)
+        plan = FaultPlan(latent_bad_sectors={1}, spare_sectors=4)
+        drives[0].attach_faults(plan)
+        assert array.relocate(0, 2) == 1  # array LBA 1 is m0's sector 1
+        assert drives[0].stats.sectors_remapped == 1
+
+
     def test_rebuild_reconstructs_byte_identical(self, sim):
         array, drives, spares = make_array(sim)
         oracle = fill_array(sim, array)
@@ -191,11 +199,13 @@ class TestHaltDuringRebuild:
             yield sim.timeout(200.0)
         drive_to_completion(sim, idle())
         assert engine.next_stripe == checkpoint  # no progress halted
+        assert engine.progress == checkpoint / array.stripes_total
 
         array.power_on()
         assert engine.status == "running"
         wait_rebuild(sim, array)
         assert engine.status == "complete"
+        assert engine.progress == 1.0
         assert read_all(sim, array, oracle).ok
         assert parity_clean(array)
 

@@ -1,6 +1,6 @@
 """Edges of ``Simulation.step`` and ``run_interleaved``.
 
-The single-step interface is the substrate under both the TRAILISO
+The single-step interface is the substrate under both the
 interleaved-twin harness and the model checker's instance choice
 points, so its edges have to be pinned: stepping an exhausted
 simulation, interleaving zero instances, instances of very different

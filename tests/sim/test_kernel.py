@@ -268,6 +268,16 @@ def test_run_until_unfirable_drains_then_raises(sim, traced):
         assert trace == [(1.0, 1)]
 
 
+def test_base_policy_keeps_the_fifo_tie_break(sim):
+    sim._ready = ControlledReady(DispatchPolicy())
+    fired = []
+    for tag in "abc":
+        sim.timeout(0.0, value=tag).add_callback(
+            lambda e: fired.append(e.value))
+    sim.run()
+    assert fired == ["a", "b", "c"]
+
+
 def test_step_consumes_one_scheduling_decision():
     class Newest(DispatchPolicy):
         decisions = 0

@@ -12,6 +12,7 @@ class TestLatencyRecorder:
     def test_empty_recorder_raises(self):
         recorder = LatencyRecorder()
         assert recorder.count == 0
+        assert repr(recorder) == "<LatencyRecorder empty>"
         with pytest.raises(ValueError):
             _ = recorder.mean
         with pytest.raises(ValueError):
@@ -29,6 +30,8 @@ class TestLatencyRecorder:
         assert recorder.maximum == 4.0
         assert recorder.total == 10.0
         assert math.isclose(recorder.stddev, math.sqrt(1.25))
+        assert repr(recorder) == \
+            "<LatencyRecorder n=4 mean=2.500 min=1.000 max=4.000>"
 
     def test_samples_require_flag(self):
         recorder = LatencyRecorder()

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro.analysis.perf import run_scenario
 from repro.cli import build_parser, main
 from repro.faults.oracle import Audit, DurabilityOracle
 from repro.faults.scenarios import SCENARIOS
@@ -55,6 +58,25 @@ class TestCommands:
     def test_unknown_device_rejected(self):
         with pytest.raises(SystemExit):
             main(["trace", "--device", "floppy"])
+
+
+class TestProfileCommand:
+    def test_json_and_table_reports(self, capsys):
+        assert main(["profile", "kernel-churn", "--scale", "0.01",
+                     "--top", "3", "--json", "--alloc"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["scenario"] == "kernel-churn" and report["ops"] > 0
+        assert 0 < len(report["hotspots"]) <= 3
+        assert 0 < len(report["allocations"]) <= 3
+        assert main(["profile", "fig3-sparse", "--scale", "0.01",
+                     "--top", "2", "--sort", "tottime"]) == 0
+        assert "top 2 by tottime" in capsys.readouterr().out
+
+    def test_unknown_scenario_is_rejected(self):
+        with pytest.raises(SystemExit, match="unknown scenario"):
+            main(["profile", "no-such-scenario"])
+        with pytest.raises(KeyError, match="unknown perf scenario"):
+            run_scenario("no-such-scenario")
 
 
 class TestFaultsCommand:

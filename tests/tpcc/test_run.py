@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.errors import WorkloadError
+from types import SimpleNamespace
+
+from repro.errors import DeadlockError, WorkloadError
+from repro.tpcc.metrics import TpccMetrics
 from repro.tpcc.run import TpccRunConfig, TpccRunResult, run_tpcc
+from repro.tpcc.terminal import Terminal, _SharedCountdown
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +111,18 @@ def test_multi_warehouse_runs():
     result = run_tpcc(config)
     assert result.transactions_completed >= 110
     assert result.by_type.get("new_order", 0) > 0
+
+
+def test_exhausted_deadlock_retries_are_counted_not_raised(sim):
+    def victim(_body):
+        raise DeadlockError("retries exhausted")
+        yield
+
+    metrics = TpccMetrics(sim)
+    terminal = Terminal(
+        sim, SimpleNamespace(run_transaction=victim),
+        SimpleNamespace(choose_type=lambda: "payment",
+                        make=lambda tx_type, warehouse: None),
+        metrics, _SharedCountdown(2), 1)
+    sim.run_until(sim.process(terminal.run()))
+    assert metrics.deadlock_failures == 2 and metrics.completed == 0

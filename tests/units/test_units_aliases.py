@@ -27,6 +27,7 @@ def test_annotated_aliases_are_runtime_invisible():
 
 def test_unit_marker_compares_by_dimension():
     assert Unit("sectors") == Unit("sectors")
+    assert repr(Unit("ms")) == "Unit('ms')"
     assert Unit("sectors") != Unit("bytes")
     assert hash(Unit("ms")) == hash(Unit("ms"))
 

@@ -26,8 +26,8 @@ required)::
 Suppressions (``# trailiso: disable=TISnnn -- reason``) exist for
 completeness but the swept tree carries none; TIS000 polices both
 suppression and annotation hygiene.  The static pass is paired with
-the ``TRAILISO=1`` runtime twin: the interleaved two-instance harness
-in ``tests/integration/test_two_instances.py`` proving byte-identical
+a runtime twin in tier-1: the interleaved multi-instance harness in
+``tests/integration/test_two_instances.py`` proving byte-identical
 solo-vs-concurrent runs.
 """
 
