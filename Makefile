@@ -1,14 +1,14 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench perf-ab ledger-smoke ledger-test ledger-check profile lint trailsan units iso analyzers typecheck trailmc mc
+.PHONY: test bench perf-ab ledger-smoke ledger-test ledger-check profile analyzers typecheck trailmc mc
 
 # Tier-1: the full unit/property/integration suite, in its one
 # configuration: tests/conftest.py sets TRAILSAN=1 for the session, so
 # every simulation is value-checked at every context switch; the
-# interleaved multi-instance matrix and the per-scenario Python-call
+# interleaved multi-instance matrix, the per-scenario Python-call
 # and peak-byte budgets (benchmarks/perf/BENCH_alloc.json, measured
-# with the sanitizer off) run in it too.
+# with the sanitizer off) and the `make analyzers` sweep run in it too.
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
@@ -50,30 +50,6 @@ ledger-test:
 ledger-check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.ledger check --smoke
 
-# Repo-native static analysis (docs/STATIC_ANALYSIS.md): determinism,
-# error-taxonomy, and on-disk-format lint rules — over src/, tests/,
-# and the analysis tools themselves (self-lint).
-lint:
-	PYTHONPATH=tools $(PYTHON) -m trailint src tests tools
-
-# Yield-point atomicity & lock-discipline analysis of the cooperative
-# sim (docs/STATIC_ANALYSIS.md): guarded_by / atomic_group annotations,
-# TSN001-TSN005, over src/ and the tools tree (self-analysis).
-trailsan:
-	PYTHONPATH=tools $(PYTHON) -m trailsan src tools
-
-# Dimension & address-space flow analysis (docs/STATIC_ANALYSIS.md):
-# bytes vs sectors, ms vs s, log-disk vs data-disk LBAs, TUN001-TUN008,
-# seeded from repro.units annotations — over src/ and the tools tree.
-units:
-	$(PYTHON) -m tools.trailunits src tools
-
-# Cross-instance isolation analysis (docs/STATIC_ANALYSIS.md): module
-# mutables, context escapes, ambient singletons, TIS001-TIS005 plus
-# TIS000 annotation hygiene — over src/ and the tools tree.
-iso:
-	$(PYTHON) -m tools.trailiso src tools
-
 # Static schedule-interference analysis (docs/STATIC_ANALYSIS.md):
 # per-yield-segment footprints over annotated shared state and the
 # segment independence relation consumed by `make mc`.  An extraction
@@ -81,11 +57,11 @@ iso:
 trailmc:
 	$(PYTHON) -m tools.trailmc src
 
-# All four repo-native lint passes over ONE shared parse
-# (tools/analysis/driver.py): identical findings to the individual
-# targets above, but each file is read, parsed and tokenized once and
-# the report carries per-tool wall-clock plus the reparse time the
-# single pass saved.
+# The four repo-native lint passes (docs/STATIC_ANALYSIS.md: trailint,
+# trailsan, trailunits, trailiso) over ONE shared parse, each over its
+# own scope; the report carries per-tool findings, suppressions and
+# wall-clock.  `python -m tools.analysis <file>` analyzes a named file
+# (a fixture, say) with every rule of every tool.
 analyzers:
 	$(PYTHON) -m tools.analysis
 

@@ -196,7 +196,7 @@ def run_scenario(name: str, scale: float = 1.0) -> PerfResult:
     func = SCENARIOS[name]
     # The perf harness is the one place wall-clock time is the point:
     # it measures the engine, not the simulation.
-    start = time.perf_counter()  # trailint: disable=TRL001
+    start = time.perf_counter()
     ops = func(scale)
-    wall = time.perf_counter() - start  # trailint: disable=TRL001
+    wall = time.perf_counter() - start
     return PerfResult(scenario=name, ops=ops, wall_s=wall)

@@ -12,7 +12,7 @@ Dimension aliases
 The :data:`Bytes` / :data:`Sectors` / :data:`Tracks` / :data:`Ms` family
 are ``Annotated`` aliases: plain ``int``/``float`` to mypy and at
 runtime, but each carries a :class:`Unit` marker that ``trailunits``
-(``make units``) reads to seed its dimension-flow analysis.  Annotating
+(``make analyzers``) reads to seed its dimension-flow analysis.  Annotating
 a signature with them costs nothing and buys static mixed-unit
 checking::
 

@@ -1,15 +1,16 @@
-"""The single-pass analyzer driver behind ``make analyzers``.
+"""``python -m tools.analysis``: the one analyzer run path.
 
-The driver must be a pure re-plumbing of the standalone tools: same
-path scopes, same excludes, same findings — just one parse.  These
-tests pin the scoping and error-wrapping seams on a synthetic tree;
-the equivalence over the real repo is CI's ``make analyzers`` run
-(same ``check_file`` code path as the four individual targets).
+``make analyzers``, the fixture tests of every pass and CI all go
+through :func:`run_all`.  These tests pin its scoping, excludes,
+error wrapping and command line on a synthetic tree; each pass's own
+suite checks its fixtures and its share of the one default-scope
+sweep of the real trees.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import textwrap
 import tokenize
@@ -22,9 +23,12 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from tools.analysis.driver import main, run_all  # noqa: E402
-from tools.analysis.engine import run as run_standalone  # noqa: E402
 
 CLEAN = "def helper(value):\n    return value + 1\n"
+
+#: A broad ``except``: exactly one TRL004.
+LINT_DIRTY = ("def swallow(action):\n    try:\n        return action()\n"
+              "    except Exception:\n        return None\n")
 
 #: A module-level mutable container: exactly one TIS001.
 ISO_DIRTY = "_CACHE = {}\n"
@@ -65,12 +69,12 @@ class TestRunAll:
         assert checked["trailiso"] == 2
 
     def test_findings_carry_the_owning_tool(self, tree):
-        (tree / "src/repro/noisy.py").write_text(
-            "def report(value):\n    print(value)\n", encoding="utf-8")
+        (tree / "src/repro/noisy.py").write_text(LINT_DIRTY,
+                                                 encoding="utf-8")
         report = run_all(root=str(tree))
         by_tool = {run.name: [f.code for f in run.findings]
                    for run in report.runs}
-        assert "TRL010" in by_tool["trailint"]
+        assert by_tool["trailint"] == ["TRL004"]
         assert not by_tool["trailsan"]
 
     def test_trailiso_findings_reach_the_aggregate(self, tree):
@@ -86,26 +90,14 @@ class TestRunAll:
                            for code in by_tool[other])
         assert report.findings == 1
 
-    def test_suppressions_match_the_standalone_tool(self, tree):
-        """Driver suppression handling is byte-identical to standalone.
-
-        The same suppressed finding must be hidden (and counted) by
-        both the shared-parse driver and the standalone engine run.
-        """
+    def test_suppressed_finding_is_counted_not_reported(self, tree):
         suppressed_src = ISO_DIRTY.replace(
             "\n", "  # trailiso: disable=TIS001 -- synthetic fixture\n")
         (tree / "src/repro/shared.py").write_text(
             suppressed_src, encoding="utf-8")
-        report = run_all(root=str(tree))
-        driver_run = {run.name: run for run in report.runs}["trailiso"]
-
-        from tools.trailiso.engine import SPEC
-        standalone = run_standalone(SPEC, ["src", "tools"],
-                                    root=str(tree))
-
-        assert [f.code for f in driver_run.findings] \
-            == [f.code for f in standalone.findings] == []
-        assert driver_run.suppressed == standalone.suppressed == 1
+        trailiso = run_all(root=str(tree)).tool("trailiso")
+        assert trailiso.findings == []
+        assert trailiso.suppressed == 1
 
     def test_parse_errors_wrap_under_each_tools_code(self, tree):
         (tree / "src/repro/broken.py").write_text(
@@ -138,18 +130,6 @@ class TestRunAll:
         report = run_all(root=str(tree), paths=["tests"])
         assert all(run.files_checked == 1 for run in report.runs)
 
-    def test_saved_parse_seconds_prices_the_shared_parse(self, tree):
-        """The saving estimate reflects the scope overlap, never < 0."""
-        report = run_all(root=str(tree))
-        # Standalone the four tools would parse 3+2+2+2 = 9 files;
-        # the union is 3, so 6 reparses were avoided.
-        standalone = sum(run.files_checked for run in report.runs)
-        assert standalone == 9
-        assert report.files_parsed == 3
-        assert report.saved_parse_seconds >= 0.0
-        expected = (report.parse_seconds / report.files_parsed) * 6
-        assert report.saved_parse_seconds == pytest.approx(expected)
-
 
 #: ``service_time`` with and without a ``# unit:`` lookalike in a
 #: string default.  Only a comment token declares dimensions.
@@ -158,7 +138,7 @@ SIGNATURE = ("def service_time(delay_ms: float, size: int{tag}) -> float:\n"
 UNIT_LOOKALIKE = ', tag: str = "# unit: (delay_ms: ms, size: bytes) -> ms"'
 
 #: One lookalike per grammar, each inside a string literal.  Read as
-#: comments they would suppress the TRL010 and the TIS001, invent a
+#: comments they would suppress the TRL004 and the TIS001, invent a
 #: TSN001 (``count`` guarded, touched across a yield without the lock)
 #: and unused-suppression hygiene findings.
 LOOKALIKES = textwrap.dedent("""\
@@ -167,8 +147,10 @@ LOOKALIKES = textwrap.dedent("""\
     LABEL = "# trailsan: disable=TSN001 -- a string, not a comment"
     UNIT = "# trailunits: disable=TUN001 -- a string, not a comment"
 
-    def report(value):
-        print(value, "# trailint: disable=TRL010 -- a string")
+    def report(action):
+        try:
+            return action()
+        except Exception: return "# trailint: disable=TRL004 -- a string"
 
     class Counter:
         def __init__(self, sim):
@@ -205,7 +187,7 @@ class TestSharedComments:
                                                       encoding="utf-8")
         report = run_all(root=str(tree))
         assert _findings(report) == {
-            "trailint": [("TRL010", 7)], "trailsan": [],
+            "trailint": [("TRL004", 9)], "trailsan": [],
             "trailunits": [], "trailiso": [("TIS001", 2)]}
         assert all(run.suppressed == 0 for run in report.runs)
 
@@ -226,16 +208,43 @@ class TestCli:
         assert "4 tools clean" in out
 
     def test_findings_exit_one_with_json(self, tree, capsys):
-        (tree / "src/repro/noisy.py").write_text(
-            "def report(value):\n    print(value)\n", encoding="utf-8")
+        (tree / "src/repro/noisy.py").write_text(LINT_DIRTY,
+                                                 encoding="utf-8")
         assert main(["--json", "--root", str(tree)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["files_parsed"] == 4
-        trailint = payload["tools"]["trailint"]
-        assert trailint["findings"][0]["code"] == "TRL010"
         assert set(payload["tools"]) == set(ALL_TOOLS)
-        assert payload["saved_parse_seconds"] >= 0.0
+        for row in payload["tools"].values():
+            assert set(row) == {
+                "files_checked", "findings", "suppressed", "seconds"}
+        (finding,) = payload["tools"]["trailint"]["findings"]
+        assert set(finding) == {"path", "line", "col", "code", "message"}
+        assert (finding["code"], finding["line"]) == ("TRL004", 4)
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert main(["--root", str(tmp_path)]) == 2
         assert "analyzers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fixture, expected", [
+        ("tests/lint/fixtures/bad/trl004_broad_except.py",
+         {("TRL004", 7), ("TRL004", 14)}),
+        ("tests/san/fixtures/bad/tsn003_torn_group.py",
+         {("TSN003", 13), ("TSN003", 18)}),
+        ("tests/units/fixtures/bad/tun007_raw_literal.py",
+         {("TUN007", 14)}),
+        ("tests/iso/fixtures/bad/tis002_class_defaults.py",
+         {("TIS002", 9), ("TIS002", 10), ("TIS002", 18)}),
+    ], ids=["trailint", "trailsan", "trailunits", "trailiso"])
+    def test_named_bad_fixture_reports_its_codes(self, fixture, expected):
+        """A named file gets every rule, even inside a fixture tree that
+        a walk skips: the command exits 1 with the fixture's codes."""
+        result = subprocess.run(
+            [sys.executable, "-m", "tools.analysis", "--json", fixture],
+            cwd=str(ROOT), capture_output=True, text=True)
+        assert result.returncode == 1, result.stdout + result.stderr
+        findings = [finding
+                    for row in json.loads(result.stdout)["tools"].values()
+                    for finding in row["findings"]]
+        prefix = Path(fixture).stem[:3].upper()
+        assert {(f["code"], f["line"]) for f in findings
+                if f["code"].startswith(prefix)} == expected

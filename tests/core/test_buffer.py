@@ -31,6 +31,18 @@ class TestPinning:
         assert page2.data == b"b" * SECTOR
         assert buffers.pinned_bytes == SECTOR  # not double counted
 
+    def test_repin_with_a_new_length_moves_pinned_bytes(self):
+        """Re-pinning within the same sector count but with a different
+        byte length tracks the new length, so the commit that drops the
+        page returns pinned_bytes to exactly zero (the PR 4 drift)."""
+        buffers = BufferManager()
+        buffers.pin(0, 10, b"a" * SECTOR, SECTOR)
+        page, version = buffers.pin(0, 10, b"b" * 300, SECTOR)
+        assert buffers.pinned_bytes == 300
+        buffers.attach(make_record(), page, version)
+        assert buffers.committed(page, version)
+        assert buffers.pinned_bytes == 0
+
     def test_distinct_extents_are_distinct_pages(self):
         buffers = BufferManager()
         buffers.pin(0, 10, b"a" * SECTOR, SECTOR)

@@ -1,15 +1,13 @@
-"""The trailiso isolation pass: rules, annotations, suppressions, CLI.
+"""The trailiso isolation pass: rules, annotations and suppressions.
 
 Each known-bad fixture under ``fixtures/bad`` declares its seeded
 violations with ``# expect: TISnnn`` markers and must report exactly
 those (same codes, same lines, nothing extra); the ``fixtures/good``
-near-misses must stay clean; and the real ``src`` + ``tools`` trees
-must sweep clean with zero suppressions, since ``make iso`` is a
-blocking CI gate.
+near-misses must stay clean, and the real trees must be clean with no
+suppression at all.
 """
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -19,10 +17,9 @@ REPO = Path(__file__).resolve().parents[2]
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
 
-from tools.analysis.engine import run  # noqa: E402
 from tools.analysis.fixtures import (  # noqa: E402
-    analyze_fixture, analyze_narrowed, expected_findings, found_pairs)
-from tools.trailiso import REGISTRY, SPEC, run_paths  # noqa: E402
+    analyze_fixture, expected_findings, found_pairs, repo_sweep, run_cli)
+from tools.trailiso import REGISTRY  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD_FIXTURES = sorted((FIXTURES / "bad").glob("*.py"))
@@ -39,12 +36,8 @@ MARKED_FIXTURES = [path for path in BAD_FIXTURES
 ALL_CODES = {f"TIS{n:03d}" for n in range(0, 6)}
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    # ``python -m tools.trailiso`` resolves the package from the cwd.
-    return subprocess.run(
-        [sys.executable, "-m", "tools.trailiso", *args],
-        cwd=str(REPO), capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin"})
+def analyze_one(path):
+    return analyze_fixture("trailiso", str(path), root=str(REPO))
 
 
 def test_rule_registry_is_complete():
@@ -62,7 +55,7 @@ def test_fixtures_seed_at_least_ten_violations():
 def test_bad_fixture_reports_exactly_the_seeded_violations(fixture):
     expected = expected_findings(str(fixture))
     assert expected, f"{fixture.name} declares no # expect: markers"
-    findings = analyze_fixture(SPEC, str(fixture), root=str(REPO))
+    findings = analyze_one(fixture).findings
     assert found_pairs(findings) == expected, (
         f"{fixture.name}: expected {sorted(expected)}, got "
         f"{[f.render() for f in findings]}")
@@ -73,20 +66,57 @@ def test_bad_fixture_reports_exactly_the_seeded_violations(fixture):
 @pytest.mark.parametrize(
     "fixture", GOOD_FIXTURES, ids=[p.stem for p in GOOD_FIXTURES])
 def test_good_fixture_is_clean(fixture):
-    findings = analyze_fixture(SPEC, str(fixture), root=str(REPO))
+    findings = analyze_one(fixture).findings
     assert findings == [], [f.render() for f in findings]
 
 
+def test_fixture_directory_is_excluded_from_walks():
+    # A directory walk over tests/iso must skip the deliberately
+    # leaky fixtures; only this test package's own files get analyzed.
+    run = analyze_one(Path(__file__).parent)
+    assert run.findings == [], [f.render() for f in run.findings]
+    assert run.files_checked == 2  # __init__, test_trailiso
+
+
+def test_src_and_tools_sweep_clean_without_suppressions():
+    # The acceptance bar for `make analyzers`: zero unsuppressed
+    # findings over the real trees — and zero suppressions, full stop.
+    run = repo_sweep(str(REPO)).tool("trailiso")
+    assert run.findings == [], [f.render() for f in run.findings]
+    assert run.suppressed == 0
+    assert run.files_checked > 60
+
+
+def test_cli_exit_codes():
+    assert run_cli(str(REPO), "tests/iso")[0] == 0
+    for fixture in BAD_FIXTURES:
+        code, out = run_cli(str(REPO), str(fixture.relative_to(REPO)))
+        assert code == 1, f"{fixture.name}: {out}"
+    assert run_cli(str(REPO), "no/such/path")[0] == 2
+
+
+def test_cli_json_output_schema():
+    fixture = FIXTURES / "bad" / "tis002_class_defaults.py"
+    code, out = run_cli(str(REPO), "--json", str(fixture.relative_to(REPO)))
+    assert code == 1
+    row = json.loads(out)["tools"]["trailiso"]
+    assert set(row) == {"files_checked", "findings", "suppressed", "seconds"}
+    assert row["files_checked"] == 1
+    assert row["suppressed"] == 0
+    assert [f["code"] for f in row["findings"]] == ["TIS002"] * 3
+    for finding in row["findings"]:
+        assert set(finding) == {"path", "line", "col", "code", "message"}
+
+
 def test_justified_suppression_counts_as_used():
-    report = run(SPEC, [str(FIXTURES / "good" / "suppressed.py")],
-                 root=str(REPO))
+    report = analyze_one(FIXTURES / "good" / "suppressed.py")
     assert report.findings == []
     assert report.suppressed == 1
 
 
 def test_annotation_hygiene_messages():
     fixture = FIXTURES / "bad" / "tis000_annotations.py"
-    findings = analyze_fixture(SPEC, str(fixture), root=str(REPO))
+    findings = analyze_one(fixture).findings
     assert [f.code for f in findings] == ["TIS000"] * 3
     by_line = sorted(findings, key=lambda f: f.line)
     assert "unknown trailiso annotation 'frozen_forever'" in (
@@ -97,7 +127,7 @@ def test_annotation_hygiene_messages():
 
 def test_suppression_hygiene_messages():
     fixture = FIXTURES / "bad" / "tis000_suppressions.py"
-    findings = analyze_fixture(SPEC, str(fixture), root=str(REPO))
+    findings = analyze_one(fixture).findings
     assert [f.code for f in findings] == ["TIS000"] * 3
     by_line = sorted(findings, key=lambda f: f.line)
     assert "has no reason" in by_line[0].message
@@ -105,66 +135,9 @@ def test_suppression_hygiene_messages():
     assert "unknown rule code TIS999" in by_line[2].message
 
 
-def test_narrowed_run_skips_hygiene():
-    findings = analyze_narrowed(
-        SPEC, str(FIXTURES / "bad" / "tis000_suppressions.py"),
-        root=str(REPO), select=["TIS001"])
-    assert findings == []
-
-
 def test_sanitizer_perimeter_is_exempt_from_tis004():
     # The one sanctioned os.environ perimeter, analyzed explicitly:
     # rule-level exemption must hold even for explicit file arguments.
-    findings = analyze_fixture(
-        SPEC, str(REPO / "src" / "repro" / "sim" / "sanitizer.py"),
-        root=str(REPO))
+    findings = analyze_one(
+        REPO / "src" / "repro" / "sim" / "sanitizer.py").findings
     assert findings == [], [f.render() for f in findings]
-
-
-def test_fixture_directory_is_excluded_from_walks():
-    # A directory walk over tests/iso must skip the deliberately
-    # leaky fixtures; only this test package's own files get analyzed.
-    findings, checked = run_paths(
-        [str(Path(__file__).parent)], root=str(REPO))
-    assert findings == [], [f.render() for f in findings]
-    assert checked == 2  # __init__, test_trailiso
-
-
-def test_src_and_tools_sweep_clean_without_suppressions():
-    # The acceptance bar for `make iso`: zero unsuppressed findings
-    # over the real trees — and zero suppressions, full stop.
-    report = run(SPEC, ["src", "tools"], root=str(REPO))
-    assert report.findings == [], [f.render() for f in report.findings]
-    assert report.suppressed == 0
-    assert report.files_checked > 60
-
-
-def test_cli_exit_codes():
-    clean = run_cli("src")
-    assert clean.returncode == 0, clean.stdout + clean.stderr
-    for fixture in BAD_FIXTURES:
-        dirty = run_cli(str(fixture.relative_to(REPO)))
-        assert dirty.returncode == 1, (
-            f"{fixture.name}: {dirty.stdout}{dirty.stderr}")
-    missing = run_cli("no/such/path")
-    assert missing.returncode == 2
-
-
-def test_cli_json_output_schema():
-    fixture = FIXTURES / "bad" / "tis002_class_defaults.py"
-    result = run_cli("--format", "json", str(fixture.relative_to(REPO)))
-    assert result.returncode == 1
-    payload = json.loads(result.stdout)
-    assert set(payload) == {
-        "files_checked", "findings", "counts", "suppressed"}
-    assert payload["files_checked"] == 1
-    assert payload["counts"] == {"TIS002": 3}
-    assert payload["suppressed"] == 0
-    for finding in payload["findings"]:
-        assert set(finding) == {"path", "line", "col", "code", "message"}
-        assert finding["code"] == "TIS002"
-
-
-def test_cli_rejects_unknown_rule_code():
-    result = run_cli("--select", "TIS999", "src")
-    assert result.returncode == 2

@@ -1,23 +1,8 @@
 """Fixture: near-miss patterns every trailint rule accepts."""
 
-import struct
-from random import Random
-
-from repro.core.format import decode_record_header
+from repro.core.format import (
+    decode_record_header, payload_crc32, restore_payload)
 from repro.errors import LogFormatError
-
-
-def jitter(seed: int) -> float:
-    rng = Random(seed)
-    return rng.uniform(0.0, 1.0)
-
-
-def drain(pending: dict) -> list:
-    return [key for key in sorted(pending)]
-
-
-def expired(now: float, deadline: float) -> bool:
-    return now >= deadline
 
 
 def guarded(action):
@@ -27,15 +12,6 @@ def guarded(action):
         raise
 
 
-def encode(a: int, b: int) -> bytes:
-    return struct.pack("<II", a, b)
-
-
-def decode(blob: bytes):
-    epoch, sequence = struct.unpack("<II", blob[:8])
-    return epoch, sequence
-
-
 def scan(raw: bytes):
     try:
         return decode_record_header(raw)
@@ -43,5 +19,7 @@ def scan(raw: bytes):
         return None
 
 
-def is_header(sector: bytes) -> bool:
-    return sector[:1] == b"\xff"
+def replay(header, masked: bytes):
+    if payload_crc32(masked) != header.payload_crc:
+        return None
+    return restore_payload(header.entries, masked)

@@ -1,43 +1,37 @@
-"""The trailint static-analysis pass: rules, suppressions, CLI.
+"""The trailint static-analysis pass: rules and suppressions.
 
 Each known-bad fixture under ``fixtures/bad`` must trip exactly the
 rule its filename names; the ``fixtures/good`` near-misses must stay
-clean; and the real ``src`` + ``tests`` trees must lint clean, since
-``make lint`` is a blocking CI gate.
+clean.  Fixtures run through ``python -m tools.analysis``'s own path
+(:func:`tools.analysis.fixtures.analyze_fixture`); the real trees must
+be clean.
 """
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).resolve().parents[2]
-TOOLS = REPO / "tools"
-if str(TOOLS) not in sys.path:
-    sys.path.insert(0, str(TOOLS))
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
 
-from trailint import REGISTRY, LintConfig, run_paths  # noqa: E402
+from tools.analysis.fixtures import (  # noqa: E402
+    analyze_fixture, repo_sweep, run_cli)
+from tools.trailint import REGISTRY  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD_FIXTURES = sorted((FIXTURES / "bad").glob("*.py"))
 GOOD_FIXTURES = sorted((FIXTURES / "good").glob("*.py"))
 
-ALL_CODES = {f"TRL{n:03d}" for n in range(1, 12)}
+ALL_CODES = {"TRL004", "TRL008", "TRL009"}
 
 
 def lint_one(path: Path):
-    findings, checked = run_paths([str(path)], root=str(REPO))
-    assert checked == 1
-    return findings
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "trailint", *args],
-        cwd=str(REPO), capture_output=True, text=True,
-        env={"PYTHONPATH": "tools", "PATH": "/usr/bin:/bin"})
+    run = analyze_fixture("trailint", str(path), root=str(REPO))
+    assert run.files_checked == 1
+    return run.findings
 
 
 def test_rule_registry_is_complete():
@@ -62,60 +56,46 @@ def test_good_fixture_is_clean(fixture):
     assert findings == [], [f.render() for f in findings]
 
 
-def test_suppression_hygiene_messages():
-    findings = lint_one(FIXTURES / "bad" / "trl009_suppressions.py")
-    messages = sorted(finding.message for finding in findings)
-    assert len(messages) == 2
-    assert "names unknown rule code TRL099" in messages[0]
-    assert "unused suppression: TRL005" in messages[1]
-
-
-def test_narrowed_run_skips_suppression_hygiene():
-    config = LintConfig(select={"TRL001"})
-    findings, _ = run_paths(
-        [str(FIXTURES / "bad" / "trl009_suppressions.py")],
-        root=str(REPO), config=config)
-    assert findings == []
-
-
 def test_fixture_directory_is_excluded_from_walks():
     # A directory walk over tests/lint must skip the deliberately bad
     # fixtures; only this test package's own files get linted.
-    findings, checked = run_paths(
-        [str(Path(__file__).parent)], root=str(REPO))
-    assert findings == [], [f.render() for f in findings]
-    assert checked == 3  # __init__, test_trailint, test_typing_sweep
+    run = analyze_fixture("trailint", str(Path(__file__).parent),
+                          root=str(REPO))
+    assert run.findings == [], [f.render() for f in run.findings]
+    assert run.files_checked == 3  # __init__, test_trailint, typing sweep
 
 
 def test_repo_tree_is_lint_clean():
-    findings, checked = run_paths(["src", "tests"], root=str(REPO))
-    assert findings == [], [f.render() for f in findings]
-    assert checked > 100
+    run = repo_sweep(str(REPO)).tool("trailint")
+    assert run.findings == [], [f.render() for f in run.findings]
+    assert run.suppressed == 0
+    assert run.files_checked > 150
 
 
 def test_cli_exit_codes():
-    clean = run_cli("src")
-    assert clean.returncode == 0, clean.stdout + clean.stderr
+    assert run_cli(str(REPO), "tests/lint")[0] == 0
     for fixture in BAD_FIXTURES:
-        dirty = run_cli(str(fixture.relative_to(REPO)))
-        assert dirty.returncode == 1, (
-            f"{fixture.name}: {dirty.stdout}{dirty.stderr}")
-    missing = run_cli("no/such/path")
-    assert missing.returncode == 2
+        code, out = run_cli(str(REPO), str(fixture.relative_to(REPO)))
+        assert code == 1, f"{fixture.name}: {out}"
+    assert run_cli(str(REPO), "no/such/path")[0] == 2
 
 
 def test_cli_json_output_shape():
-    fixture = FIXTURES / "bad" / "trl005_mutable_default.py"
-    result = run_cli("--format", "json", str(fixture.relative_to(REPO)))
-    assert result.returncode == 1
-    payload = json.loads(result.stdout)
-    assert payload["files_checked"] == 1
-    assert payload["counts"] == {"TRL005": 2}
-    for finding in payload["findings"]:
+    fixture = FIXTURES / "bad" / "trl004_broad_except.py"
+    code, out = run_cli(str(REPO), "--json", str(fixture.relative_to(REPO)))
+    assert code == 1
+    row = json.loads(out)["tools"]["trailint"]
+    assert row["files_checked"] == 1
+    assert [f["code"] for f in row["findings"]] == ["TRL004"] * 2
+    for finding in row["findings"]:
         assert set(finding) == {"path", "line", "col", "code", "message"}
-        assert finding["code"] == "TRL005"
 
 
-def test_cli_rejects_unknown_rule_code():
-    result = run_cli("--select", "TRL999", "src")
-    assert result.returncode == 2
+def test_suppression_hygiene_messages():
+    findings = lint_one(FIXTURES / "bad" / "trl009_suppressions.py")
+    by_line = sorted(findings, key=lambda f: f.line)
+    assert [(f.code, f.line) for f in by_line] == [
+        ("TRL009", 3), ("TRL009", 4), ("TRL009", 10)]
+    assert "unused suppression: TRL004" in by_line[0].message
+    assert "names unknown rule code TRL099" in by_line[1].message
+    assert "has no reason" in by_line[2].message

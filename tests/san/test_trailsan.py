@@ -1,14 +1,13 @@
-"""The trailsan static pass: rules, annotations, suppressions, CLI.
+"""The trailsan static pass: rules, annotations and suppressions.
 
 Every known-bad fixture under ``fixtures/bad`` must trip exactly the
 rule its filename names, at exactly the expected lines; the
-``fixtures/good`` near-misses must stay clean; and the real ``src``
-tree must analyze clean, since ``make trailsan`` is a blocking CI
-gate.
+``fixtures/good`` near-misses must stay clean, and the real trees
+must be clean.
 """
 
+import ast
 import json
-import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -16,14 +15,15 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[2]
-TOOLS = REPO / "tools"
-if str(TOOLS) not in sys.path:
-    sys.path.insert(0, str(TOOLS))
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
 
-from trailsan import REGISTRY, SanConfig, run_paths  # noqa: E402
-from trailsan.model import build_module_model, parse_annotations  # noqa: E402
 from tools.analysis.engine import read_comments  # noqa: E402
-import ast  # noqa: E402
+from tools.analysis.fixtures import (  # noqa: E402
+    analyze_fixture, repo_sweep, run_cli)
+from tools.trailsan import REGISTRY  # noqa: E402
+from tools.trailsan.model import (  # noqa: E402
+    build_module_model, parse_annotations)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD_FIXTURES = sorted((FIXTURES / "bad").glob("*.py"))
@@ -35,7 +35,7 @@ ALL_CODES = {f"TSN{n:03d}" for n in range(1, 6)}
 #: acceptance bar: each seeded violation is caught with the correct
 #: code *and* location, not merely "some finding somewhere".
 EXPECTED = {
-    "tsn000_suppressions": {("TSN000", 3), ("TSN000", 4)},
+    "tsn000_suppressions": {("TSN000", 3), ("TSN000", 4), ("TSN000", 16)},
     "tsn001_unlocked_mutation": {("TSN001", 14), ("TSN001", 17)},
     "tsn002_lock_across_wait": {("TSN002", 13), ("TSN002", 20)},
     "tsn003_torn_group": {("TSN003", 13), ("TSN003", 18)},
@@ -44,17 +44,10 @@ EXPECTED = {
 }
 
 
-def analyze_one(path: Path):
-    findings, checked = run_paths([str(path)], root=str(REPO))
-    assert checked == 1
-    return findings
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "trailsan", *args],
-        cwd=str(REPO), capture_output=True, text=True,
-        env={"PYTHONPATH": "tools", "PATH": "/usr/bin:/bin"})
+def analyze_one(path: Path, root: Path = REPO):
+    run = analyze_fixture("trailsan", str(path), root=str(root))
+    assert run.files_checked == 1
+    return run.findings
 
 
 def test_rule_registry_is_complete():
@@ -89,12 +82,45 @@ def test_good_fixture_is_clean(fixture):
     assert findings == [], [f.render() for f in findings]
 
 
-def test_narrowed_run_skips_suppression_hygiene():
-    config = SanConfig(select={"TSN001"})
-    findings, _ = run_paths(
-        [str(FIXTURES / "bad" / "tsn000_suppressions.py")],
-        root=str(REPO), config=config)
-    assert findings == []
+def test_fixture_directory_is_excluded_from_walks():
+    run = analyze_fixture("trailsan", str(Path(__file__).parent),
+                          root=str(REPO))
+    assert run.findings == [], [f.render() for f in run.findings]
+    assert run.files_checked == 3  # __init__, test_trailsan, test_sanitizer
+
+
+def _swept_under(top: str):
+    run = repo_sweep(str(REPO)).tool("trailsan")
+    assert run.suppressed == 0
+    return [f.render() for f in run.findings if f.path.startswith(top)]
+
+
+def test_src_tree_is_trailsan_clean():
+    assert _swept_under("src/") == []
+    assert repo_sweep(str(REPO)).tool("trailsan").files_checked > 50
+
+
+def test_tools_tree_is_trailsan_clean():
+    assert _swept_under("tools/") == []
+
+
+def test_cli_exit_codes():
+    assert run_cli(str(REPO), "tests/san")[0] == 0
+    for fixture in BAD_FIXTURES:
+        code, out = run_cli(str(REPO), str(fixture.relative_to(REPO)))
+        assert code == 1, f"{fixture.name}: {out}"
+    assert run_cli(str(REPO), "no/such/path")[0] == 2
+
+
+def test_cli_json_output_shape():
+    fixture = FIXTURES / "bad" / "tsn003_torn_group.py"
+    code, out = run_cli(str(REPO), "--json", str(fixture.relative_to(REPO)))
+    assert code == 1
+    row = json.loads(out)["tools"]["trailsan"]
+    assert row["files_checked"] == 1
+    assert [f["code"] for f in row["findings"]] == ["TSN003"] * 2
+    for finding in row["findings"]:
+        assert set(finding) == {"path", "line", "col", "code", "message"}
 
 
 def test_line_suppression_hides_a_finding(tmp_path):
@@ -102,31 +128,14 @@ def test_line_suppression_hides_a_finding(tmp_path):
     source = fixture.read_text()
     patched = source.replace(
         "        self.chain_len += 1\n",
-        "        self.chain_len += 1  # trailsan: disable=TSN003\n")
+        "        self.chain_len += 1"
+        "  # trailsan: disable=TSN003 -- a test of the grammar\n")
     target = tmp_path / "patched.py"
     target.write_text(patched)
-    findings, _ = run_paths([str(target)], root=str(tmp_path))
+    findings = analyze_one(target, root=tmp_path)
     # The 'emit' tear is suppressed; the 'shrink' tear still reports.
     assert [(f.code, f.message.split("'")[1]) for f in findings] == \
         [("TSN003", "shrink")]
-
-
-def test_fixture_directory_is_excluded_from_walks():
-    findings, checked = run_paths(
-        [str(Path(__file__).parent)], root=str(REPO))
-    assert findings == [], [f.render() for f in findings]
-    assert checked == 3  # __init__, test_trailsan, test_sanitizer
-
-
-def test_src_tree_is_trailsan_clean():
-    findings, checked = run_paths(["src"], root=str(REPO))
-    assert findings == [], [f.render() for f in findings]
-    assert checked > 50
-
-
-def test_tools_tree_is_trailsan_clean():
-    findings, _ = run_paths(["tools"], root=str(REPO))
-    assert findings == [], [f.render() for f in findings]
 
 
 def test_core_annotations_are_resolved():
@@ -207,41 +216,6 @@ def test_catches_the_original_tail_chain_tear(tmp_path):
         """)
     target = tmp_path / "pre_fix_driver.py"
     target.write_text(source)
-    findings, _ = run_paths([str(target)], root=str(tmp_path))
+    findings = analyze_one(target, root=tmp_path)
     assert [f.code for f in findings] == ["TSN003"]
     assert findings[0].line == 13  # the post-yield chain-link stitch
-
-
-def test_cli_exit_codes():
-    clean = run_cli("src")
-    assert clean.returncode == 0, clean.stdout + clean.stderr
-    for fixture in BAD_FIXTURES:
-        dirty = run_cli(str(fixture.relative_to(REPO)))
-        assert dirty.returncode == 1, (
-            f"{fixture.name}: {dirty.stdout}{dirty.stderr}")
-    missing = run_cli("no/such/path")
-    assert missing.returncode == 2
-
-
-def test_cli_json_output_shape():
-    fixture = FIXTURES / "bad" / "tsn003_torn_group.py"
-    result = run_cli("--format", "json", str(fixture.relative_to(REPO)))
-    assert result.returncode == 1
-    payload = json.loads(result.stdout)
-    assert payload["files_checked"] == 1
-    assert payload["counts"] == {"TSN003": 2}
-    for finding in payload["findings"]:
-        assert set(finding) == {"path", "line", "col", "code", "message"}
-        assert finding["code"] == "TSN003"
-
-
-def test_cli_rejects_unknown_rule_code():
-    result = run_cli("--select", "TSN999", "src")
-    assert result.returncode == 2
-
-
-def test_cli_list_rules():
-    result = run_cli("--list-rules")
-    assert result.returncode == 0
-    for code in sorted(ALL_CODES):
-        assert code in result.stdout

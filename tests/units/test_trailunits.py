@@ -1,15 +1,13 @@
-"""The trailunits dimension-flow pass: rules, suppressions, CLI.
+"""The trailunits dimension-flow pass: rules and suppressions.
 
 Each known-bad fixture under ``fixtures/bad`` declares its seeded
 violations with ``# expect: TUNnnn`` markers and must report exactly
 those (same codes, same lines, nothing extra); the ``fixtures/good``
-near-misses must stay clean; and the real ``src`` + ``tools`` trees
-must sweep clean with zero suppressions, since ``make units`` is a
-blocking CI gate.
+near-misses must stay clean, and the real trees must be clean with no
+suppression at all.
 """
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -19,10 +17,9 @@ REPO = Path(__file__).resolve().parents[2]
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
 
-from tools.analysis.engine import run  # noqa: E402
 from tools.analysis.fixtures import (  # noqa: E402
-    analyze_fixture, analyze_narrowed, expected_findings, found_pairs)
-from tools.trailunits import REGISTRY, SPEC, run_paths  # noqa: E402
+    analyze_fixture, expected_findings, found_pairs, repo_sweep, run_cli)
+from tools.trailunits import REGISTRY  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD_FIXTURES = sorted((FIXTURES / "bad").glob("*.py"))
@@ -36,12 +33,8 @@ MARKED_FIXTURES = [path for path in BAD_FIXTURES
 ALL_CODES = {f"TUN{n:03d}" for n in range(1, 9)}
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    # ``python -m tools.trailunits`` resolves the package from the cwd.
-    return subprocess.run(
-        [sys.executable, "-m", "tools.trailunits", *args],
-        cwd=str(REPO), capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin"})
+def analyze_one(path):
+    return analyze_fixture("trailunits", str(path), root=str(REPO))
 
 
 def test_rule_registry_is_complete():
@@ -59,7 +52,7 @@ def test_fixtures_seed_at_least_eight_violations():
 def test_bad_fixture_reports_exactly_the_seeded_violations(fixture):
     expected = expected_findings(str(fixture))
     assert expected, f"{fixture.name} declares no # expect: markers"
-    findings = analyze_fixture(SPEC, str(fixture), root=str(REPO))
+    findings = analyze_one(fixture).findings
     assert found_pairs(findings) == expected, (
         f"{fixture.name}: expected {sorted(expected)}, got "
         f"{[f.render() for f in findings]}")
@@ -70,78 +63,59 @@ def test_bad_fixture_reports_exactly_the_seeded_violations(fixture):
 @pytest.mark.parametrize(
     "fixture", GOOD_FIXTURES, ids=[p.stem for p in GOOD_FIXTURES])
 def test_good_fixture_is_clean(fixture):
-    findings = analyze_fixture(SPEC, str(fixture), root=str(REPO))
+    findings = analyze_one(fixture).findings
     assert findings == [], [f.render() for f in findings]
 
 
+def test_fixture_directory_is_excluded_from_walks():
+    # A directory walk over tests/units must skip the deliberately
+    # wrong fixtures; only this test package's own files get analyzed.
+    run = analyze_one(Path(__file__).parent)
+    assert run.findings == [], [f.render() for f in run.findings]
+    assert run.files_checked == 3  # __init__, test_trailunits, aliases
+
+
+def test_src_and_tools_sweep_clean_without_suppressions():
+    # The acceptance bar for `make analyzers`: zero unsuppressed
+    # findings over the real trees — and zero suppressions.
+    run = repo_sweep(str(REPO)).tool("trailunits")
+    assert run.findings == [], [f.render() for f in run.findings]
+    assert run.suppressed == 0
+    assert run.files_checked > 60
+
+
+def test_cli_exit_codes():
+    assert run_cli(str(REPO), "tests/units")[0] == 0
+    for fixture in BAD_FIXTURES:
+        code, out = run_cli(str(REPO), str(fixture.relative_to(REPO)))
+        assert code == 1, f"{fixture.name}: {out}"
+    assert run_cli(str(REPO), "no/such/path")[0] == 2
+
+
+def test_cli_json_output_schema():
+    fixture = FIXTURES / "bad" / "tun007_raw_literal.py"
+    code, out = run_cli(str(REPO), "--json", str(fixture.relative_to(REPO)))
+    assert code == 1
+    row = json.loads(out)["tools"]["trailunits"]
+    assert set(row) == {"files_checked", "findings", "suppressed", "seconds"}
+    assert row["files_checked"] == 1
+    assert row["suppressed"] == 0
+    assert [f["code"] for f in row["findings"]] == ["TUN007"]
+    for finding in row["findings"]:
+        assert set(finding) == {"path", "line", "col", "code", "message"}
+
+
 def test_justified_suppression_counts_as_used():
-    report = run(SPEC, [str(FIXTURES / "good" / "suppressed.py")],
-                 root=str(REPO))
+    report = analyze_one(FIXTURES / "good" / "suppressed.py")
     assert report.findings == []
     assert report.suppressed == 1
 
 
 def test_suppression_hygiene_messages():
     fixture = FIXTURES / "bad" / "tun000_suppressions.py"
-    findings = analyze_fixture(SPEC, str(fixture), root=str(REPO))
+    findings = analyze_one(fixture).findings
     assert [f.code for f in findings] == ["TUN000"] * 3
     by_line = sorted(findings, key=lambda f: f.line)
     assert "has no reason" in by_line[0].message
     assert "unused suppression: TUN003" in by_line[1].message
     assert "unknown rule code TUN999" in by_line[2].message
-
-
-def test_narrowed_run_skips_suppression_hygiene():
-    findings = analyze_narrowed(
-        SPEC, str(FIXTURES / "bad" / "tun000_suppressions.py"),
-        root=str(REPO), select=["TUN001"])
-    assert findings == []
-
-
-def test_fixture_directory_is_excluded_from_walks():
-    # A directory walk over tests/units must skip the deliberately
-    # wrong fixtures; only this test package's own files get analyzed.
-    findings, checked = run_paths(
-        [str(Path(__file__).parent)], root=str(REPO))
-    assert findings == [], [f.render() for f in findings]
-    assert checked == 3  # __init__, test_trailunits, test_units_aliases
-
-
-def test_src_and_tools_sweep_clean_without_suppressions():
-    # The acceptance bar for `make units`: zero unsuppressed findings
-    # over the real trees — and, as of this sweep, zero suppressions.
-    report = run(SPEC, ["src", "tools"], root=str(REPO))
-    assert report.findings == [], [f.render() for f in report.findings]
-    assert report.suppressed == 0
-    assert report.files_checked > 60
-
-
-def test_cli_exit_codes():
-    clean = run_cli("src")
-    assert clean.returncode == 0, clean.stdout + clean.stderr
-    for fixture in BAD_FIXTURES:
-        dirty = run_cli(str(fixture.relative_to(REPO)))
-        assert dirty.returncode == 1, (
-            f"{fixture.name}: {dirty.stdout}{dirty.stderr}")
-    missing = run_cli("no/such/path")
-    assert missing.returncode == 2
-
-
-def test_cli_json_output_schema():
-    fixture = FIXTURES / "bad" / "tun007_raw_literal.py"
-    result = run_cli("--format", "json", str(fixture.relative_to(REPO)))
-    assert result.returncode == 1
-    payload = json.loads(result.stdout)
-    assert set(payload) == {
-        "files_checked", "findings", "counts", "suppressed"}
-    assert payload["files_checked"] == 1
-    assert payload["counts"] == {"TUN007": 1}
-    assert payload["suppressed"] == 0
-    for finding in payload["findings"]:
-        assert set(finding) == {"path", "line", "col", "code", "message"}
-        assert finding["code"] == "TUN007"
-
-
-def test_cli_rejects_unknown_rule_code():
-    result = run_cli("--select", "TUN999", "src")
-    assert result.returncode == 2

@@ -1,7 +1,8 @@
-"""Repo-native analysis tools, runnable as ``python -m tools.<name>``.
+"""Repo-native analysis tools.
 
-``trailint`` and ``trailsan`` are also importable as top-level packages
-with ``PYTHONPATH=tools`` (the historical spelling used by ``make
-lint`` / ``make trailsan``); ``tools.analysis`` is the shared analyzer
-runtime they and ``tools.trailunits`` are built on.
+``tools.analysis`` is the shared runtime and the one command line,
+``python -m tools.analysis``, for the four lint passes built on it
+(``tools.trailint``, ``tools.trailsan``, ``tools.trailunits``,
+``tools.trailiso``); ``python -m tools.trailmc`` reports the schedule
+footprints ``repro mc`` consumes.
 """

@@ -1,14 +1,14 @@
-"""File discovery, parsing and the shared analyzer driver loop.
+"""File discovery, parsing and the per-file check every analyzer shares.
 
 One :class:`ToolSpec` describes everything tool-specific — the name
 and code prefix (which fix the suppression grammar), the rule
-registry, the default paths/excludes, the per-file context object
-rules receive, and an optional whole-run :meth:`ToolSpec.prepare` hook
-for analyses that need cross-file state (trailunits builds its
-signature table there).  Everything else — walking inputs, parsing
-each file and tokenizing its comments once, matching rule scopes,
-applying suppressions and policing them — lives here and behaves
-identically for every tool.
+registry, the path scope a default run gives it, the per-file context
+object rules receive, and an optional whole-run
+:meth:`ToolSpec.prepare` hook for analyses that need cross-file state
+(trailunits builds its signature table there).  Everything else —
+walking inputs, parsing each file and tokenizing its comments once,
+matching rule scopes, applying suppressions and policing them — lives
+here and behaves identically for every tool.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import os
 import tokenize
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from typing import (
-    List, Optional, Sequence, Set, Tuple, Type)
+from typing import List, Optional, Sequence, Tuple
 
 from tools.analysis.findings import Finding
-from tools.analysis.registry import Registry, Rule
+from tools.analysis.registry import Registry
 from tools.analysis.suppressions import (
     apply_suppressions, check_hygiene, parse_suppressions,
     suppression_pattern)
@@ -36,29 +35,10 @@ SKIP_DIRS = frozenset({
     "__pycache__", ".git", ".mypy_cache", ".pytest_cache", ".hypothesis",
 })
 
-
-@dataclass
-class AnalyzerConfig:
-    """Which rules run and which files are skipped."""
-
-    select: Optional[Set[str]] = None   # None = all registered rules
-    ignore: Set[str] = field(default_factory=set)
-    exclude: Tuple[str, ...] = ()
-
-    def selected(self, rules: Sequence[Rule]) -> List[Rule]:
-        chosen = []
-        for rule in rules:
-            if self.select is not None and rule.code not in self.select:
-                continue
-            if rule.code in self.ignore:
-                continue
-            chosen.append(rule)
-        return chosen
-
-    @property
-    def narrowed(self) -> bool:
-        """True when select/ignore filtered the registered rule set."""
-        return self.select is not None or bool(self.ignore)
+#: Paths (posix relpaths, fnmatch) a directory walk never yields: the
+#: analyzers' deliberately bad fixtures.  A fixture is analyzed by
+#: naming it on the command line.
+FIXTURES: Tuple[str, ...] = ("tests/*/fixtures/*",)
 
 
 class FileContext:
@@ -84,7 +64,7 @@ class FileContext:
 
 @dataclass
 class ParsedFile:
-    """One resolved input file, parsed at most once."""
+    """One resolved input file, read and parsed once for every tool."""
 
     path: str          # absolute
     relpath: str       # posix relpath from the analysis root
@@ -93,16 +73,18 @@ class ParsedFile:
     #: Read once, with the tree; every suppression and annotation
     #: grammar is parsed from these, never from the raw source.
     comments: Comments = field(default_factory=list)
-    error: Optional[Finding] = None   # unreadable / syntax error
+    #: (line, col, message) when unreadable or syntactically invalid;
+    #: reported under each tool's own error code.
+    error: Optional[Tuple[int, int, str]] = None
 
 
 class ToolSpec:
     """Static description of one analyzer built on the shared runtime."""
 
-    #: Tool name: the ``# <name>:`` suppression prefix, the CLI prog,
-    #: and the module spelling in diagnostics.
+    #: Tool name: the ``# <name>:`` suppression prefix and the key of
+    #: its findings in the report.
     name: str = ""
-    #: Three-letter rule-code prefix (``TRL``, ``TSN``, ``TUN``).
+    #: Three-letter rule-code prefix (``TRL``, ``TSN``, ``TUN``, ``TIS``).
     prefix: str = ""
     #: Code reported for unreadable or syntactically invalid files.
     error_code: str = ""
@@ -110,20 +92,11 @@ class ToolSpec:
     hygiene_code: str = ""
     #: Codes legal in suppression comments beyond the registry.
     extra_known_codes: Tuple[str, ...] = ()
-    #: When True, a used suppression without a ``-- reason`` is itself
-    #: a hygiene finding.
-    require_reason: bool = False
-    #: CLI description and default path arguments.
-    description: str = ""
-    default_paths: Tuple[str, ...] = ("src",)
-    #: Paths (posix relpaths, fnmatch) never analyzed when discovered
-    #: by a directory walk (deliberately-bad test fixtures).
-    default_exclude: Tuple[str, ...] = ()
+    #: Top-level paths a default run (``make analyzers``) gives the tool.
+    paths: Tuple[str, ...] = ("src", "tools")
     #: The tool's rule registry.  Populated by importing rule modules;
     #: :meth:`load_rules` must make that import happen.
     registry: Registry
-    #: Config class instantiated when the caller passes none.
-    config_class: Type[AnalyzerConfig] = AnalyzerConfig
 
     def load_rules(self) -> None:
         """Import rule modules so the registry is populated."""
@@ -136,22 +109,6 @@ class ToolSpec:
                      shared: object) -> FileContext:
         assert parsed.tree is not None
         return FileContext(parsed.relpath, parsed.comments, parsed.tree)
-
-    def make_config(self) -> AnalyzerConfig:
-        config = self.config_class()
-        if not config.exclude:
-            config.exclude = self.default_exclude
-        return config
-
-
-@dataclass
-class RunReport:
-    """Outcome of one analyzer run."""
-
-    findings: List[Finding]
-    files_checked: int
-    #: Findings hidden by (used) suppression comments.
-    suppressed: int
 
 
 def _rel(root: str, path: str) -> str:
@@ -200,42 +157,36 @@ def read_comments(source: str) -> Comments:
         return []
 
 
-def parse_file(spec: ToolSpec, path: str, relpath: str,
-               explicit: bool) -> ParsedFile:
-    """Read and parse one file, capturing failures as findings."""
+def parse(path: str, relpath: str, explicit: bool) -> ParsedFile:
+    """Read and parse one file, keeping a failure for every tool."""
     parsed = ParsedFile(path=path, relpath=relpath, explicit=explicit)
     try:
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        parsed.error = Finding(path=relpath, line=1, col=1,
-                               code=spec.error_code,
-                               message=f"cannot read file: {exc}")
-        return parsed
-    try:
         parsed.tree = ast.parse(source, filename=relpath)
         parsed.comments = read_comments(source)
+    except (OSError, UnicodeDecodeError) as exc:
+        parsed.error = (1, 1, f"cannot read file: {exc}")
     except SyntaxError as exc:
-        parsed.error = Finding(path=relpath, line=exc.lineno or 1,
-                               col=(exc.offset or 0) + 1,
-                               code=spec.error_code,
-                               message=f"syntax error: {exc.msg}")
+        parsed.error = (exc.lineno or 1, (exc.offset or 0) + 1,
+                        f"syntax error: {exc.msg}")
     return parsed
 
 
 def check_file(spec: ToolSpec, parsed: ParsedFile,
-               config: AnalyzerConfig, shared: object,
-               ) -> Tuple[List[Finding], int]:
-    """Run the selected rules over one parsed file.
+               shared: object) -> Tuple[List[Finding], int]:
+    """Run every rule of ``spec`` over one parsed file.
 
     Returns post-suppression findings (sorted) plus the number of
     findings a suppression hid.
     """
     if parsed.error is not None:
-        return [parsed.error], 0
+        line, col, message = parsed.error
+        return [Finding(path=parsed.relpath, line=line, col=col,
+                        code=spec.error_code, message=message)], 0
     ctx = spec.make_context(parsed, shared)
     raw: List[Finding] = []
-    for rule in config.selected(spec.registry.all_rules()):
+    for rule in spec.registry.all_rules():
         if not rule.applies_to(parsed.relpath,
                                explicit=parsed.explicit):
             continue
@@ -244,40 +195,5 @@ def check_file(spec: ToolSpec, parsed: ParsedFile,
     pattern = suppression_pattern(spec.name, spec.prefix)
     suppressions = parse_suppressions(parsed.comments, pattern)
     kept, used, hidden = apply_suppressions(raw, suppressions)
-    kept.extend(check_hygiene(spec, parsed.relpath, suppressions,
-                              used, config))
+    kept.extend(check_hygiene(spec, parsed.relpath, suppressions, used))
     return sorted(set(kept)), hidden
-
-
-def run(spec: ToolSpec, paths: Sequence[str],
-        root: Optional[str] = None,
-        config: Optional[AnalyzerConfig] = None) -> RunReport:
-    """Analyze ``paths`` (files or directories) under ``root``.
-
-    Files named explicitly are analyzed with every rule regardless of
-    rule scopes — this is how known-bad fixtures are exercised.
-    """
-    spec.load_rules()
-    root = os.path.abspath(root or os.getcwd())
-    config = config or spec.make_config()
-    files = walk(root, paths, config.exclude)
-    parsed = [parse_file(spec, full, rel, explicit)
-              for full, rel, explicit in files]
-    shared = spec.prepare(parsed)
-    findings: List[Finding] = []
-    suppressed = 0
-    for one in parsed:
-        kept, hidden = check_file(spec, one, config, shared)
-        findings.extend(kept)
-        suppressed += hidden
-    return RunReport(findings=sorted(findings),
-                     files_checked=len(files), suppressed=suppressed)
-
-
-def run_paths(spec: ToolSpec, paths: Sequence[str],
-              root: Optional[str] = None,
-              config: Optional[AnalyzerConfig] = None,
-              ) -> Tuple[List[Finding], int]:
-    """Back-compatible (findings, files_checked) wrapper over :func:`run`."""
-    report = run(spec, paths, root=root, config=config)
-    return report.findings, report.files_checked

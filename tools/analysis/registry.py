@@ -29,7 +29,7 @@ class Rule:
     #: Unique code: a three-letter tool prefix plus three digits.
     #: Findings carry it and suppression comments name it.
     code: ClassVar[str] = ""
-    #: Short kebab-case name shown by ``--list-rules``.
+    #: Short kebab-case name, for the docs catalogue.
     name: ClassVar[str] = ""
     #: One-line description of what the rule enforces.
     summary: ClassVar[str] = ""

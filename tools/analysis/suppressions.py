@@ -3,21 +3,16 @@
 The grammar is the one trailint introduced, parameterized by the tool
 name and code prefix::
 
-    value = compute()            # trailint: disable=TRL001
-    # trailsan: disable-file=TSN004
+    # trailsan: disable-file=TSN004 -- generated process table
     lba = raw * 2                # trailunits: disable=TUN003 -- raw is a byte offset here
 
 A trailing ``disable`` suppresses the named code(s) on its own line;
 ``disable-file`` on a comment-only line suppresses for the whole file.
-An optional `` -- reason`` documents *why*; tools created with
-``require_reason=True`` (trailunits) treat a reason-less suppression
-as a hygiene finding, so every suppression in the swept tree carries
-its justification.
+Every tool requires the `` -- reason``: a used suppression without one
+is itself a hygiene finding, so every suppression says why it is there.
 
 Hygiene findings (unknown code, unused suppression, missing reason)
-are emitted under the tool's dedicated hygiene code and only when the
-full rule set ran — a ``--select``/``--ignore`` run cannot tell
-whether a suppression is genuinely unused.
+are emitted under the tool's dedicated hygiene code.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Pattern, Set, Tuple
 from tools.analysis.findings import Finding
 
 if TYPE_CHECKING:
-    from tools.analysis.engine import AnalyzerConfig, Comments, ToolSpec
+    from tools.analysis.engine import Comments, ToolSpec
 
 
 @dataclass
@@ -101,15 +96,8 @@ def check_hygiene(
     relpath: str,
     suppressions: Suppressions,
     used: Set[Tuple[int, str]],
-    config: "AnalyzerConfig",
 ) -> List[Finding]:
-    """Hygiene: suppressions must name real, needed codes.
-
-    A partial rule run cannot tell whether a suppression is genuinely
-    unused, so hygiene only runs with the full rule set.
-    """
-    if config.narrowed or spec.hygiene_code in config.ignore:
-        return []
+    """Hygiene: suppressions must name real, needed, justified codes."""
     known = set(spec.registry.codes()) | set(spec.extra_known_codes)
     findings = []
     for line, code, file_wide, has_reason in suppressions.declared:
@@ -124,7 +112,7 @@ def check_hygiene(
                 path=relpath, line=line, col=1, code=spec.hygiene_code,
                 message=f"unused suppression: {code} reports nothing "
                         f"{where}"))
-        elif spec.require_reason and not has_reason:
+        elif not has_reason:
             findings.append(Finding(
                 path=relpath, line=line, col=1, code=spec.hygiene_code,
                 message=f"suppression of {code} has no reason; write "

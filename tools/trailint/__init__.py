@@ -1,45 +1,24 @@
-"""trailint — repo-native static analysis for the Trail reproduction.
+"""trailint — repo-native lint for the Trail reproduction.
 
-A small AST-based lint engine plus repo-specific rules that enforce
-the three properties the test suite can only check after the fact:
+Two rules hold properties the test suite can only check after the
+fact:
 
-* **Determinism** — no wall-clock reads or shared unseeded RNGs inside
-  the simulation (TRL001), no unordered iteration feeding scheduling
-  decisions (TRL002), no float equality on simulated time (TRL003).
 * **Error-taxonomy discipline** — no broad/bare ``except`` that
   swallows the ``repro.errors`` hierarchy (TRL004).
-* **Log-format invariants** (paper §3.2) — record-header bytes are
-  built only by ``core/format.py`` (TRL006), ``struct`` format strings
-  agree with their argument counts (TRL007), and decoded records are
-  CRC-verified / format-error-handled on every call path (TRL008).
+* **Log-format discipline** (paper §3.2) — decoded records are
+  format-error-handled and CRC-verified on every call path (TRL008).
 
-Run it with ``python -m trailint src tests`` (``make lint``), or
-programmatically::
-
-    from trailint import run_paths
-    findings, files = run_paths(["src"], root="/path/to/repo")
-
-Findings can be suppressed per line with a trailing
-``# trailint: disable=TRL001`` comment, or per file with
-``# trailint: disable-file=TRL001`` on a comment line of its own.
-TRL009 keeps the suppressions themselves honest (unknown or unused
-codes are findings too).
+TRL009 keeps suppressions honest (unknown, unused or reason-less
+codes are findings too).  Run it with every other analyzer through
+``python -m tools.analysis`` (``make analyzers``).  A finding is
+suppressed per line with a trailing
+``# trailint: disable=TRL004 -- <why>`` comment, or per file with
+``# trailint: disable-file=TRL004 -- <why>`` on a comment line of its
+own.
 """
 
 from . import rules as _rules  # noqa: F401  (rule modules populate REGISTRY)
-from .engine import (
-    DEFAULT_EXCLUDE_PATTERNS, Finding, LintConfig, lint_file, run_paths)
+from .engine import SPEC
 from .registry import REGISTRY, Rule
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_EXCLUDE_PATTERNS",
-    "Finding",
-    "LintConfig",
-    "Rule",
-    "REGISTRY",
-    "lint_file",
-    "run_paths",
-    "__version__",
-]
+__all__ = ["REGISTRY", "Rule", "SPEC"]

@@ -1,90 +1,27 @@
-"""trailint's binding to the shared analyzer runtime.
-
-Everything operational (walking, parsing, suppressions, hygiene) lives
-in :mod:`tools.analysis`; this module keeps trailint's public surface
-— ``LintConfig``, ``FileContext``, ``lint_file``, ``run_paths``,
-``DEFAULT_EXCLUDE_PATTERNS`` — exactly as it was before the
-extraction, now expressed through a :class:`ToolSpec`.
-"""
+"""trailint's binding to the shared analyzer runtime."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from tools.analysis.engine import ToolSpec
 
-from tools.analysis.engine import (
-    AnalyzerConfig, FileContext, ParsedFile, ToolSpec, check_file,
-    parse_file)
-from tools.analysis.engine import run_paths as _shared_run_paths
-from tools.analysis.findings import Finding
+from .registry import REGISTRY
 
-from .registry import REGISTRY, Rule
-
-__all__ = [
-    "DEFAULT_EXCLUDE_PATTERNS", "FileContext", "Finding", "LintConfig",
-    "SPEC", "TrailintSpec", "lint_file", "run_paths",
-]
-
-#: Paths (posix relpaths, fnmatch) never linted when discovered by a
-#: directory walk.  The lint fixtures are *deliberately* bad code; they
-#: are linted by passing them explicitly.
-DEFAULT_EXCLUDE_PATTERNS: Tuple[str, ...] = (
-    "tests/lint/fixtures/*",
-    "tests/units/fixtures/*",
-    "tests/iso/fixtures/*",
-)
-
-
-@dataclass
-class LintConfig(AnalyzerConfig):
-    """Which rules run and which files are skipped."""
-
-    exclude: Tuple[str, ...] = DEFAULT_EXCLUDE_PATTERNS
-
-    def rules(self) -> List[Rule]:
-        import trailint.rules  # noqa: F401  (populates REGISTRY)
-        return self.selected(REGISTRY.all_rules())
+__all__ = ["SPEC", "TrailintSpec"]
 
 
 class TrailintSpec(ToolSpec):
-    """trailint: determinism, error-taxonomy and log-format lint."""
+    """trailint: error-taxonomy and log-format lint."""
 
     name = "trailint"
     prefix = "TRL"
     error_code = "TRL000"
     hygiene_code = "TRL009"
     extra_known_codes = ("TRL000",)
-    description = ("Repo-native static analysis for the Trail "
-                   "reproduction (determinism, error taxonomy and "
-                   "log-format invariants).")
-    default_paths = ("src", "tests")
-    default_exclude = DEFAULT_EXCLUDE_PATTERNS
+    paths = ("src", "tests", "tools")
     registry = REGISTRY
-    config_class = LintConfig
 
     def load_rules(self) -> None:
-        import trailint.rules  # noqa: F401  (populates the registry)
+        from . import rules  # noqa: F401  (populates the registry)
 
 
 SPEC = TrailintSpec()
-
-
-def lint_file(path: str, relpath: str, config: LintConfig,
-              explicit: bool = False) -> List[Finding]:
-    """Lint one file; returns post-suppression findings (sorted)."""
-    SPEC.load_rules()
-    parsed: ParsedFile = parse_file(SPEC, path, relpath, explicit)
-    findings, _ = check_file(SPEC, parsed, config, None)
-    return findings
-
-
-def run_paths(paths: Sequence[str], root: Optional[str] = None,
-              config: Optional[LintConfig] = None,
-              ) -> Tuple[List[Finding], int]:
-    """Lint ``paths`` (files or directories) under ``root``.
-
-    Returns ``(findings, files_checked)``.  Files named explicitly are
-    linted with every rule regardless of rule scopes — this is how the
-    known-bad fixtures under ``tests/lint/fixtures`` are exercised.
-    """
-    return _shared_run_paths(SPEC, paths, root=root, config=config)

@@ -4,10 +4,8 @@ The :class:`~tools.analysis.registry.Rule` base class and
 :class:`~tools.analysis.registry.Registry` mechanics live in
 :mod:`tools.analysis`; this module pins trailint's ``TRL`` registry
 instance.  Rules self-register at import time via
-``@REGISTRY.register``; ``trailint.rules`` imports every rule module
-so that importing it is enough to populate the registry.  There is no
-module-level ``register``/``all_rules`` facade: the registry is an
-instance, and callers hold the instance.
+``@REGISTRY.register``; ``tools.trailint.rules`` imports every rule
+module so that importing it is enough to populate the registry.
 """
 
 from __future__ import annotations

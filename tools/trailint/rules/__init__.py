@@ -1,5 +1,5 @@
 """Rule modules self-register on import; import them all here."""
 
-from . import determinism, errors, format, general
+from . import errors, format, general
 
-__all__ = ["determinism", "errors", "format", "general"]
+__all__ = ["errors", "format", "general"]

@@ -15,7 +15,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import FileContext, Finding
+from tools.analysis.engine import FileContext
+from tools.analysis.findings import Finding
+
 from ..registry import REGISTRY, Rule, dotted_name
 
 _BROAD = frozenset({"Exception", "BaseException"})

@@ -1,210 +1,25 @@
-"""Log-format invariant rules (paper §3.2): TRL006 (header bytes are
-built only by ``core/format.py``), TRL007 (``struct`` format string vs
-argument count), TRL008 (decoded records are CRC-verified).
+"""TRL008: decoded records are format-error-handled and CRC-verified
+(paper §3.2).
 
-The self-describing log format works only if every header starts with
-``0xFF``, every payload sector has its first byte masked to ``0x00``,
-and every reader treats a CRC/format mismatch as "not a record".
-These rules keep that logic from leaking out of ``core/format.py`` or
-being consumed unverified.
+The self-describing log format works only if every reader treats a
+CRC/format mismatch as "not a record".  This rule keeps decoded
+headers and restored payloads from being consumed unverified outside
+``core/format.py``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List
 
-from ..engine import FileContext, Finding
+from tools.analysis.engine import FileContext
+from tools.analysis.findings import Finding
+
 from ..registry import REGISTRY, Rule, dotted_name
-from .determinism import _from_imports
-
-#: The names whose *construction* is core/format.py's monopoly.
-_MARKER_NAMES = frozenset({"HEADER_FIRST_BYTE", "PAYLOAD_FIRST_BYTE"})
-_HEADER_BYTE = 0xFF
 
 _DECODE_FNS = frozenset({"decode_record_header", "decode_disk_header",
                          "decode_geometry"})
 _FORMAT_ERROR_NAMES = frozenset({"LogFormatError", "TrailError"})
-
-
-def _parent_map(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-@REGISTRY.register
-class HeaderConstructionRule(Rule):
-    code = "TRL006"
-    name = "format-module-monopoly"
-    summary = ("record-header / marker-byte construction happens only "
-               "in core/format.py")
-    scope = ("src/repro/*",)
-    exempt = ("src/repro/core/format.py",)
-
-    _MESSAGE = ("record-header bytes must be built by the "
-                "core/format.py encode_* helpers, not assembled here")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        parents = _parent_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node)
-            elif (isinstance(node, ast.Constant)
-                    and isinstance(node.value, bytes)
-                    and node.value[:1] == b"\xff"
-                    and not self._in_comparison(node, parents)):
-                yield ctx.finding(
-                    node, self.code,
-                    "bytes literal starting with the 0xFF header "
-                    "marker; " + self._MESSAGE)
-
-    def _check_call(self, ctx: FileContext,
-                    node: ast.Call) -> Iterator[Finding]:
-        dotted = dotted_name(node.func)
-        name = dotted.rpartition(".")[2]
-        if name in ("bytes", "bytearray") and node.args:
-            first = node.args[0]
-            if isinstance(first, (ast.List, ast.Tuple)) and first.elts:
-                head = first.elts[0]
-                if self._is_marker(head):
-                    yield ctx.finding(node, self.code, self._MESSAGE)
-        if dotted in ("struct.pack", "struct.pack_into", "pack",
-                      "pack_into"):
-            for arg in node.args[1:]:
-                if self._is_marker(arg):
-                    yield ctx.finding(node, self.code, self._MESSAGE)
-
-    @staticmethod
-    def _is_marker(node: ast.expr) -> bool:
-        if isinstance(node, ast.Constant) and node.value == _HEADER_BYTE:
-            return True
-        terminal = dotted_name(node).rpartition(".")[2]
-        return terminal in _MARKER_NAMES
-
-    @staticmethod
-    def _in_comparison(node: ast.AST,
-                       parents: Dict[ast.AST, ast.AST]) -> bool:
-        """Reads (comparisons/membership) of marker bytes are fine."""
-        current: Optional[ast.AST] = node
-        for _ in range(3):
-            current = parents.get(current) if current is not None else None
-            if current is None:
-                return False
-            if isinstance(current, (ast.Compare, ast.Match)):
-                return True
-        return False
-
-
-#: struct format characters that consume one value per repeat count.
-_PER_REPEAT = frozenset("cbB?hHiIlLqQnNefdP")
-_BYTE_ORDER = frozenset("@=<>!")
-
-
-def _struct_arity(fmt: str) -> Optional[int]:
-    """Number of values a literal format string packs, or None when it
-    contains something this parser does not understand."""
-    count = 0
-    repeat = ""
-    for ch in fmt:
-        if ch.isdigit():
-            repeat += ch
-            continue
-        n = int(repeat) if repeat else 1
-        repeat = ""
-        if ch in _BYTE_ORDER or ch.isspace():
-            continue
-        if ch in ("s", "p"):
-            count += 1      # one bytes object regardless of length
-        elif ch == "x":
-            continue        # pad bytes consume nothing
-        elif ch in _PER_REPEAT:
-            count += n
-        else:
-            return None
-    return count
-
-
-@REGISTRY.register
-class StructArityRule(Rule):
-    code = "TRL007"
-    name = "struct-format-arity"
-    summary = ("struct.pack/unpack literal format strings must agree "
-               "with their argument / target counts")
-    scope = ()  # everywhere — tests build fixtures with struct too
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = _from_imports(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_pack(ctx, node, imports)
-            elif isinstance(node, ast.Assign):
-                yield from self._check_unpack(ctx, node, imports)
-
-    def _check_pack(self, ctx: FileContext, node: ast.Call,
-                    imports: Set) -> Iterator[Finding]:
-        kind = self._struct_call(node, imports,
-                                 ("pack", "pack_into"))
-        if kind is None:
-            return
-        arity = self._literal_arity(node)
-        if arity is None:
-            return
-        skip = 1 if kind == "pack" else 3  # fmt [, buffer, offset]
-        if len(node.args) < skip \
-                or any(isinstance(a, ast.Starred) for a in node.args):
-            return
-        supplied = len(node.args) - skip
-        if supplied != arity:
-            yield ctx.finding(
-                node, self.code,
-                f"struct.{kind} format needs {arity} value(s) but "
-                f"{supplied} supplied")
-
-    def _check_unpack(self, ctx: FileContext, node: ast.Assign,
-                      imports: Set) -> Iterator[Finding]:
-        if not isinstance(node.value, ast.Call):
-            return
-        call = node.value
-        kind = self._struct_call(call, imports,
-                                 ("unpack", "unpack_from"))
-        if kind is None:
-            return
-        arity = self._literal_arity(call)
-        if arity is None or len(node.targets) != 1:
-            return
-        target = node.targets[0]
-        if not isinstance(target, (ast.Tuple, ast.List)):
-            return
-        if any(isinstance(elt, ast.Starred) for elt in target.elts):
-            return
-        if len(target.elts) != arity:
-            yield ctx.finding(
-                node, self.code,
-                f"struct.{kind} format yields {arity} value(s) but "
-                f"{len(target.elts)} target(s) unpack it")
-
-    @staticmethod
-    def _struct_call(node: ast.Call, imports: Set,
-                     names: tuple) -> Optional[str]:
-        dotted = dotted_name(node.func)
-        for name in names:
-            if dotted == f"struct.{name}":
-                return name
-            if dotted == name and ("struct", name) in imports:
-                return name
-        return None
-
-    @staticmethod
-    def _literal_arity(node: ast.Call) -> Optional[int]:
-        if not node.args:
-            return None
-        fmt = node.args[0]
-        if isinstance(fmt, ast.Constant) and isinstance(fmt.value, str):
-            return _struct_arity(fmt.value)
-        return None
 
 
 @REGISTRY.register

@@ -1,190 +1,29 @@
-"""General hygiene rules: TRL005 (mutable default arguments), TRL009
-(suppression hygiene, enforced by the engine), TRL010 (no print() in
-library code) and TRL011 (process generators called without
-``yield from``).
-"""
+"""TRL009: suppression hygiene, enforced by the shared engine."""
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, Set, Union
+from typing import Iterator
 
-from ..engine import FileContext, Finding
-from ..registry import REGISTRY, Rule, dotted_name
+from tools.analysis.engine import FileContext
+from tools.analysis.findings import Finding
 
-_MUTABLE_CALLS = frozenset({
-    "list", "dict", "set", "bytearray", "defaultdict", "deque",
-    "OrderedDict", "Counter",
-})
-
-
-@REGISTRY.register
-class MutableDefaultRule(Rule):
-    code = "TRL005"
-    name = "no-mutable-defaults"
-    summary = "no mutable default arguments (shared across calls)"
-    scope = ()  # everywhere, tests included
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None]
-            for default in defaults:
-                if self._mutable(default):
-                    label = _describe(default)
-                    yield ctx.finding(
-                        default, self.code,
-                        f"mutable default {label} is shared across "
-                        f"calls; default to None and construct inside")
-
-    @staticmethod
-    def _mutable(node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func).rpartition(".")[2]
-            return name in _MUTABLE_CALLS
-        return False
-
-
-def _describe(node: ast.expr) -> str:
-    if isinstance(node, (ast.List, ast.ListComp)):
-        return "[]"
-    if isinstance(node, (ast.Dict, ast.DictComp)):
-        return "{}"
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "{...}"
-    return f"{dotted_name(node.func) if isinstance(node, ast.Call) else '?'}()"
+from ..registry import REGISTRY, Rule
 
 
 @REGISTRY.register
 class SuppressionHygieneRule(Rule):
-    """Placeholder so TRL009 shows up in ``--list-rules`` and docs.
+    """Placeholder so TRL009 is a registered, documented code.
 
-    The actual checks live in the engine (`engine._check_suppressions`)
-    because suppression bookkeeping is engine state: a suppression is
-    "unused" only relative to the findings of a *full* rule run.
+    The actual checks live in :func:`tools.analysis.suppressions.
+    check_hygiene`, because a suppression is "unused" only relative to
+    the findings of the whole rule run.
     """
 
     code = "TRL009"
     name = "suppression-hygiene"
     summary = ("# trailint: disable=... comments must name known rule "
-               "codes and actually suppress something")
+               "codes, actually suppress something, and give a reason")
     scope = ()
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         return iter(())
-
-
-@REGISTRY.register
-class NoPrintRule(Rule):
-    code = "TRL010"
-    name = "no-print-in-library"
-    summary = ("no print() in library code; return data and let the "
-               "CLI / analysis layer render it")
-    scope = ("src/repro/*",)
-    exempt = ("src/repro/cli.py", "src/repro/analysis/*")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "print"):
-                yield ctx.finding(
-                    node, self.code,
-                    "print() in library code: return structured data "
-                    "and render it in repro.cli / repro.analysis")
-
-
-def _is_generator_def(func: Union[ast.FunctionDef,
-                                  ast.AsyncFunctionDef]) -> bool:
-    """True when ``func``'s own body contains a yield."""
-    stack = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue  # nested scope owns its yields
-        stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
-@REGISTRY.register
-class DiscardedProcessCallRule(Rule):
-    """TRL011: the static sibling of trailsan's TSN004.
-
-    Calling a generator function as a plain statement builds a
-    generator object and throws it away — the process body silently
-    never runs.  The caller meant ``yield from fn(...)`` or
-    ``sim.process(fn(...))``.
-    """
-
-    code = "TRL011"
-    name = "discarded-process-call"
-    summary = ("generator (sim process) function called as a bare "
-               "statement; its body silently never runs")
-    scope = ("src/repro/*",)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        module_generators: Set[str] = {
-            node.name for node in ctx.tree.body
-            if isinstance(node, ast.FunctionDef)
-            and _is_generator_def(node)}
-        class_generators: Dict[str, Set[str]] = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                class_generators[node.name] = {
-                    stmt.name for stmt in node.body
-                    if isinstance(stmt, ast.FunctionDef)
-                    and _is_generator_def(stmt)}
-
-        for cls_name, func, stmt in _statement_calls(ctx.tree):
-            call = stmt.value
-            assert isinstance(call, ast.Call)
-            target = call.func
-            if isinstance(target, ast.Name):
-                if target.id not in module_generators:
-                    continue
-                label = target.id
-            elif (isinstance(target, ast.Attribute)
-                  and isinstance(target.value, ast.Name)
-                  and target.value.id == "self" and cls_name is not None
-                  and target.attr in class_generators.get(cls_name, ())):
-                label = f"self.{target.attr}"
-            else:
-                continue
-            yield ctx.finding(
-                call, self.code,
-                f"'{label}(...)' discards the generator it creates; "
-                f"use 'yield from' or hand it to sim.process()")
-
-
-def _statement_calls(tree: ast.Module):
-    """Yield (owning class name, owning function, Expr-call statement)
-    for every bare call statement in every function body."""
-    def walk_func(func: ast.FunctionDef, cls_name):
-        stack = list(func.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda, ast.ClassDef)):
-                continue
-            if (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)):
-                yield cls_name, func, node
-            stack.extend(ast.iter_child_nodes(node))
-
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield from walk_func(node, None)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for stmt in node.body:
-                if isinstance(stmt, ast.FunctionDef):
-                    yield from walk_func(stmt, node.name)

@@ -11,14 +11,9 @@ module functions, ``time.*``, ``os.environ`` — outside the sanitizer
 and perf perimeters (TIS004), and constructor context parameters
 stored anywhere other than ``self`` (TIS005).
 
-Run it with ``python -m tools.trailiso`` (``make iso``), or
-programmatically::
-
-    from tools.trailiso import run_paths
-    findings, files = run_paths(["src", "tools"], root="/path/to/repo")
-
-A deliberately shared constant is blessed with an annotation (reason
-required)::
+Run it with every other analyzer through ``python -m tools.analysis``
+(``make analyzers``).  A deliberately shared constant is blessed with
+an annotation (reason required)::
 
     # trailiso: shared_immutable -- frozen registry, built at import
     SCENARIOS: Mapping[str, Scenario] = MappingProxyType({...})
@@ -31,15 +26,7 @@ a runtime twin in tier-1: the interleaved multi-instance harness in
 solo-vs-concurrent runs.
 """
 
-from tools.trailiso.engine import (
-    DEFAULT_EXCLUDE_PATTERNS, Finding, IsoContext, SPEC, run_paths)
+from tools.trailiso.engine import SPEC, IsoContext
 from tools.trailiso.rules import REGISTRY
 
-__all__ = [
-    "DEFAULT_EXCLUDE_PATTERNS",
-    "Finding",
-    "IsoContext",
-    "REGISTRY",
-    "SPEC",
-    "run_paths",
-]
+__all__ = ["IsoContext", "REGISTRY", "SPEC"]

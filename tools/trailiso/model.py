@@ -252,11 +252,25 @@ def _ambient_reads(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
             seen.add(key)
             yield node, what
 
+    # ``from time import perf_counter`` makes ``perf_counter()`` the
+    # same read as ``time.perf_counter()``: resolve bare names first.
+    imported: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (
+                "random", "time"):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = dotted_name(node.func)
+            name = imported.get(name, name)
             parts = name.split(".")
-            if len(parts) == 2 and parts[0] == "random" \
+            if name == "random.Random":
+                if not node.args and not node.keywords:
+                    yield from once(node, "unseeded RNG 'Random()'")
+            elif len(parts) == 2 and parts[0] == "random" \
                     and parts[1] in _RANDOM_FNS:
                 yield from once(node, f"shared RNG '{name}()'")
             elif len(parts) == 2 and parts[0] == "time" \

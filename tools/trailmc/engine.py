@@ -4,11 +4,10 @@ Unlike the four lint passes, trailmc has no findings and no rule
 codes — it *extracts* a model (per-segment footprints plus the
 pairwise independence relation) for the bounded schedule explorer to
 consume.  It therefore binds to the shared ``tools/analysis`` runtime
-at the file-resolution layer (:func:`tools.analysis.engine.walk`, the
-same skip-dirs and path semantics as every analyzer) and mirrors the
-shared CLI conventions: positional paths, ``--format human|json``
-(``--json`` sugar), ``--root``; exit 0 on success, 2 on usage or I/O
-error.
+at the file-resolution layer only (:func:`tools.analysis.engine.walk`,
+the same skip-dirs and path semantics as every analyzer).  Its report
+CLI takes positional paths, ``--format human|json`` (``--json``
+sugar) and ``--root``; exit 0 on success, 2 on usage or I/O error.
 """
 
 from __future__ import annotations

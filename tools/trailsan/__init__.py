@@ -9,22 +9,13 @@ annotations in the analyzed sources::
     self._head = NULL_LBA   # trailsan: atomic_group(tail-chain)
     self._live = {}         # trailsan: atomic_group(tail-chain)
 
-Run it with ``python -m trailsan [paths...]`` (see ``--help``), or
-through ``make trailsan``.  The static pass is paired with the runtime
+Run it with every other analyzer through ``python -m tools.analysis``
+(``make analyzers``).  The static pass is paired with the runtime
 sanitizer in ``repro.sim.sanitizer`` (enabled with ``TRAILSAN=1``),
 which checks the same atomic groups at every context switch.
 """
 
-from .engine import (
-    Finding, SanConfig, SanContext, analyze_file, run_paths)
+from .engine import SPEC, SanContext
 from .rules import REGISTRY, Rule
 
-__all__ = [
-    "Finding",
-    "Rule",
-    "SanConfig",
-    "SanContext",
-    "REGISTRY",
-    "analyze_file",
-    "run_paths",
-]
+__all__ = ["REGISTRY", "Rule", "SPEC", "SanContext"]

@@ -11,28 +11,15 @@ aliases (``Bytes``, ``Sectors``, ``Ms``, ``LogLba``, ``DataLba``...),
 conservative name heuristics — and reports TUN001–TUN008 where
 dimensions meet illegally.
 
-Run it with ``python -m tools.trailunits`` (``make units``), or
-programmatically::
-
-    from tools.trailunits import run_paths
-    findings, files = run_paths(["src"], root="/path/to/repo")
-
-Suppressions must carry a reason::
+Run it with every other analyzer through ``python -m tools.analysis``
+(``make analyzers``).  Suppressions must carry a reason::
 
     head = entry.log_lba   # trailunits: disable=TUN006 -- chain walk reads the prev pointer
 
 A reason-less or unused suppression is itself a TUN000 finding.
 """
 
-from tools.trailunits.engine import (
-    DEFAULT_EXCLUDE_PATTERNS, Finding, SPEC, UnitsContext, run_paths)
+from tools.trailunits.engine import SPEC, UnitsContext
 from tools.trailunits.rules import REGISTRY
 
-__all__ = [
-    "DEFAULT_EXCLUDE_PATTERNS",
-    "Finding",
-    "REGISTRY",
-    "SPEC",
-    "UnitsContext",
-    "run_paths",
-]
+__all__ = ["REGISTRY", "SPEC", "UnitsContext"]

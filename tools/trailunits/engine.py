@@ -5,38 +5,20 @@ attribute tables from *every* parsed file before any rule runs, so
 dimensions propagate across module boundaries; ``make_context`` hands
 each file a :class:`UnitsContext` that lazily runs the flow inference
 once and shares the resulting issues between all TUN rules.
-
-trailunits is the only analyzer with ``require_reason=True``: a
-``# trailunits: disable=TUNnnn`` comment must carry a ``-- reason`` or
-it is itself a TUN000 finding.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from tools.analysis.engine import (
     Comments, FileContext, ParsedFile, ToolSpec)
-from tools.analysis.engine import run_paths as _shared_run_paths
-from tools.analysis.findings import Finding
 from tools.trailunits.infer import Issue, analyze_functions
 from tools.trailunits.rules import REGISTRY
 from tools.trailunits.sigs import FuncSig, Tables
 
-__all__ = [
-    "DEFAULT_EXCLUDE_PATTERNS", "Finding", "SPEC", "TrailunitsSpec",
-    "UnitsContext", "run_paths",
-]
-
-#: Fixture trees are deliberately wrong code; they are analyzed by
-#: naming them explicitly, never by a directory walk.
-DEFAULT_EXCLUDE_PATTERNS: Tuple[str, ...] = (
-    "tests/units/fixtures/*",
-    "tests/lint/fixtures/*",
-    "tests/san/fixtures/*",
-    "tests/iso/fixtures/*",
-)
+__all__ = ["SPEC", "TrailunitsSpec", "UnitsContext"]
 
 
 class UnitsContext(FileContext):
@@ -80,13 +62,6 @@ class TrailunitsSpec(ToolSpec):
     error_code = "TUN000"
     hygiene_code = "TUN000"
     extra_known_codes = ("TUN000",)
-    require_reason = True
-    description = ("Dimension and address-space flow analysis for the "
-                   "Trail reproduction: bytes vs sectors, ms vs s, and "
-                   "log-disk vs data-disk LBAs, seeded from repro.units "
-                   "annotations.")
-    default_paths = ("src", "tools")
-    default_exclude = DEFAULT_EXCLUDE_PATTERNS
     registry = REGISTRY
 
     def load_rules(self) -> None:
@@ -109,9 +84,3 @@ class TrailunitsSpec(ToolSpec):
 
 
 SPEC = TrailunitsSpec()
-
-
-def run_paths(paths: Sequence[str], root: Optional[str] = None,
-              ) -> Tuple[List[Finding], int]:
-    """Analyze ``paths`` under ``root`` with the full rule set."""
-    return _shared_run_paths(SPEC, paths, root=root)
