@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench perf-ab ledger-smoke ledger-test ledger-check profile analyzers typecheck trailmc mc
+.PHONY: test bench perf-ab ledger-smoke ledger-test ledger-check profile analyzers typecheck mc
 
 # Tier-1: the full unit/property/integration suite, in its one
 # configuration: tests/conftest.py sets TRAILSAN=1 for the session, so
@@ -50,13 +50,6 @@ ledger-test:
 ledger-check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.ledger check --smoke
 
-# Static schedule-interference analysis (docs/STATIC_ANALYSIS.md):
-# per-yield-segment footprints over annotated shared state and the
-# segment independence relation consumed by `make mc`.  An extraction
-# pass, not a lint — it has no findings and never fails a clean tree.
-trailmc:
-	$(PYTHON) -m tools.trailmc src
-
 # The four repo-native lint passes (docs/STATIC_ANALYSIS.md: trailint,
 # trailsan, trailunits, trailiso) over ONE shared parse, each over its
 # own scope; the report carries per-tool findings, suppressions and
@@ -67,12 +60,13 @@ analyzers:
 
 # Bounded schedule model checking: enumerate same-time dispatch orders
 # and cross-instance interleavings (preemption bound 3, 250 schedules
-# per scenario), assert byte-identical digests + sanitizer invariants
-# on every schedule, then prove the checker still has teeth by
-# requiring it to catch a reintroduced historical tail-chain tear.
+# per scenario, every schedule under the bound: no pruning), assert
+# byte-identical digests + sanitizer invariants on every schedule,
+# then prove the checker still has teeth by requiring it to catch a
+# reintroduced historical tail-chain tear.
 mc:
-	PYTHONPATH=$(PYTHONPATH):. $(PYTHON) -m repro mc
-	PYTHONPATH=$(PYTHONPATH):. $(PYTHON) -m repro mc crash-recovery \
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro mc
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro mc crash-recovery \
 		--mutate tail-chain-tear --budget 5
 
 # Strict typing over the paper-critical packages (mypy.ini).  mypy is a

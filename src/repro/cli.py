@@ -349,7 +349,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
     """Bounded schedule exploration over the model-checked scenarios."""
     # Imported lazily: pulls in the whole stack plus the explorer.
     from repro.mc import MUTATIONS, SCENARIOS, explore_scenario
-    from repro.sim.explore import IndependenceOracle
 
     if args.list:
         for scenario in SCENARIOS.values():
@@ -363,22 +362,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
         raise SystemExit(f"unknown scenario(s): {', '.join(unknown)} "
                          f"(try: repro mc --list)")
 
-    oracle = None
-    if not args.no_oracle:
-        # The static analyzer lives in tools/, outside the runtime
-        # package; `make mc` runs with the repo root importable.  The
-        # oracle only prunes — without it the exploration is the same
-        # set of schedules, minus the skipping.
-        try:
-            from tools.trailmc import build_oracle_payload
-        except ImportError:
-            print("mc: tools.trailmc not importable (run with "
-                  "PYTHONPATH=src:. from the repo root); exploring "
-                  "without static pruning", file=sys.stderr)
-        else:
-            oracle = IndependenceOracle.from_segments(
-                build_oracle_payload(("src",)))
-
     mutation = None
     if args.mutate:
         mutation = MUTATIONS.get(args.mutate)
@@ -390,28 +373,25 @@ def cmd_mc(args: argparse.Namespace) -> int:
     rows = []
     all_ok = True
     caught = True
-    total_schedules = total_explored = total_naive = 0
+    total_schedules = 0
     for name in names:
         scenario = SCENARIOS[name]
         if mutation is not None:
             with mutation():
                 report = explore_scenario(
-                    scenario, oracle=oracle, budget=args.budget,
+                    scenario, budget=args.budget,
                     preemption_bound=args.bound)
         else:
             report = explore_scenario(
-                scenario, oracle=oracle, budget=args.budget,
+                scenario, budget=args.budget,
                 preemption_bound=args.bound)
         stats = report.stats
         all_ok = all_ok and report.ok
         caught = caught and not report.ok
         total_schedules += stats.schedules
-        total_explored += stats.explored_branches
-        total_naive += stats.naive_branches
         rows.append([
             name, str(stats.schedules), str(stats.choice_points),
-            f"{stats.explored_branches}/{stats.naive_branches}",
-            f"{stats.pruning_ratio:.2f}x", str(stats.max_preemptions),
+            str(stats.max_preemptions),
             str(len(report.divergences)), str(len(report.failures)),
             "ok" if report.ok else "BROKEN",
         ])
@@ -419,13 +399,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
             what = issue.failure or "digest divergence"
             print(f"mc: {name} schedule {list(issue.decisions)}: {what}")
     print(render_table(
-        ["scenario", "schedules", "choice pts", "explored/naive",
-         "pruning", "preempt", "div", "fail", "result"],
+        ["scenario", "schedules", "choice pts", "preempt", "div", "fail",
+         "result"],
         rows, title="bounded schedule exploration"))
-    overall = (total_naive / total_explored if total_explored else 1.0)
-    print(f"total: {total_schedules} schedules explored, "
-          f"static pruning {overall:.2f}x"
-          + ("" if oracle is not None else " (oracle off)"))
+    print(f"total: {total_schedules} schedules explored")
     if mutation is not None:
         if caught:
             print(f"mutation {args.mutate!r} caught by every scenario")
@@ -520,8 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--bound", type=int, default=3,
                     help="preemption bound (non-default picks per "
                          "schedule)")
-    mc.add_argument("--no-oracle", action="store_true",
-                    help="skip trailmc static pruning")
     mc.add_argument("--mutate", default="",
                     help="run under a seeded mutation and require the "
                          "explorer to catch it")

@@ -49,9 +49,9 @@ from repro.faults.oracle import DurabilityOracle
 from repro.faults.plan import FaultPlan
 from repro.sim.events import Event
 from repro.sim.explore import (
-    KIND_INSTANCE, KIND_READY, ExplorationReport, Explorer,
-    IndependenceOracle, RunResult, ScenarioRunner, ScheduleController,
-    controlled_simulation, drive, drive_interleaved)
+    KIND_INSTANCE, KIND_READY, ExplorationReport, Explorer, RunResult,
+    ScenarioRunner, ScheduleController, controlled_simulation, drive,
+    drive_interleaved)
 from repro.sim.kernel import Simulation
 from repro.sim.sanitizer import TrailSanitizer
 
@@ -283,20 +283,9 @@ SCENARIOS: Mapping[str, Scenario] = MappingProxyType({
 })
 
 
-def default_oracle(
-    payload: Optional[Mapping[Tuple[str, str, int],
-                              Mapping[str, object]]] = None,
-) -> Optional[IndependenceOracle]:
-    """Oracle from a ``tools/trailmc`` payload (None passes through)."""
-    if payload is None:
-        return None
-    return IndependenceOracle.from_segments(payload)
-
-
 def explore_scenario(
     scenario: Scenario,
     *,
-    oracle: Optional[IndependenceOracle] = None,
     preemption_bound: int = 2,
     budget: int = 200,
     max_dispatches: int = 200_000,
@@ -305,7 +294,6 @@ def explore_scenario(
     """Run the bounded exploration for one scenario."""
     explorer = Explorer(
         scenario.runner,
-        oracle=oracle,
         preemption_bound=preemption_bound,
         budget=budget,
         max_dispatches=max_dispatches,
@@ -318,6 +306,5 @@ def explore_scenario(
 __all__ = [
     "SCENARIOS",
     "Scenario",
-    "default_oracle",
     "explore_scenario",
 ]

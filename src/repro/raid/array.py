@@ -164,8 +164,7 @@ class Raid5Array:
         # and update is atomic; the TRAILSAN=1 invariant below polices
         # the mutual exclusion at every context switch.  Both sides of
         # the gate carry the same atomic_group so trailsan forbids a
-        # yield between test and set, and trailmc's footprint pass sees
-        # every gate touch when deciding segment independence.
+        # yield between test and set.
         self._stripe_writers: Dict[int, int] = \
             {}  # trailsan: atomic_group(raid-stripe-gate)
         self._rebuild_stripe: Optional[int] = \

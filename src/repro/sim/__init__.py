@@ -9,8 +9,7 @@ probes.
 from repro.sim.control import (
     ControlledReady, DispatchPolicy, SeededShufflePolicy)
 from repro.sim.events import Event, Timeout, Condition, all_of, any_of
-from repro.sim.explore import (
-    Explorer, ExplorationReport, IndependenceOracle, ScheduleController)
+from repro.sim.explore import Explorer, ExplorationReport, ScheduleController
 from repro.sim.kernel import Simulation
 from repro.sim.perturb import PerturbedSimulation
 from repro.sim.process import Interrupt, Process, ProcessGenerator
@@ -25,7 +24,6 @@ __all__ = [
     "Event",
     "ExplorationReport",
     "Explorer",
-    "IndependenceOracle",
     "Interrupt",
     "LatencyRecorder",
     "PerturbedSimulation",

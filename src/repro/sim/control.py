@@ -149,25 +149,6 @@ class ControlledReady:
         self._head = head
         return head
 
-    def peek_group(self) -> List[Entry]:
-        """The same-time front group, in arrival order.
-
-        Unlike ``[0]`` this never consults the policy — the schedule
-        explorer uses it to inspect an instance's dispatch candidates
-        without consuming a scheduling decision.
-        """
-        entries = self._entries
-        if not entries:
-            return []
-        front = entries[0][0]
-        group = [entries[0]]
-        count = 1
-        total = len(entries)
-        while count < total and entries[count][0] <= front:
-            group.append(entries[count])
-            count += 1
-        return group
-
     def popleft(self) -> Entry:
         index = self._choose()
         self._head = None

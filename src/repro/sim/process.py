@@ -20,6 +20,7 @@ identical to the property-based implementation.
 
 from __future__ import annotations
 
+from inspect import GEN_CREATED, getgeneratorstate
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
@@ -173,6 +174,13 @@ class Process(Event):
             return
         generator = self._generator
         assert generator is not None
+        if getgeneratorstate(generator) == GEN_CREATED:
+            # A same-time reordering dispatched the interrupt ahead of
+            # the init event: run the body to its first yield, where
+            # the FIFO order delivers it.
+            self._resume(Event(self.sim))
+            if self._triggered:
+                return
         self.sim._active_process = self
         try:
             target = generator.throw(exc)

@@ -1,11 +1,11 @@
-"""The bounded explorer: sparse schedules, pruning, failure shapes.
+"""The bounded explorer: sparse schedules, the bound, failure shapes.
 
 The scenarios here are deliberately tiny — a pair of processes racing
 through ``timeout(0)`` ready-queue ties — so every property of the
 enumeration itself is visible: the sparse ``(position, choice)``
-replay, the preemption bound, deadlock/livelock detection, and the
-DPOR-style pruning an :class:`IndependenceOracle` enables.  The real
-Trail scenarios ride on exactly this machinery (``test_scenarios``).
+replay, the preemption bound, and deadlock/livelock detection.  The
+real Trail scenarios ride on exactly this machinery
+(``test_scenarios``).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from repro.errors import ExplorationError
 from repro.sim import Simulation
 from repro.sim.events import Event
 from repro.sim.explore import (
-    KIND_INSTANCE, KIND_READY, Explorer, IndependenceOracle, RunResult,
-    ScheduleController, controlled_simulation, drive, drive_interleaved)
+    KIND_INSTANCE, KIND_READY, Explorer, RunResult, ScheduleController,
+    controlled_simulation, drive, drive_interleaved)
 
 ROUNDS = 2
 
@@ -62,23 +62,20 @@ class TestScheduleController:
         assert controller.decisions == ((2, 3), (7, 1))
         assert controller.replay_limit == 8
 
-    def test_replayed_points_record_no_keys(self):
+    def test_replayed_points_are_not_frontier(self):
         base = ScheduleController()
         _race_runner(False)(base)
-        frontier = [p for p in base.points if p.size > 1]
-        assert frontier and all(p.keys for p in frontier)
+        assert len(base.points) > 2
+        assert all(p.frontier for p in base.points)
 
-        position = frontier[0].position
+        position = base.points[1].position
         expected = tuple((p.kind, p.size) for p in base.points)
         branch = ScheduleController([(position, 1)], expected=expected)
         _race_runner(False)(branch)
         assert branch.executed[position] == 1
         assert branch.preemptions == 1
-        for point in branch.points:
-            if point.position <= position:
-                assert not point.keys      # replayed: nothing recorded
-            elif point.size > 1:
-                assert point.keys          # frontier again
+        assert [p.frontier for p in branch.points[:position + 2]] == (
+            [False] * (position + 1) + [True])
 
     def test_replay_shape_mismatch_raises(self):
         controller = ScheduleController(
@@ -194,43 +191,18 @@ class TestExplorer:
         assert report.failures[0].decisions == ()
         assert "synthetic deadlock" in report.failures[0].failure
 
-    def test_commuting_oracle_prunes_without_divergence(self):
-        # Learn the park keys from one canonical run, then declare
-        # them all independent: every alternative first-dispatch is
-        # provably equivalent, so the explorer keeps only defaults.
-        probe = ScheduleController()
-        _race_runner(False)(probe)
-        keys = {key for point in probe.points
-                for keyset in point.keys for key in keyset}
-        payload = {key: {"reads": (), "writes": ()} for key in keys}
-        oracle = IndependenceOracle.from_segments(payload)
+    def test_runner_exception_names_its_schedule(self):
+        # An error outside the reportable failure shapes aborts the
+        # search, carrying the decisions that replay it.
+        raised_on = []
 
-        unpruned = Explorer(_race_runner(False), preemption_bound=2,
-                            budget=256).run()
-        pruned = Explorer(_race_runner(False), preemption_bound=2,
-                          budget=256, oracle=oracle).run()
-        assert pruned.ok
-        assert pruned.stats.pruned_branches > 0
-        assert pruned.stats.schedules < unpruned.stats.schedules
-        assert pruned.stats.oracle_hits > 0
+        def runner(controller: ScheduleController) -> RunResult:
+            if controller.decisions:
+                raised_on.append(controller.decisions)
+                raise RuntimeError("scenario bug")
+            return _race_runner(False)(controller)
 
-    def test_conflicting_oracle_keeps_divergence_coverage(self):
-        # Every park key writes the same attribute: no two process
-        # resumes commute.  The only prunable candidates left are
-        # empty-keyset bookkeeping dispatches, whose order really is
-        # unobservable — so the set of divergent outcomes found must
-        # be identical to the oracle-free enumeration's.
-        probe = ScheduleController()
-        _race_runner(True)(probe)
-        keys = {key for point in probe.points
-                for keyset in point.keys for key in keyset}
-        payload = {key: {"writes": ("shared.log",)} for key in keys}
-        oracle = IndependenceOracle.from_segments(payload)
-
-        bare = Explorer(_race_runner(True), preemption_bound=1,
-                        budget=256, stop_on_failure=False).run()
-        checked = Explorer(_race_runner(True), preemption_bound=1,
-                           budget=256, stop_on_failure=False,
-                           oracle=oracle).run()
-        assert ({issue.digests for issue in checked.divergences}
-                == {issue.digests for issue in bare.divergences})
+        with pytest.raises(RuntimeError, match="scenario bug") as info:
+            Explorer(runner, preemption_bound=2, budget=64).run()
+        assert len(raised_on) == 1 and raised_on[0]
+        assert info.value.__notes__ == [f"schedule {raised_on[0]}"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Interrupt, Simulation
+from repro.sim import ControlledReady, DispatchPolicy, Interrupt, Simulation
 
 
 def test_process_return_value(sim):
@@ -190,6 +190,39 @@ def test_same_timestamp_interrupt_race_is_safe(sim):
     sim.process(interrupter())
     sim.run()
     assert process.value == "finished"
+
+
+class _NewestFirst(DispatchPolicy):
+    """Dispatches the newest member of every same-time group first."""
+
+    def choose(self, group):
+        return len(group) - 1
+
+
+def _stoppable(sim):
+    try:
+        yield sim.timeout(100)
+    except Interrupt:
+        return "stopped"
+
+
+def _returns_at_once(sim):
+    return "done"
+    yield  # pragma: no cover
+
+
+@pytest.mark.parametrize("body, value", [(_stoppable, "stopped"),
+                                         (_returns_at_once, "done")])
+def test_interrupt_dispatched_before_init_acts_as_under_fifo(
+        sim, body, value):
+    """A legal same-time reordering runs the interrupt ahead of the
+    process's init event; the body still sees it at its first yield
+    (or not at all if it returns first), as under the FIFO order."""
+    sim._ready = ControlledReady(_NewestFirst())
+    process = sim.process(body(sim))
+    process.interrupt("stop")
+    sim.run()
+    assert process.value == value
 
 
 def test_yielding_non_event_fails_process(sim):
