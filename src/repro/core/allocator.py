@@ -15,7 +15,7 @@ that can hold a record, which is what bounds rotational latency.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -71,10 +71,6 @@ class TrackAllocator:
                 raise TrailError("usable_tracks contains duplicates")
         self._tracks = tracks
         self._position = 0
-        #: The active (tail) track; re-read from the ring only on advance.
-        self.current_track: Tracks = self._tracks[0]
-        #: Used (start, length) runs on the current track, sorted.
-        self._used_runs: List[Tuple[int, int]] = []
         #: Live (uncommitted) record count per in-window track.
         self._live_counts: Dict[int, int] = {}
         #: Tracks in fill order that still hold live records (FIFO window).
@@ -83,6 +79,23 @@ class TrackAllocator:
         self.retired_utilizations: List[float] = []
         #: Total tracks consumed (advances), for space-efficiency stats.
         self.tracks_consumed = 0
+        self._enter(self._tracks[0])
+
+    def _enter(self, track: Tracks) -> None:
+        """Make ``track`` the empty active (tail) track."""
+        #: The active (tail) track; re-read from the ring only on advance.
+        self.current_track: Tracks = track
+        _cylinder, _head, spt, first_lba = self.geometry.track_info(track)
+        self._spt: Sectors = spt
+        self._first_lba: Lba = first_lba
+        #: Used (start, length) runs on the current track, sorted: the
+        #: placements an overlap error names.
+        self._used_runs: List[Tuple[int, int]] = []
+        #: Free [start, end) runs on the current track, sorted and
+        #: never adjacent: what ``place`` walks and ``commit`` splits.
+        self._free_runs: List[Tuple[int, int]] = [(0, spt)]
+        self._used: Sectors = 0
+        self._largest_free: int = spt
 
     # ------------------------------------------------------------------
     # Introspection
@@ -102,27 +115,19 @@ class TrackAllocator:
         if track is not None and track != self.current_track:
             raise TrailError(
                 "per-sector accounting only exists for the current track")
-        return sum(length for _start, length in self._used_runs)
+        return self._used
 
     def utilization(self) -> float:
         """Fraction of the current track already written."""
-        spt = self.geometry.track_sectors(self.current_track)
-        return self.used_sectors() / spt
+        return self._used / self._spt
 
     def free_sectors(self) -> Sectors:
         """Free sectors remaining on the current track."""
-        spt = self.geometry.track_sectors(self.current_track)
-        return spt - self.used_sectors()
+        return self._spt - self._used
 
     def largest_free_run(self) -> int:
         """Length of the largest contiguous free run on the current track."""
-        spt = self.geometry.track_sectors(self.current_track)
-        best = 0
-        cursor = 0
-        for start, length in self._used_runs:
-            best = max(best, start - cursor)
-            cursor = start + length
-        return max(best, spt - cursor)
+        return self._largest_free
 
     def mean_retired_utilization(self) -> float:
         """Average final utilization of retired tracks (§5.2 metric)."""
@@ -144,41 +149,24 @@ class TrackAllocator:
         advance to the next track.  Runs never wrap past the end of the
         track because sector LBAs would not be contiguous.
         """
-        spt = self.geometry.track_sectors(self.current_track)
+        spt = self._spt
         if not 0 <= preferred_sector < spt:
             raise TrailError(
                 f"preferred sector {preferred_sector} out of range "
                 f"[0, {spt})")
         if nsectors < 1 or nsectors > spt:
             return None
-
-        free_runs = self._free_runs(spt)
-        # Candidate start positions: within each free run, the earliest
-        # position >= preferred that still fits; plus the run start
-        # itself for the wrapped pass.
-        best: Optional[int] = None
-        best_distance: Optional[int] = None
-        for start, length in free_runs:
-            candidate: Optional[int] = None
-            if start + length <= preferred_sector:
-                candidate = None  # run entirely before the head; wrap case
-            elif start >= preferred_sector:
-                candidate = start
-            else:
-                candidate = preferred_sector
-            if candidate is not None and candidate + nsectors <= start + length:
-                distance = candidate - preferred_sector
-                if best_distance is None or distance < best_distance:
-                    best, best_distance = candidate, distance
-        if best is not None:
-            return best
-        # Wrapped pass: any run that fits, closest after wrap-around.
-        for start, length in free_runs:
-            if nsectors <= length:
-                distance = (start - preferred_sector) % spt
-                if best_distance is None or distance < best_distance:
-                    best, best_distance = start, distance
-        return best
+        # The runs are sorted, so the first that fits at or after the
+        # head is the closest; failing that, the first that fits at all
+        # is the closest after wrap-around.
+        for start, end in self._free_runs:
+            candidate = start if start > preferred_sector else preferred_sector
+            if candidate + nsectors <= end:
+                return candidate
+        for start, end in self._free_runs:
+            if start + nsectors <= end:
+                return start
+        return None
 
     def commit_placement(self, start_sector: Sectors,
                          nsectors: Sectors) -> Lba:
@@ -186,37 +174,51 @@ class TrackAllocator:
 
         Also counts one live record on the current track.
         """
-        spt = self.geometry.track_sectors(self.current_track)
-        if start_sector < 0 or start_sector + nsectors > spt:
+        if nsectors < 1:
             raise TrailError(
-                f"placement [{start_sector}, {start_sector + nsectors}) "
-                f"exceeds track size {spt}")
-        for used_start, used_length in self._used_runs:
-            if (start_sector < used_start + used_length
-                    and used_start < start_sector + nsectors):
-                raise TrailError(
-                    f"placement [{start_sector}, {start_sector + nsectors}) "
-                    f"overlaps used run [{used_start}, "
-                    f"{used_start + used_length})")
-        self._used_runs.append((start_sector, nsectors))
-        self._used_runs.sort()
+                f"placement of {nsectors} sectors: a record needs at "
+                "least one")
+        end_sector = start_sector + nsectors
+        if start_sector < 0 or end_sector > self._spt:
+            raise TrailError(
+                f"placement [{start_sector}, {end_sector}) "
+                f"exceeds track size {self._spt}")
+        runs = self._free_runs
+        # The last free run starting at or before the placement: every
+        # run ends at or before spt, so it sorts below (start, spt).
+        index = bisect_right(runs, (start_sector, self._spt)) - 1
+        if index < 0 or end_sector > runs[index][1]:
+            raise self._overlap_error(start_sector, end_sector)
+        free_start, free_end = runs[index]
+        pieces = []
+        if free_start < start_sector:
+            pieces.append((free_start, start_sector))
+        if end_sector < free_end:
+            pieces.append((end_sector, free_end))
+        runs[index:index + 1] = pieces
+        if free_end - free_start == self._largest_free:
+            self._largest_free = max(
+                [end - start for start, end in runs], default=0)
+        insort(self._used_runs, (start_sector, nsectors))
+        self._used += nsectors
         track = self.current_track
         if track not in self._live_counts:
             self._live_counts[track] = 0
             self._window.append(track)
         self._live_counts[track] += 1
-        return self.geometry.track_first_lba(track) + start_sector
+        return self._first_lba + start_sector
 
-    def _free_runs(self, spt: int) -> List[Tuple[int, int]]:
-        runs: List[Tuple[int, int]] = []
-        cursor = 0
-        for start, length in self._used_runs:
-            if start > cursor:
-                runs.append((cursor, start - cursor))
-            cursor = start + length
-        if cursor < spt:
-            runs.append((cursor, spt - cursor))
-        return runs
+    def _overlap_error(self, start_sector: Sectors,
+                       end_sector: Sectors) -> TrailError:
+        """The error for a placement outside every free run, naming the
+        first used run it overlaps (the free runs are exact, so one does)."""
+        used_start, used_length = next(
+            (start, length) for start, length in self._used_runs
+            if start_sector < start + length and start < end_sector)
+        return TrailError(
+            f"placement [{start_sector}, {end_sector}) "
+            f"overlaps used run [{used_start}, "
+            f"{used_start + used_length})")
 
     # ------------------------------------------------------------------
     # Track rotation (FIFO)
@@ -238,12 +240,10 @@ class TrackAllocator:
             raise LogDiskFullError(
                 f"log disk full: track {next_track} still holds "
                 f"{self._live_counts.get(next_track, 0)} live records")
-        spt = self.geometry.track_sectors(self.current_track)
-        self.retired_utilizations.append(self.used_sectors() / spt)
+        self.retired_utilizations.append(self._used / self._spt)
         self.tracks_consumed += 1
         self._position = next_position
-        self.current_track = next_track
-        self._used_runs = []
+        self._enter(next_track)
         # Stale accounting from the previous lap, if any.
         self._live_counts.pop(next_track, None)
         return next_track

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     Any, Deque, Dict, Generator, List, Mapping, Optional, Tuple)
 
@@ -509,8 +510,7 @@ class TrailDriver(BlockDevice):
         assert allocator is not None and predictor is not None
         # Ensure the current track can hold a header plus >= 1 payload
         # sector; otherwise move on (writes pay the switch themselves).
-        while (allocator.largest_free_run() < 2
-               or allocator.utilization() >= 1.0):
+        while allocator.largest_free_run() < 2:
             yield from self._advance_track()
 
         capacity = min(MAX_TRAIL_BATCH, allocator.largest_free_run() - 1)
@@ -585,30 +585,24 @@ class TrailDriver(BlockDevice):
 
         # Flattened (first_data_byte, log_lba, data_lba, major, minor)
         # tuples plus one contiguous masked-payload buffer, straight
-        # into encode_record_stream: each span is copied with a single
-        # slice assignment and the displaced first bytes are read and
-        # masked by integer indexing, instead of slicing (and later
-        # re-joining) one bytes object per payload sector.
+        # into encode_record_stream: each span is one slice copy and one
+        # zip over its strided first bytes, and one strided assignment
+        # masks every sector of the record.
         entries: List[Tuple[int, int, int, int, int]] = []
-        append_entry = entries.append
         body = bytearray(total * sector_size)
-        index = 0
         pos = 0
         for request, offset, count in spans:
-            data = request.data
-            base_lba = request.lba + offset
-            disk_id = request.disk_id
             nbytes = count * sector_size
             start = offset * sector_size
-            body[pos:pos + nbytes] = data[start:start + nbytes]
-            payload_base = header_lba + 1 + index
-            for sector in range(count):
-                at = pos + sector * sector_size
-                append_entry((body[at], payload_base + sector,
-                              base_lba + sector, disk_id, 0))
-                body[at] = PAYLOAD_FIRST_BYTE
-            index += count
+            body[pos:pos + nbytes] = request.data[start:start + nbytes]
+            log_lba = header_lba + 1 + pos // sector_size
+            data_lba = request.lba + offset
+            entries += zip(body[pos:pos + nbytes:sector_size],
+                           range(log_lba, log_lba + count),
+                           range(data_lba, data_lba + count),
+                           repeat(request.disk_id), repeat(0))
             pos += nbytes
+        body[::sector_size] = bytes([PAYLOAD_FIRST_BYTE]) * total
 
         blob = encode_record_stream(
             epoch, sequence, self._last_record_lba, log_head,

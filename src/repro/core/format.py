@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import MAX_TRAIL_BATCH, TRAIL_SIGNATURE
 from repro.disk.geometry import DiskGeometry, Zone
@@ -73,6 +74,9 @@ _FIXED_STRUCT = struct.Struct(_FIXED_FMT)
 _ENTRY_STRUCT = struct.Struct(_ENTRY_FMT)
 _CRC_STRUCT = struct.Struct("<I")
 _PAYLOAD_PREFIX = bytes([PAYLOAD_FIRST_BYTE])
+#: ``_ENTRY_TABLES[n]`` packs a whole table of ``n`` entries in one call.
+_ENTRY_TABLES = tuple(struct.Struct("<" + _ENTRY_FMT[1:] * count)
+                      for count in range(MAX_TRAIL_BATCH + 1))
 #: What every record-header sector opens with: marker, then signature.
 _HEADER_PREFIX = bytes([HEADER_FIRST_BYTE]) + TRAIL_SIGNATURE
 
@@ -89,24 +93,37 @@ _GEOMETRY_FIXED_FMT = "<HHH"
 _GEOMETRY_ZONE_FMT = "<II"
 
 
-@dataclass(frozen=True)
-class BatchEntry:
-    """One logged sector inside a write record."""
-
-    #: Target LBA on the data disk this sector ultimately belongs to.
-    data_lba: DataLba
-    #: LBA on the log disk where the payload sector was written.
-    log_lba: LogLba
+class _EntryFields(NamedTuple):
     #: The payload's original first byte, displaced by the 0x00 marker.
     first_data_byte: int
+    #: LBA on the log disk where the payload sector was written.
+    log_lba: LogLba
+    #: Target LBA on the data disk this sector ultimately belongs to.
+    data_lba: DataLba
     #: Major/minor device number of the target data disk.
     data_major: int = 0
     data_minor: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.first_data_byte <= 0xFF:
+
+class BatchEntry(_EntryFields):
+    """One logged sector inside a write record, in on-disk field order.
+
+    A named tuple, so decoding a header builds each entry in C
+    (``BatchEntry._make`` skips this range check: the decoder's ``B``
+    field cannot hold more than a byte).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, first_data_byte: int, log_lba: LogLba,
+                data_lba: DataLba, data_major: int = 0,
+                data_minor: int = 0) -> "BatchEntry":
+        if not 0 <= first_data_byte <= 0xFF:
             raise LogFormatError(
-                f"first_data_byte out of range: {self.first_data_byte}")
+                f"first_data_byte out of range: {first_data_byte}")
+        return super().__new__(
+            cls, first_data_byte=first_data_byte, log_lba=log_lba,
+            data_lba=data_lba, data_major=data_major, data_minor=data_minor)
 
 
 @dataclass(frozen=True)
@@ -188,20 +205,9 @@ def encode_record_raw(
         append(sector)
         crc = crc32(sector, crc)
 
-    # One zero-filled header sector, filled in place: the trailing
-    # padding comes free with the allocation, and the precompiled
-    # Struct objects skip the per-call format parse.
-    packed = bytearray(sector_size)
-    _FIXED_STRUCT.pack_into(
-        packed, 0, HEADER_FIRST_BYTE, TRAIL_SIGNATURE, epoch,
-        sequence_id, prev_sect, log_head, crc, 0, len(entries))
-    offset = _FIXED_SIZE
-    entry_pack = _ENTRY_STRUCT.pack_into
-    for entry in entries:
-        entry_pack(packed, offset, *entry)
-        offset += _ENTRY_SIZE
-    _CRC_STRUCT.pack_into(packed, _HEADER_CRC_OFFSET, crc32(packed))
-    return [bytes(packed)] + masked
+    header = _header_sector(epoch, sequence_id, prev_sect, log_head, crc,
+                            entries, sector_size)
+    return [bytes(header)] + masked
 
 
 def encode_record_stream(
@@ -233,20 +239,34 @@ def encode_record_stream(
         raise LogFormatError(
             f"batch of {len(entries)} exceeds MAX_TRAIL_BATCH="
             f"{MAX_TRAIL_BATCH}")
-    crc32 = zlib.crc32
-    crc = crc32(masked_payload)
+    packed = _header_sector(epoch, sequence_id, prev_sect, log_head,
+                            zlib.crc32(masked_payload), entries, sector_size)
+    packed += masked_payload
+    return bytes(packed)
+
+
+def _header_sector(
+    epoch: int,
+    sequence_id: int,
+    prev_sect: int,
+    log_head: int,
+    payload_crc: int,
+    entries: Sequence[Tuple[int, int, int, int, int]],
+    sector_size: int,
+) -> bytearray:
+    """One record-header sector, packed in place.
+
+    The zero-filled allocation supplies the trailing padding; the fixed
+    fields and the whole entry table are one precompiled pack each.
+    """
     packed = bytearray(sector_size)
     _FIXED_STRUCT.pack_into(
         packed, 0, HEADER_FIRST_BYTE, TRAIL_SIGNATURE, epoch,
-        sequence_id, prev_sect, log_head, crc, 0, len(entries))
-    offset = _FIXED_SIZE
-    entry_pack = _ENTRY_STRUCT.pack_into
-    for entry in entries:
-        entry_pack(packed, offset, *entry)
-        offset += _ENTRY_SIZE
-    _CRC_STRUCT.pack_into(packed, _HEADER_CRC_OFFSET, crc32(packed))
-    packed += masked_payload
-    return bytes(packed)
+        sequence_id, prev_sect, log_head, payload_crc, 0, len(entries))
+    _ENTRY_TABLES[len(entries)].pack_into(
+        packed, _FIXED_SIZE, *chain.from_iterable(entries))
+    _CRC_STRUCT.pack_into(packed, _HEADER_CRC_OFFSET, zlib.crc32(packed))
+    return packed
 
 
 def encode_record(
@@ -264,11 +284,7 @@ def encode_record(
     """
     return encode_record_raw(
         header.epoch, header.sequence_id, header.prev_sect,
-        header.log_head,
-        [(entry.first_data_byte, entry.log_lba, entry.data_lba,
-          entry.data_major, entry.data_minor)
-         for entry in header.entries],
-        payload_sectors, sector_size)
+        header.log_head, header.entries, payload_sectors, sector_size)
 
 
 def payload_crc32(masked_payload: bytes) -> int:
@@ -312,12 +328,7 @@ def decode_record_header(
         raise LogFormatError("sector too short for declared batch size")
 
     table = sector[_FIXED_SIZE:_FIXED_SIZE + batch_size * _ENTRY_SIZE]
-    entries = tuple(
-        BatchEntry(data_lba=DataLba(data_lba), log_lba=LogLba(log_lba),
-                   first_data_byte=first_data_byte,
-                   data_major=major, data_minor=minor)
-        for first_data_byte, log_lba, data_lba, major, minor
-        in _ENTRY_STRUCT.iter_unpack(table))
+    entries = tuple(map(BatchEntry._make, _ENTRY_STRUCT.iter_unpack(table)))
     return RecordHeader(epoch=epoch, sequence_id=sequence_id,
                         prev_sect=LogLba(prev_sect),
                         log_head=LogLba(log_head),
@@ -348,12 +359,13 @@ def restore_payload(entries: Sequence[BatchEntry],
             f"{len(entries)} entries but {len(masked_payload)} payload bytes")
     restored = bytearray(masked_payload)
     sector_size = len(restored) // len(entries)
-    for entry, offset in zip(entries, range(0, len(restored), sector_size)):
-        if restored[offset] != PAYLOAD_FIRST_BYTE:
-            raise LogFormatError(
-                f"payload sector does not start with the 0x00 marker: "
-                f"{restored[offset]:#04x}")
-        restored[offset] = entry.first_data_byte
+    unmarked = restored[::sector_size].lstrip(_PAYLOAD_PREFIX)
+    if unmarked:
+        raise LogFormatError(
+            f"payload sector does not start with the 0x00 marker: "
+            f"{unmarked[0]:#04x}")
+    restored[::sector_size] = bytes(
+        [entry.first_data_byte for entry in entries])
     return bytes(restored)
 
 

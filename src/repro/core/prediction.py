@@ -78,10 +78,9 @@ class HeadPositionPredictor:
         time ``t0``; the head therefore sits at the *end* of that
         sector's angular span.
         """
-        cylinder, _head, sector = self.geometry.lba_to_chs(lba0)
-        spt = self.geometry.sectors_per_track(cylinder)
+        _track, first_lba, spt = self.geometry.track_extent_of_lba(lba0)
         self._t0 = t0
-        self._angle0 = ((sector + 1) % spt) / spt
+        self._angle0 = ((lba0 - first_lba + 1) % spt) / spt
 
     def predict_angle(self, t1: Ms) -> float:
         """Predicted platter phase in [0, 1) at time ``t1``."""

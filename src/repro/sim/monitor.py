@@ -27,8 +27,10 @@ class LatencyRecorder:
         self._count += 1
         self._total += value
         self._total_sq += value * value
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
         if self._samples is not None:
             self._samples.append(value)
 

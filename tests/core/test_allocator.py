@@ -46,6 +46,16 @@ class TestPlacement:
         with pytest.raises(TrailError):
             allocator.commit_placement(6, 2)
 
+    def test_commit_zero_length_rejected(self, allocator):
+        """An empty placement is no record: it must not count one live
+        on the track (which would pin the track in the FIFO window)."""
+        for nsectors in (0, -1):
+            with pytest.raises(TrailError, match="at least one"):
+                allocator.commit_placement(3, nsectors)
+        assert allocator.used_sectors() == 0
+        assert allocator.live_track_count == 0
+        assert allocator.place(3, 16) == 0
+
     def test_commit_beyond_track_rejected(self, allocator):
         with pytest.raises(TrailError):
             allocator.commit_placement(14, 4)

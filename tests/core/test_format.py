@@ -1,6 +1,8 @@
 """Unit and property tests for the self-describing log format."""
 
 import dataclasses
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +12,8 @@ from repro.core.format import (
     BatchEntry, HEADER_FIRST_BYTE, LogDiskHeader, NULL_LBA,
     PAYLOAD_FIRST_BYTE, RecordHeader, decode_disk_header,
     decode_geometry, decode_record_header, encode_disk_header,
-    encode_geometry, encode_record, payload_crc32, record_header_offsets,
-    restore_payload)
+    encode_geometry, encode_record, encode_record_raw, encode_record_stream,
+    payload_crc32, record_header_offsets, restore_payload)
 from repro.disk.geometry import DiskGeometry, Zone
 from repro.errors import LogFormatError
 
@@ -151,6 +153,87 @@ class TestHeaderValidation:
     def test_invalid_first_data_byte(self):
         with pytest.raises(LogFormatError):
             BatchEntry(data_lba=0, log_lba=0, first_data_byte=300)
+
+
+def reference_header_sector(epoch, sequence_id, prev_sect, log_head,
+                            payload_crc, entries, sector_size=512):
+    """The record-header sector as §3.2's layout spells it out, packed
+    one field group and one entry at a time: independent of the
+    encoder's precompiled whole-table structs."""
+    fixed_fmt = f"<B{len(TRAIL_SIGNATURE)}sIIIIIIH"
+    fixed = struct.pack(fixed_fmt, 0xFF, TRAIL_SIGNATURE, epoch,
+                        sequence_id, prev_sect, log_head, payload_crc, 0,
+                        len(entries))
+    table = b"".join(struct.pack("<BIIBB", *entry) for entry in entries)
+    sector = bytearray(fixed + table)
+    sector += bytes(sector_size - len(sector))
+    crc_at = struct.calcsize(f"<B{len(TRAIL_SIGNATURE)}sIIIII")
+    sector[crc_at:crc_at + 4] = struct.pack("<I", zlib.crc32(sector))
+    return bytes(sector)
+
+
+def batch_payloads(count, seed=0):
+    return [bytes([(seed + 37 * index) % 256])
+            + bytes((seed + index + offset) % 256 for offset in range(511))
+            for index in range(count)]
+
+
+class TestHeaderReference:
+    """Both encoders against a header packed entry by entry with
+    ``struct.pack("<BIIBB", ...)``, for every batch size."""
+
+    @pytest.mark.parametrize("count", range(1, MAX_TRAIL_BATCH + 1))
+    def test_every_batch_size(self, count):
+        payloads = batch_payloads(count, seed=count)
+        header = make_record(payloads, epoch=count, sequence_id=2**32 - count,
+                             prev_sect=4096 + count, log_head=17)
+        entries = [tuple(entry) for entry in header.entries]
+        masked = b"".join(bytes([PAYLOAD_FIRST_BYTE]) + payload[1:]
+                          for payload in payloads)
+        expected = reference_header_sector(
+            header.epoch, header.sequence_id, header.prev_sect,
+            header.log_head, zlib.crc32(masked), entries)
+        stream = encode_record_stream(
+            header.epoch, header.sequence_id, header.prev_sect,
+            header.log_head, entries, bytearray(masked))
+        assert stream == expected + masked
+        raw = encode_record_raw(
+            header.epoch, header.sequence_id, header.prev_sect,
+            header.log_head, entries, payloads)
+        assert raw[0] == expected
+        assert b"".join(raw[1:]) == masked
+        assert encode_record(header, payloads) == raw
+
+    @given(
+        count=st.integers(1, MAX_TRAIL_BATCH),
+        seed=st.integers(0, 255),
+        epoch=st.integers(min_value=0, max_value=2**32 - 1),
+        sequence_id=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_decode_round_trip(self, count, seed, epoch, sequence_id):
+        payloads = batch_payloads(count, seed)
+        header = make_record(payloads, epoch=epoch, sequence_id=sequence_id)
+        decoded = decode_record_header(encode_record(header, payloads)[0])
+        assert decoded.entries == header.entries
+        assert all(type(entry) is BatchEntry for entry in decoded.entries)
+        for entry, payload, index in zip(decoded.entries, payloads,
+                                         range(count)):
+            assert entry.first_data_byte == payload[0]
+            assert entry.log_lba == 101 + index
+            assert entry.data_lba == 5000 + index
+            assert (entry.data_major, entry.data_minor) == (1, 0)
+        assert len(set(decoded.entries)) == count
+        assert hash(decoded.entries) == hash(header.entries)
+
+    def test_entry_is_the_on_disk_field_order(self):
+        entry = BatchEntry(data_lba=7, log_lba=9, first_data_byte=0xAB,
+                           data_major=3)
+        assert tuple(entry) == (0xAB, 9, 7, 3, 0)
+        assert struct.pack("<BIIBB", *entry) == struct.pack(
+            "<BIIBB", 0xAB, 9, 7, 3, 0)
+        for bad in (-1, 256, 300):
+            with pytest.raises(LogFormatError):
+                BatchEntry(data_lba=0, log_lba=0, first_data_byte=bad)
 
 
 class TestDiskHeader:
