@@ -174,7 +174,6 @@ def crash_recover(scale: float = 1.0) -> int:
 
 
 #: Scenario name -> callable(scale) -> ops performed.
-# trailiso: shared_immutable -- scenario registry frozen at import
 SCENARIOS: Mapping[str, Callable[[float], int]] = MappingProxyType({
     "kernel-churn": kernel_churn,
     "sector-churn": sector_churn,

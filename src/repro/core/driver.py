@@ -320,7 +320,6 @@ class TrailDriver(BlockDevice):
         return self.log_drive.geometry.sector_size
 
     def write(self, lba: int, data: bytes, disk_id: int = 0) -> Event:
-        # unit: (lba: data_lba)
         """Synchronous write: the event fires once the data is durable.
 
         The event's value is the write's end-to-end latency in ms.
@@ -343,7 +342,6 @@ class TrailDriver(BlockDevice):
         return event
 
     def read(self, lba: int, nsectors: int, disk_id: int = 0) -> Event:
-        # unit: (lba: data_lba, nsectors: sectors)
         """Read: served from the staging buffer or the data disk (§4.3).
 
         The event's value is the data bytes.

@@ -21,7 +21,7 @@ in one process share nothing but immutable module constants, so:
 
 :func:`run_interleaved` round-robins several instances' simulations
 one event at a time in a single process — the runtime twin of the
-static isolation rules (TIS001–TIS005).
+static isolation rules (TIS001 and TIS004).
 """
 
 from __future__ import annotations

@@ -87,13 +87,11 @@ class StripedTrailDriver(BlockDevice):
     # Block-device interface
 
     def write(self, lba: int, data: bytes, disk_id: int = 0) -> Event:
-        # unit: (lba: data_lba)
         """Route the write to its page-affine stripe."""
         return self._stripe_of(disk_id, lba).write(lba, data,
                                                    disk_id=disk_id)
 
     def read(self, lba: int, nsectors: int, disk_id: int = 0) -> Event:
-        # unit: (lba: data_lba, nsectors: sectors)
         """Read via the owning stripe (its staging buffer holds any
         newer-than-disk contents for this extent)."""
         return self._stripe_of(disk_id, lba).read(lba, nsectors,

@@ -111,7 +111,6 @@ class DiskGeometry:
     # Zone lookups
 
     def zone_of_cylinder(self, cylinder: Cylinders) -> int:
-        # unit: () -> scalar
         """Index of the zone containing ``cylinder``."""
         self._check_cylinder(cylinder)
         return bisect.bisect_right(self._zone_first_cylinder, cylinder) - 1

@@ -166,7 +166,6 @@ class RotationModel:
         return self.rotation_ms / 2.0
 
     def angle_at(self, time_ms: Ms) -> float:
-        # unit: () -> scalar
         """Platter phase in [0, 1) at ``time_ms`` (fraction of a rev)."""
         phase = time_ms / self.rotation_ms
         if self._phase_drift is not None:

@@ -231,7 +231,7 @@ def _scenario_latency_spikes(seed: int) -> ScenarioResult:
     return result
 
 
-# trailiso: shared_immutable -- scenario registry frozen at import; per-run state lives in each runner's TrailInstance
+# Per-run state lives in each runner's TrailInstance.
 SCENARIOS: Mapping[str, Callable[[int], ScenarioResult]] = \
     MappingProxyType({
         "flaky-data-disk": _scenario_flaky_data_disk,

@@ -53,7 +53,6 @@ def tail_chain_tear() -> Iterator[None]:
 
 
 #: Registry for ``repro mc --mutate``.
-# trailiso: shared_immutable -- mutation registry frozen at import
 MUTATIONS: Mapping[str, Callable[[], "Any"]] = MappingProxyType({
     "tail-chain-tear": tail_chain_tear,
 })

@@ -253,7 +253,7 @@ class Scenario:
     digest_names: Tuple[str, ...]
 
 
-# trailiso: shared_immutable -- scenario registry frozen at import; per-run state lives in each schedule's fresh instances
+# Per-run state lives in each schedule's fresh instances.
 SCENARIOS: Mapping[str, Scenario] = MappingProxyType({
     scenario.name: scenario
     for scenario in (

@@ -180,7 +180,6 @@ class Raid5Array:
 
     def _locate(self, unit_index: int) -> Tuple[int, int, int, int]:
         """Map a logical stripe-unit index to (drive, member LBA)."""
-        # unit: (unit_index: scalar) -> scalar
         width = len(self.drives)
         stripe, offset = divmod(unit_index, width - 1)
         parity_drive = (width - 1 - stripe % width) % width
@@ -190,7 +189,6 @@ class Raid5Array:
 
     def parity_drive_of_stripe(self, stripe: int) -> int:
         """Which member holds parity for ``stripe`` (for tests)."""
-        # unit: (stripe: scalar) -> scalar
         width = len(self.drives)
         return (width - 1 - stripe % width) % width
 
@@ -206,7 +204,6 @@ class Raid5Array:
         stripe is not yet on a live spare — so the caller must go
         through parity instead.
         """
-        # unit: (index: scalar, stripe: scalar)
         if index != self._failed:
             return self.drives[index]
         engine = self._rebuild
@@ -227,7 +224,6 @@ class Raid5Array:
         :class:`~repro.errors.RaidFailedError` — here and on every
         subsequent I/O — rather than serving unreconstructable bytes.
         """
-        # unit: (index: scalar)
         if not 0 <= index < len(self.drives):
             raise DiskError(f"no member drive {index}")
         if self._array_failed:
@@ -386,7 +382,6 @@ class Raid5Array:
 
     def _acquire_stripe(self, stripe: int) -> Generator[Event, Any, None]:
         """Foreground writer entry: wait out the copier, then hold."""
-        # unit: (stripe: scalar)
         while self._rebuild_stripe == stripe:
             self.stats.gate_waits += 1
             gate = self.sim.event()
@@ -396,7 +391,6 @@ class Raid5Array:
             self._stripe_writers.get(stripe, 0) + 1
 
     def _release_stripe(self, stripe: int) -> None:
-        # unit: (stripe: scalar)
         count = self._stripe_writers.get(stripe, 0) - 1
         if count > 0:
             self._stripe_writers[stripe] = count
@@ -409,7 +403,6 @@ class Raid5Array:
     ) -> Generator[Event, Any, None]:
         """Copier entry: wait out foreground writers, then own the
         stripe exclusively (engine-facing)."""
-        # unit: (stripe: scalar)
         while self._stripe_writers.get(stripe, 0) > 0:
             gate = self.sim.event()
             self._stripe_waiters.setdefault(stripe, []).append(gate)
@@ -418,13 +411,11 @@ class Raid5Array:
 
     def rebuild_unlock_stripe(self, stripe: int) -> None:
         """Copier exit; wakes any parked foreground writers."""
-        # unit: (stripe: scalar)
         if self._rebuild_stripe == stripe:
             self._rebuild_stripe = None
         self._wake_stripe_waiters(stripe)
 
     def _wake_stripe_waiters(self, stripe: int) -> None:
-        # unit: (stripe: scalar)
         for gate in self._stripe_waiters.pop(stripe, []):
             if not gate.triggered:
                 gate.succeed(None)
@@ -632,7 +623,6 @@ class Raid5Array:
         * parity member lost — only the data write is issued (parity is
           reconstructed later by the rebuild).
         """
-        # unit: (unit: scalar)
         data_drive, parity_drive, stripe, member_lba = self._locate(unit)
         target = member_lba + offset
         yield from self._acquire_stripe(stripe)
@@ -686,7 +676,6 @@ class Raid5Array:
                            payloads: List[bytes],
                            priority: int) -> Generator[Event, Any, int]:
         """Write a whole stripe: parity computed without reads."""
-        # unit: (first_unit: scalar)
         parity = _xor(payloads)
         _dd, parity_drive, stripe, member_lba = self._locate(first_unit)
         yield from self._acquire_stripe(stripe)

@@ -150,7 +150,6 @@ class RebuildEngine:
 
     def covers(self, stripe: int) -> bool:
         """True when foreground I/O may serve ``stripe`` from the spare."""
-        # unit: (stripe: scalar)
         return (self.active and stripe < self._next_stripe
                 and not self.spare.dead and not self.spare.halted)
 
@@ -283,7 +282,6 @@ class RebuildEngine:
         self, stripe: int,
     ) -> Generator[Event, Any, bytes]:
         """XOR the survivors' stripe units into the lost member's."""
-        # unit: (stripe: scalar)
         array = self.array
         member_lba = stripe * array.stripe_unit
         reads: List[Event] = []
@@ -357,7 +355,6 @@ class RebuildEngine:
         and skipped — the copier keeps going rather than wedging the
         whole rebuild on one bad spot.
         """
-        # unit: (stripe: scalar)
         member_lba = stripe * self.array.stripe_unit
         relocated = False
         while True:

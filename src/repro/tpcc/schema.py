@@ -29,7 +29,6 @@ INITIAL_NEW_ORDERS_PER_DISTRICT = 900
 MAX_ORDER_LINES = 15
 
 #: Minimum row sizes in bytes (clause 4.2.2).
-# trailiso: shared_immutable -- spec constants, frozen at import
 RECORD_BYTES: Mapping[str, int] = MappingProxyType({
     "warehouse": 89,
     "district": 95,

@@ -11,18 +11,20 @@ Dimension aliases
 
 The :data:`Bytes` / :data:`Sectors` / :data:`Tracks` / :data:`Ms` family
 are ``Annotated`` aliases: plain ``int``/``float`` to mypy and at
-runtime, but each carries a :class:`Unit` marker that ``trailunits``
-(``make analyzers``) reads to seed its dimension-flow analysis.  Annotating
-a signature with them costs nothing and buys static mixed-unit
+runtime, but each carries a :class:`Unit` marker naming its dimension.
+``trailunits`` (``make analyzers``) reads the time aliases —
+:data:`Ms`, :data:`Seconds`, :data:`Us` — to seed its time-scale flow
+analysis, so annotating a signature with them buys static ms-versus-s
 checking::
 
-    def span(self, start_lba: Lba, nsectors: Sectors) -> Bytes: ...
+    def service_time(self, now: Ms, budget: Seconds) -> Ms: ...
 
+The other aliases document the dimension for readers.
 :data:`LogLba` and :data:`DataLba` are real ``NewType`` wrappers — the
 paper's write record stores *data-disk* addresses inside *log-disk*
 sectors, so the two address spaces coexist in the same structures and
 confusing them corrupts the wrong disk.  mypy enforces the wrapping
-where it is applied; trailunits tracks the flow everywhere else.
+where it is applied.
 """
 
 from __future__ import annotations

@@ -117,7 +117,7 @@ class TestRunAll:
         check: a crashed analyzer propagates out of ``run_all`` so CI
         fails red instead of green-with-a-missing-tool.
         """
-        from tools.trailunits.engine import SPEC
+        from tools.trailunits import SPEC
 
         def boom(files):
             raise RuntimeError("rule crashed mid-run")
@@ -132,20 +132,21 @@ class TestRunAll:
 
 
 #: ``service_time`` with and without a ``# unit:`` lookalike in a
-#: string default.  Only a comment token declares dimensions.
-SIGNATURE = ("def service_time(delay_ms: float, size: int{tag}) -> float:\n"
-             "    return delay_ms + size\n")
-UNIT_LOOKALIKE = ', tag: str = "# unit: (delay_ms: ms, size: bytes) -> ms"'
+#: string default.  Only a comment token declares dimensions: read as
+#: one, the lookalike would declare both times and hide the TUN008.
+SIGNATURE = ("def service_time(delay_ms: float, settle_us: float{tag})"
+             " -> float:\n"
+             "    return delay_ms\n")
+UNIT_LOOKALIKE = ', tag: str = "# unit: (delay_ms: ms, settle_us: us) -> ms"'
 
 #: One lookalike per grammar, each inside a string literal.  Read as
 #: comments they would suppress the TRL004 and the TIS001, invent a
-#: TSN001 (``count`` guarded, touched across a yield without the lock)
-#: and unused-suppression hygiene findings.
+#: TSN003 (``head`` and ``count`` grouped, written on either side of a
+#: yield) and unused-suppression hygiene findings.
 LOOKALIKES = textwrap.dedent("""\
-    NOTE = "# trailiso: shared_immutable -- a string, not a comment"
-    _CACHE = {}
-    LABEL = "# trailsan: disable=TSN001 -- a string, not a comment"
-    UNIT = "# trailunits: disable=TUN001 -- a string, not a comment"
+    _CACHE = {"note": "# trailiso: disable=TIS001 -- a string, not a comment"}
+    LABEL = "# trailsan: disable=TSN003 -- a string, not a comment"
+    UNIT = "# trailunits: disable=TUN004 -- a string, not a comment"
 
     def report(action):
         try:
@@ -155,10 +156,11 @@ LOOKALIKES = textwrap.dedent("""\
     class Counter:
         def __init__(self, sim):
             self.sim = sim
-            self.count = len("# trailsan: guarded_by(lock)")
+            self.head = len("# trailsan: atomic_group(pair)")
+            self.count = len("# trailsan: atomic_group(pair)")
 
         def tick(self):
-            self.count += 1
+            self.head += 1
             yield self.sim.timeout(0)
             self.count += 1
 """)
@@ -187,8 +189,8 @@ class TestSharedComments:
                                                       encoding="utf-8")
         report = run_all(root=str(tree))
         assert _findings(report) == {
-            "trailint": [("TRL004", 9)], "trailsan": [],
-            "trailunits": [], "trailiso": [("TIS001", 2)]}
+            "trailint": [("TRL004", 8)], "trailsan": [],
+            "trailunits": [], "trailiso": [("TIS001", 1)]}
         assert all(run.suppressed == 0 for run in report.runs)
 
     def test_each_file_is_tokenized_once_per_run(self, tree, monkeypatch):
@@ -230,10 +232,12 @@ class TestCli:
          {("TRL004", 7), ("TRL004", 14)}),
         ("tests/san/fixtures/bad/tsn003_torn_group.py",
          {("TSN003", 13), ("TSN003", 18)}),
-        ("tests/units/fixtures/bad/tun007_raw_literal.py",
-         {("TUN007", 14)}),
-        ("tests/iso/fixtures/bad/tis002_class_defaults.py",
-         {("TIS002", 9), ("TIS002", 10), ("TIS002", 18)}),
+        ("tests/units/fixtures/bad/tun004_time_scale.py",
+         {("TUN004", 11), ("TUN004", 15), ("TUN004", 19), ("TUN004", 27),
+          ("TUN004", 31), ("TUN004", 35)}),
+        ("tests/iso/fixtures/bad/tis001_module_mutables.py",
+         {("TIS001", 12), ("TIS001", 14), ("TIS001", 16), ("TIS001", 18),
+          ("TIS001", 20), ("TIS001", 22), ("TIS001", 24)}),
     ], ids=["trailint", "trailsan", "trailunits", "trailiso"])
     def test_named_bad_fixture_reports_its_codes(self, fixture, expected):
         """A named file gets every rule, even inside a fixture tree that

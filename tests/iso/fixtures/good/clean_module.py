@@ -1,10 +1,11 @@
 """Near-miss fixture: per-instance state done right.
 
-Frozen module constants, containers created in ``__init__``, the
-context stored on ``self``, and a seeded private RNG — nothing here
-is shared between two Trail stacks.
+Frozen module constants, containers and an id counter created in
+``__init__``, the context stored on ``self``, and a seeded private
+RNG — nothing here is shared between two Trail stacks.
 """
 
+import itertools
 import random
 from types import MappingProxyType
 
@@ -18,6 +19,7 @@ class WriteLog:
     def __init__(self, sim, seed):
         self.sim = sim
         self.rng = random.Random(seed)
+        self.ids = itertools.count(1)
         self.entries = []
         self.by_lba = {}
 

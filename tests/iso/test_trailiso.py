@@ -1,4 +1,4 @@
-"""The trailiso isolation pass: rules, annotations and suppressions.
+"""The trailiso isolation pass: rules and suppressions.
 
 Each known-bad fixture under ``fixtures/bad`` declares its seeded
 violations with ``# expect: TISnnn`` markers and must report exactly
@@ -24,16 +24,14 @@ from tools.trailiso import REGISTRY  # noqa: E402
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD_FIXTURES = sorted((FIXTURES / "bad").glob("*.py"))
 GOOD_FIXTURES = sorted((FIXTURES / "good").glob("*.py"))
-#: Bad fixtures carrying inline ``# expect:`` markers.  The two TIS000
-#: fixtures cannot: an expect marker appended to an annotation or
-#: suppression comment would change the comment text the grammar
-#: parses, so their expectations live in dedicated tests below.
+#: Bad fixtures carrying inline ``# expect:`` markers.  The TIS000
+#: fixture cannot: an expect marker appended to a suppression comment
+#: would change the comment text the grammar parses, so its
+#: expectations live in a dedicated test below.
 MARKED_FIXTURES = [path for path in BAD_FIXTURES
                    if not path.stem.startswith("tis000")]
 
-#: TIS000 is a real registered rule here (annotation hygiene), unlike
-#: the other analyzers where the 000 code is engine-only.
-ALL_CODES = {f"TIS{n:03d}" for n in range(0, 6)}
+ALL_CODES = {"TIS001", "TIS004"}
 
 
 def analyze_one(path):
@@ -96,14 +94,14 @@ def test_cli_exit_codes():
 
 
 def test_cli_json_output_schema():
-    fixture = FIXTURES / "bad" / "tis002_class_defaults.py"
+    fixture = FIXTURES / "bad" / "tis001_module_mutables.py"
     code, out = run_cli(str(REPO), "--json", str(fixture.relative_to(REPO)))
     assert code == 1
     row = json.loads(out)["tools"]["trailiso"]
     assert set(row) == {"files_checked", "findings", "suppressed", "seconds"}
     assert row["files_checked"] == 1
     assert row["suppressed"] == 0
-    assert [f["code"] for f in row["findings"]] == ["TIS002"] * 3
+    assert [f["code"] for f in row["findings"]] == ["TIS001"] * 7
     for finding in row["findings"]:
         assert set(finding) == {"path", "line", "col", "code", "message"}
 
@@ -112,17 +110,6 @@ def test_justified_suppression_counts_as_used():
     report = analyze_one(FIXTURES / "good" / "suppressed.py")
     assert report.findings == []
     assert report.suppressed == 1
-
-
-def test_annotation_hygiene_messages():
-    fixture = FIXTURES / "bad" / "tis000_annotations.py"
-    findings = analyze_one(fixture).findings
-    assert [f.code for f in findings] == ["TIS000"] * 3
-    by_line = sorted(findings, key=lambda f: f.line)
-    assert "unknown trailiso annotation 'frozen_forever'" in (
-        by_line[0].message)
-    assert "not anchored" in by_line[1].message
-    assert "has no reason" in by_line[2].message
 
 
 def test_suppression_hygiene_messages():

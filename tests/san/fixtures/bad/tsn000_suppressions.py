@@ -1,7 +1,7 @@
 """TSN000 hygiene: unknown code, unused and reason-less suppressions."""
 
 TRACKS = 1  # trailsan: disable=TSN099 -- no such rule
-SECTORS = 2  # trailsan: disable=TSN001 -- nothing here to suppress
+SECTORS = 2  # trailsan: disable=TSN003 -- nothing here to suppress
 
 
 class Driver:

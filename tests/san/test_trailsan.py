@@ -1,9 +1,10 @@
-"""The trailsan static pass: rules, annotations and suppressions.
+"""The trailsan static pass: TSN003, atomic-group annotations and
+suppressions.
 
 Every known-bad fixture under ``fixtures/bad`` must trip exactly the
 rule its filename names, at exactly the expected lines; the
-``fixtures/good`` near-misses must stay clean, and the real trees
-must be clean.
+``fixtures/good`` near-miss must stay clean, and the real trees must
+be clean.
 """
 
 import ast
@@ -29,18 +30,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BAD_FIXTURES = sorted((FIXTURES / "bad").glob("*.py"))
 GOOD_FIXTURES = sorted((FIXTURES / "good").glob("*.py"))
 
-ALL_CODES = {f"TSN{n:03d}" for n in range(1, 6)}
+ALL_CODES = {"TSN003"}
 
 #: fixture stem -> exact (code, line) pairs it must report.  The
 #: acceptance bar: each seeded violation is caught with the correct
 #: code *and* location, not merely "some finding somewhere".
 EXPECTED = {
     "tsn000_suppressions": {("TSN000", 3), ("TSN000", 4), ("TSN000", 16)},
-    "tsn001_unlocked_mutation": {("TSN001", 14), ("TSN001", 17)},
-    "tsn002_lock_across_wait": {("TSN002", 13), ("TSN002", 20)},
     "tsn003_torn_group": {("TSN003", 13), ("TSN003", 18)},
-    "tsn004_missing_yield_from": {("TSN004", 13), ("TSN004", 18)},
-    "tsn005_generator_reuse": {("TSN005", 15), ("TSN005", 20)},
+    "tsn003_torn_paths": {("TSN003", 12), ("TSN003", 23), ("TSN003", 28)},
 }
 
 
@@ -169,18 +167,19 @@ def test_core_annotations_are_resolved():
 
 def test_annotation_grammar():
     source = textwrap.dedent("""\
+        COUNT = 0  # trailsan: atomic_group(totals)
         class C:
             def __init__(self):
-                self.a = 1  # trailsan: guarded_by(lock)
+                self.a = 1  # trailsan: atomic_group( pair )
                 self.b = 2  # trailsan: atomic_group(pair)
-                self.c = {}  # trailsan: atomic_group(pair)
+                self.c = {}  # trailsan: atomic_group(other.group-1)
         """)
     model = build_module_model(ast.parse(source), read_comments(source))
-    cls = model.classes["C"]
-    assert cls.guarded == {"a": "lock"}
-    assert cls.groups == {"pair": ["b", "c"]}
+    assert model.classes["C"].groups == {
+        "pair": ["a", "b"], "other.group-1": ["c"]}
+    assert model.module_groups == {"totals": ["COUNT"]}
     annotations = parse_annotations(read_comments(source))
-    assert annotations[3] == [("guarded_by", "lock")]
+    assert annotations[4] == ["pair"]
 
 
 def test_wrapped_assignment_annotation_attaches():

@@ -1,20 +1,20 @@
 """Fixture: every way a trailunits suppression can go wrong (TUN000).
 
-In order: a *used* suppression with no ``-- reason`` (trailunits alone
-requires one); an unused suppression (nothing fires on its line); and
-a suppression naming a rule code that does not exist.
+In order: a *used* suppression with no ``-- reason``; an unused
+suppression (nothing fires on its line); and a suppression naming a
+rule code that does not exist.
 """
 
-from repro.units import Bytes, Sectors
+from repro.units import Ms, Seconds
 
 
-def quota_sectors(limit: Bytes) -> Sectors:
-    return limit  # trailunits: disable=TUN003
+def quota_ms(limit: Seconds) -> Ms:
+    return limit  # trailunits: disable=TUN004
 
 
-def quota_bytes(limit: Bytes) -> Bytes:
-    return limit  # trailunits: disable=TUN003 -- nothing fires here
+def quota_seconds(limit: Seconds) -> Seconds:
+    return limit  # trailunits: disable=TUN004 -- nothing fires here
 
 
-def quota_typo(limit: Bytes) -> Bytes:
+def quota_typo(limit: Seconds) -> Seconds:
     return limit  # trailunits: disable=TUN999 -- no such rule

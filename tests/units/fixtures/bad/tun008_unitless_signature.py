@@ -1,8 +1,12 @@
-"""Fixture: a public signature whose names advertise dimensions that
+"""Fixture: public signatures whose names advertise a time scale that
 nothing declares (TUN008) — exactly the code the flow analysis cannot
 check.
 """
 
 
-def reserve_extent(start_lba, nsectors):  # expect: TUN008
-    return start_lba + nsectors
+def schedule_flush(delay_ms, budget_seconds):  # expect: TUN008
+    return delay_ms, budget_seconds
+
+
+def settle_us():  # expect: TUN008
+    return 25.0

@@ -1,7 +1,7 @@
 """Fixture: a justified suppression is clean and counts as used."""
 
-from repro.units import Bytes, Sectors
+from repro.units import Ms, Seconds
 
 
-def legacy_quota(limit: Bytes) -> Sectors:
-    return limit  # trailunits: disable=TUN003 -- legacy API reports raw bytes; callers convert
+def legacy_timeout(limit: Seconds) -> Ms:
+    return limit  # trailunits: disable=TUN004 -- legacy API reports raw seconds; callers convert

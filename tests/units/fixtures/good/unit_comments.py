@@ -2,16 +2,18 @@
 
 The comment grammar is the annotation escape hatch for signatures
 that cannot (or should not) carry ``repro.units`` aliases; the flow
-analysis must honor it, including the ``-> scalar`` override for
-misleading names.
+analysis must honor it, including the ``-> scalar`` override for a
+misleading name.
 """
 
-
-def destage(lba, nsectors):
-    # unit: (lba: data_lba, nsectors: sectors)
-    return lba + nsectors
+from repro.units import seconds
 
 
-def zone_of_cylinder(cylinder):
-    # unit: (cylinder: cylinders) -> scalar
-    return cylinder // 120
+def deadline(start, budget):
+    # unit: (start: ms, budget: s) -> ms
+    return start + seconds(budget)
+
+
+def load_ms(busy_ms, window_ms):
+    # unit: (busy_ms: ms, window_ms: ms) -> scalar
+    return busy_ms / window_ms

@@ -1,4 +1,4 @@
-"""The trailunits dimension-flow pass: rules and suppressions.
+"""The trailunits time-scale flow pass: rules and suppressions.
 
 Each known-bad fixture under ``fixtures/bad`` declares its seeded
 violations with ``# expect: TUNnnn`` markers and must report exactly
@@ -30,7 +30,7 @@ GOOD_FIXTURES = sorted((FIXTURES / "good").glob("*.py"))
 MARKED_FIXTURES = [path for path in BAD_FIXTURES
                    if path.stem != "tun000_suppressions"]
 
-ALL_CODES = {f"TUN{n:03d}" for n in range(1, 9)}
+ALL_CODES = {"TUN004", "TUN008"}
 
 
 def analyze_one(path):
@@ -93,14 +93,14 @@ def test_cli_exit_codes():
 
 
 def test_cli_json_output_schema():
-    fixture = FIXTURES / "bad" / "tun007_raw_literal.py"
+    fixture = FIXTURES / "bad" / "tun004_time_scale.py"
     code, out = run_cli(str(REPO), "--json", str(fixture.relative_to(REPO)))
     assert code == 1
     row = json.loads(out)["tools"]["trailunits"]
     assert set(row) == {"files_checked", "findings", "suppressed", "seconds"}
     assert row["files_checked"] == 1
     assert row["suppressed"] == 0
-    assert [f["code"] for f in row["findings"]] == ["TUN007"]
+    assert [f["code"] for f in row["findings"]] == ["TUN004"] * 6
     for finding in row["findings"]:
         assert set(finding) == {"path", "line", "col", "code", "message"}
 
@@ -117,5 +117,5 @@ def test_suppression_hygiene_messages():
     assert [f.code for f in findings] == ["TUN000"] * 3
     by_line = sorted(findings, key=lambda f: f.line)
     assert "has no reason" in by_line[0].message
-    assert "unused suppression: TUN003" in by_line[1].message
+    assert "unused suppression: TUN004" in by_line[1].message
     assert "unknown rule code TUN999" in by_line[2].message

@@ -17,31 +17,3 @@ models; everything operational is defined once here:
 * :mod:`~tools.analysis.fixtures` — fixture helpers for the test
   suites.
 """
-
-from tools.analysis.driver import DriverReport, ToolRun, main, run_all
-from tools.analysis.engine import (
-    FileContext, ParsedFile, ToolSpec, check_file, read_comments, walk)
-from tools.analysis.findings import Finding
-from tools.analysis.registry import Registry, Rule, dotted_name
-from tools.analysis.suppressions import (
-    Suppressions, parse_suppressions, suppression_pattern)
-
-__all__ = [
-    "DriverReport",
-    "FileContext",
-    "Finding",
-    "ParsedFile",
-    "Registry",
-    "Rule",
-    "Suppressions",
-    "ToolRun",
-    "ToolSpec",
-    "check_file",
-    "dotted_name",
-    "main",
-    "parse_suppressions",
-    "read_comments",
-    "run_all",
-    "suppression_pattern",
-    "walk",
-]

@@ -44,9 +44,9 @@ def _clock() -> float:
 def _specs() -> List[ToolSpec]:
     """Every analyzer, in report order."""
     from tools.trailint.engine import SPEC as trailint_spec
-    from tools.trailiso.engine import SPEC as trailiso_spec
-    from tools.trailsan.engine import SPEC as trailsan_spec
-    from tools.trailunits.engine import SPEC as trailunits_spec
+    from tools.trailiso import SPEC as trailiso_spec
+    from tools.trailsan import SPEC as trailsan_spec
+    from tools.trailunits import SPEC as trailunits_spec
     return [trailint_spec, trailsan_spec, trailunits_spec, trailiso_spec]
 
 
@@ -90,7 +90,6 @@ def _in_scope(relpath: str, tool_paths: Sequence[str]) -> bool:
 def run_tool(spec: ToolSpec, files: Sequence[ParsedFile]) -> ToolRun:
     """One tool over its share of the parsed files, timed."""
     start = _clock()
-    spec.load_rules()
     shared = spec.prepare(files)
     findings: List[Finding] = []
     suppressed = 0

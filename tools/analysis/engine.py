@@ -90,16 +90,11 @@ class ToolSpec:
     error_code: str = ""
     #: Code reported for suppression-hygiene violations.
     hygiene_code: str = ""
-    #: Codes legal in suppression comments beyond the registry.
-    extra_known_codes: Tuple[str, ...] = ()
     #: Top-level paths a default run (``make analyzers``) gives the tool.
     paths: Tuple[str, ...] = ("src", "tools")
-    #: The tool's rule registry.  Populated by importing rule modules;
-    #: :meth:`load_rules` must make that import happen.
+    #: The tool's rule registry, populated when the tool's package
+    #: imports its rule modules.
     registry: Registry
-
-    def load_rules(self) -> None:
-        """Import rule modules so the registry is populated."""
 
     def prepare(self, files: Sequence[ParsedFile]) -> object:
         """Whole-run hook before per-file checks; returns shared state."""

@@ -7,7 +7,7 @@ the same :func:`~tools.analysis.driver.run_all` path as
 one shared sweep of the real trees, and one way to declare
 expectations *inside* the fixture::
 
-    total = nbytes + nsectors    # expect: TUN001
+    total = budget + delay_ms    # expect: TUN004
 
 ``expected_findings`` collects those markers as ``(code, line)`` pairs
 so a test can assert the analyzer reports exactly the seeded

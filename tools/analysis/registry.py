@@ -8,8 +8,9 @@ Concrete rules implement :meth:`Rule.check`, yielding
 file.
 
 Each analyzer owns a :class:`Registry` instance (``TRL`` for trailint,
-``TSN`` for trailsan, ``TUN`` for trailunits); rules self-register at
-import time via the registry's :meth:`Registry.register` decorator.
+``TSN`` for trailsan, ``TUN`` for trailunits, ``TIS`` for trailiso);
+rules self-register at import time via the registry's
+:meth:`Registry.register` decorator.
 """
 
 from __future__ import annotations
@@ -79,15 +80,8 @@ class Registry:
         """Fresh instances of every registered rule, sorted by code."""
         return [self._rules[code]() for code in sorted(self._rules)]
 
-    def get_rule(self, code: str) -> Rule:
-        """Instantiate the rule registered under ``code``."""
-        return self._rules[code]()
-
     def codes(self) -> List[str]:
         return sorted(self._rules)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._rules
 
 
 def dotted_name(node: ast.AST) -> str:

@@ -3,8 +3,8 @@
 The grammar is the one trailint introduced, parameterized by the tool
 name and code prefix::
 
-    # trailsan: disable-file=TSN004 -- generated process table
-    lba = raw * 2                # trailunits: disable=TUN003 -- raw is a byte offset here
+    # trailsan: disable-file=TSN003 -- single-process replay tool
+    budget = limit + slack       # trailunits: disable=TUN004 -- slack is pre-scaled to ms
 
 A trailing ``disable`` suppresses the named code(s) on its own line;
 ``disable-file`` on a comment-only line suppresses for the whole file.
@@ -98,7 +98,7 @@ def check_hygiene(
     used: Set[Tuple[int, str]],
 ) -> List[Finding]:
     """Hygiene: suppressions must name real, needed, justified codes."""
-    known = set(spec.registry.codes()) | set(spec.extra_known_codes)
+    known = set(spec.registry.codes()) | {spec.error_code}
     findings = []
     for line, code, file_wide, has_reason in suppressions.declared:
         if code not in known:

@@ -16,12 +16,8 @@ class TrailintSpec(ToolSpec):
     prefix = "TRL"
     error_code = "TRL000"
     hygiene_code = "TRL009"
-    extra_known_codes = ("TRL000",)
     paths = ("src", "tests", "tools")
     registry = REGISTRY
-
-    def load_rules(self) -> None:
-        from . import rules  # noqa: F401  (populates the registry)
 
 
 SPEC = TrailintSpec()

@@ -1,32 +1,55 @@
 """trailiso — cross-instance isolation analysis.
 
-The multi-Trail direction (ROADMAP item 1: N shards in one process)
-holds only if nothing in ``repro.*`` leaks state between two Trail
-stacks sharing an interpreter.  trailiso checks that statically:
-module-level mutable containers (TIS001), class-attribute defaults
-shared across instances (TIS002), ``Simulation``/``TrailDriver``
-values escaping into module- or class-level storage via a taint flow
-over function bodies (TIS003), ambient-singleton reads — ``random.*``
-module functions, ``time.*``, ``os.environ`` — outside the sanitizer
-and perf perimeters (TIS004), and constructor context parameters
-stored anywhere other than ``self`` (TIS005).
+Several Trail stacks can share one interpreter (``TrailInstance``)
+only if nothing in ``repro.*`` leaks state between them.  trailiso
+checks that statically: module-level mutable containers and counters
+(TIS001) and ambient-singleton reads — ``random.*`` module functions,
+``time.*``, ``os.environ`` — outside the sanitizer and perf
+perimeters (TIS004).  Its runtime twin in tier-1 is the interleaved
+multi-instance harness in ``tests/integration/test_two_instances.py``,
+which proves solo and concurrent runs byte-identical.
 
 Run it with every other analyzer through ``python -m tools.analysis``
-(``make analyzers``).  A deliberately shared constant is blessed with
-an annotation (reason required)::
-
-    # trailiso: shared_immutable -- frozen registry, built at import
-    SCENARIOS: Mapping[str, Scenario] = MappingProxyType({...})
-
-Suppressions (``# trailiso: disable=TISnnn -- reason``) exist for
-completeness but the swept tree carries none; TIS000 polices both
-suppression and annotation hygiene.  The static pass is paired with
-a runtime twin in tier-1: the interleaved multi-instance harness in
-``tests/integration/test_two_instances.py`` proving byte-identical
-solo-vs-concurrent runs.
+(``make analyzers``).  A deliberately shared mutable binding needs a
+suppression with a reason (``# trailiso: disable=TIS001 -- reason``);
+the swept tree carries none.  ``TIS000`` is the code for unreadable
+files and suppression hygiene.
 """
 
-from tools.trailiso.engine import SPEC, IsoContext
+from __future__ import annotations
+
+import ast
+
+from tools.analysis.engine import (
+    Comments, FileContext, ParsedFile, ToolSpec)
+from tools.trailiso.model import collect_state
 from tools.trailiso.rules import REGISTRY
 
 __all__ = ["IsoContext", "REGISTRY", "SPEC"]
+
+
+class IsoContext(FileContext):
+    """Per-file context: the isolation model every TIS rule reads."""
+
+    def __init__(self, path: str, comments: Comments,
+                 tree: ast.Module) -> None:
+        super().__init__(path, comments, tree)
+        self.model = collect_state(tree)
+
+
+class TrailisoSpec(ToolSpec):
+    """trailiso: cross-instance isolation analysis."""
+
+    name = "trailiso"
+    prefix = "TIS"
+    error_code = "TIS000"
+    hygiene_code = "TIS000"
+    registry = REGISTRY
+
+    def make_context(self, parsed: ParsedFile,
+                     shared: object) -> IsoContext:
+        assert parsed.tree is not None
+        return IsoContext(parsed.relpath, parsed.comments, parsed.tree)
+
+
+SPEC = TrailisoSpec()

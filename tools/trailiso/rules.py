@@ -2,168 +2,51 @@
 
 Two Trail stacks sharing one process must not observe each other; the
 model in :mod:`tools.trailiso.model` finds the ways they could, and
-each rule here owns one of them.
-
-| code   | catches                                                      |
-|--------|--------------------------------------------------------------|
-| TIS001 | mutable module-level state (list/dict/set/bytearray ...)     |
-| TIS002 | mutable class-attribute default shared across instances      |
-| TIS003 | context value escaping into module- or class-level storage   |
-| TIS004 | ambient-singleton read (random.* / time.* / os.environ)      |
-| TIS005 | constructor context parameter escaping beyond ``self``       |
-
-``TIS000`` is the engine's own code: unreadable files, suppression
-hygiene (reasons required), and annotation hygiene — every
-``# trailiso: shared_immutable`` must sit on a binding and carry a
-``-- reason``.
+each rule here owns one of them.  Both are scoped to the library
+sources and the tools that analyze them; tests construct shared state
+on purpose.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar, Iterator, Tuple
 
-from tools.analysis.registry import Registry
-from tools.analysis.registry import Rule as _SharedRule
-from tools.trailiso.model import SHARED_IMMUTABLE
+from tools.analysis.registry import Registry, Rule
 
 if TYPE_CHECKING:
     from tools.analysis.findings import Finding
-    from tools.trailiso.engine import IsoContext
+    from tools.trailiso import IsoContext
 
 #: The global TIS rule set; rules self-register at import time.
 REGISTRY = Registry("TIS")
 
-#: Isolation matters in the library sources and the tools that analyze
-#: them; tests construct shared state on purpose.
 _LIB_SCOPE: Tuple[str, ...] = ("src/repro/*", "tools/*")
-
-
-class Rule(_SharedRule):
-    """One named isolation check, scoped to library sources."""
-
-    scope: ClassVar[Tuple[str, ...]] = _LIB_SCOPE
-
-
-@REGISTRY.register
-class AnnotationHygiene(Rule):
-    """TIS000 (annotation half): shared_immutable comments stay honest.
-
-    The suppression half of TIS000 (unknown/unused/reason-less
-    ``disable=`` comments) is enforced by the shared runtime; this rule
-    polices the *annotation* grammar the same way — an annotation must
-    name a known kind, carry a reason, and anchor to a real binding.
-    """
-
-    code = "TIS000"
-    name = "annotation-hygiene"
-    summary = ("trailiso annotations must be known, reasoned and "
-               "anchored to a module/class binding")
-
-    def check(self, ctx: "IsoContext") -> Iterator["Finding"]:
-        for ann in ctx.model().annotations:
-            if ann.kind != SHARED_IMMUTABLE:
-                yield ctx.line_finding(
-                    ann.line, self.code,
-                    f"unknown trailiso annotation "
-                    f"'{ann.kind}'; the only kind is "
-                    f"'{SHARED_IMMUTABLE}'")
-                continue
-            if not ann.used:
-                yield ctx.line_finding(
-                    ann.line, self.code,
-                    "shared_immutable annotation is not anchored to "
-                    "a module- or class-scope binding (same line or "
-                    "the line above)")
-            if ann.reason is None:
-                yield ctx.line_finding(
-                    ann.line, self.code,
-                    "shared_immutable annotation has no reason; "
-                    "write '-- <why sharing this is safe>'")
 
 
 @REGISTRY.register
 class ModuleMutableState(Rule):
-    """TIS001: a mutable container bound at module scope.
+    """TIS001: a mutable container or counter bound at module scope.
 
     A module object is a process-wide singleton: a list/dict/set/
-    bytearray bound there is shared by every Trail instance in the
-    process, so one instance's writes leak into another's reads.
-    Freeze it (``MappingProxyType``/``frozenset``/``tuple``), lift it
-    into an instance, or — when it really is a constant registry —
-    annotate ``# trailiso: shared_immutable -- <why>``.
+    bytearray (or an ``itertools.count`` id source) bound there is
+    shared by every Trail instance in the process, so one instance's
+    writes leak into another's reads.  Freeze it
+    (``MappingProxyType``/``frozenset``/``tuple``) or lift it into an
+    instance.
     """
 
     code = "TIS001"
     name = "module-mutable-state"
-    summary = ("mutable container bound at module scope without a "
-               "shared_immutable annotation")
+    summary = "mutable container or counter bound at module scope"
+    scope: ClassVar[Tuple[str, ...]] = _LIB_SCOPE
 
     def check(self, ctx: "IsoContext") -> Iterator["Finding"]:
-        for binding in ctx.model().mutables:
-            if binding.class_name is not None:
-                continue
-            if binding.annotation is not None:
-                continue
+        for binding in ctx.model.mutables:
             yield ctx.finding(
                 binding.node, self.code,
                 f"module-level '{binding.name}' binds a mutable "
                 f"{binding.kind}: shared by every Trail instance in "
-                f"the process; freeze it, lift it into an instance, "
-                f"or annotate '# trailiso: shared_immutable -- why'")
-
-
-@REGISTRY.register
-class MutableClassDefault(Rule):
-    """TIS002: a mutable default on a class attribute.
-
-    ``class C: cache = {}`` gives every instance the *same* dict; a
-    second Trail stack mutates the first one's cache.  Initialize the
-    container in ``__init__`` instead.
-    """
-
-    code = "TIS002"
-    name = "mutable-class-default"
-    summary = ("mutable class-attribute default shared across "
-               "instances")
-
-    def check(self, ctx: "IsoContext") -> Iterator["Finding"]:
-        for binding in ctx.model().mutables:
-            if binding.class_name is None:
-                continue
-            if binding.annotation is not None:
-                continue
-            yield ctx.finding(
-                binding.node, self.code,
-                f"class attribute '{binding.class_name}."
-                f"{binding.name}' binds a mutable {binding.kind} "
-                f"shared by every instance; create it per-instance "
-                f"in __init__")
-
-
-@REGISTRY.register
-class CrossContextEscape(Rule):
-    """TIS003: a context value reaches module- or class-level storage.
-
-    A value rooted in one ``Simulation``/``TrailDriver`` (the objects,
-    their attributes, anything derived from them) stored at module or
-    class level outlives its context and is observed by the next
-    instance — the exact leak the multi-Trail cluster cannot tolerate.
-    """
-
-    code = "TIS003"
-    name = "cross-context-escape"
-    summary = ("Simulation/TrailDriver-derived value stored in "
-               "module- or class-level storage")
-
-    def check(self, ctx: "IsoContext") -> Iterator["Finding"]:
-        for escape in ctx.model().escapes:
-            if escape.from_init_param:
-                continue
-            yield ctx.finding(
-                escape.node, self.code,
-                f"context escape in '{escape.function}': "
-                f"{escape.sink}; keep per-context values on the "
-                f"instance that owns them")
+                f"the process; freeze it or lift it into an instance")
 
 
 @REGISTRY.register
@@ -185,40 +68,15 @@ class AmbientSingletonRead(Rule):
     name = "ambient-singleton-read"
     summary = ("random.*/time.*/os.environ read outside the "
                "allowlisted perimeter")
+    scope: ClassVar[Tuple[str, ...]] = _LIB_SCOPE
     exempt = ("src/repro/sim/sanitizer.py",
               "src/repro/analysis/perf.py",
               "tools/analysis/driver.py")
 
     def check(self, ctx: "IsoContext") -> Iterator["Finding"]:
-        for node, what in ctx.model().ambient:
+        for node, what in ctx.model.ambient:
             yield ctx.finding(
                 node, self.code,
                 f"ambient-singleton read: {what}; use a seeded "
                 f"random.Random / simulated time, or move the read "
                 f"behind the sanitizer or perf perimeter")
-
-
-@REGISTRY.register
-class InitParamEscape(Rule):
-    """TIS005: a constructor's context parameter escapes ``self``.
-
-    ``__init__(self, sim, ...)`` receives the one context the object
-    belongs to; storing that parameter anywhere other than ``self``
-    attributes (a module registry, a class attribute, a foreign
-    object) welds the new object to state outside its context.
-    """
-
-    code = "TIS005"
-    name = "init-param-escape"
-    summary = ("constructor context parameter stored anywhere other "
-               "than self attributes")
-
-    def check(self, ctx: "IsoContext") -> Iterator["Finding"]:
-        for escape in ctx.model().escapes:
-            if not escape.from_init_param:
-                continue
-            yield ctx.finding(
-                escape.node, self.code,
-                f"constructor context parameter escapes in "
-                f"'{escape.function}': {escape.sink}; context "
-                f"parameters may only be stored on self")

@@ -1,120 +1,31 @@
-"""The TSN rules: yield-point atomicity and lock discipline.
+"""The TSN rule: yield-point atomicity of declared atomic groups.
 
-Every rule consumes the pre-computed :class:`FunctionScan` event
-streams (one per function) that the engine caches on the context, so a
-file is parsed and segmented once no matter how many rules run.
+The rule consumes the pre-computed :class:`FunctionScan` write streams
+(one per function) cached on the context, so a file is parsed and
+segmented once.
 
 | code   | catches                                                      |
 |--------|--------------------------------------------------------------|
-| TSN001 | guarded state touched across yields without holding its lock |
-| TSN002 | lock held across an unbounded (peer-dependent) wait          |
 | TSN003 | atomic-group members torn across different atomic segments   |
-| TSN004 | process generator called without ``yield from``              |
-| TSN005 | one generator object consumed more than once                 |
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, ClassVar, Iterator, List, Optional, Set, Tuple, Type)
+    TYPE_CHECKING, ClassVar, Dict, Iterator, Optional, Set, Tuple)
 
-from tools.analysis.registry import Registry
-from tools.analysis.registry import Rule as _SharedRule
+from tools.analysis.registry import Registry, Rule
 
 from .model import FunctionScan, Touch
 
 if TYPE_CHECKING:
-    from .engine import Finding, SanContext
+    from tools.analysis.findings import Finding
 
-
-class Rule(_SharedRule):
-    """One named check over a scanned source file.
-
-    Narrows the shared base's default scope to the simulation sources;
-    scopes are still ignored for explicitly named files so the
-    deliberately bad fixtures can be analyzed directly.
-    """
-
-    scope: ClassVar[Tuple[str, ...]] = ("src/repro/*", "tools/*")
-
+    from . import SanContext
 
 #: The global TSN rule set; rules self-register at import time via
 #: ``@REGISTRY.register``.
 REGISTRY = Registry("TSN")
-
-
-def _lock_held(lock: str, held: Tuple[str, ...]) -> bool:
-    """True when annotation lock name matches a held lock's last part."""
-    want = lock.split(".")[-1]
-    return any(h.split(".")[-1] == want for h in held)
-
-
-@REGISTRY.register
-class UnlockedSharedMutation(Rule):
-    """TSN001: guarded state spans yields without holding its lock.
-
-    An attribute annotated ``guarded_by(L)`` that is touched in two or
-    more atomic segments of one process — with at least one write —
-    must hold ``L`` at every touch, or a peer scheduled at the yield
-    observes (or clobbers) the intermediate state.
-    """
-
-    code = "TSN001"
-    name = "unlocked-shared-mutation"
-    summary = ("guarded_by state read/written across a yield without "
-               "holding the declared lock")
-
-    def check(self, ctx: "SanContext") -> Iterator["Finding"]:
-        for scan, cls in ctx.scans():
-            guarded = (cls.guarded if cls is not None
-                       else ctx.model().module_guarded)
-            if not guarded:
-                continue
-            for attr, lock in guarded.items():
-                touches = [t for t in scan.touches if t.name == attr]
-                segments = {t.segment for t in touches}
-                if len(segments) < 2:
-                    continue
-                if not any(t.write for t in touches):
-                    continue
-                bare = [t for t in touches if not _lock_held(lock, t.held)]
-                if not bare:
-                    continue
-                where = next((t for t in bare if t.write), bare[0])
-                yield ctx.finding(
-                    where.node, self.code,
-                    f"'{attr}' (guarded_by {lock}) is used across yield "
-                    f"points in '{scan.func.name}' without holding "
-                    f"{lock}")
-
-
-@REGISTRY.register
-class LockHeldAcrossUnboundedWait(Rule):
-    """TSN002: a held lock parked on a wait only a peer can finish.
-
-    Waiting on a ``Store.get()``, a nested ``request()``, or a stored
-    event while holding a lock lets the lock's queue starve: the wait
-    completes only when some other process acts, and that process may
-    itself be queued on the held lock.  Bounded waits (timeouts, disk
-    commands, ``yield from``) are fine.
-    """
-
-    code = "TSN002"
-    name = "lock-across-unbounded-wait"
-    summary = ("lock held across an unbounded wait (store get, nested "
-               "request, stored event) that peers may never finish")
-
-    def check(self, ctx: "SanContext") -> Iterator["Finding"]:
-        for scan, _cls in ctx.scans():
-            for point in scan.yields:
-                if not point.held or not point.unbounded:
-                    continue
-                locks = ", ".join(lock.split(".")[-1]
-                                  for lock in point.held)
-                yield ctx.finding(
-                    point.node, self.code,
-                    f"unbounded wait in '{scan.func.name}' while "
-                    f"holding {locks}; a queued peer can starve")
 
 
 @REGISTRY.register
@@ -131,11 +42,12 @@ class TornAtomicGroup(Rule):
     name = "torn-atomic-group"
     summary = ("atomic_group members written in different atomic "
                "segments, exposing a torn invariant at the yield")
+    scope: ClassVar[Tuple[str, ...]] = ("src/repro/*", "tools/*")
 
     def check(self, ctx: "SanContext") -> Iterator["Finding"]:
         for scan, cls in ctx.scans():
             groups = (cls.groups if cls is not None
-                      else ctx.model().module_groups)
+                      else ctx.model.module_groups)
             for group_name, members in groups.items():
                 if len(members) < 2:
                     continue
@@ -150,7 +62,7 @@ class TornAtomicGroup(Rule):
         writes: Dict[int, Set[str]] = {}
         first: Dict[Tuple[str, int], Touch] = {}
         for touch in scan.touches:
-            if not touch.write or touch.name not in members:
+            if touch.name not in members:
                 continue
             writes.setdefault(touch.segment, set()).add(touch.name)
             first.setdefault((touch.name, touch.segment), touch)
@@ -171,57 +83,3 @@ class TornAtomicGroup(Rule):
                                 f"atomic segments (a yield separates "
                                 f"them)")
         return None
-
-
-@REGISTRY.register
-class ProcessCalledNotDelegated(Rule):
-    """TSN004: a process generator invoked as a plain statement.
-
-    ``self._drain()`` on a generator method builds a generator object
-    and throws it away — the body never runs.  The caller meant
-    ``yield from self._drain()`` (or to hand it to ``sim.process``).
-    """
-
-    code = "TSN004"
-    name = "process-called-not-delegated"
-    summary = ("generator process function called as a bare statement; "
-               "without 'yield from' its body silently never runs")
-
-    def check(self, ctx: "SanContext") -> Iterator["Finding"]:
-        for scan, _cls in ctx.scans():
-            for call in scan.bare_calls:
-                target = (f"self.{call.callee}" if call.on_self
-                          else call.callee)
-                yield ctx.finding(
-                    call.node, self.code,
-                    f"'{target}(...)' in '{scan.func.name}' creates a "
-                    f"generator and discards it; use 'yield from' or "
-                    f"pass it to sim.process()")
-
-
-@REGISTRY.register
-class GeneratorReused(Rule):
-    """TSN005: one generator object consumed from two places.
-
-    A generator object is single-shot: after ``yield from gen`` (or
-    ``sim.process(gen)``) it is exhausted, and a second consumer gets
-    ``StopIteration`` immediately — the second run silently does
-    nothing.
-    """
-
-    code = "TSN005"
-    name = "generator-reused"
-    summary = ("a generator object bound to a variable is consumed "
-               "more than once; the second consumption is a no-op")
-
-    def check(self, ctx: "SanContext") -> Iterator["Finding"]:
-        for scan, _cls in ctx.scans():
-            for creation in scan.all_creations:
-                if len(creation.consumed_at) < 2:
-                    continue
-                yield ctx.finding(
-                    creation.consumed_at[1], self.code,
-                    f"generator '{creation.var}' "
-                    f"(= {creation.callee}(...)) is consumed again in "
-                    f"'{scan.func.name}' after being exhausted; create "
-                    f"a fresh generator per consumption")

@@ -1,41 +1,29 @@
-"""Flow-sensitive dimension inference over one function body.
+"""Flow-sensitive time-dimension inference over one function body.
 
 A small abstract interpreter: the abstract value of every expression
 is a dimension from :mod:`tools.trailunits.lattice`, environments map
 local names to dimensions, and control-flow joins merge environments
 with the lattice join.  The interpreter is deliberately optimistic —
 ``UNKNOWN`` absorbs everything silently — so every issue it emits is
-backed by two *known* dimensions meeting illegally.
+backed by two *known* time scales meeting without a converter.
 
-Issues are collected as data (mix class + context + location) and
-translated into TUN findings by :mod:`tools.trailunits.rules`.
+Issues are collected as data (dimensions + location) and rendered as
+TUN004 findings by :mod:`tools.trailunits.rules`.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import (
+    Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union)
 
 from tools.trailunits import lattice
 from tools.trailunits.lattice import (
-    LBA, SCALAR, SECTORS, UNKNOWN, Mix, classify_mix, converter_for,
-    heuristic_dim, is_known, is_lba, join)
-from tools.trailunits.sigs import ANNOTATION, COMMENT, FuncSig, Tables
-
-#: Contexts an issue can arise in.
-ARITHMETIC = "arithmetic"
-COMPARISON = "comparison"
-ASSIGNMENT = "assignment"
-ARGUMENT = "argument"
-RETURN = "return"
-
-#: Pseudo mix-class for the raw-literal check (TUN007).
-RAW_LITERAL = "raw-literal"
-
-#: Numeric literals always allowed where a dimensioned quantity is
-#: expected: identity elements and sentinels, not magic conversions.
-_ALLOWED_LITERALS = frozenset({0, 1, -1, 0.0, 1.0, -1.0})
+    SCALAR, UNKNOWN, converter_for, heuristic_dim, is_known, join,
+    time_mix)
+from tools.trailunits.sigs import FuncSig, Tables
 
 _PROPAGATING_BUILTINS = frozenset({"int", "float", "abs", "min", "max",
                                    "round"})
@@ -43,10 +31,8 @@ _PROPAGATING_BUILTINS = frozenset({"int", "float", "abs", "min", "max",
 
 @dataclass
 class Issue:
-    """One dimension conflict, before rule mapping."""
+    """One time-scale conflict, before rule mapping."""
 
-    mix: str            # Mix.* or RAW_LITERAL
-    context: str        # ARITHMETIC / COMPARISON / ...
     node: ast.AST
     value_dim: str
     target_dim: str
@@ -63,11 +49,7 @@ def _callable_name(func: ast.AST) -> str:
 
 def _converter_operand(node: ast.AST) -> Optional[Tuple[str, str, str]]:
     """Converter triple when ``node`` names a conversion constant."""
-    name = ""
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
+    name = _callable_name(node)
     return converter_for(name) if name else None
 
 
@@ -94,10 +76,10 @@ class FunctionFlow:
     def run(self) -> None:
         self._block(self.func.body)
 
-    def _issue(self, mix: str, context: str, node: ast.AST,
-               value_dim: str, target_dim: str, detail: str) -> None:
-        self.issues.append(Issue(mix, context, node, value_dim,
-                                 target_dim, detail))
+    def _check_flow(self, value_dim: str, target_dim: str, node: ast.AST,
+                    detail: str) -> None:
+        if time_mix(value_dim, target_dim):
+            self.issues.append(Issue(node, value_dim, target_dim, detail))
 
     # -- statements ---------------------------------------------------
 
@@ -112,13 +94,11 @@ class FunctionFlow:
                 self._assign(target, value_dim, stmt)
         elif isinstance(stmt, ast.AnnAssign):
             declared = lattice.annotation_dim(stmt.annotation)
+            value_dim = UNKNOWN
             if stmt.value is not None:
                 value_dim = self._expr(stmt.value)
-                if declared != UNKNOWN:
-                    self._check_flow(value_dim, declared, ASSIGNMENT,
-                                     stmt, self._target_text(stmt.target))
-            else:
-                value_dim = UNKNOWN
+                self._check_flow(value_dim, declared, stmt,
+                                 self._target_text(stmt.target))
             if isinstance(stmt.target, ast.Name):
                 dim = declared if declared != UNKNOWN else value_dim
                 self.env[stmt.target.id] = dim
@@ -128,18 +108,19 @@ class FunctionFlow:
             target_dim = self._target_dim(stmt.target)
             value_dim = self._expr(stmt.value)
             result = self._binop_dims(target_dim, stmt.op, value_dim,
-                                      stmt, stmt.value)
+                                      stmt)
             if isinstance(stmt.target, ast.Name):
                 self.env[stmt.target.id] = result
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 value_dim = self._expr(stmt.value)
-                if self.sig is not None and self.sig.ret_dim != UNKNOWN:
+                if self.sig is not None:
                     self._check_flow(
-                        value_dim, self.sig.ret_dim, RETURN, stmt,
+                        value_dim, self.sig.ret_dim, stmt,
                         f"return value of '{self.func.name}'")
-        elif isinstance(stmt, ast.Expr):
-            self._expr(stmt.value)
+        elif isinstance(stmt, (ast.Expr, ast.Raise, ast.Assert)):
+            for child in ast.iter_child_nodes(stmt):
+                self._expr(child)
         elif isinstance(stmt, ast.If):
             self._expr(stmt.test)
             self._branches([stmt.body, stmt.orelse])
@@ -158,13 +139,6 @@ class FunctionFlow:
             handler_blocks = [handler.body for handler in stmt.handlers]
             self._branches(handler_blocks + [stmt.orelse])
             self._block(stmt.finalbody)
-        elif isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self._expr(stmt.exc)
-        elif isinstance(stmt, ast.Assert):
-            self._expr(stmt.test)
-            if stmt.msg is not None:
-                self._expr(stmt.msg)
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
@@ -183,10 +157,8 @@ class FunctionFlow:
         merged = dict(base)
         for outcome in outcomes:
             for name, dim in outcome.items():
-                if name in merged and merged[name] != dim:
-                    merged[name] = join(merged[name], dim)
-                elif name not in merged:
-                    merged[name] = dim
+                merged[name] = join(merged[name], dim) \
+                    if name in merged else dim
         self.env = merged
 
     def _for(self, stmt: ast.stmt) -> None:
@@ -194,10 +166,8 @@ class FunctionFlow:
         iter_dim = UNKNOWN
         if (isinstance(stmt.iter, ast.Call)
                 and _callable_name(stmt.iter.func) == "range"):
-            dims = [self._expr(arg) for arg in stmt.iter.args]
-            iter_dim = SCALAR
-            for dim in dims:
-                iter_dim = join(iter_dim, dim)
+            iter_dim = reduce(join, [self._expr(arg)
+                                     for arg in stmt.iter.args], SCALAR)
         else:
             self._expr(stmt.iter)
         if isinstance(stmt.target, ast.Name):
@@ -231,16 +201,14 @@ class FunctionFlow:
             declared = self.declared.get(
                 target.id, heuristic_dim(target.id))
             if declared != UNKNOWN:
-                self._check_flow(value_dim, declared, ASSIGNMENT, stmt,
+                self._check_flow(value_dim, declared, stmt,
                                  self._target_text(target))
                 self.env[target.id] = declared
             else:
                 self.env[target.id] = value_dim
         elif isinstance(target, ast.Attribute):
-            declared = self.tables.attr_dim(target.attr)
-            if declared != UNKNOWN:
-                self._check_flow(value_dim, declared, ASSIGNMENT, stmt,
-                                 self._target_text(target))
+            self._check_flow(value_dim, self.tables.attr_dim(target.attr),
+                             stmt, self._target_text(target))
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._assign(elt, UNKNOWN, stmt)
@@ -250,31 +218,18 @@ class FunctionFlow:
         elif isinstance(target, ast.Starred):
             self._assign(target.value, UNKNOWN, stmt)
 
-    def _check_flow(self, value_dim: str, target_dim: str,
-                    context: str, node: ast.AST, detail: str) -> None:
-        mix = classify_mix(value_dim, target_dim)
-        if mix is None:
-            return
-        # Position/offset pairs are legal flows only inside arithmetic;
-        # for plain value flow bytes-into-sectors etc. must report.
-        self._issue(mix, context, node, value_dim, target_dim, detail)
-
     # -- expressions --------------------------------------------------
 
     def _expr(self, node: Optional[ast.AST]) -> str:
         if node is None:
             return UNKNOWN
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
-                return UNKNOWN
-            if isinstance(node.value, (int, float)):
-                return SCALAR
-            return UNKNOWN
+            number = not isinstance(node.value, bool) and isinstance(
+                node.value, (int, float))
+            return SCALAR if number else UNKNOWN
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return self.env[node.id]
-            if _converter_operand(node) is not None:
-                return UNKNOWN
             return heuristic_dim(node.id)
         if isinstance(node, ast.Attribute):
             self._expr(node.value)
@@ -286,11 +241,8 @@ class FunctionFlow:
         if isinstance(node, ast.Compare):
             return self._compare(node)
         if isinstance(node, ast.BoolOp):
-            dims = [self._expr(value) for value in node.values]
-            result = dims[0]
-            for dim in dims[1:]:
-                result = join(result, dim)
-            return result
+            return reduce(join, [self._expr(value)
+                                 for value in node.values])
         if isinstance(node, ast.IfExp):
             self._expr(node.test)
             return join(self._expr(node.body), self._expr(node.orelse))
@@ -304,14 +256,10 @@ class FunctionFlow:
             if isinstance(node.target, ast.Name):
                 self.env[node.target.id] = dim
             return dim
-        if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
-            if getattr(node, "value", None) is not None:
-                self._expr(node.value)
-            return UNKNOWN
         if isinstance(node, ast.Starred):
             return self._expr(node.value)
-        # Containers, subscripts, comprehensions, f-strings: visit
-        # children for their side-effect checks, yield no dimension.
+        # Containers, subscripts, comprehensions, f-strings, yields:
+        # visit children for their side-effect checks, no dimension.
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
                 self._expr(child)
@@ -333,7 +281,7 @@ class FunctionFlow:
             return UNKNOWN
         left = self._expr(node.left)
         right = self._expr(node.right)
-        return self._binop_dims(left, op, right, node, node.right)
+        return self._binop_dims(left, op, right, node)
 
     def _apply_converter(self, other: str, op: ast.operator,
                          conv: Tuple[str, str, str],
@@ -346,104 +294,57 @@ class FunctionFlow:
                 mul_result if isinstance(op, ast.Mod) else div_result)
         else:
             return UNKNOWN
-        if is_known(other) and other != expected:
-            mix = classify_mix(other, expected)
-            if mix is not None:
-                self._issue(mix, ARITHMETIC, node, other, expected,
-                            "conversion applied to the wrong dimension")
+        self._check_flow(other, expected, node,
+                         "conversion applied to the wrong dimension")
         return result
 
     def _binop_dims(self, left: str, op: ast.operator, right: str,
-                    node: ast.AST, right_node: ast.AST) -> str:
+                    node: ast.AST) -> str:
         if isinstance(op, (ast.Add, ast.Sub)):
-            return self._additive(left, op, right, node)
+            return self._additive(left, right, node)
         if isinstance(op, ast.Mult):
             # Only a literal SCALAR preserves the other operand's
             # dimension.  UNKNOWN factors are usually coefficients with
-            # their own hidden dimension (ms-per-cylinder seek curves,
-            # heads-per-cylinder) — the product is anyone's guess.
+            # their own hidden dimension (ms-per-cylinder seek curves)
+            # — the product is anyone's guess.
             if left == SCALAR:
-                return right if right != UNKNOWN else UNKNOWN
+                return right
             if right == SCALAR:
-                return left if left != UNKNOWN else UNKNOWN
+                return left
             return UNKNOWN      # compound dimension, untracked
         if isinstance(op, (ast.Div, ast.FloorDiv)):
-            if right in (SCALAR, UNKNOWN):
-                return left if right == SCALAR else UNKNOWN
+            if right == SCALAR:
+                return left
             if left == right and is_known(left):
                 return SCALAR   # ratio of same dimension
             return UNKNOWN
         if isinstance(op, ast.Mod):
-            if right in (SCALAR, UNKNOWN):
+            if right in (SCALAR, UNKNOWN) or left == right:
                 return left
-            if left == right and is_known(left):
-                return left
-            if is_lba(left) and right == SECTORS:
-                return SECTORS  # offset of a position within a stride
             return UNKNOWN
         return UNKNOWN
 
-    def _additive(self, left: str, op: ast.operator, right: str,
-                  node: ast.AST) -> str:
+    def _additive(self, left: str, right: str, node: ast.AST) -> str:
         if left == UNKNOWN:
             return right if right != SCALAR else UNKNOWN
         if right == UNKNOWN:
             return left if left != SCALAR else UNKNOWN
         if left == SCALAR:
             return right
-        if right == SCALAR:
+        if right == SCALAR or left == right:
             return left
-        if is_lba(left) and is_lba(right):
-            mix = classify_mix(left, right)
-            if mix is not None:
-                self._issue(mix, ARITHMETIC, node, left, right,
-                            "log-disk and data-disk addresses combined")
-                return LBA
-            if isinstance(op, ast.Sub):
-                return SECTORS  # distance between two positions
-            return join(left, right)
-        if is_lba(left) and right == SECTORS:
-            return left         # position ± offset
-        if left == SECTORS and is_lba(right):
-            if isinstance(op, ast.Sub):
-                # count - position is meaningless; but (total - lba)
-                # appears in capacity math, so stay quiet and vague.
-                return UNKNOWN
-            return right
-        if left == right:
-            return left
-        mix = classify_mix(left, right)
-        if mix is not None:
-            self._issue(mix, ARITHMETIC, node, left, right,
-                        "operands of '+'/'-' disagree")
+        self._check_flow(left, right, node, "operands of '+'/'-' disagree")
         return UNKNOWN
 
     def _compare(self, node: ast.Compare) -> str:
         previous = self._expr(node.left)
         for op, comparator in zip(node.ops, node.comparators):
             current = self._expr(comparator)
-            if isinstance(op, (ast.In, ast.NotIn, ast.Is, ast.IsNot)):
-                previous = current
-                continue
-            if not self._compare_legal(previous, current):
-                mix = classify_mix(previous, current) or Mix.GENERIC
-                self._issue(mix, COMPARISON, node, previous, current,
-                            "comparison operands disagree")
+            if not isinstance(op, (ast.In, ast.NotIn, ast.Is, ast.IsNot)):
+                self._check_flow(previous, current, node,
+                                 "comparison operands disagree")
             previous = current
         return UNKNOWN
-
-    @staticmethod
-    def _compare_legal(a: str, b: str) -> bool:
-        if not (is_known(a) and is_known(b)):
-            return True
-        if a == b:
-            return True
-        if is_lba(a) and is_lba(b):
-            return not {a, b} == {lattice.LOG_LBA, lattice.DATA_LBA}
-        # Bounds checks compare a position against a capacity count.
-        if (is_lba(a) and b == SECTORS) or (a == SECTORS and is_lba(b)):
-            return True
-        return False
 
     # -- calls --------------------------------------------------------
 
@@ -460,131 +361,67 @@ class FunctionFlow:
                 self._expr(kw.value)
 
         if name in _PROPAGATING_BUILTINS:
-            result = SCALAR if not arg_dims else arg_dims[0]
-            for dim in arg_dims[1:]:
-                result = join(result, dim)
-            return result
+            return reduce(join, arg_dims, SCALAR)
         if not name:
             return UNKNOWN
 
         candidates = self.tables.candidates(name)
-        if candidates:
-            self._check_call(node, name, candidates, arg_dims,
-                             kwarg_dims)
-            ret_dims = {sig.ret_dim for sig in candidates}
-            if len(ret_dims) == 1:
-                return ret_dims.pop()
-            known = {dim for dim in ret_dims if dim != UNKNOWN}
-            if len(known) == 1:
-                return known.pop()
-            return UNKNOWN
-        return heuristic_dim(name)
-
-    def _check_call(self, node: ast.Call, name: str,
-                    candidates: List[FuncSig], arg_dims: List[str],
-                    kwarg_dims: Dict[str, str]) -> None:
+        if not candidates:
+            return heuristic_dim(name)
         for index, arg_node in enumerate(node.args):
-            if isinstance(arg_node, ast.Starred):
-                continue
-            self._check_one_arg(node, name, candidates, arg_node,
-                                arg_dims[index], position=index,
-                                keyword=None)
+            if not isinstance(arg_node, ast.Starred):
+                self._check_arg(name, candidates, arg_node,
+                                arg_dims[index], index)
         for kw in node.keywords:
-            if kw.arg is None:
-                continue
-            self._check_one_arg(node, name, candidates, kw.value,
-                                kwarg_dims[kw.arg], position=None,
-                                keyword=kw.arg)
+            if kw.arg is not None:
+                self._check_arg(name, candidates, kw.value,
+                                kwarg_dims[kw.arg], kw.arg)
+        # The candidates' one declared return scale, if they agree.
+        known = {sig.ret_dim for sig in candidates} - {UNKNOWN}
+        return known.pop() if len(known) == 1 else UNKNOWN
 
-    def _check_one_arg(self, node: ast.Call, name: str,
-                       candidates: List[FuncSig], arg_node: ast.AST,
-                       arg_dim: str, position: Optional[int],
-                       keyword: Optional[str]) -> None:
-        mixes = set()
-        literal_hits = 0
-        accepting = 0
+    def _check_arg(self, name: str, candidates: List[FuncSig],
+                   arg_node: ast.AST, arg_dim: str,
+                   where: Union[int, str]) -> None:
+        """Report an argument only when every candidate signature that
+        accepts it (by position or keyword) declares another scale."""
+        targets: List[str] = []
+        mixes: Set[bool] = set()
         for sig in candidates:
-            if keyword is not None:
-                param = sig.param(keyword)
+            if isinstance(where, str):
+                param = sig.param(where)
             else:
-                assert position is not None
-                if position >= len(sig.params):
-                    continue
-                param = sig.params[position]
-            if param is None:
-                continue
-            accepting += 1
-            mixes.add(classify_mix(arg_dim, param.dim))
-            if (not sig.is_converter
-                    and param.how in (ANNOTATION, COMMENT)
-                    and is_known(param.dim)
-                    and self._is_raw_literal(arg_node)):
-                literal_hits += 1
-        if not accepting:
+                param = sig.params[where] if where < len(sig.params) \
+                    else None
+            if param is not None:
+                targets.append(param.dim)
+                mixes.add(time_mix(arg_dim, param.dim))
+        if mixes != {True}:
             return
-        label = keyword if keyword is not None else (
-            candidates[0].params[position].name
-            if position is not None
-            and position < len(candidates[0].params) else "?")
-        detail = f"argument '{label}' of {name}()"
-        if len(mixes) == 1:
-            mix = mixes.pop()
-            if mix is not None:
-                target = UNKNOWN
-                for sig in candidates:
-                    param = (sig.param(keyword) if keyword is not None
-                             else sig.params[position]
-                             if position is not None
-                             and position < len(sig.params) else None)
-                    if param is not None:
-                        target = param.dim
-                        break
-                self._issue(mix, ARGUMENT, arg_node, arg_dim, target,
-                            detail)
-                return
-        if literal_hits == accepting and literal_hits:
-            self._issue(RAW_LITERAL, ARGUMENT, arg_node, SCALAR,
-                        UNKNOWN, detail)
-
-    @staticmethod
-    def _is_raw_literal(node: ast.AST) -> bool:
-        return (isinstance(node, ast.Constant)
-                and not isinstance(node.value, bool)
-                and isinstance(node.value, (int, float))
-                and node.value not in _ALLOWED_LITERALS)
+        first = candidates[0].params
+        label = where if isinstance(where, str) else (
+            first[where].name if where < len(first) else "?")
+        self.issues.append(Issue(arg_node, arg_dim, targets[0],
+                                 f"argument '{label}' of {name}()"))
 
 
-def analyze_functions(tree: ast.Module, relpath: str,
-                      tables: Tables) -> List[Issue]:
+def analyze_functions(tree: ast.Module, tables: Tables) -> List[Issue]:
     """Run the flow analysis over every function in one module."""
     issues: List[Issue] = []
-    for func, _owner in iter_functions(tree):
-        sig = _find_sig(tables, relpath, func)
+    for func in _functions(tree.body):
+        sig = next((sig for sig in tables.candidates(func.name)
+                    if sig.node is func), None)
         FunctionFlow(func, sig, tables, issues).run()
     return issues
 
 
-def iter_functions(tree: ast.Module) -> List[
-        Tuple[ast.AST, Optional[str]]]:
-    """(function node, owning class name) pairs, module order."""
-    found: List[Tuple[ast.AST, Optional[str]]] = []
+def _functions(body: Sequence[ast.stmt]) -> Iterator[
+        Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
+    """Every function of a module or class body, nested ones included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            yield from _functions(node.body)
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body)
 
-    def descend(body: Sequence[ast.stmt], owner: Optional[str]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append((node, owner))
-                descend(node.body, owner)
-            elif isinstance(node, ast.ClassDef):
-                descend(node.body, node.name)
-
-    descend(tree.body, None)
-    return found
-
-
-def _find_sig(tables: Tables, relpath: str,
-              func: ast.AST) -> Optional[FuncSig]:
-    assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-    for sig in tables.candidates(func.name):
-        if sig.relpath == relpath and sig.lineno == func.lineno:
-            return sig
-    return None

@@ -1,17 +1,12 @@
-"""The unit lattice: dimensions, joins, and arithmetic legality.
+"""The unit lattice: time dimensions, joins, and the one illegal mix.
 
 Dimensions are interned strings.  ``UNKNOWN`` is the lattice top —
 "could be anything, stay silent" — so the analysis only speaks when it
 actually knows both sides of an operation.  ``SCALAR`` is a
-dimensionless count or ratio; it combines freely with everything.
-
-The address-space dimensions deserve a note: ``LBA`` is "some block
-address", while ``LOG_LBA`` / ``DATA_LBA`` pin the address to the log
-disk or the data disk.  The paper's write record stores data-disk
-addresses inside log-disk sectors, so both spaces flow through the
-same structures; :func:`flows_into` lets the generic ``LBA`` unify
-with either specific space but never lets the two specific spaces
-unify with each other.
+dimensionless count or ratio; it combines freely with everything.  The
+known dimensions are the three time scales: simulated time is
+milliseconds everywhere, and seconds and microseconds may meet it only
+through a converter.
 """
 
 from __future__ import annotations
@@ -21,39 +16,21 @@ import re
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
-BYTES = "bytes"
-SECTORS = "sectors"
-TRACKS = "tracks"
-CYLINDERS = "cylinders"
 MS = "ms"
 S = "s"
 US = "us"
-LBA = "lba"
-LOG_LBA = "log_lba"
-DATA_LBA = "data_lba"
 SCALAR = "scalar"
 UNKNOWN = "unknown"
 
-#: Every dimension the ``# unit:`` comment grammar may name.
-ALL_DIMS: FrozenSet[str] = frozenset({
-    BYTES, SECTORS, TRACKS, CYLINDERS, MS, S, US,
-    LBA, LOG_LBA, DATA_LBA, SCALAR,
-})
-
-LBA_FAMILY: FrozenSet[str] = frozenset({LBA, LOG_LBA, DATA_LBA})
+#: The time scales: the only dimensions the analysis reasons about.
 TIME_FAMILY: FrozenSet[str] = frozenset({MS, S, US})
 
-
-def is_lba(dim: str) -> bool:
-    return dim in LBA_FAMILY
-
-
-def is_time(dim: str) -> bool:
-    return dim in TIME_FAMILY
+#: Every dimension the ``# unit:`` comment grammar may name.
+ALL_DIMS: FrozenSet[str] = frozenset({MS, S, US, SCALAR})
 
 
 def is_known(dim: str) -> bool:
-    return dim not in (UNKNOWN, SCALAR)
+    return dim in TIME_FAMILY
 
 
 def join(a: str, b: str) -> str:
@@ -66,130 +43,47 @@ def join(a: str, b: str) -> str:
         return b
     if b == SCALAR:
         return a
-    if is_lba(a) and is_lba(b):
-        # log_lba ⊔ data_lba (or either ⊔ lba) = the unspecific lba.
-        return LBA
     return UNKNOWN
 
 
-class Mix:
-    """Classification of one illegal dimension pairing."""
-
-    GENERIC = "generic"          # TUN001/TUN002
-    BYTES_SECTORS = "bytes-sectors"   # TUN003
-    TIME_SCALE = "time-scale"         # TUN004
-    LOG_INTO_DATA = "log-into-data"   # TUN005
-    DATA_INTO_LOG = "data-into-log"   # TUN006
+def time_mix(value: str, target: str) -> bool:
+    """True when ``value`` flowing into ``target`` mixes two time
+    scales (ms with s, ms with us, ...) without a converter."""
+    return value != target and is_known(value) and is_known(target)
 
 
-def classify_mix(value: str, target: str) -> Optional[str]:
-    """How badly ``value`` mixes with ``target``; None when legal.
-
-    Directional: ``value`` is what flows (an operand, an argument, a
-    returned expression) and ``target`` is the other side (the other
-    operand, the parameter, the declared return).
-    """
-    if value == target:
-        return None
-    if not (is_known(value) and is_known(target)):
-        return None
-    if is_lba(value) and is_lba(target):
-        if value == LOG_LBA and target == DATA_LBA:
-            return Mix.LOG_INTO_DATA
-        if value == DATA_LBA and target == LOG_LBA:
-            return Mix.DATA_INTO_LOG
-        return None                     # generic lba unifies with either
-    # A position may legally carry or absorb a sector offset, the
-    # distance between two positions is a sector count, and a capacity
-    # count is the one-past-the-end position — lba↔sectors flows are
-    # legal in both directions.
-    if is_lba(value) and target == SECTORS:
-        return None
-    if value == SECTORS and is_lba(target):
-        return None
-    if {value, target} == {BYTES, SECTORS}:
-        return Mix.BYTES_SECTORS
-    if is_time(value) and is_time(target):
-        return Mix.TIME_SCALE
-    return Mix.GENERIC
-
-
-#: Converter constants: name → (dim it divides into, dim it multiplies
-#: into).  ``x * SECTOR_SIZE`` turns sectors into bytes; ``x //
-#: SECTOR_SIZE`` turns bytes into sectors.
+#: Converter constants: name → (source dim, Mult result, Div result).
+#: ``x * MS_PER_SECOND`` turns seconds into ms; ``x / MS_PER_SECOND``
+#: turns ms into seconds.
 _CONVERTERS: Mapping[str, Tuple[str, str, str]] = MappingProxyType({
-    # name-key: (source dim, Mult result, Div result)
-    "sector_size": (SECTORS, BYTES, SECTORS),
     "ms_per_second": (S, MS, S),
     "us_per_ms": (MS, US, MS),
-    # sectors-per-track names are NOT here: ``rotation_ms / spt`` is
-    # time-per-sector, so treating spt as a pure tracks↔sectors
-    # converter misclassifies legitimate mechanics math.  spt stays
-    # dimension-less (see _HEURISTIC_EXEMPT below).
 })
 
 
 def converter_for(name: str) -> Optional[Tuple[str, str, str]]:
     """(mul-source, mul-result, div-result) for a converter name."""
-    key = name.lstrip("_").lower()
-    return _CONVERTERS.get(key)
+    return _CONVERTERS.get(name.lstrip("_").lower())
 
 
-#: Name-fragment heuristics, applied only when no annotation, comment
-#: or inferred binding gives a dimension.  Deliberately conservative:
-#: every entry is an idiom this codebase already uses consistently.
+#: Name-suffix heuristics, applied only when no annotation, comment or
+#: inferred binding gives a dimension.  Every entry is an idiom this
+#: codebase already uses consistently.
 _SUFFIXES: Tuple[Tuple[str, str], ...] = (
     ("_ms", MS),
     ("_us", US),
     ("_seconds", S),
     ("_secs", S),
-    ("_bytes", BYTES),
-    ("_nbytes", BYTES),
-    ("_sectors", SECTORS),
-    ("_nsectors", SECTORS),
-    ("_sector", SECTORS),
-    ("_lba", LBA),
-    ("_tracks", TRACKS),
-    ("_track", TRACKS),
-    ("_cylinders", CYLINDERS),
-    ("_cylinder", CYLINDERS),
 )
-
-_EXACT: Mapping[str, str] = MappingProxyType({
-    "ms": MS,
-    "nbytes": BYTES,
-    "num_bytes": BYTES,
-    "byte_count": BYTES,
-    "nsectors": SECTORS,
-    "num_sectors": SECTORS,
-    "sector": SECTORS,
-    "lba": LBA,
-    "track": TRACKS,
-    "ntracks": TRACKS,
-    "cylinder": CYLINDERS,
-    "ncylinders": CYLINDERS,
-})
-
-#: Names the heuristics must never touch: converter constants (they are
-#: ratios, not quantities) and this repo's known odd ducks.
-_HEURISTIC_EXEMPT: FrozenSet[str] = frozenset({
-    "sector_size", "ms_per_second", "us_per_ms", "sectors_per_track",
-    "spt",
-    # RecordHeader.prev_sect is a log-disk *address*, not a count; it
-    # is annotated explicitly instead.
-    "prev_sect",
-})
 
 
 def heuristic_dim(name: str) -> str:
-    """Best-effort dimension for a bare name; UNKNOWN when unsure."""
+    """Best-effort time dimension for a bare name; UNKNOWN when unsure."""
     bare = name.lstrip("_").rstrip("0123456789").lower()
-    if bare in _HEURISTIC_EXEMPT or converter_for(bare) is not None:
-        return UNKNOWN
     if "_per_" in bare:
         return UNKNOWN          # ratios carry compound dimensions
-    if bare in _EXACT:
-        return _EXACT[bare]
+    if bare == "ms":
+        return MS
     for suffix, dim in _SUFFIXES:
         if bare.endswith(suffix):
             return dim
@@ -198,87 +92,56 @@ def heuristic_dim(name: str) -> str:
 
 #: ``repro.units`` alias name → dimension, for annotation parsing.
 _ALIAS_DIMS: Mapping[str, str] = MappingProxyType({
-    "Bytes": BYTES,
-    "Sectors": SECTORS,
-    "Tracks": TRACKS,
-    "Cylinders": CYLINDERS,
     "Ms": MS,
     "Seconds": S,
     "Us": US,
-    "Lba": LBA,
-    "LogLba": LOG_LBA,
-    "DataLba": DATA_LBA,
 })
 
 _WRAPPERS = frozenset({"Optional", "Final", "ClassVar"})
 
 
+def _unwrap(node: Optional[ast.AST]) -> Optional[ast.AST]:
+    """Strip ``Optional``/``Final``/``ClassVar`` and string quoting off
+    an annotation; None when a string annotation does not parse."""
+    while True:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                node = ast.parse(node.value, mode="eval").body
+            except SyntaxError:
+                return None
+        elif isinstance(node, ast.Subscript) and (
+                getattr(node.value, "id", None) in _WRAPPERS
+                or getattr(node.value, "attr", None) in _WRAPPERS):
+            node = node.slice
+        else:
+            return node
+
+
 def annotation_dim(node: Optional[ast.AST]) -> str:
     """Dimension declared by a type annotation, or UNKNOWN.
 
-    Recognizes the ``repro.units`` aliases by name (``Bytes``,
-    ``units.Ms``, ...), inline ``Annotated[int, Unit("bytes")]``
-    spellings, and unwraps ``Optional``/``Final``/``ClassVar``.
+    Recognizes the ``repro.units`` time aliases by name (``Ms``,
+    ``units.Seconds``, ...) under any wrapper :func:`_unwrap` strips.
     """
-    if node is None:
-        return UNKNOWN
+    node = _unwrap(node)
     if isinstance(node, ast.Name):
         return _ALIAS_DIMS.get(node.id, UNKNOWN)
     if isinstance(node, ast.Attribute):
         return _ALIAS_DIMS.get(node.attr, UNKNOWN)
-    if isinstance(node, ast.Subscript):
-        head = node.value
-        head_name = (head.id if isinstance(head, ast.Name)
-                     else head.attr if isinstance(head, ast.Attribute)
-                     else "")
-        inner = node.slice
-        if head_name in _WRAPPERS:
-            return annotation_dim(inner)
-        if head_name == "Annotated" and isinstance(inner, ast.Tuple):
-            for elt in inner.elts[1:]:
-                if (isinstance(elt, ast.Call)
-                        and isinstance(elt.func, ast.Name)
-                        and elt.func.id == "Unit" and elt.args
-                        and isinstance(elt.args[0], ast.Constant)):
-                    dim = elt.args[0].value
-                    if isinstance(dim, str) and dim in ALL_DIMS:
-                        return dim
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        # String (forward-reference) annotation.
-        try:
-            return annotation_dim(ast.parse(node.value,
-                                            mode="eval").body)
-        except SyntaxError:
-            return UNKNOWN
     return UNKNOWN
 
 
 def is_numeric_annotation(node: Optional[ast.AST]) -> bool:
     """True when an annotation is absent or names a plain number.
 
-    Name heuristics only make sense for quantities: ``nsectors: int``
-    deserves a guessed dimension, ``payload_sectors: Sequence[bytes]``
-    does not — the name ends in "sectors" but the value is sector
-    *contents*, not a count.
+    Name heuristics only make sense for quantities: ``delay_ms: float``
+    deserves a guessed dimension, ``deadlines_ms: List[float]`` does
+    not.
     """
     if node is None:
         return True
-    if isinstance(node, ast.Name):
-        return node.id in ("int", "float")
-    if isinstance(node, ast.Subscript):
-        head = node.value
-        head_name = (head.id if isinstance(head, ast.Name)
-                     else head.attr if isinstance(head, ast.Attribute)
-                     else "")
-        if head_name in _WRAPPERS:
-            return is_numeric_annotation(node.slice)
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            return is_numeric_annotation(
-                ast.parse(node.value, mode="eval").body)
-        except SyntaxError:
-            return False
-    return False
+    node = _unwrap(node)
+    return isinstance(node, ast.Name) and node.id in ("int", "float")
 
 
 #: ``# unit: (name: dim, ...) -> dim`` signature comments, for code
@@ -293,9 +156,7 @@ def parse_unit_comment(text: str) -> Optional[
         Tuple[Dict[str, str], str]]:
     """Parse one ``# unit:`` comment into (param dims, return dim).
 
-    Unknown dimension words parse as UNKNOWN rather than erroring —
-    the hygiene story for bad comments is the TUN008 sweep noticing
-    the signature is still unit-less.
+    Unknown dimension words parse as UNKNOWN rather than erroring.
     """
     match = UNIT_COMMENT_RE.search(text)
     if match is None:

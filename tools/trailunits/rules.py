@@ -1,129 +1,34 @@
-"""The TUN rules: dimension and address-space flow diagnostics.
+"""The TUN rules: time-scale flow diagnostics.
 
 The flow analysis in :mod:`tools.trailunits.infer` does the real work
-and reports mix classes; each rule here selects the slice of those
-issues it owns and renders the message.
+and reports time-scale mixes; TUN004 renders them, and TUN008 reports
+the signatures that analysis cannot check.
 
 | code   | catches                                                       |
 |--------|---------------------------------------------------------------|
-| TUN001 | mixed dimensions combined in arithmetic / assignment / call   |
-| TUN002 | mixed dimensions compared                                     |
-| TUN003 | bytes and sectors mixed without a SECTOR_SIZE conversion      |
 | TUN004 | ms and s (or us) mixed without a time converter               |
-| TUN005 | log-disk LBA flowing into a data-disk context                 |
-| TUN006 | data-disk LBA flowing into a log-disk context                 |
-| TUN007 | raw numeric literal passed where a dimensioned value is due   |
-| TUN008 | unit-less public signature in the core/disk packages          |
+| TUN008 | unit-less public signature in the core/disk/raid packages     |
 
-``TUN000`` is the engine's own code: unreadable files and suppression
-hygiene (including the trailunits-specific requirement that every
-suppression carry a ``-- reason``).
+``TUN000`` is the pass's own code: unreadable files and suppression
+hygiene (every suppression must carry a ``-- reason``).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar, Iterator, Tuple
 
-from tools.analysis.registry import Registry
-from tools.analysis.registry import Rule as _SharedRule
-from tools.trailunits.infer import COMPARISON, RAW_LITERAL, Issue
-from tools.trailunits.lattice import Mix
-from tools.trailunits.sigs import HEURISTIC
+from tools.analysis.registry import Registry, Rule
 
 if TYPE_CHECKING:
     from tools.analysis.findings import Finding
-    from tools.trailunits.engine import UnitsContext
+    from tools.trailunits import UnitsContext
 
 #: The global TUN rule set; rules self-register at import time.
 REGISTRY = Registry("TUN")
 
-#: Dimensioned code lives in the library sources and the tools that
-#: analyze them; tests drive APIs with literals on purpose.
-_LIB_SCOPE: Tuple[str, ...] = ("src/*", "tools/*")
-
-
-class _IssueRule(_SharedRule):
-    """Base for rules that render a slice of the inference issues."""
-
-    scope: ClassVar[Tuple[str, ...]] = _LIB_SCOPE
-    #: (mix class, context) pairs this rule owns; context None = any.
-    mix: ClassVar[str] = ""
-    contexts: ClassVar[Tuple[str, ...]] = ()
-
-    def message(self, issue: Issue) -> str:
-        raise NotImplementedError
-
-    def check(self, ctx: "UnitsContext") -> Iterator["Finding"]:
-        for issue in ctx.issues():
-            if issue.mix != self.mix:
-                continue
-            if self.contexts and issue.context not in self.contexts:
-                continue
-            yield ctx.finding(issue.node, self.code,
-                              self.message(issue))
-
 
 @REGISTRY.register
-class MixedDimensionArithmetic(_IssueRule):
-    """TUN001: two known, incompatible dimensions flow together."""
-
-    code = "TUN001"
-    name = "mixed-dimension-arithmetic"
-    summary = ("incompatible dimensions combined in arithmetic, "
-               "assignment, argument or return flow")
-    mix = Mix.GENERIC
-    contexts = ()
-
-    def check(self, ctx: "UnitsContext") -> Iterator["Finding"]:
-        for issue in ctx.issues():
-            if issue.mix != Mix.GENERIC or issue.context == COMPARISON:
-                continue
-            yield ctx.finding(
-                issue.node, self.code,
-                f"mixed dimensions: {issue.value_dim} flows into "
-                f"{issue.target_dim} ({issue.detail})")
-
-
-@REGISTRY.register
-class MixedDimensionComparison(_IssueRule):
-    """TUN002: values of different dimensions compared directly."""
-
-    code = "TUN002"
-    name = "mixed-dimension-comparison"
-    summary = "values of incompatible dimensions compared directly"
-    mix = Mix.GENERIC
-    contexts = (COMPARISON,)
-
-    def message(self, issue: Issue) -> str:
-        return (f"mixed-dimension comparison: {issue.value_dim} "
-                f"compared with {issue.target_dim}")
-
-
-@REGISTRY.register
-class BytesSectorsConfusion(_IssueRule):
-    """TUN003: byte counts and sector counts mixed unconverted.
-
-    The paper's record format packs byte payloads into 512-byte
-    sectors; every bytes↔sectors move must go through SECTOR_SIZE (or
-    ``units.sectors_for``), otherwise quantities silently differ by
-    512×.
-    """
-
-    code = "TUN003"
-    name = "bytes-sectors-confusion"
-    summary = ("bytes and sectors mixed without a SECTOR_SIZE "
-               "conversion")
-    mix = Mix.BYTES_SECTORS
-
-    def message(self, issue: Issue) -> str:
-        return (f"bytes/sectors confusion: {issue.value_dim} used "
-                f"where {issue.target_dim} belongs "
-                f"({issue.detail}); convert with SECTOR_SIZE or "
-                f"units.sectors_for")
-
-
-@REGISTRY.register
-class TimeScaleConfusion(_IssueRule):
+class TimeScaleConfusion(Rule):
     """TUN004: milliseconds and seconds (or us) mixed unconverted.
 
     Simulated time is milliseconds everywhere; seconds and
@@ -134,87 +39,36 @@ class TimeScaleConfusion(_IssueRule):
     code = "TUN004"
     name = "time-scale-confusion"
     summary = "ms and s/us mixed without a units.* time converter"
-    mix = Mix.TIME_SCALE
+    #: Dimensioned code lives in the library sources and the tools that
+    #: analyze them; tests drive APIs with literals on purpose.
+    scope: ClassVar[Tuple[str, ...]] = ("src/*", "tools/*")
 
-    def message(self, issue: Issue) -> str:
-        return (f"time-scale confusion: {issue.value_dim} used where "
+    def check(self, ctx: "UnitsContext") -> Iterator["Finding"]:
+        for issue in ctx.issues():
+            yield ctx.finding(
+                issue.node, self.code,
+                f"time-scale confusion: {issue.value_dim} used where "
                 f"{issue.target_dim} belongs ({issue.detail}); "
                 f"convert with units.seconds/to_seconds/microseconds")
 
 
 @REGISTRY.register
-class LogLbaIntoDataContext(_IssueRule):
-    """TUN005: a log-disk address reaches a data-disk API.
+class UnitlessPublicSignature(Rule):
+    """TUN008: core/disk/raid public APIs must declare their time scale.
 
-    Trail's write record stores *data-disk* target addresses inside
-    *log-disk* sectors, so both spaces flow through the same
-    structures; a log-disk LBA applied to the data disk destages
-    garbage to a well-formed location.
-    """
-
-    code = "TUN005"
-    name = "log-lba-into-data-context"
-    summary = "log-disk LBA flows into a data-disk context"
-    mix = Mix.LOG_INTO_DATA
-
-    def message(self, issue: Issue) -> str:
-        return (f"address-space confusion: log-disk LBA flows into a "
-                f"data-disk context ({issue.detail})")
-
-
-@REGISTRY.register
-class DataLbaIntoLogContext(_IssueRule):
-    """TUN006: a data-disk address reaches a log-disk API."""
-
-    code = "TUN006"
-    name = "data-lba-into-log-context"
-    summary = "data-disk LBA flows into a log-disk context"
-    mix = Mix.DATA_INTO_LOG
-
-    def message(self, issue: Issue) -> str:
-        return (f"address-space confusion: data-disk LBA flows into "
-                f"a log-disk context ({issue.detail})")
-
-
-@REGISTRY.register
-class RawLiteralArgument(_IssueRule):
-    """TUN007: a magic number where a dimensioned quantity is due.
-
-    ``write(lba, 4096)`` hides whether 4096 is bytes or sectors;
-    ``write(lba, KiB(4))`` does not.  0, 1 and -1 are allowed (identity
-    values and sentinels), as are the ``repro.units`` converters whose
-    whole job is turning raw numbers into dimensioned ones.
-    """
-
-    code = "TUN007"
-    name = "raw-literal-argument"
-    summary = ("raw numeric literal passed where a dimensioned "
-               "quantity is expected")
-    mix = RAW_LITERAL
-    scope = ("src/*",)
-
-    def message(self, issue: Issue) -> str:
-        return (f"raw literal where a dimensioned quantity is "
-                f"expected ({issue.detail}); use a repro.units "
-                f"helper or a named constant")
-
-
-@REGISTRY.register
-class UnitlessPublicSignature(_SharedRule):
-    """TUN008: core/disk public APIs must declare their dimensions.
-
-    A parameter whose *name* advertises a dimension (``nbytes``,
-    ``start_lba``, ``delay_ms``) but whose signature carries neither a
-    ``repro.units`` annotation nor a ``# unit:`` comment is exactly
-    the situation this analyzer cannot check — so the signature itself
-    is the finding.  Scoped to the packages where mixed units corrupt
-    disks: ``repro.core``, ``repro.disk`` and ``repro.raid``.
+    A parameter (or a function) whose *name* advertises a time scale
+    (``delay_ms``, ``budget_seconds``, ``ms``) but whose signature
+    carries neither a ``repro.units`` time annotation nor a
+    ``# unit:`` comment is exactly the situation the flow analysis
+    cannot check — so the signature itself is the finding.  Scoped to
+    the packages where a wrong time scale corrupts the paper's
+    latencies: ``repro.core``, ``repro.disk`` and ``repro.raid``.
     """
 
     code = "TUN008"
     name = "unitless-public-signature"
-    summary = ("public core/disk/raid signature with "
-               "dimension-suggestive names but no unit annotations")
+    summary = ("public core/disk/raid signature with time-suggestive "
+               "names but no unit annotations")
     scope = ("src/repro/core/*", "src/repro/disk/*", "src/repro/raid/*")
 
     def check(self, ctx: "UnitsContext") -> Iterator["Finding"]:
@@ -223,15 +77,13 @@ class UnitlessPublicSignature(_SharedRule):
             if any(part.startswith("_") and part != "__init__"
                    for part in parts):
                 continue
-            loose = [param.name for param in sig.params
-                     if param.how == HEURISTIC]
-            if sig.ret_how == HEURISTIC:
+            loose = [param.name for param in sig.params if param.guessed]
+            if sig.ret_guessed:
                 loose.append("return")
             if not loose:
                 continue
-            node = ctx.sig_node(sig)
             yield ctx.finding(
-                node, self.code,
+                sig.node or ctx.tree, self.code,
                 f"public signature of '{sig.qualname}' leaves "
                 f"{', '.join(repr(name) for name in loose)} "
                 f"unit-less; annotate with repro.units aliases or a "

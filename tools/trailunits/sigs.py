@@ -3,7 +3,7 @@
 Built once per run (the ToolSpec ``prepare`` hook) from every parsed
 file, so units propagate *through* calls: a call site in
 ``core/driver.py`` is checked against the dimensions declared on the
-callee in ``disk/geometry.py``.
+callee in ``disk/mechanics.py``.
 
 Lookups are by bare name (module-level functions) or method name, so a
 name defined with different dimensions in several classes yields
@@ -24,20 +24,14 @@ from tools.trailunits.lattice import (
     UNKNOWN, annotation_dim, heuristic_dim, is_numeric_annotation,
     join, parse_unit_comment)
 
-#: How a dimension was established, strongest first.
-ANNOTATION = "annotation"
-COMMENT = "comment"
-HEURISTIC = "heuristic"
-NONE = "none"
-
 
 @dataclass
 class Param:
-    """One parameter's dimension and where it came from."""
+    """One parameter's dimension, and whether only its name gave it."""
 
     name: str
     dim: str = UNKNOWN
-    how: str = NONE
+    guessed: bool = False
 
 
 @dataclass
@@ -46,14 +40,11 @@ class FuncSig:
 
     qualname: str           # "name" or "Class.name"
     relpath: str
-    lineno: int
+    #: The def node; None for the seeded repro.units helpers.
+    node: Optional[ast.AST]
     params: List[Param] = field(default_factory=list)
     ret_dim: str = UNKNOWN
-    ret_how: str = NONE
-    is_method: bool = False
-    #: True for the repro.units converter helpers, which legitimately
-    #: take raw literals (``seconds(2)`` is the idiom, not a smell).
-    is_converter: bool = False
+    ret_guessed: bool = False
 
     def param(self, name: str) -> Optional[Param]:
         for param in self.params:
@@ -62,8 +53,8 @@ class FuncSig:
         return None
 
 
-#: The repro.units helpers, seeded so fixtures analyzed in isolation
-#: (without units.py in the walked set) still see the converters.
+#: The repro.units time helpers, seeded so fixtures analyzed in
+#: isolation (without units.py in the walked set) still see them.
 _BASE_HELPERS: Tuple[Tuple[str, str, str], ...] = (
     # name, param dim, return dim
     ("seconds", lattice.S, lattice.MS),
@@ -71,44 +62,20 @@ _BASE_HELPERS: Tuple[Tuple[str, str, str], ...] = (
     ("microseconds", lattice.US, lattice.MS),
     ("minutes", UNKNOWN, lattice.MS),
     ("to_seconds", lattice.MS, lattice.S),
-    ("KiB", lattice.SCALAR, lattice.BYTES),
-    ("MiB", lattice.SCALAR, lattice.BYTES),
-    ("GiB", lattice.SCALAR, lattice.BYTES),
     ("rpm_to_rotation_ms", lattice.SCALAR, lattice.MS),
 )
-
-
-def _base_sigs() -> Dict[str, List[FuncSig]]:
-    sigs: Dict[str, List[FuncSig]] = {}
-    for name, param_dim, ret_dim in _BASE_HELPERS:
-        sigs[name] = [FuncSig(
-            qualname=name, relpath="src/repro/units.py", lineno=0,
-            params=[Param("value", param_dim, ANNOTATION)],
-            ret_dim=ret_dim, ret_how=ANNOTATION, is_converter=True)]
-    # NewType wrappers: accept their own space (or the generic lba);
-    # wrapping the *other* space is exactly the TUN005/TUN006 bug.
-    for name, dim in (("LogLba", lattice.LOG_LBA),
-                      ("DataLba", lattice.DATA_LBA)):
-        sigs[name] = [FuncSig(
-            qualname=name, relpath="src/repro/units.py", lineno=0,
-            params=[Param("value", dim, ANNOTATION)],
-            ret_dim=dim, ret_how=ANNOTATION, is_converter=True)]
-    sigs["sectors_for"] = [FuncSig(
-        qualname="sectors_for", relpath="src/repro/units.py", lineno=0,
-        params=[Param("nbytes", lattice.BYTES, ANNOTATION),
-                Param("sector_size", UNKNOWN, NONE)],
-        ret_dim=lattice.SECTORS, ret_how=ANNOTATION,
-        is_converter=True)]
-    return sigs
 
 
 class Tables:
     """Signatures plus attribute dimensions for one analysis run."""
 
     def __init__(self) -> None:
-        self.functions: Dict[str, List[FuncSig]] = _base_sigs()
+        self.functions: Dict[str, List[FuncSig]] = {
+            name: [FuncSig(qualname=name, relpath="src/repro/units.py",
+                           node=None, params=[Param("value", param_dim)],
+                           ret_dim=ret_dim)]
+            for name, param_dim, ret_dim in _BASE_HELPERS}
         self.attr_dims: Dict[str, str] = {}
-        self._attr_sources: Dict[str, str] = {}
 
     # -- construction -------------------------------------------------
 
@@ -153,11 +120,8 @@ class Tables:
     def _add_func(self, relpath: str, by_line: Dict[int, str],
                   func: ast.AST, owner: Optional[str]) -> None:
         assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        comment = _signature_comment(by_line, func)
-        comment_params: Dict[str, str] = {}
-        comment_ret = UNKNOWN
-        if comment is not None:
-            comment_params, comment_ret = comment
+        comment_params, comment_ret = (
+            _signature_comment(by_line, func) or ({}, UNKNOWN))
 
         params: List[Param] = []
         args = func.args
@@ -167,28 +131,24 @@ class Tables:
             if index == 0 and owner is not None and arg.arg in (
                     "self", "cls"):
                 continue
-            dim = annotation_dim(arg.annotation)
-            how = ANNOTATION if dim != UNKNOWN else NONE
-            if dim == UNKNOWN and arg.arg in comment_params:
-                dim, how = comment_params[arg.arg], COMMENT
-            if dim == UNKNOWN and is_numeric_annotation(arg.annotation):
-                dim = heuristic_dim(arg.arg)
-                how = HEURISTIC if dim != UNKNOWN else NONE
-            params.append(Param(arg.arg, dim, how))
-
-        ret_dim = annotation_dim(func.returns)
-        ret_how = ANNOTATION if ret_dim != UNKNOWN else NONE
-        if ret_dim == UNKNOWN and comment_ret != UNKNOWN:
-            ret_dim, ret_how = comment_ret, COMMENT
-        if ret_dim == UNKNOWN and is_numeric_annotation(func.returns):
-            ret_dim = heuristic_dim(func.name)
-            ret_how = HEURISTIC if ret_dim != UNKNOWN else NONE
+            param = Param(arg.arg, annotation_dim(arg.annotation))
+            if param.dim == UNKNOWN:
+                param.dim = comment_params.get(arg.arg, UNKNOWN)
+            if param.dim == UNKNOWN and is_numeric_annotation(
+                    arg.annotation):
+                param.dim = heuristic_dim(arg.arg)
+                param.guessed = param.dim != UNKNOWN
+            params.append(param)
 
         qual = f"{owner}.{func.name}" if owner else func.name
-        sig = FuncSig(qualname=qual, relpath=relpath,
-                      lineno=func.lineno, params=params,
-                      ret_dim=ret_dim, ret_how=ret_how,
-                      is_method=owner is not None)
+        sig = FuncSig(qualname=qual, relpath=relpath, node=func,
+                      params=params,
+                      ret_dim=annotation_dim(func.returns))
+        if sig.ret_dim == UNKNOWN:
+            sig.ret_dim = comment_ret
+        if sig.ret_dim == UNKNOWN and is_numeric_annotation(func.returns):
+            sig.ret_dim = heuristic_dim(func.name)
+            sig.ret_guessed = sig.ret_dim != UNKNOWN
         self.functions.setdefault(func.name, []).append(sig)
 
     # -- lookup -------------------------------------------------------
