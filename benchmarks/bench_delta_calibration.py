@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import build_trail_system, render_table
+from repro.analysis import build_trail_system
 from repro.core.prediction import HeadPositionPredictor
 from repro.disk.presets import st41601n
 from repro.sim import Simulation
-from benchmarks.conftest import print_report
 
 
 @pytest.fixture(scope="module")
@@ -38,27 +37,19 @@ def calibration():
     return drive, predictor, result
 
 
-def test_calibration_report(calibration, once):
+def test_calibration_report(calibration, paper_numbers):
     drive, _predictor, result = calibration
-
-    def build_report():
-        rotation = drive.rotation.rotation_ms
-        rows = [
-            [delta, latency,
-             "FULL ROTATION" if latency > 0.5 * rotation else "ok"]
-            for delta, latency in enumerate(result.latencies_by_delta)
-        ]
-        table = render_table(
-            ["delta (sectors)", "mean write latency (ms)", "verdict"],
-            rows,
-            title="Sec. 3.1 delta calibration sweep on the ST41601N "
-                  "model")
-        return (table + f"\n\nchosen delta = {result.delta_sectors} "
-                f"sectors (paper: < 15) from {result.writes_issued} "
-                "calibration writes")
-
-    print_report(once(build_report))
-    assert result.delta_sectors < 15
+    rotation = drive.rotation.rotation_ms
+    paper_numbers.check(
+        "delta_calibration",
+        ["delta (sectors)", "mean write latency (ms)", "verdict"],
+        [[delta, latency,
+          "FULL ROTATION" if latency > 0.5 * rotation else "ok"]
+         for delta, latency in enumerate(result.latencies_by_delta)],
+        title=(f"Sec. 3.1 delta calibration sweep on the ST41601N model: "
+               f"chosen delta = {result.delta_sectors} sectors "
+               f"(paper: < 15) from {result.writes_issued} calibration "
+               f"writes"))
 
 
 def test_delta_below_paper_bound(calibration):

@@ -20,12 +20,10 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.analysis import (
-    build_standard_system, build_trail_system, render_table)
+from repro.analysis import build_standard_system, build_trail_system
 from repro.units import KiB
 from repro.workloads import (
     ArrivalMode, SyncWriteWorkload, run_sync_write_workload)
-from benchmarks.conftest import print_report
 
 SIZES = [512, KiB(1), KiB(4), KiB(16), KiB(64)]
 REQUESTS = 60
@@ -60,38 +58,26 @@ def grid() -> Dict[Key, float]:
     return cells
 
 
-def test_figure3_report(grid, once):
-    def build_report():
-        sections = []
-        for processes in (1, 5):
-            rows = []
-            for size in SIZES:
-                row = [f"{size // 1024}K" if size >= 1024 else f"{size}B"]
-                for system_kind in ("trail", "standard"):
-                    for mode in ("sparse", "clustered"):
-                        row.append(grid[(system_kind, size, mode,
-                                         processes)])
-                speed = (grid[("standard", size, "sparse", processes)]
-                         / grid[("trail", size, "sparse", processes)])
-                row.append(f"{speed:.1f}x")
-                rows.append(row)
-            sections.append(render_table(
-                ["size", "trail sparse", "trail clust",
-                 "std sparse", "std clust", "speedup(sparse)"],
-                rows,
-                title=(f"Figure 3({'a' if processes == 1 else 'b'}): "
-                       f"mean sync write latency (ms), "
-                       f"{processes} process(es) "
-                       f"[paper: Trail up to 11.85x faster]")))
-        return "\n\n".join(sections)
-
-    print_report(once(build_report))
-    # Headline shape (also covered in granular tests below, which run
-    # without --benchmark-only).
-    assert (grid[("standard", KiB(1), "sparse", 1)]
-            / grid[("trail", KiB(1), "sparse", 1)]) > 5.0
-    assert (grid[("trail", KiB(1), "clustered", 1)]
-            > grid[("trail", KiB(1), "sparse", 1)])
+@pytest.mark.parametrize("processes", [1, 5])
+def test_figure3_report(grid, processes, paper_numbers):
+    rows = []
+    for size in SIZES:
+        row = [f"{size // 1024}K" if size >= 1024 else f"{size}B"]
+        for system_kind in ("trail", "standard"):
+            for mode in ("sparse", "clustered"):
+                row.append(grid[(system_kind, size, mode, processes)])
+        row.append(grid[("standard", size, "sparse", processes)]
+                   / grid[("trail", size, "sparse", processes)])
+        rows.append(row)
+    part = "a" if processes == 1 else "b"
+    paper_numbers.check(
+        f"fig3{part}",
+        ["size", "trail sparse", "trail clust", "std sparse", "std clust",
+         "speedup (sparse, x)"],
+        rows,
+        title=(f"Figure 3({part}): mean sync write latency (ms), "
+               f"{processes} process(es) [paper: Trail up to 11.85x "
+               f"faster]"))
 
 
 def test_trail_much_faster_small_writes(grid):
@@ -132,7 +118,7 @@ def test_multiprogramming_widens_clustered_gap(grid):
     assert gap_5 > gap_1
 
 
-def test_latency_decomposition_single_sector():
+def test_latency_decomposition_single_sector(paper_numbers):
     """§5.1: ~1.4 ms one-sector writes; residual rotation < 0.5 ms
     (vs 5.5 ms average rotational latency of the drive)."""
     workload = SyncWriteWorkload(requests_per_process=100,
@@ -141,13 +127,15 @@ def test_latency_decomposition_single_sector():
     result = run_sync_write_workload(system.sim, system.driver, workload)
     driver = system.driver
     mean_rotation = driver.predictor.realized_rotation.mean
-    print_report(
-        f"single-sector Trail write: mean latency "
-        f"{result.mean_latency_ms:.2f} ms (paper ~1.40 ms); "
-        f"mean realized rotational wait {mean_rotation:.3f} ms "
-        f"(paper < 0.5 ms; drive average 5.5 ms)")
-    assert result.mean_latency_ms < 2.5
-    assert mean_rotation < 0.5
     average_rotational = \
         driver.log_drive.rotation.average_rotational_latency_ms
+    assert result.mean_latency_ms < 2.5
+    assert mean_rotation < 0.5
     assert mean_rotation < average_rotational / 10
+    paper_numbers.check(
+        "fig3_single_sector",
+        ["single-sector Trail write", "measured (ms)", "paper (ms)"],
+        [["mean latency", result.mean_latency_ms, "~1.40"],
+         ["mean realized rotational wait", mean_rotation, "< 0.5"],
+         ["drive average rotational latency", average_rotational, 5.5]],
+        title="Sec. 5.1 latency decomposition of a one-sector write")

@@ -23,13 +23,12 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis import build_trail_system, render_table
+from repro.analysis import build_trail_system
 from repro.core.config import TrailConfig
 from repro.core.instance import TrailInstance
 from repro.core.recovery import RecoveryReport
 from repro.disk.presets import st41601n, wd_caviar_10gb
 from repro.sim import Simulation
-from benchmarks.conftest import print_report
 
 PENDING_COUNTS = [32, 64, 128, 256]
 
@@ -88,38 +87,33 @@ def without_writeback(snapshots) -> Dict[int, RecoveryReport]:
             for pending in PENDING_COUNTS}
 
 
-def test_figure4_report(with_writeback, without_writeback, once):
-    def build_report():
-        rows_a = [
-            [pending, report.locate_ms, report.rebuild_ms,
-             report.writeback_ms, report.total_ms]
-            for pending, report in sorted(with_writeback.items())
-        ]
-        part_a = render_table(
-            ["Q (pending)", "locate (ms)", "rebuild (ms)",
-             "write-back (ms)", "total (ms)"],
-            rows_a,
-            title=("Figure 4(a): recovery-time breakdown "
-                   "[paper: locate ~450 ms, constant; other steps grow "
-                   "with Q]"))
-        rows_b = [
-            [pending, with_writeback[pending].total_ms,
-             without_writeback[pending].total_ms,
-             f"{with_writeback[pending].total_ms / without_writeback[pending].total_ms:.1f}x"]
-            for pending in PENDING_COUNTS
-        ]
-        part_b = render_table(
-            ["Q (pending)", "with write-back (ms)",
-             "bypassed (ms)", "ratio"],
-            rows_b,
-            title=("Figure 4(b): write-back included vs bypassed "
-                   "[paper: >3.5x at Q=256]"))
-        return part_a + "\n\n" + part_b
+def test_figure4a_report(with_writeback, paper_numbers):
+    paper_numbers.check(
+        "fig4a",
+        ["Q (pending)", "locate (ms)", "rebuild (ms)", "write-back (ms)",
+         "total (ms)"],
+        [[pending, report.locate_ms, report.rebuild_ms,
+          report.writeback_ms, report.total_ms]
+         for pending, report in sorted(with_writeback.items())],
+        title=("Figure 4(a): recovery-time breakdown [paper: locate "
+               "~450 ms, constant; other steps grow with Q]"))
 
-    print_report(once(build_report))
+
+def test_figure4b_report(with_writeback, without_writeback, paper_numbers):
     big = PENDING_COUNTS[-1]
     assert (with_writeback[big].total_ms
             > 2.0 * without_writeback[big].total_ms)
+    paper_numbers.check(
+        "fig4b",
+        ["Q (pending)", "with write-back (ms)", "bypassed (ms)",
+         "ratio (x)"],
+        [[pending, with_writeback[pending].total_ms,
+          without_writeback[pending].total_ms,
+          with_writeback[pending].total_ms
+          / without_writeback[pending].total_ms]
+         for pending in PENDING_COUNTS],
+        title=("Figure 4(b): write-back included vs bypassed "
+               "[paper: >3.5x at Q=256]"))
 
 
 def test_locate_roughly_constant_in_q(with_writeback):
@@ -167,7 +161,7 @@ def test_all_records_found(with_writeback):
 # ----------------------------------------------------------------------
 # Ablations (DESIGN.md §5)
 
-def test_ablation_binary_search_vs_sequential(snapshots):
+def test_ablation_binary_search_vs_sequential(snapshots, paper_numbers):
     log_snapshot, data_snapshot = snapshots[64]
     binary = recover(log_snapshot, data_snapshot,
                      TrailConfig(idle_reposition_interval_ms=0,
@@ -176,16 +170,17 @@ def test_ablation_binary_search_vs_sequential(snapshots):
                          TrailConfig(idle_reposition_interval_ms=0,
                                      recovery_writeback=False,
                                      binary_search_recovery=False))
-    print_report(render_table(
+    assert binary.records_found == sequential.records_found
+    assert binary.tracks_scanned < sequential.tracks_scanned / 100
+    assert binary.locate_ms < sequential.locate_ms / 50
+    paper_numbers.check(
+        "fig4_locate_ablation",
         ["strategy", "tracks scanned", "locate (ms)"],
         [["binary search", binary.tracks_scanned, binary.locate_ms],
          ["sequential scan", sequential.tracks_scanned,
           sequential.locate_ms]],
         title="Ablation: locating the youngest record "
-              "(O(lg N) vs O(N) track scans)"))
-    assert binary.records_found == sequential.records_found
-    assert binary.tracks_scanned < sequential.tracks_scanned / 100
-    assert binary.locate_ms < sequential.locate_ms / 50
+              "(O(lg N) vs O(N) track scans)")
 
 
 def test_ablation_log_head_bound(snapshots):

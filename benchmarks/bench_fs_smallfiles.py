@@ -12,16 +12,16 @@ latency multiplies through the whole metadata path.
 
 from __future__ import annotations
 
+from math import fsum
+
 import pytest
 
-from repro.analysis import render_table
 from repro.baselines.standard import StandardDriver
 from repro.core.config import TrailConfig
 from repro.core.instance import TrailInstance
 from repro.disk.presets import st41601n, wd_caviar_10gb
 from repro.fs import FileSystem
 from repro.sim import Simulation
-from benchmarks.conftest import print_report
 
 FILES = 60
 FILE_BYTES = 2048  # a small news article / mail message
@@ -54,7 +54,7 @@ def run_spool(kind: str):
 
     per_file = sim.run_until(sim.process(spool()))
     assert fs.check() == []
-    return sum(per_file) / len(per_file)
+    return fsum(per_file) / len(per_file)
 
 
 @pytest.fixture(scope="module")
@@ -62,19 +62,15 @@ def results():
     return {kind: run_spool(kind) for kind in ("trail", "standard")}
 
 
-def test_smallfile_report(results, once):
-    def build_report():
-        speedup = results["standard"] / results["trail"]
-        return render_table(
-            ["file system on", "mean create+write+fsync (ms)",
-             "speedup"],
-            [["trail", results["trail"], f"{speedup:.1f}x"],
-             ["standard", results["standard"], "1.0x"]],
-            title=(f"news-spool workload: {FILES} x {FILE_BYTES} B "
-                   "synchronous files through the mini file system"))
-
-    print_report(once(build_report))
-    assert results["trail"] < results["standard"]
+def test_smallfile_report(results, paper_numbers):
+    paper_numbers.check(
+        "smallfiles",
+        ["file system on", "mean create+write+fsync (ms)", "speedup (x)"],
+        [["trail", results["trail"],
+          results["standard"] / results["trail"]],
+         ["standard", results["standard"], 1.0]],
+        title=(f"news-spool workload: {FILES} x {FILE_BYTES} B "
+               "synchronous files through the mini file system"))
 
 
 def test_trail_materially_faster_for_small_files(results):

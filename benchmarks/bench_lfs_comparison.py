@@ -19,12 +19,12 @@ import random
 import pytest
 
 from repro.analysis import (
-    build_lfs_system, build_standard_system, build_trail_system,
-    render_table)
+    build_lfs_system, build_standard_system, build_trail_system)
+from repro.core.config import TrailConfig
+from repro.disk.presets import tiny_test_disk
 from repro.units import KiB
 from repro.workloads import (
     ArrivalMode, SyncWriteWorkload, run_sync_write_workload)
-from benchmarks.conftest import print_report
 
 
 def _build(kind):
@@ -58,25 +58,19 @@ def latency_comparison():
     return out
 
 
-def test_latency_report(latency_comparison, once):
-    def build_report():
-        rows = [
-            [kind, result.mean_latency_ms,
-             f"{latency_comparison['standard'].mean_latency_ms / result.mean_latency_ms:.1f}x"]
-            for kind, result in latency_comparison.items()
-        ]
-        return render_table(
-            ["driver", "mean 1KB sync write (ms)", "vs in-place"],
-            rows,
-            title="Sec. 2: synchronous write latency across layouts")
-
-    print_report(once(build_report))
+def test_latency_report(latency_comparison, paper_numbers):
     means = {kind: result.mean_latency_ms
              for kind, result in latency_comparison.items()}
     assert means["trail"] < means["lfs"] < means["standard"]
     # §2 on DCD: with battery-backed RAM it beats everything on raw
     # latency; Trail's point is getting close without the hardware.
     assert means["dcd"] < means["trail"]
+    paper_numbers.check(
+        "lfs_latency",
+        ["driver", "mean 1KB sync write (ms)", "vs in-place (x)"],
+        [[kind, mean, means["standard"] / mean]
+         for kind, mean in means.items()],
+        title="Sec. 2: synchronous write latency across layouts")
 
 
 def test_lfs_pays_rotational_latency(latency_comparison):
@@ -87,61 +81,47 @@ def test_lfs_pays_rotational_latency(latency_comparison):
     assert 1.5 < gap < 9.0, gap
 
 
-def test_cleaning_overhead_trail_free_lfs_not(once):
+def test_cleaning_overhead_trail_free_lfs_not(paper_numbers):
     """Overwrite a small hot set until the LFS disk must clean; Trail's
     FIFO track reuse needs no disk reads at all."""
-    def run():
-        from repro.disk.presets import tiny_test_disk
-        from repro.core.config import TrailConfig
+    # Small disks so the hot-set overwrites create real space
+    # pressure: the LFS log (1,280 sectors, 5 segments) and the
+    # Trail log ring (~76 tracks) both wrap many times.
+    hot_set = 64  # logical 1 KB blocks, rewritten many times
+    rounds = 2500
+    rng = random.Random(5)
 
-        # Small disks so the hot-set overwrites create real space
-        # pressure: the LFS log (1,280 sectors, 5 segments) and the
-        # Trail log ring (~76 tracks) both wrap many times.
-        hot_set = 64  # logical 1 KB blocks, rewritten many times
-        rounds = 2500
-        rng = random.Random(5)
+    lfs_system = build_lfs_system(
+        data_spec=tiny_test_disk(cylinders=40, heads=2,
+                                 sectors_per_track=16),
+        segment_sectors=256)
+    lfs = lfs_system.driver
 
-        lfs_system = build_lfs_system(
-            data_spec=tiny_test_disk(cylinders=40, heads=2,
-                                     sectors_per_track=16),
-            segment_sectors=256)
-        lfs = lfs_system.driver
+    def lfs_load():
+        for _ in range(rounds):
+            block = rng.randrange(hot_set)
+            yield lfs.write(block * 2, bytes(KiB(1)))
 
-        def lfs_load():
-            for _ in range(rounds):
-                block = rng.randrange(hot_set)
-                yield lfs.write(block * 2, bytes(KiB(1)))
+    lfs_system.sim.run_until(
+        lfs_system.sim.process(lfs_load()))
 
-        lfs_system.sim.run_until(
-            lfs_system.sim.process(lfs_load()))
+    trail_system = build_trail_system(
+        config=TrailConfig(idle_reposition_interval_ms=0),
+        log_spec=tiny_test_disk(cylinders=40, heads=2,
+                                sectors_per_track=16),
+        data_spec=tiny_test_disk(cylinders=120, heads=4,
+                                 sectors_per_track=32))
+    trail = trail_system.driver
+    rng2 = random.Random(5)
 
-        trail_system = build_trail_system(
-            config=TrailConfig(idle_reposition_interval_ms=0),
-            log_spec=tiny_test_disk(cylinders=40, heads=2,
-                                    sectors_per_track=16),
-            data_spec=tiny_test_disk(cylinders=120, heads=4,
-                                     sectors_per_track=32))
-        trail = trail_system.driver
-        rng2 = random.Random(5)
+    def trail_load():
+        for _ in range(rounds):
+            block = rng2.randrange(hot_set)
+            yield trail.write(block * 2, bytes(KiB(1)))
 
-        def trail_load():
-            for _ in range(rounds):
-                block = rng2.randrange(hot_set)
-                yield trail.write(block * 2, bytes(KiB(1)))
+    trail_system.sim.run_until(
+        trail_system.sim.process(trail_load()))
 
-        trail_system.sim.run_until(
-            trail_system.sim.process(trail_load()))
-        return lfs, trail
-
-    lfs, trail = once(run)
-    print_report(render_table(
-        ["driver", "cleaning disk reads", "cleaning copies",
-         "mean write (ms)"],
-        [["lfs", lfs.stats.live_sectors_copied,
-          lfs.stats.segments_cleaned, lfs.stats.sync_writes.mean],
-         ["trail", 0, 0, trail.stats.sync_writes.mean]],
-        title="Sec. 2: garbage-collection overhead under hot-set "
-              "overwrites"))
     # LFS had to clean; Trail never reads its log disk in normal
     # operation (write-backs come from host memory).
     assert lfs.stats.segments_cleaned > 0
@@ -150,3 +130,12 @@ def test_cleaning_overhead_trail_free_lfs_not(once):
     # one anchor read, and the 1-sector reposition reads.
     assert trail.log_drive.stats.sectors_read \
         <= trail.stats.repositions + 3
+    paper_numbers.check(
+        "lfs_cleaning",
+        ["driver", "live sectors copied", "segments cleaned",
+         "mean write (ms)"],
+        [["lfs", lfs.stats.live_sectors_copied,
+          lfs.stats.segments_cleaned, lfs.stats.sync_writes.mean],
+         ["trail", 0, 0, trail.stats.sync_writes.mean]],
+        title="Sec. 2: garbage-collection overhead under hot-set "
+              "overwrites")

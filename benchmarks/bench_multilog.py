@@ -12,17 +12,16 @@ clustered latency toward the sparse-mode floor.
 from __future__ import annotations
 
 import random
+from math import fsum
 from typing import Dict
 
 import pytest
 
-from repro.analysis import render_table
 from repro.core.config import TrailConfig
 from repro.core.multilog import StripedTrailDriver
 from repro.disk.presets import st41601n, wd_caviar_10gb
 from repro.sim import Simulation
 from repro.units import KiB
-from benchmarks.conftest import print_report
 
 STRIPE_COUNTS = [1, 2, 4]
 REQUESTS = 150
@@ -48,7 +47,7 @@ def run_clustered(stripes: int) -> float:
             latencies.append(sim.now - start)
 
     sim.run_until(sim.process(body()))
-    return sum(latencies) / len(latencies)
+    return fsum(latencies) / len(latencies)
 
 
 @pytest.fixture(scope="module")
@@ -57,22 +56,16 @@ def results() -> Dict[int, float]:
             for stripes in STRIPE_COUNTS}
 
 
-def test_multilog_report(results, once):
-    def build_report():
-        base = results[1]
-        rows = [
-            [stripes, latency, f"{base / latency:.2f}x"]
-            for stripes, latency in sorted(results.items())
-        ]
-        return render_table(
-            ["log disks", "mean clustered 1KB write (ms)",
-             "vs 1 log disk"],
-            rows,
-            title="Sec. 5.1 final optimization: multiple log disks "
-                  "hide repositioning from clustered writes")
-
-    print_report(once(build_report))
+def test_multilog_report(results, paper_numbers):
     assert results[2] < results[1]
+    paper_numbers.check(
+        "multilog",
+        ["log disks", "mean clustered 1KB write (ms)",
+         "vs 1 log disk (x)"],
+        [[stripes, latency, results[1] / latency]
+         for stripes, latency in sorted(results.items())],
+        title="Sec. 5.1 final optimization: multiple log disks hide "
+              "repositioning from clustered writes")
 
 
 def test_more_stripes_never_slower(results):

@@ -11,17 +11,16 @@ background — the application-visible small-write penalty disappears.
 from __future__ import annotations
 
 import random
+from math import fsum
 
 import pytest
 
-from repro.analysis import render_table
 from repro.core.config import TrailConfig
 from repro.core.instance import TrailInstance
 from repro.disk.presets import st41601n, wd_caviar_10gb
 from repro.raid import Raid5Array
 from repro.sim import Simulation
 from repro.units import KiB
-from benchmarks.conftest import print_report
 
 REQUESTS = 80
 
@@ -47,7 +46,7 @@ def run_raw_raid() -> tuple:
             yield sim.timeout(5.0)
 
     sim.run_until(sim.process(body()))
-    return (sum(latencies) / len(latencies),
+    return (fsum(latencies) / len(latencies),
             array.stats.member_ios / REQUESTS)
 
 
@@ -71,7 +70,7 @@ def run_trail_raid() -> tuple:
         yield from trail.flush()
 
     sim.run_until(sim.process(body()))
-    return sum(latencies) / len(latencies), array
+    return fsum(latencies) / len(latencies), array
 
 
 @pytest.fixture(scope="module")
@@ -81,21 +80,17 @@ def results():
     return raw_latency, raw_ios, trail_latency, array
 
 
-def test_raid5_report(results, once):
+def test_raid5_report(results, paper_numbers):
     raw_latency, raw_ios, trail_latency, _array = results
-
-    def build_report():
-        return render_table(
-            ["configuration", "mean 4KB sync write (ms)",
-             "member I/Os per write"],
-            [["RAID-5 (5 disks)", raw_latency, raw_ios],
-             ["Trail + RAID-5", trail_latency,
-              "deferred (background)"]],
-            title="Future work: the RAID-5 small-write problem with "
-                  "and without track-based logging")
-
-    print_report(once(build_report))
     assert trail_latency < raw_latency / 3
+    paper_numbers.check(
+        "raid5",
+        ["configuration", "mean 4KB sync write (ms)",
+         "member I/Os per write"],
+        [["RAID-5 (5 disks)", raw_latency, raw_ios],
+         ["Trail + RAID-5", trail_latency, "deferred (background)"]],
+        title="Future work: the RAID-5 small-write problem with and "
+              "without track-based logging")
 
 
 def test_small_write_costs_four_ios(results):

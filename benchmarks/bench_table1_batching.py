@@ -18,8 +18,7 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis import build_trail_system, render_table
-from benchmarks.conftest import print_report
+from repro.analysis import build_trail_system
 
 BATCH_SIZES = [1, 2, 4, 8, 16, 32]
 TOTAL_WRITES = 32
@@ -50,25 +49,15 @@ def elapsed() -> Dict[int, float]:
     return {batch: run_batched_sequence(batch) for batch in BATCH_SIZES}
 
 
-def test_table1_report(elapsed, once):
-    def build_report():
-        rows = [
-            [batch, elapsed[batch], PAPER_MS[batch],
-             f"{elapsed[1] / elapsed[batch]:.1f}x"]
-            for batch in BATCH_SIZES
-        ]
-        return render_table(
-            ["batch size", "measured (ms)", "paper (ms)",
-             "speedup vs batch 1"],
-            rows,
-            title=("Table 1: elapsed time for 32 one-sector synchronous "
-                   "writes vs batch size"))
-
-    print_report(once(build_report))
-    assert elapsed[1] / elapsed[32] > 5.0
-    values = [elapsed[batch] for batch in BATCH_SIZES]
-    for smaller, larger in zip(values, values[1:]):
-        assert larger <= smaller * 1.05
+def test_table1_report(elapsed, paper_numbers):
+    paper_numbers.check(
+        "table1",
+        ["batch size", "measured (ms)", "paper (ms)",
+         "speedup vs batch 1 (x)"],
+        [[batch, elapsed[batch], PAPER_MS[batch],
+          elapsed[1] / elapsed[batch]] for batch in BATCH_SIZES],
+        title=("Table 1: elapsed time for 32 one-sector synchronous "
+               "writes vs batch size"))
 
 
 def test_elapsed_monotonically_decreasing(elapsed):

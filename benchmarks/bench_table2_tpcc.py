@@ -14,9 +14,6 @@ Shape claims asserted:
   * Trail has the best response time; group commit by far the worst
     (durability is delayed to the covering flush).
   * Trail reduces logging disk-I/O time (paper: by 42%).
-
-Default scale is 600 transactions for iteration speed; run with
-``--full-scale`` for the paper's 5000.
 """
 
 from __future__ import annotations
@@ -25,9 +22,7 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis import render_table
 from repro.tpcc import TpccRunConfig, TpccRunResult, run_tpcc
-from benchmarks.conftest import print_report
 
 PAPER = {
     "trail": {"response_s": 0.059, "logging_s": 17.6, "tpmc": 1004},
@@ -36,50 +31,36 @@ PAPER = {
 }
 
 LABELS = {"trail": "EXT2+Trail", "ext2": "EXT2", "ext2+gc": "EXT2+GC"}
+TRANSACTIONS = 5000
 
 
 @pytest.fixture(scope="module")
-def results(request) -> Dict[str, TpccRunResult]:
-    transactions = (5000 if request.config.getoption("--full-scale")
-                    else 600)
+def results() -> Dict[str, TpccRunResult]:
     out = {}
     for system in ("trail", "ext2", "ext2+gc"):
-        config = TpccRunConfig(system=system, transactions=transactions,
+        config = TpccRunConfig(system=system, transactions=TRANSACTIONS,
                                concurrency=1, warehouses=1,
                                log_buffer_kb=50, seed=42)
         out[system] = run_tpcc(config)
     return out
 
 
-def test_table2_report(results, once):
-    def build_report():
-        rows = []
-        for system in ("trail", "ext2", "ext2+gc"):
-            result = results[system]
-            paper = PAPER[system]
-            rows.append([
-                LABELS[system],
-                result.avg_response_s, paper["response_s"],
-                result.logging_io_s, paper["logging_s"],
-                result.tpmc, paper["tpmc"],
-            ])
-        scale_note = results["trail"].transactions_completed
-        return render_table(
-            ["system", "resp (s)", "paper", "log I/O (s)", "paper",
-             "tpmC", "paper"],
-            rows,
-            title=(f"Table 2: TPC-C, concurrency 1, w=1 "
-                   f"({scale_note} transactions completed; paper ran "
-                   f"5000 — compare shapes, not absolutes)"))
-
-    print_report(once(build_report))
-    assert results["trail"].tpmc > results["ext2+gc"].tpmc \
-        > results["ext2"].tpmc
-    assert (results["ext2+gc"].avg_response_s
-            > results["ext2"].avg_response_s
-            > results["trail"].avg_response_s)
-    assert (results["trail"].logging_io_s
-            < results["ext2"].logging_io_s)
+def test_table2_report(results, paper_numbers):
+    rows = []
+    for system in ("trail", "ext2", "ext2+gc"):
+        result, paper = results[system], PAPER[system]
+        rows.append([LABELS[system],
+                     result.avg_response_s, paper["response_s"],
+                     result.logging_io_s, paper["logging_s"],
+                     result.tpmc, paper["tpmc"]])
+    paper_numbers.check(
+        "table2",
+        ["system", "resp (s)", "paper", "log I/O (s)", "paper", "tpmC",
+         "paper"],
+        rows,
+        title=(f"Table 2: TPC-C, concurrency 1, w=1, "
+               f"{results['trail'].transactions_completed} transactions "
+               f"completed (paper: 5000)"))
 
 
 def test_trail_highest_throughput(results):
@@ -97,7 +78,7 @@ def test_group_commit_marginal_over_ext2(results):
     """Paper: GC is only 1.08x EXT2 — far below Trail's gain."""
     gc_gain = results["ext2+gc"].tpmc / results["ext2"].tpmc
     trail_gain = results["trail"].tpmc / results["ext2"].tpmc
-    assert gc_gain < trail_gain
+    assert 1.0 < gc_gain < trail_gain
     assert gc_gain < 1.35
 
 

@@ -9,9 +9,7 @@ Paper numbers for a 10,000-transaction run:
 The count is essentially total-log-volume / buffer-size, so it falls
 inverse-proportionally; at 4 KB the buffer is smaller than a single
 transaction's log records, so there is more than one force per
-transaction.  Default scale is 1500 transactions (``--full-scale``
-restores 10,000); counts are also reported normalized per 1000
-transactions so the inverse-proportionality is visible at any scale.
+transaction.
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis import render_table
 from repro.tpcc import TpccRunConfig, TpccRunResult, run_tpcc
-from benchmarks.conftest import print_report
 
 BUFFER_SIZES_KB = [4, 100, 400, 800, 1200]
 PAPER_COUNTS = {4: 10960, 100: 448, 400: 113, 800: 57, 1200: 39}
@@ -30,43 +26,28 @@ PAPER_TRANSACTIONS = 10_000
 
 
 @pytest.fixture(scope="module")
-def results(request) -> Dict[int, TpccRunResult]:
-    transactions = (PAPER_TRANSACTIONS
-                    if request.config.getoption("--full-scale") else 1500)
+def results() -> Dict[int, TpccRunResult]:
     out = {}
     for buffer_kb in BUFFER_SIZES_KB:
         config = TpccRunConfig(system="ext2+gc",
-                               transactions=transactions,
+                               transactions=PAPER_TRANSACTIONS,
                                concurrency=4, warehouses=1,
                                log_buffer_kb=buffer_kb, seed=24)
         out[buffer_kb] = run_tpcc(config)
     return out
 
 
-def test_table3_report(results, once):
-    def build_report():
-        rows = []
-        for buffer_kb in BUFFER_SIZES_KB:
-            result = results[buffer_kb]
-            completed = result.transactions_completed
-            per_1k = result.group_commits / completed * 1000
-            paper_per_1k = (PAPER_COUNTS[buffer_kb]
-                            / PAPER_TRANSACTIONS * 1000)
-            rows.append([buffer_kb, result.group_commits, per_1k,
-                         paper_per_1k])
-        completed = results[4].transactions_completed
-        return render_table(
-            ["log buffer (KB)", "group commits",
-             "per 1000 tx", "paper per 1000 tx"],
-            rows,
-            title=(f"Table 3: group commits vs log buffer size "
-                   f"(concurrency 4, w=1, {completed} transactions; "
-                   f"paper ran 10,000)"))
-
-    print_report(once(build_report))
-    counts = [results[kb].group_commits for kb in BUFFER_SIZES_KB]
-    assert all(a > b for a, b in zip(counts, counts[1:]))
-    assert counts[0] / counts[-1] > 20
+def test_table3_report(results, paper_numbers):
+    assert results[4].group_commits / results[1200].group_commits > 20
+    paper_numbers.check(
+        "table3",
+        ["log buffer (KB)", "group commits", "paper", "tpmC"],
+        [[buffer_kb, results[buffer_kb].group_commits,
+          PAPER_COUNTS[buffer_kb], results[buffer_kb].tpmc]
+         for buffer_kb in BUFFER_SIZES_KB],
+        title=(f"Table 3: group commits vs log buffer size (concurrency "
+               f"4, w=1, {results[4].transactions_completed} "
+               f"transactions; paper: 10,000)"))
 
 
 def test_counts_strictly_decreasing(results):

@@ -19,23 +19,20 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis import render_table
-from repro.core.config import TrailConfig
 from repro.analysis import build_trail_system
+from repro.core.config import TrailConfig
 from repro.tpcc import TpccRunConfig, TpccRunResult, run_tpcc
 from repro.units import KiB
 from repro.workloads import (
     ArrivalMode, SyncWriteWorkload, run_sync_write_workload)
-from benchmarks.conftest import print_report
 
 CONCURRENCY_LEVELS = [4, 8, 12]
-PAPER_UTILIZATION = {4: 0.12, 8: 0.21, 12: 0.30}
+PAPER_UTILIZATION_PCT = {4: 12, 8: 21, 12: "30+"}
+TRANSACTIONS = 3000
 
 
 @pytest.fixture(scope="module")
-def results(request) -> Dict[int, TpccRunResult]:
-    transactions = (3000 if request.config.getoption("--full-scale")
-                    else 800)
+def results() -> Dict[int, TpccRunResult]:
     out = {}
     for concurrency in CONCURRENCY_LEVELS:
         # Match the paper's §5.2 regime: "the CPU time each transaction
@@ -46,7 +43,7 @@ def results(request) -> Dict[int, TpccRunResult]:
         # quiesced because the paper's Berkeley DB kept dirty pages in
         # its 300 MB mpool (its log disk carried nearly pure log
         # traffic).
-        config = TpccRunConfig(system="trail", transactions=transactions,
+        config = TpccRunConfig(system="trail", transactions=TRANSACTIONS,
                                concurrency=concurrency, warehouses=1,
                                seed=31, flush_interval_ms=10_000.0,
                                flush_batch=1, cpu_ms_per_op=0.02,
@@ -55,26 +52,17 @@ def results(request) -> Dict[int, TpccRunResult]:
     return out
 
 
-def test_utilization_report(results, once):
-    def build_report():
-        rows = [
-            [concurrency,
-             f"{results[concurrency].one_batch_per_track_utilization:.1%}",
-             f"{PAPER_UTILIZATION[concurrency]:.0%}"
-             + ("+" if concurrency == 12 else "")]
-            for concurrency in CONCURRENCY_LEVELS
-        ]
-        return render_table(
-            ["concurrency", "batch/track utilization", "paper"],
-            rows,
-            title="Sec. 5.2: Trail log-disk per-track utilization "
-                  "(one-batched-write-per-track metric, as the paper "
-                  "assumes) vs TPC-C concurrency")
-
-    print_report(once(build_report))
-    values = [results[c].one_batch_per_track_utilization
-              for c in CONCURRENCY_LEVELS]
-    assert values[-1] >= values[0] * 0.95
+def test_utilization_report(results, paper_numbers):
+    paper_numbers.check(
+        "utilization",
+        ["concurrency", "batch/track utilization (%)", "paper (%)"],
+        [[concurrency,
+          100 * results[concurrency].one_batch_per_track_utilization,
+          PAPER_UTILIZATION_PCT[concurrency]]
+         for concurrency in CONCURRENCY_LEVELS],
+        title="Sec. 5.2: Trail log-disk per-track utilization "
+              "(one-batched-write-per-track metric, as the paper "
+              "assumes) vs TPC-C concurrency")
 
 
 def test_utilization_does_not_shrink_with_concurrency(results):
@@ -128,21 +116,16 @@ def threshold_sweep():
     return out
 
 
-def test_threshold_ablation_report(threshold_sweep, once):
-    def build_report():
-        rows = [
-            [f"{threshold:.0%}", latency, f"{utilization:.1%}"]
-            for threshold, (latency, utilization)
-            in sorted(threshold_sweep.items())
-        ]
-        return render_table(
-            ["switch threshold", "mean write latency (ms)",
-             "retired-track utilization"],
-            rows,
-            title="Ablation: track-switch threshold trade-off "
-                  "(clustered 2 KB writes)")
-
-    print_report(once(build_report))
+def test_threshold_ablation_report(threshold_sweep, paper_numbers):
+    paper_numbers.check(
+        "threshold_ablation",
+        ["switch threshold", "mean write latency (ms)",
+         "retired-track utilization (%)"],
+        [[f"{threshold:.0%}", latency, 100 * utilization]
+         for threshold, (latency, utilization)
+         in sorted(threshold_sweep.items())],
+        title="Ablation: track-switch threshold trade-off "
+              "(clustered 2 KB writes)")
 
 
 def test_higher_threshold_higher_utilization(threshold_sweep):

@@ -1,10 +1,11 @@
 """Wall-clock performance scenarios.
 
-Simulated time is free; wall-clock time is what caps how far the
-``--full-scale`` sweeps and the ROADMAP's beyond-paper scaling can go.
-This module defines the canonical engine scenarios that ``repro
-profile``, the call-count budgets (:mod:`repro.analysis.hotalloc`) and
-the tier-1 smoke test and CI ops/s floors (``tests/perf``) all run.
+Simulated time is free; wall-clock time is what caps how long
+``make bench`` takes at the paper's run lengths and how far the
+ROADMAP's beyond-paper scaling can go.  This module defines the
+canonical engine scenarios that ``repro profile`` and the call-count
+and peak-byte budgets (:mod:`repro.analysis.hotalloc`, checked by
+``tests/perf``) run.
 
 Scenarios (each takes a ``scale`` multiplier; ``ops`` is scenario-
 specific but fixed per scenario so ops/sec comparisons are meaningful):

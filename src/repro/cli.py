@@ -348,7 +348,7 @@ def cmd_raid_rebuild(args: argparse.Namespace) -> int:
 def cmd_mc(args: argparse.Namespace) -> int:
     """Bounded schedule exploration over the model-checked scenarios."""
     # Imported lazily: pulls in the whole stack plus the explorer.
-    from repro.mc import MUTATIONS, SCENARIOS, explore_scenario
+    from repro.mc import SCENARIOS, explore_scenario
 
     if args.list:
         for scenario in SCENARIOS.values():
@@ -362,32 +362,14 @@ def cmd_mc(args: argparse.Namespace) -> int:
         raise SystemExit(f"unknown scenario(s): {', '.join(unknown)} "
                          f"(try: repro mc --list)")
 
-    mutation = None
-    if args.mutate:
-        mutation = MUTATIONS.get(args.mutate)
-        if mutation is None:
-            raise SystemExit(
-                f"unknown mutation {args.mutate!r} "
-                f"(known: {', '.join(sorted(MUTATIONS))})")
-
     rows = []
     all_ok = True
-    caught = True
     total_schedules = 0
     for name in names:
-        scenario = SCENARIOS[name]
-        if mutation is not None:
-            with mutation():
-                report = explore_scenario(
-                    scenario, budget=args.budget,
-                    preemption_bound=args.bound)
-        else:
-            report = explore_scenario(
-                scenario, budget=args.budget,
-                preemption_bound=args.bound)
+        report = explore_scenario(SCENARIOS[name], budget=args.budget,
+                                  preemption_bound=args.bound)
         stats = report.stats
         all_ok = all_ok and report.ok
-        caught = caught and not report.ok
         total_schedules += stats.schedules
         rows.append([
             name, str(stats.schedules), str(stats.choice_points),
@@ -403,13 +385,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
          "result"],
         rows, title="bounded schedule exploration"))
     print(f"total: {total_schedules} schedules explored")
-    if mutation is not None:
-        if caught:
-            print(f"mutation {args.mutate!r} caught by every scenario")
-            return 0
-        print(f"mutation {args.mutate!r} was NOT caught — the "
-              f"checker has lost its teeth")
-        return 1
     return 0 if all_ok else 1
 
 
@@ -497,9 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--bound", type=int, default=3,
                     help="preemption bound (non-default picks per "
                          "schedule)")
-    mc.add_argument("--mutate", default="",
-                    help="run under a seeded mutation and require the "
-                         "explorer to catch it")
     mc.add_argument("--list", action="store_true",
                     help="list scenarios and exit")
     mc.set_defaults(func=cmd_mc)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from collections import deque
+from math import fsum
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.disk.geometry import DiskGeometry
@@ -133,7 +134,7 @@ class TrackAllocator:
         """Average final utilization of retired tracks (§5.2 metric)."""
         if not self.retired_utilizations:
             return 0.0
-        return sum(self.retired_utilizations) / len(self.retired_utilizations)
+        return fsum(self.retired_utilizations) / len(self.retired_utilizations)
 
     # ------------------------------------------------------------------
     # Placement on the current track

@@ -4,22 +4,15 @@
 replay; this package is the harness that points it at the real
 stack: three deterministic end-to-end scenarios (crash + recovery,
 write-back under media faults, two interleaved instances),
-the digests each must hold invariant across every legal cooperative
-schedule, and seeded mutation fixtures that reintroduce historical
-concurrency bugs so the checker's teeth stay verifiable.
+and the digests each must hold invariant across every legal
+cooperative schedule.  The checker's teeth are shown by the bug corpus
+(``make corpus``), whose tail-chain tear every scenario catches.
 
 Run via ``repro mc`` (or ``make mc``)::
 
     PYTHONPATH=src python -m repro mc --budget 200
 """
 
-from repro.mc.mutation import MUTATIONS, tail_chain_tear
 from repro.mc.scenarios import SCENARIOS, Scenario, explore_scenario
 
-__all__ = [
-    "MUTATIONS",
-    "SCENARIOS",
-    "Scenario",
-    "explore_scenario",
-    "tail_chain_tear",
-]
+__all__ = ["SCENARIOS", "Scenario", "explore_scenario"]

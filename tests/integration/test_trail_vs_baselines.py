@@ -1,5 +1,5 @@
 """Cross-driver integration tests: the paper's comparative claims at
-test scale (the benchmarks reproduce them at full scale)."""
+test scale (the benchmarks reproduce them at the paper's run lengths)."""
 
 import pytest
 

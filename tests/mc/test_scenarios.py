@@ -1,19 +1,22 @@
-"""The model-checked Trail scenarios and the seeded mutations.
+"""The model-checked Trail scenarios, and bugs they must catch.
 
-Small-budget versions of what ``make mc`` runs at full scale: every
-scenario must hold its digests over a handful of schedules,
+Small-budget versions of what ``make mc`` runs with its full budget:
+every scenario must hold its digests over a handful of schedules,
 ``crash-recovery`` must converge over its first schedules at the full
-preemption bound, and the ``tail-chain-tear`` mutation must be
-caught (a checker that cannot re-find the PR 4 bug proves nothing)
-and must unwind cleanly when its context exits.
+preemption bound, and re-introduced historical bugs, installed with
+``monkeypatch``, must be caught (a checker that cannot re-find the
+historical tail-chain tear proves nothing).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.buffer import LiveRecord
+from repro.core.driver import TrailDriver
 from repro.core.recovery import RecoveryManager
-from repro.mc import MUTATIONS, SCENARIOS, explore_scenario, tail_chain_tear
+from repro.mc import SCENARIOS, explore_scenario
+from repro.units import LogLba
 
 
 class TestScenarioCatalog:
@@ -25,9 +28,6 @@ class TestScenarioCatalog:
             assert scenario.name == name
             assert scenario.explore
             assert scenario.digest_names
-
-    def test_mutation_registry_contains_the_tear(self):
-        assert MUTATIONS["tail-chain-tear"] is tail_chain_tear
 
 
 class TestScenarios:
@@ -52,23 +52,28 @@ class TestScenarios:
 
 
 class TestMutations:
-    def test_tail_chain_tear_is_caught_by_the_sanitizer(self):
-        scenario = SCENARIOS["crash-recovery"]
-        with tail_chain_tear():
-            report = explore_scenario(scenario, budget=3,
-                                      preemption_bound=1)
+    def test_tail_chain_tear_is_caught_by_the_sanitizer(self, monkeypatch):
+        """Bug corpus row 01: ``_emit_record`` publishes the live
+        record before the platter write, whose yield is a context
+        switch, so the record is live in a different atomic segment
+        than the ``_last_record_lba`` chain link that includes it."""
+        original = TrailDriver._emit_record
+
+        def torn(self, header_lba, track, spans, total, pending):
+            record = LiveRecord(sequence_id=self._next_sequence,
+                                track=track, header_lba=LogLba(header_lba),
+                                nsectors=total)
+            self._live_records[record.sequence_id] = record
+            return (yield from original(self, header_lba, track, spans,
+                                        total, pending))
+
+        monkeypatch.setattr(TrailDriver, "_emit_record", torn)
+        report = explore_scenario(SCENARIOS["crash-recovery"], budget=3,
+                                  preemption_bound=1)
         assert not report.ok
         assert report.failures
         assert "SanitizerError" in report.failures[0].failure
         assert "tail-chain" in report.failures[0].failure
-
-    def test_mutation_unwinds_cleanly(self):
-        scenario = SCENARIOS["crash-recovery"]
-        with tail_chain_tear():
-            pass
-        report = explore_scenario(scenario, budget=2,
-                                  preemption_bound=1)
-        assert report.ok
 
     def test_skipped_replay_fails_the_durability_audit(self, monkeypatch):
         """Recovery that finds the chain but replays nothing leaves

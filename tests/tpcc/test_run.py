@@ -67,8 +67,8 @@ class TestRunMechanics:
 
 
 class TestPaperShape:
-    """Directional Table 2 assertions at small scale (the full-scale
-    reproduction lives in benchmarks/)."""
+    """Directional Table 2 assertions at small scale (the run at the
+    paper's length lives in benchmarks/)."""
 
     def test_trail_beats_ext2_throughput(self, results):
         assert results["trail"].tpmc > results["ext2"].tpmc
@@ -86,10 +86,10 @@ class TestPaperShape:
                 > 3 * results["ext2"].avg_response_s)
 
     def test_trail_logging_io_not_inflated(self, results):
-        """At this tiny scale the logging-I/O comparison is noisy; the
-        full-scale direction (Trail lower, paper: -42%) is asserted in
-        benchmarks/bench_table2_tpcc.py.  Here: Trail must at least not
-        materially inflate logging I/O."""
+        """At this tiny scale the logging-I/O comparison is noisy; at
+        the paper's length the direction (Trail lower, paper: -42%) is
+        asserted in benchmarks/bench_table2_tpcc.py.  Here: Trail must
+        at least not materially inflate logging I/O."""
         assert (results["trail"].logging_io_s
                 < results["ext2"].logging_io_s * 1.2)
 
