@@ -37,7 +37,6 @@ from repro.blockdev import BlockDevice
 from repro.core import (
     HeadPositionPredictor, RecoveryManager, RecoveryReport,
     StripedTrailDriver, TrailConfig, TrailDriver)
-from repro.db import DurableKv
 from repro.disk import (
     DiskDrive, DiskGeometry, st41601n, tiny_test_disk, wd_caviar_10gb)
 from repro.fs import FileSystem
@@ -45,8 +44,7 @@ from repro.raid import Raid5Array
 from repro.sim import Simulation
 from repro.tpcc import TpccRunConfig, TpccRunResult, run_tpcc
 from repro.workloads import (
-    ArrivalMode, SyncWriteWorkload, replay_trace, run_sync_write_workload,
-    synthesize_trace)
+    ArrivalMode, SyncWriteWorkload, run_sync_write_workload)
 
 __version__ = "0.1.0"
 
@@ -55,7 +53,6 @@ __all__ = [
     "BlockDevice",
     "DiskDrive",
     "DiskGeometry",
-    "DurableKv",
     "FileSystem",
     "GroupCommitPolicy",
     "HeadPositionPredictor",
@@ -75,10 +72,8 @@ __all__ = [
     "build_lfs_system",
     "build_standard_system",
     "build_trail_system",
-    "replay_trace",
     "run_sync_write_workload",
     "run_tpcc",
-    "synthesize_trace",
     "st41601n",
     "tiny_test_disk",
     "wd_caviar_10gb",

@@ -1,19 +1,16 @@
-"""Command-line interface: run the headline experiments without code.
+"""Command-line interface: profiling, fault demos, RAID rebuild, model checking.
 
-    python -m repro latency  [--size 1024] [--requests 100] [--mode sparse]
-    python -m repro tpcc     [--transactions 400] [--concurrency 1]
-    python -m repro calibrate
-    python -m repro trace    [--duration 2000] [--rate 100] [--device trail]
     python -m repro profile  <scenario> [--scale 1.0] [--top 20]
     python -m repro faults   <scenario> [--seed 0]
     python -m repro raid-rebuild [--seed 0] [--smoke] [--intensities 4,2,1]
     python -m repro mc       [scenario ...] [--budget 250] [--bound 3]
 
-Every command builds the paper's simulated testbed, runs the
-experiment, and prints a table.  ``profile`` runs one of the canonical
-perf scenarios (see ``repro.analysis.perf``) under cProfile and prints
-the hottest functions — the workflow behind every optimization in
-docs/PERFORMANCE.md.
+Each command builds the simulated testbed, runs one scenario, and
+prints a table.  ``profile`` runs one of the canonical perf scenarios
+(see ``repro.analysis.perf``) under cProfile and prints the hottest
+functions — the workflow behind every optimization in
+docs/PERFORMANCE.md.  The paper's tables come from ``benchmarks/``:
+``pytest benchmarks/bench_<name>.py -s`` prints one.
 """
 
 from __future__ import annotations
@@ -22,115 +19,7 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.analysis import (
-    build_lfs_system, build_standard_system, build_trail_system,
-    render_table)
-from repro.core.prediction import HeadPositionPredictor
-from repro.disk.presets import st41601n
-from repro.sim import Simulation
-from repro.tpcc import TpccRunConfig, run_tpcc
-from repro.workloads import (
-    ArrivalMode, SyncWriteWorkload, replay_trace, run_sync_write_workload,
-    synthesize_trace)
-
-
-def _build_device(kind: str):
-    if kind == "trail":
-        return build_trail_system()
-    if kind == "standard":
-        return build_standard_system()
-    if kind == "lfs":
-        return build_lfs_system()
-    raise SystemExit(f"unknown device kind {kind!r}")
-
-
-def cmd_latency(args: argparse.Namespace) -> int:
-    """Trail vs standard vs LFS synchronous write latency."""
-    workload = SyncWriteWorkload(
-        requests_per_process=args.requests,
-        write_bytes=args.size,
-        mode=ArrivalMode(args.mode),
-        processes=args.processes,
-        seed=args.seed)
-    rows = []
-    baseline: Optional[float] = None
-    for kind in ("trail", "lfs", "standard"):
-        system = _build_device(kind)
-        result = run_sync_write_workload(system.sim, system.driver,
-                                         workload)
-        if kind == "standard":
-            baseline = result.mean_latency_ms
-        rows.append([kind, result.mean_latency_ms,
-                     result.throughput_per_s])
-    for row in rows:
-        row.append(f"{baseline / row[1]:.1f}x")
-    print(render_table(
-        ["driver", "mean latency (ms)", "writes/s", "vs standard"],
-        rows,
-        title=(f"synchronous {args.size} B writes, {args.mode} mode, "
-               f"{args.processes} process(es)")))
-    return 0
-
-
-def cmd_tpcc(args: argparse.Namespace) -> int:
-    """Table 2-style three-system TPC-C comparison."""
-    rows = []
-    for system in ("trail", "ext2", "ext2+gc"):
-        result = run_tpcc(TpccRunConfig(
-            system=system, transactions=args.transactions,
-            concurrency=args.concurrency, warehouses=args.warehouses,
-            log_buffer_kb=args.log_buffer_kb, seed=args.seed))
-        rows.append([system, result.tpmc, result.avg_response_s,
-                     result.logging_io_s, result.group_commits])
-    print(render_table(
-        ["system", "tpmC", "response (s)", "log I/O (s)", "log forces"],
-        rows,
-        title=(f"TPC-C: {args.transactions} transactions, "
-               f"concurrency {args.concurrency}, "
-               f"w={args.warehouses}")))
-    return 0
-
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    """Run the §3.1 δ-calibration sweep on the ST41601N model."""
-    sim = Simulation()
-    drive = st41601n().make_drive(sim, "log")
-    predictor = HeadPositionPredictor(
-        drive.geometry, rotation_ms=drive.rotation.rotation_ms)
-    result = sim.run_until(sim.process(
-        predictor.calibrate(sim, drive, track=1,
-                            max_delta=args.max_delta)))
-    rows = [[delta, latency] for delta, latency
-            in enumerate(result.latencies_by_delta)]
-    print(render_table(
-        ["delta (sectors)", "mean latency (ms)"], rows,
-        title="delta calibration sweep (ST41601N)"))
-    print(f"\nchosen delta: {result.delta_sectors} sectors "
-          "(paper: < 15)")
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Synthesize a trace and replay it on the chosen device."""
-    system = _build_device(args.device)
-    span = system.driver.data_disks[0].geometry.total_sectors // 2
-    trace = synthesize_trace(
-        duration_ms=args.duration, requests_per_second=args.rate,
-        target_span_sectors=span, write_fraction=args.write_fraction,
-        seed=args.seed)
-    result = replay_trace(system.sim, system.driver, trace)
-    rows = []
-    if result.writes.count:
-        rows.append(["write", result.writes.count, result.writes.mean,
-                     result.writes.percentile(99)])
-    if result.reads.count:
-        rows.append(["read", result.reads.count, result.reads.mean,
-                     result.reads.percentile(99)])
-    print(render_table(
-        ["op", "count", "mean (ms)", "p99 (ms)"], rows,
-        title=(f"trace replay on {args.device}: {len(trace)} requests "
-               f"over {args.duration:.0f} ms")))
-    return 0
+from repro.analysis import render_table
 
 
 def _hotspot_rows(stats, sort: str, top: int) -> List[List]:
@@ -393,37 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Track-Based Disk Logging (DSN 2002) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    latency = sub.add_parser("latency", help=cmd_latency.__doc__)
-    latency.add_argument("--size", type=int, default=1024)
-    latency.add_argument("--requests", type=int, default=100)
-    latency.add_argument("--mode", choices=["sparse", "clustered"],
-                         default="sparse")
-    latency.add_argument("--processes", type=int, default=1)
-    latency.add_argument("--seed", type=int, default=0)
-    latency.set_defaults(func=cmd_latency)
-
-    tpcc = sub.add_parser("tpcc", help=cmd_tpcc.__doc__)
-    tpcc.add_argument("--transactions", type=int, default=400)
-    tpcc.add_argument("--concurrency", type=int, default=1)
-    tpcc.add_argument("--warehouses", type=int, default=1)
-    tpcc.add_argument("--log-buffer-kb", type=int, default=50)
-    tpcc.add_argument("--seed", type=int, default=0)
-    tpcc.set_defaults(func=cmd_tpcc)
-
-    calibrate = sub.add_parser("calibrate", help=cmd_calibrate.__doc__)
-    calibrate.add_argument("--max-delta", type=int, default=20)
-    calibrate.set_defaults(func=cmd_calibrate)
-
-    trace = sub.add_parser("trace", help=cmd_trace.__doc__)
-    trace.add_argument("--device",
-                       choices=["trail", "standard", "lfs"],
-                       default="trail")
-    trace.add_argument("--duration", type=float, default=2000.0)
-    trace.add_argument("--rate", type=float, default=100.0)
-    trace.add_argument("--write-fraction", type=float, default=0.7)
-    trace.add_argument("--seed", type=int, default=0)
-    trace.set_defaults(func=cmd_trace)
 
     profile = sub.add_parser("profile", help=cmd_profile.__doc__)
     profile.add_argument("scenario",

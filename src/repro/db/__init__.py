@@ -7,16 +7,13 @@ TPC-C workload runs over Trail and over the standard-disk baselines.
 
 from repro.db.engine import (
     EngineStats, Table, TableSpec, Transaction, TransactionEngine)
-from repro.db.kvstore import DurableKv, KvStats
 from repro.db.locks import LockManager, LockMode, LockStats
 from repro.db.pages import BufferPool, PoolStats
 from repro.db.wal import WalStats, WriteAheadLog
 
 __all__ = [
     "BufferPool",
-    "DurableKv",
     "EngineStats",
-    "KvStats",
     "LockManager",
     "LockMode",
     "LockStats",

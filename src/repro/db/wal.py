@@ -95,11 +95,6 @@ class WriteAheadLog:
         """Highest byte offset known to be on disk."""
         return self._durable_lsn
 
-    @property
-    def appended_lsn(self) -> int:
-        """Total bytes ever appended (the next record's start LSN)."""
-        return self._next_lsn
-
     def try_append(self, payload: bytes) -> Optional[int]:
         """Synchronous fast path: buffer ``payload``, return its end LSN.
 

@@ -2,19 +2,10 @@
 
 from repro.workloads.synthetic import (
     ArrivalMode, SyncWriteWorkload, WorkloadResult, run_sync_write_workload)
-from repro.workloads.trace import (
-    TraceRecord, TraceResult, dump_trace, load_trace, replay_trace,
-    synthesize_trace)
 
 __all__ = [
     "ArrivalMode",
     "SyncWriteWorkload",
-    "TraceRecord",
-    "TraceResult",
     "WorkloadResult",
-    "dump_trace",
-    "load_trace",
-    "replay_trace",
     "run_sync_write_workload",
-    "synthesize_trace",
 ]

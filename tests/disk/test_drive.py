@@ -168,6 +168,7 @@ class TestQueueing:
 
     def test_stats_accumulate(self, sim):
         drive = make_tiny_drive(sim)
+        assert drive.stats.mean_rotation_ms == 0.0
         run_io(sim, drive, Op.WRITE, 0, 2, data=bytes(1024))
         run_io(sim, drive, Op.READ, 0, 2)
         assert drive.stats.writes == 1
@@ -176,6 +177,7 @@ class TestQueueing:
         assert drive.stats.sectors_read == 2
         assert drive.stats.commands == 2
         assert drive.stats.busy_ms > 0
+        assert drive.stats.mean_rotation_ms == drive.stats.rotation_ms / 2
 
 
 class TestPowerFailure:

@@ -36,6 +36,30 @@ def test_process_receives_event_value(sim):
     assert process.value == "hello"
 
 
+def test_active_process_is_set_only_while_a_body_runs(sim):
+    seen = []
+
+    def worker():
+        seen.append(sim.active_process)
+        yield sim.timeout(1)
+        seen.append(sim.active_process)
+        try:
+            yield sim.timeout(10)
+        except Interrupt:
+            seen.append(sim.active_process)
+
+    def interrupter():
+        yield sim.timeout(2)
+        process.interrupt()
+
+    process = sim.process(worker())
+    sim.process(interrupter())
+    assert sim.active_process is None
+    sim.run()
+    assert seen == [process, process, process]
+    assert sim.active_process is None
+
+
 def test_process_waits_on_another_process(sim):
     def child():
         yield sim.timeout(3)

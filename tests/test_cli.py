@@ -15,49 +15,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_latency_defaults(self):
-        args = build_parser().parse_args(["latency"])
-        assert args.size == 1024
-        assert args.mode == "sparse"
-
-    def test_tpcc_options(self):
-        args = build_parser().parse_args(
-            ["tpcc", "--transactions", "50", "--concurrency", "2"])
-        assert args.transactions == 50
-        assert args.concurrency == 2
-
-
-class TestCommands:
-    def test_latency_runs(self, capsys):
-        assert main(["latency", "--requests", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "trail" in out and "standard" in out and "lfs" in out
-
-    def test_latency_clustered_multiprocess(self, capsys):
-        assert main(["latency", "--requests", "5", "--mode",
-                     "clustered", "--processes", "2"]) == 0
-        assert "clustered" in capsys.readouterr().out
-
-    def test_calibrate_runs(self, capsys):
-        assert main(["calibrate", "--max-delta", "15"]) == 0
-        out = capsys.readouterr().out
-        assert "chosen delta" in out
-
-    def test_tpcc_runs(self, capsys):
-        assert main(["tpcc", "--transactions", "30"]) == 0
-        out = capsys.readouterr().out
-        assert "tpmC" in out
-        assert "ext2+gc" in out
-
-    def test_trace_runs(self, capsys):
-        assert main(["trace", "--duration", "300", "--rate", "60",
-                     "--device", "standard"]) == 0
-        out = capsys.readouterr().out
-        assert "trace replay" in out
-
-    def test_unknown_device_rejected(self):
+    def test_help_lists_the_subcommands(self, capsys):
         with pytest.raises(SystemExit):
-            main(["trace", "--device", "floppy"])
+            main(["--help"])
+        assert "{profile,faults,raid-rebuild,mc}" in capsys.readouterr().out
 
 
 class TestProfileCommand:
@@ -122,3 +83,16 @@ class TestRaidRebuildCommand:
         assert "rebuild" in out
         assert "degraded" in out
         assert "fingerprint" in out
+
+
+class TestMcCommand:
+    def test_list_and_small_exploration(self, capsys):
+        assert main(["mc", "--list"]) == 0
+        assert "crash-recovery" in capsys.readouterr().out
+        assert main(["mc", "crash-recovery", "--budget", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "total: 3 schedules explored" in out
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(SystemExit, match="unknown scenario"):
+            main(["mc", "no-such-scenario"])
