@@ -38,8 +38,7 @@ from repro.units import microseconds
 class DcdStats:
     """Measurements for the DCD driver."""
 
-    sync_writes: LatencyRecorder = field(
-        default_factory=lambda: LatencyRecorder(keep_samples=True))
+    sync_writes: LatencyRecorder = field(default_factory=LatencyRecorder)
     reads: int = 0
     logical_writes: int = 0
     nvram_hits: int = 0

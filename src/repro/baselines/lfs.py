@@ -32,8 +32,7 @@ from repro.sim import Event, LatencyRecorder, Resource, Simulation
 class LfsStats:
     """Measurements for the LFS-style driver."""
 
-    sync_writes: LatencyRecorder = field(
-        default_factory=lambda: LatencyRecorder(keep_samples=True))
+    sync_writes: LatencyRecorder = field(default_factory=LatencyRecorder)
     reads: int = 0
     logical_writes: int = 0
     segments_cleaned: int = 0

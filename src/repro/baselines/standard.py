@@ -22,8 +22,7 @@ from repro.sim import Event, LatencyRecorder, Simulation
 class StandardStats:
     """Measurements for the baseline driver."""
 
-    sync_writes: LatencyRecorder = field(
-        default_factory=lambda: LatencyRecorder(keep_samples=True))
+    sync_writes: LatencyRecorder = field(default_factory=LatencyRecorder)
     reads: int = 0
     logical_writes: int = 0
 

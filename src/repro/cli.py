@@ -11,15 +11,35 @@ prints a table.  ``profile`` runs one of the canonical perf scenarios
 functions — the workflow behind every optimization in
 docs/PERFORMANCE.md.  The paper's tables come from ``benchmarks/``:
 ``pytest benchmarks/bench_<name>.py -s`` prints one.
+
+Exit status: 0 ok, 1 a failed audit, 2 a usage error, and 3 and up a
+library error, one code per error class (:data:`EXIT_CODES`).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Type
 
 from repro.analysis import render_table
+from repro.errors import (
+    LogDiskFullError, LogFormatError, NotATrailDiskError,
+    RecordChecksumError, RecoveryError, ReproError, TrailError)
+
+#: Exit status of a command that a library error ended, keyed by the
+#: most specific class in the error's MRO.  1 is a failed audit and 2
+#: an argparse usage error, so these start at 3.
+EXIT_CODES: Mapping[Type[ReproError], int] = MappingProxyType({
+    ReproError: 3,
+    TrailError: 4,
+    LogFormatError: 5,
+    RecordChecksumError: 6,
+    LogDiskFullError: 7,
+    RecoveryError: 8,
+    NotATrailDiskError: 9,
+})
 
 
 def _hotspot_rows(stats, sort: str, top: int) -> List[List]:
@@ -337,10 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: a library error ends the command with one line
+    on stderr and its :data:`EXIT_CODES` status."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"repro: {type(error).__name__}: {error}", file=sys.stderr)
+        return next(EXIT_CODES[cls] for cls in type(error).__mro__
+                    if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

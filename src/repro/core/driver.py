@@ -49,8 +49,7 @@ class TrailStats:
     """Aggregate measurements exposed by a driver instance."""
 
     #: End-to-end latency of every acknowledged synchronous write.
-    sync_writes: LatencyRecorder = field(
-        default_factory=lambda: LatencyRecorder(keep_samples=True))
+    sync_writes: LatencyRecorder = field(default_factory=LatencyRecorder)
     #: Payload sectors per physical log write (the realized batch size).
     batch_sizes: LatencyRecorder = field(default_factory=LatencyRecorder)
     physical_log_writes: int = 0
@@ -450,9 +449,13 @@ class TrailDriver(BlockDevice):
     def crash(self) -> None:
         """Inject a power failure: processes die, host memory is lost.
 
-        The sector stores keep whatever physically reached the platters;
-        a subsequent :meth:`mount` (on a fresh driver over the same
-        drives) will find ``crash_var == 0`` and run recovery.
+        Every pinned page, queued or parked write-back and live record
+        goes with it; the driver keeps only its counters (``stats``,
+        the buffer and write-back counters, the allocator's retired
+        utilizations) and ``last_recovery``.  The sector stores keep
+        whatever physically reached the platters; a subsequent
+        :meth:`mount` (on a fresh driver over the same drives) will find
+        ``crash_var == 0`` and run recovery.
         """
         self._stop_background()
         self._mounted = False
@@ -460,6 +463,9 @@ class TrailDriver(BlockDevice):
         for request in list(self._unacked.values()):
             self._fail_request(request, DiskHaltedError("power failure"))
         self.buffers.drop_all()
+        self.writeback.drop_all()
+        self._live_records.clear()
+        self._last_record_lba = NULL_LBA
         self._wake(self._flush_waiters)
         self._wake(self._writeback_waiters)
         self.log_drive.halt()

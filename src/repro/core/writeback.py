@@ -111,6 +111,12 @@ class WritebackScheduler:
             self._process.interrupt("stop")
         self._process = None
 
+    def drop_all(self) -> None:
+        """Forget every queued and parked page (host memory lost in a
+        power failure); the counters stay, as the buffer manager's do."""
+        self.queue.drain()
+        self.failed_pages.clear()
+
     def enqueue(self, page: PendingPage) -> None:
         """Queue ``page`` for write-back unless one is already queued."""
         if page.queued or page.in_flight:

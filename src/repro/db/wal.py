@@ -34,8 +34,7 @@ class WalStats:
     bytes_appended: int = 0
     bytes_flushed: int = 0
     #: Latency of each flush I/O; .total is Table 2's logging I/O time.
-    flush_io: LatencyRecorder = field(
-        default_factory=lambda: LatencyRecorder(keep_samples=True))
+    flush_io: LatencyRecorder = field(default_factory=LatencyRecorder)
     #: Time transactions spent stalled on the log latch.
     latch_wait_ms: float = 0.0
 

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.analysis.perf import run_scenario
-from repro.cli import build_parser, main
+from repro import errors
+from repro.cli import EXIT_CODES, build_parser, main
+from repro.faults import scenarios
 from repro.faults.oracle import Audit, DurabilityOracle
 from repro.faults.scenarios import SCENARIOS
 
@@ -19,6 +21,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "{profile,faults,raid-rebuild,mc}" in capsys.readouterr().out
+
+
+class TestLibraryErrors:
+    def test_every_trail_error_has_its_own_code_from_3(self):
+        trail_errors = [cls for cls in vars(errors).values()
+                        if isinstance(cls, type)
+                        and issubclass(cls, errors.TrailError)]
+        codes = [EXIT_CODES[cls] for cls in trail_errors]
+        assert len(set(codes)) == len(codes)
+        assert min(EXIT_CODES.values()) == 3
+
+    @pytest.mark.parametrize("error", [
+        errors.RecordChecksumError("header CRC mismatch at lba 12"),
+        errors.NotATrailDiskError("no signature"),
+    ])
+    def test_one_line_and_the_most_specific_code(self, error, monkeypatch,
+                                                 capsys):
+        def run(name, seed):
+            raise error
+
+        monkeypatch.setattr(scenarios, "run_fault_scenario", run)
+        assert main(["faults", "latency-spikes"]) \
+            == EXIT_CODES[type(error)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: {type(error).__name__}: {error}\n"
 
 
 class TestProfileCommand:
