@@ -5,7 +5,8 @@ PYTHONPATH := src
 
 # Tier-1: the full unit/property/integration suite, in its one
 # configuration: tests/conftest.py sets TRAILSAN=1 for the session, so
-# every simulation is value-checked at every context switch; the
+# every simulation's atomic groups are value-checked at every context
+# switch (the only atomic-group gate; there is no static pass); the
 # interleaved multi-instance matrix, the per-scenario Python-call
 # and peak-byte budgets (benchmarks/perf/BENCH_alloc.json, measured
 # with the sanitizer off) and the `make analyzers` sweep run in it too.
@@ -46,10 +47,11 @@ perf-ab:
 		--seed $(SEED) --metric $(METRIC) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
-# The four repo-native lint passes (docs/STATIC_ANALYSIS.md) over ONE
-# shared parse, each over its own scope, with per-tool findings,
-# suppressions and wall-clock.  `python -m tools.analysis <file>`
-# analyzes a named file (a fixture, say) with every rule of every tool.
+# The three repo-native lint passes (docs/STATIC_ANALYSIS.md) over ONE
+# shared parse, each over its own scope, with per-tool findings and
+# suppressions (`time make analyzers` measures the sweep).
+# `python -m tools.analysis <file>` analyzes a named file (a fixture,
+# say) with every rule of every tool.
 analyzers:
 	$(PYTHON) -m tools.analysis
 

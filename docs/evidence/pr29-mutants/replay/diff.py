@@ -4,7 +4,8 @@
 
 ``replay.py compare`` only says *that* a tree differs; this lists the
 ``(path, line, code)`` findings each side has alone and both sides'
-suppressed counts, so a difference can be traced to one rule code.
+suppressed counts, so a difference can be traced to one rule code.  A
+pass only BEFORE has (deleted since) is listed with its totals.
 """
 
 import json
@@ -17,7 +18,12 @@ def main(before: str, after: str) -> int:
     codes = set()
     for old, new in zip(old_trees, new_trees):
         for tool, row in old["tools"].items():
-            other = new["tools"][tool]
+            other = new["tools"].get(tool)
+            if other is None:  # a pass deleted between the two runs
+                print(f"{old['tree'][:40]:<40} {tool}: before only "
+                      f"(deleted), {len(row['findings'])} findings, "
+                      f"suppressed {row['suppressed']}")
+                continue
             mine = {tuple(f) for f in row["findings"]}
             theirs = {tuple(f) for f in other["findings"]}
             if mine == theirs and row["suppressed"] == other["suppressed"]:

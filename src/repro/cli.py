@@ -28,9 +28,16 @@ from repro.errors import (
     LogDiskFullError, LogFormatError, NotATrailDiskError,
     RecordChecksumError, RecoveryError, ReproError, TrailError)
 
+
+class UsageError(Exception):
+    """A command-line value argparse cannot check (an unknown scenario,
+    a malformed list): the message goes to stderr and the exit status
+    is 2, as for argparse's own usage errors."""
+
+
 #: Exit status of a command that a library error ended, keyed by the
 #: most specific class in the error's MRO.  1 is a failed audit and 2
-#: an argparse usage error, so these start at 3.
+#: a usage error, so these start at 3.
 EXIT_CODES: Mapping[Type[ReproError], int] = MappingProxyType({
     ReproError: 3,
     TrailError: 4,
@@ -93,7 +100,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     if args.scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
-        raise SystemExit(
+        raise UsageError(
             f"unknown scenario {args.scenario!r} (known: {known})")
     profiler = cProfile.Profile()
     profiler.enable()
@@ -146,7 +153,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
     if args.scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
-        raise SystemExit(
+        raise UsageError(
             f"unknown fault scenario {args.scenario!r} (known: {known})")
     result = run_fault_scenario(args.scenario, seed=args.seed)
     print(f"{result.name}: {result.description}")
@@ -204,8 +211,8 @@ def cmd_raid_rebuild(args: argparse.Namespace) -> int:
             intensities = [float(value) for value
                            in args.intensities.split(",")]
         except ValueError:
-            raise SystemExit(
-                f"bad --intensities value {args.intensities!r}")
+            raise UsageError(
+                f"bad --intensities value {args.intensities!r}") from None
     else:
         intensities = [base.interarrival_ms]
     all_ok = True
@@ -268,7 +275,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     names = args.scenarios or list(SCENARIOS)
     unknown = [name for name in names if name not in SCENARIOS]
     if unknown:
-        raise SystemExit(f"unknown scenario(s): {', '.join(unknown)} "
+        raise UsageError(f"unknown scenario(s): {', '.join(unknown)} "
                          f"(try: repro mc --list)")
 
     rows = []
@@ -357,12 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point: a library error ends the command with one line
-    on stderr and its :data:`EXIT_CODES` status."""
+    """CLI entry point: a usage or library error ends the command with
+    one line on stderr and status 2 or its :data:`EXIT_CODES` status."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
     except ReproError as error:
         print(f"repro: {type(error).__name__}: {error}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(error).__mro__

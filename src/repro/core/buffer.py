@@ -82,7 +82,10 @@ class BufferManager:
         self,
         on_record_released: Optional[Callable[[LiveRecord], None]] = None,
     ) -> None:
-        self._pages: Dict[PageKey, PendingPage] = {}  # trailsan: atomic_group(pinned-accounting)
+        # _pages and pinned_bytes form the sanitizer's
+        # pinned-accounting group (TrailDriver.__init__ registers
+        # accounting_error): the counter is the pinned pages' bytes.
+        self._pages: Dict[PageKey, PendingPage] = {}
         #: Per-disk view of ``_pages`` (same insertion order), so the
         #: read-overlay scan in :meth:`find_covering` walks one disk's
         #: pinned pages instead of every disk's.
@@ -92,7 +95,7 @@ class BufferManager:
         #: few dict probes instead of scanning every pinned page.
         self._cover: Dict[int, Dict[int, int]] = {}
         self._on_record_released = on_record_released
-        self.pinned_bytes = 0  # trailsan: atomic_group(pinned-accounting)
+        self.pinned_bytes = 0  # pinned-accounting, with _pages
         #: Write-backs skipped because a newer version superseded them.
         self.writes_cancelled = 0
         #: Queue entries saved by dedup.

@@ -156,11 +156,12 @@ class TrailDriver(BlockDevice):
         # prev_sect link the next record will carry must move together;
         # recovery reads them as one invariant.  _next_sequence stays
         # *outside* the group — it increments before the platter write
-        # so a torn write can never reuse a sequence id.
-        self._live_records: "OrderedDict[int, LiveRecord]" = \
-            OrderedDict()  # trailsan: atomic_group(tail-chain)
+        # so a torn write can never reuse a sequence id.  The pair is
+        # the sanitizer's tail-chain group, registered at the end of
+        # TrailDriver.__init__ (_san_tail_probe/_san_tail_judge).
+        self._live_records: "OrderedDict[int, LiveRecord]" = OrderedDict()
         self._next_sequence = 0
-        self._last_record_lba = NULL_LBA  # trailsan: atomic_group(tail-chain)
+        self._last_record_lba = NULL_LBA  # tail-chain
         self._physical_track: Optional[int] = None
         self._track_freed: Optional[Event] = None
         self._last_activity = 0.0

@@ -45,9 +45,11 @@ class StripedTrailDriver(BlockDevice):
         if not log_drives:
             raise TrailError("need at least one log disk")
         self.sim = sim
-        self.data_disks: Dict[int, DataTarget] = dict(data_disks)  # trailsan: atomic_group(stripe-set)
+        # data_disks and stripes are assigned here and never again, so
+        # no sanitizer group watches them.
+        self.data_disks: Dict[int, DataTarget] = dict(data_disks)
         self.config = config or TrailConfig()
-        self.stripes: List[TrailDriver] = [  # trailsan: atomic_group(stripe-set)
+        self.stripes: List[TrailDriver] = [
             TrailDriver(sim, log_drive, data_disks, self.config)
             for log_drive in log_drives
         ]

@@ -141,8 +141,11 @@ class RecoveryManager:
         self.epoch = epoch
         self.data_disks = data_disks
         self.config = config or TrailConfig()
-        self._track_cache: Dict[int, Optional[LocatedRecord]] = {}  # trailsan: atomic_group(scan-state)
-        self._report = RecoveryReport()  # trailsan: atomic_group(scan-state)
+        # No sanitizer group: a RecoveryManager is a local of
+        # TrailDriver.mount(), run by ``yield from``, so no other
+        # process holds it and none can see this scan state torn.
+        self._track_cache: Dict[int, Optional[LocatedRecord]] = {}
+        self._report = RecoveryReport()
 
     def run(self) -> Generator[Event, Any, RecoveryReport]:
         """Full recovery; yields disk I/O, returns a RecoveryReport."""

@@ -50,8 +50,10 @@ class WritebackScheduler:
         self.data_disks = data_disks
         self.buffers = buffers
         self.queue: Store = Store(sim)
-        self.pages_written = 0  # trailsan: atomic_group(wb-counters)
-        self.sectors_written = 0  # trailsan: atomic_group(wb-counters)
+        # The sanitizer's wb-counters group, registered at the end of
+        # WritebackScheduler.__init__ (_san_counter_probe/_judge).
+        self.pages_written = 0
+        self.sectors_written = 0
         #: Write attempts that failed with a media error and were retried.
         self.write_retries = 0
         #: Pages whose targets were relocated to spare sectors.

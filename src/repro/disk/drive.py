@@ -94,18 +94,18 @@ class DiskDrive:
         self._dead = False
         # The service machine: everything below describes the ONE
         # command in service and changes only inside submit(), the
-        # wakeup callback and halt()/fail() — never across a yield.
+        # wakeup callback and halt()/fail().  This file has no
+        # generator, so every transition runs inside one callback and
+        # no other process can see these fields half-updated; no
+        # sanitizer group watches them.
         #: The command in service; None while the drive is idle.
-        self._active: Optional[_Command] = \
-            None  # trailsan: atomic_group(drive-service)
+        self._active: Optional[_Command] = None
         #: The timeout the machine sleeps on.  A timeout that fires
         #: while not being this one was left in the heap by an aborted
         #: command and is ignored.
-        self._wakeup: Optional[Event] = \
-            None  # trailsan: atomic_group(drive-service)
+        self._wakeup: Optional[Event] = None
         #: What to do with the active command when ``_wakeup`` fires.
-        self._then: Callable[[_Command], None] = \
-            self._segment_landed  # trailsan: atomic_group(drive-service)
+        self._then: Callable[[_Command], None] = self._segment_landed
         #: Pre-bound wakeup callback (binding per sleep allocates).
         self._wake: Callable[[Event], None] = self._on_wakeup
         #: The segment being serviced: the contiguous same-track span

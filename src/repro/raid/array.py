@@ -161,14 +161,12 @@ class Raid5Array:
         # overlaps the copier on the same stripe: a half-done RMW seen
         # by the copier would land stale parity on the spare.  In the
         # cooperative kernel a check-and-set with no yield between test
-        # and update is atomic; the TRAILSAN=1 invariant below polices
-        # the mutual exclusion at every context switch.  Both sides of
-        # the gate carry the same atomic_group so trailsan forbids a
-        # yield between test and set.
-        self._stripe_writers: Dict[int, int] = \
-            {}  # trailsan: atomic_group(raid-stripe-gate)
-        self._rebuild_stripe: Optional[int] = \
-            None  # trailsan: atomic_group(raid-stripe-gate)
+        # and update is atomic.  Both sides of the gate form the
+        # sanitizer's raid-stripe-gate group: the TRAILSAN=1 invariant
+        # Raid5Array.__init__ registers just below (_san_gate_error)
+        # polices the mutual exclusion at every context switch.
+        self._stripe_writers: Dict[int, int] = {}
+        self._rebuild_stripe: Optional[int] = None
         self._stripe_waiters: Dict[int, List[Event]] = {}
         sanitizer = sim.sanitizer
         if sanitizer is not None:

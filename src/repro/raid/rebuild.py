@@ -93,11 +93,12 @@ class RebuildEngine:
         # watermark below which foreground I/O trusts the spare);
         # stripes_rebuilt is the public progress counter.  They are
         # maintained by different consumers but must always agree, so
-        # they move together in one atomic segment — trailsan checks
-        # this statically, and the TRAILSAN=1 transition registered
-        # below checks every context switch at runtime.
-        self._next_stripe = 0  # trailsan: atomic_group(rebuild-progress)
-        self.stripes_rebuilt = 0  # trailsan: atomic_group(rebuild-progress)
+        # they move together in one atomic segment.  They are the
+        # sanitizer's rebuild-progress group: the TRAILSAN=1
+        # transition registered at the end of RebuildEngine.__init__
+        # checks them at every context switch.
+        self._next_stripe = 0
+        self.stripes_rebuilt = 0
         #: Survivor reads + spare writes issued (member amplification).
         self.member_reads = 0
         self.member_writes = 0
@@ -250,7 +251,7 @@ class RebuildEngine:
             finally:
                 array.rebuild_unlock_stripe(stripe)
             # Atomic checkpoint: cursor and counter move in one
-            # segment (no yield between) — see atomic_group above.
+            # segment (no yield between): see rebuild-progress above.
             self._next_stripe = stripe + 1
             self.stripes_rebuilt += 1
             burst += 1

@@ -3,9 +3,9 @@
 The kernel dispatches same-time events in scheduling (sequence) order.
 Correct components must not *depend* on that tie-break: any total
 order consistent with simulated time is a legal cooperative schedule,
-and state that survives every such order is what the trailsan
-annotations promise.  :class:`PerturbedSimulation` makes the promise
-testable: it installs a :class:`~repro.sim.control.SeededShufflePolicy`
+and state that survives every such order is what the sanitizer's
+atomic groups (:mod:`repro.sim.sanitizer`) promise.
+:class:`PerturbedSimulation` makes the promise testable: it installs a :class:`~repro.sim.control.SeededShufflePolicy`
 on the shared :class:`~repro.sim.control.ControlledReady` hook, so
 each seed explores a different (but reproducible) interleaving of
 same-time events while cross-time ordering stays exact.

@@ -1,9 +1,10 @@
-"""Runtime atomicity sanitizer (the dynamic half of trailsan).
+"""Runtime atomicity sanitizer: the one atomic-group gate.
 
-The static pass (``tools/trailsan``) proves the *code shape* keeps
-annotated invariants inside one atomic segment; this module checks the
-*values* at runtime.  When the ``TRAILSAN`` environment variable is
-set (to anything but ``0``), :class:`~repro.sim.kernel.Simulation`
+A process of the cooperative kernel owns the world between two
+``yield``s, so a shared invariant must hold at every yield.  This
+module checks it on *values*: when the ``TRAILSAN`` environment
+variable is set (to anything but ``0``),
+:class:`~repro.sim.kernel.Simulation`
 creates a :class:`TrailSanitizer` and calls :meth:`TrailSanitizer.check`
 after **every** dispatched event — i.e. at every point where control
 can switch between processes.  Components register their declared
@@ -16,7 +17,11 @@ The test suite sets ``TRAILSAN=1`` for every session
 Benchmarks, the CLI and the examples leave it unset: the per-event
 checks halve the throughput of the TPC-C perf scenario.
 
-Two registration forms cover the annotated groups:
+Five groups are registered, each by the constructor of the component
+that owns it: ``tail-chain`` and ``pinned-accounting``
+(``TrailDriver``), ``wb-counters`` (``WritebackScheduler``),
+``rebuild-progress`` (``RebuildEngine``) and ``raid-stripe-gate``
+(``Raid5Array``).  Two registration forms cover them:
 
 * :meth:`TrailSanitizer.add_invariant` — a stateless predicate over
   current values (e.g. ``pinned_bytes`` must equal the sum of pinned

@@ -98,7 +98,7 @@ def test_cli_json_output_schema():
     code, out = run_cli(str(REPO), "--json", str(fixture.relative_to(REPO)))
     assert code == 1
     row = json.loads(out)["tools"]["trailiso"]
-    assert set(row) == {"files_checked", "findings", "suppressed", "seconds"}
+    assert set(row) == {"files_checked", "findings", "suppressed"}
     assert row["files_checked"] == 1
     assert row["suppressed"] == 0
     assert [f["code"] for f in row["findings"]] == ["TIS001"] * 7

@@ -1,11 +1,11 @@
 """The TRAILSAN=1 runtime sanitizer: env gating, tear detection, and
 the session switch that keeps tier-1 checked.
 
-The static pass proves the committed code keeps its atomic groups in
-one segment; these tests prove the *runtime* net actually catches a
-violation when one is forced — by deliberately tearing driver and
-write-back state from a hostile process — and stays silent (while
-demonstrably checking) on healthy workloads.
+The sanitizer is the only gate for the atomic groups: no static pass
+checks them.  These tests prove it catches a violation of each group
+when one is forced (a hostile process tears driver, write-back and
+RAID state) and stays silent, while demonstrably checking, on healthy
+workloads.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import TrailConfig
 from repro.core.driver import LiveRecord, TrailDriver
 from repro.errors import SanitizerError
+from repro.raid import Raid5Array, RebuildEngine
 from repro.sim import Event, Simulation, TrailSanitizer, sanitizer_from_env
 
 from tests.conftest import drive_to_completion, make_tiny_drive
@@ -137,6 +138,61 @@ def test_torn_writeback_counters_are_caught(sim: Simulation) -> None:
         yield sim.timeout(1.0)
 
     with pytest.raises(SanitizerError, match="wb-counters"):
+        drive_to_completion(sim, hostile(), name="hostile")
+
+
+def make_rebuilding_array(sim: Simulation) -> RebuildEngine:
+    """A 4-member RAID-5 array whose member 1 died: the hot spare's
+    rebuild is running."""
+    drives = [make_tiny_drive(sim, f"m{i}", cylinders=10)
+              for i in range(4)]
+    array = Raid5Array(sim, drives, stripe_unit_sectors=4,
+                       spares=[make_tiny_drive(sim, "spare", cylinders=10)])
+    array.fail_drive(1)
+    engine = array.rebuild
+    assert engine is not None and engine.status == "running"
+    return engine
+
+
+def test_raid_rebuild_registers_both_groups(sim: Simulation) -> None:
+    make_rebuilding_array(sim)
+    assert sim.sanitizer is not None
+    names = sim.sanitizer.group_names
+    assert "raid-stripe-gate" in names
+    assert "rebuild-progress" in names
+
+
+def test_writer_inside_the_rebuilding_stripe_is_caught(
+        sim: Simulation) -> None:
+    """A foreground writer slot taken on the stripe the copier holds,
+    past the gate, trips raid-stripe-gate at the next context switch."""
+    array = make_rebuilding_array(sim).array
+
+    def hostile() -> Generator[Event, Any, None]:
+        while array._rebuild_stripe is None:
+            yield sim.timeout(0.1)
+        array._stripe_writers[array._rebuild_stripe] = 1
+        yield sim.timeout(1.0)
+
+    with pytest.raises(SanitizerError,
+                       match=r"raid-stripe-gate.*being rebuilt"):
+        drive_to_completion(sim, hostile(), name="hostile")
+
+
+def test_rebuild_watermark_moving_backwards_is_caught(
+        sim: Simulation) -> None:
+    """Foreground I/O trusts the spare below the watermark: moving it
+    back trips rebuild-progress at the next context switch."""
+    engine = make_rebuilding_array(sim)
+
+    def hostile() -> Generator[Event, Any, None]:
+        while engine.next_stripe < 2:
+            yield sim.timeout(0.1)
+        engine._next_stripe -= 1
+        yield sim.timeout(1.0)
+
+    with pytest.raises(SanitizerError,
+                       match=r"rebuild-progress.*moved backwards"):
         drive_to_completion(sim, hostile(), name="hostile")
 
 

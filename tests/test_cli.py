@@ -61,9 +61,12 @@ class TestProfileCommand:
                      "--top", "2", "--sort", "tottime"]) == 0
         assert "top 2 by tottime" in capsys.readouterr().out
 
-    def test_unknown_scenario_is_rejected(self):
-        with pytest.raises(SystemExit, match="unknown scenario"):
-            main(["profile", "no-such-scenario"])
+    def test_unknown_scenario_is_rejected(self, capsys):
+        assert main(["profile", "no-such-scenario"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "unknown scenario 'no-such-scenario' (known: ")
         with pytest.raises(KeyError, match="unknown perf scenario"):
             run_scenario("no-such-scenario")
 
@@ -76,6 +79,11 @@ class TestFaultsCommand:
         out = capsys.readouterr().out
         assert "writes acknowledged" in out
         assert "0 lost and 0 invented without a report" in out
+
+    def test_unknown_scenario_is_a_usage_error(self, capsys):
+        assert main(["faults", "no-such-scenario"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "unknown fault scenario 'no-such-scenario' (known: ")
 
     def test_failed_audit_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr(DurabilityOracle, "audit",
@@ -102,8 +110,10 @@ class TestRaidRebuildCommand:
         assert args.intensities == "8,4"
 
     def test_bad_intensities_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["raid-rebuild", "--smoke", "--intensities", "fast"])
+        assert main(["raid-rebuild", "--smoke", "--intensities",
+                     "fast"]) == 2
+        assert capsys.readouterr().err \
+            == "bad --intensities value 'fast'\n"
 
     def test_smoke_run(self, capsys):
         assert main(["raid-rebuild", "--smoke"]) == 0
@@ -121,6 +131,8 @@ class TestMcCommand:
         out = capsys.readouterr().out
         assert "total: 3 schedules explored" in out
 
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit, match="unknown scenario"):
-            main(["mc", "no-such-scenario"])
+    def test_unknown_scenario_rejected(self, capsys):
+        assert main(["mc", "no-such-scenario"]) == 2
+        assert capsys.readouterr().err == (
+            "unknown scenario(s): no-such-scenario "
+            "(try: repro mc --list)\n")

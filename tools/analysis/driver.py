@@ -1,9 +1,8 @@
 """The one analyzer entry point: ``python -m tools.analysis [paths] [--json]``.
 
 Resolves, parses and tokenizes every input file exactly once, then
-hands the shared AST and comments to trailint, trailsan, trailunits
-and trailiso in turn, and reports per-tool wall-clock so a newly slow
-rule is visible in CI logs instead of hiding inside one number.
+hands the shared AST and comments to trailint, trailunits and
+trailiso in turn, and reports per-tool findings and suppressions.
 
 With no paths (``make analyzers``) each tool sees its own scope
 (:attr:`ToolSpec.paths`) and a directory walk skips the fixture trees.
@@ -21,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -32,33 +30,22 @@ from tools.analysis.findings import Finding
 NAME = "analyzers"
 
 
-def _clock() -> float:
-    """Wall-clock for the timing report only; never affects findings.
-
-    This file is on TIS004's exempt perimeter (with the perf harness
-    and the sanitizer): the driver measures each tool's wall-clock.
-    """
-    return time.perf_counter()
-
-
 def _specs() -> List[ToolSpec]:
     """Every analyzer, in report order."""
-    from tools.trailint.engine import SPEC as trailint_spec
+    from tools.trailint import SPEC as trailint_spec
     from tools.trailiso import SPEC as trailiso_spec
-    from tools.trailsan import SPEC as trailsan_spec
     from tools.trailunits import SPEC as trailunits_spec
-    return [trailint_spec, trailsan_spec, trailunits_spec, trailiso_spec]
+    return [trailint_spec, trailunits_spec, trailiso_spec]
 
 
 @dataclass
 class ToolRun:
-    """Outcome and timing of one tool over the shared parse."""
+    """Outcome of one tool over the shared parse."""
 
     name: str
     findings: List[Finding]
     files_checked: int
     suppressed: int
-    seconds: float
 
 
 @dataclass
@@ -67,15 +54,10 @@ class DriverReport:
 
     runs: List[ToolRun] = field(default_factory=list)
     files_parsed: int = 0
-    parse_seconds: float = 0.0
 
     @property
     def findings(self) -> int:
         return sum(len(run.findings) for run in self.runs)
-
-    @property
-    def total_seconds(self) -> float:
-        return self.parse_seconds + sum(run.seconds for run in self.runs)
 
     def tool(self, name: str) -> ToolRun:
         """The run of the tool called ``name``."""
@@ -88,8 +70,7 @@ def _in_scope(relpath: str, tool_paths: Sequence[str]) -> bool:
 
 
 def run_tool(spec: ToolSpec, files: Sequence[ParsedFile]) -> ToolRun:
-    """One tool over its share of the parsed files, timed."""
-    start = _clock()
+    """One tool over its share of the parsed files."""
     shared = spec.prepare(files)
     findings: List[Finding] = []
     suppressed = 0
@@ -98,8 +79,7 @@ def run_tool(spec: ToolSpec, files: Sequence[ParsedFile]) -> ToolRun:
         findings.extend(kept)
         suppressed += hidden
     return ToolRun(name=spec.name, findings=sorted(findings),
-                   files_checked=len(files), suppressed=suppressed,
-                   seconds=_clock() - start)
+                   files_checked=len(files), suppressed=suppressed)
 
 
 def run_all(root: Optional[str] = None,
@@ -112,11 +92,8 @@ def run_all(root: Optional[str] = None,
         for path in (paths if paths is not None else spec.paths):
             if path not in union:
                 union.append(path)
-    report = DriverReport()
-    start = _clock()
     parsed = [parse(*found) for found in walk(base, union, FIXTURES)]
-    report.parse_seconds = _clock() - start
-    report.files_parsed = len(parsed)
+    report = DriverReport(files_parsed=len(parsed))
     for spec in specs:
         files = parsed if paths is not None else [
             one for one in parsed if _in_scope(one.relpath, spec.paths)]
@@ -128,32 +105,26 @@ def _render_human(report: DriverReport) -> None:
     for run in report.runs:
         for finding in run.findings:
             print(finding.render())
-    print(f"{NAME}: parsed {report.files_parsed} files once "
-          f"in {report.parse_seconds:.2f}s")
+    print(f"{NAME}: parsed {report.files_parsed} files once")
     for run in report.runs:
         state = (f"{len(run.findings)} finding(s)" if run.findings
                  else "clean")
         print(f"  {run.name:<11} {run.files_checked:>4} files  "
-              f"{state:<14} {run.suppressed:>2} suppressed "
-              f"{run.seconds:6.2f}s")
+              f"{state:<14} {run.suppressed:>2} suppressed")
     verdict = ("clean" if report.findings == 0
                else f"{report.findings} finding(s)")
-    print(f"{NAME}: {len(report.runs)} tools {verdict} "
-          f"in {report.total_seconds:.2f}s")
+    print(f"{NAME}: {len(report.runs)} tools {verdict}")
 
 
 def _render_json(report: DriverReport) -> None:
     payload = {
         "tool": NAME,
         "files_parsed": report.files_parsed,
-        "parse_seconds": round(report.parse_seconds, 4),
-        "total_seconds": round(report.total_seconds, 4),
         "tools": {
             run.name: {
                 "files_checked": run.files_checked,
                 "findings": [f.as_dict() for f in run.findings],
                 "suppressed": run.suppressed,
-                "seconds": round(run.seconds, 4),
             }
             for run in report.runs
         },
@@ -166,7 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog=NAME,
         description="run every repo-native analyzer over one shared "
-                    "parse, with per-tool timing")
+                    "parse")
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to analyze instead "
                              "of each tool's own scope; a named file "

@@ -44,7 +44,7 @@ FIXTURES: Tuple[str, ...] = ("tests/*/fixtures/*",)
 class FileContext:
     """Everything a rule may look at for one file.
 
-    Tools with richer per-file models (trailsan's function scans,
+    Tools with richer per-file models (trailiso's isolation model,
     trailunits' inference caches) subclass this; the engine constructs
     contexts through :meth:`ToolSpec.make_context`.
     """
@@ -84,7 +84,7 @@ class ToolSpec:
     #: Tool name: the ``# <name>:`` suppression prefix and the key of
     #: its findings in the report.
     name: str = ""
-    #: Three-letter rule-code prefix (``TRL``, ``TSN``, ``TUN``, ``TIS``).
+    #: Three-letter rule-code prefix (``TRL``, ``TUN``, ``TIS``).
     prefix: str = ""
     #: Code reported for unreadable or syntactically invalid files.
     error_code: str = ""

@@ -1,9 +1,7 @@
 """The one :class:`Finding` shape every analyzer reports.
 
-Kept byte-compatible with the pre-extraction trailint/trailsan
-dataclasses: same fields, same ordering, same ``render`` and
-``as_dict`` output, so reporter output and JSON schemas are unchanged
-by the move onto the shared runtime.
+``render`` is the human report's line and ``as_dict`` the ``--json``
+report's entry.
 """
 
 from __future__ import annotations

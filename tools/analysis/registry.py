@@ -1,16 +1,14 @@
 """Rule base class and per-tool rule registries.
 
-A rule is a class with a ``<PREFIX>nnn`` code, a human-readable
-summary, an optional path ``scope`` (fnmatch patterns; empty means
-every file) and optional ``exempt`` patterns that win over the scope.
-Concrete rules implement :meth:`Rule.check`, yielding
-:class:`~tools.analysis.findings.Finding` objects for one analyzed
-file.
+A rule is a class with a ``<PREFIX>nnn`` code, an optional path
+``scope`` (fnmatch patterns; empty means every file) and optional
+``exempt`` patterns that win over the scope.  Concrete rules implement
+:meth:`Rule.check`, yielding :class:`~tools.analysis.findings.Finding`
+objects for one analyzed file.
 
 Each analyzer owns a :class:`Registry` instance (``TRL`` for trailint,
-``TSN`` for trailsan, ``TUN`` for trailunits, ``TIS`` for trailiso);
-rules self-register at import time via the registry's
-:meth:`Registry.register` decorator.
+``TUN`` for trailunits, ``TIS`` for trailiso); rules self-register at
+import time via the registry's :meth:`Registry.register` decorator.
 """
 
 from __future__ import annotations
@@ -30,10 +28,6 @@ class Rule:
     #: Unique code: a three-letter tool prefix plus three digits.
     #: Findings carry it and suppression comments name it.
     code: ClassVar[str] = ""
-    #: Short kebab-case name, for the docs catalogue.
-    name: ClassVar[str] = ""
-    #: One-line description of what the rule enforces.
-    summary: ClassVar[str] = ""
     #: fnmatch patterns (posix-style, relative to the repo root) the
     #: rule applies to.  Empty tuple = every analyzed file.  Ignored
     #: for files passed explicitly on the command line, so known-bad

@@ -3,7 +3,7 @@
 The grammar is the one trailint introduced, parameterized by the tool
 name and code prefix::
 
-    # trailsan: disable-file=TSN003 -- single-process replay tool
+    # trailiso: disable-file=TIS004 -- a command-line timing wrapper
     budget = limit + slack       # trailunits: disable=TUN004 -- slack is pre-scaled to ms
 
 A trailing ``disable`` suppresses the named code(s) on its own line;
@@ -12,7 +12,8 @@ Every tool requires the `` -- reason``: a used suppression without one
 is itself a hygiene finding, so every suppression says why it is there.
 
 Hygiene findings (unknown code, unused suppression, missing reason)
-are emitted under the tool's dedicated hygiene code.
+are emitted under the tool's dedicated hygiene code, which with the
+error code counts as known beside the registered rules.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def check_hygiene(
     used: Set[Tuple[int, str]],
 ) -> List[Finding]:
     """Hygiene: suppressions must name real, needed, justified codes."""
-    known = set(spec.registry.codes()) | {spec.error_code}
+    known = set(spec.registry.codes()) | {spec.error_code,
+                                          spec.hygiene_code}
     findings = []
     for line, code, file_wide, has_reason in suppressions.declared:
         if code not in known:

@@ -17,8 +17,23 @@ suppressed per line with a trailing
 own.
 """
 
-from . import rules as _rules  # noqa: F401  (rule modules populate REGISTRY)
-from .engine import SPEC
-from .registry import REGISTRY, Rule
+from __future__ import annotations
 
-__all__ = ["REGISTRY", "Rule", "SPEC"]
+from tools.analysis.engine import ToolSpec
+from tools.trailint.rules import REGISTRY
+
+__all__ = ["REGISTRY", "SPEC"]
+
+
+class TrailintSpec(ToolSpec):
+    """trailint: error-taxonomy and log-format lint."""
+
+    name = "trailint"
+    prefix = "TRL"
+    error_code = "TRL000"
+    hygiene_code = "TRL009"
+    paths = ("src", "tests", "tools")
+    registry = REGISTRY
+
+
+SPEC = TrailintSpec()

@@ -1,10 +1,12 @@
-"""TRL008: decoded records are format-error-handled and CRC-verified
-(paper §3.2).
+"""The TRL rules: error-taxonomy and log-format discipline.
 
-The self-describing log format works only if every reader treats a
-CRC/format mismatch as "not a record".  This rule keeps decoded
-headers and restored payloads from being consumed unverified outside
-``core/format.py``.
+| code   | catches                                                   |
+|--------|-----------------------------------------------------------|
+| TRL004 | a broad ``except`` swallowing the ``repro.errors`` taxonomy |
+| TRL008 | a decoded record consumed without its format/CRC check    |
+
+``TRL000`` (unreadable files) and ``TRL009`` (suppression hygiene) are
+reported by the shared engine, not by a rule here.
 """
 
 from __future__ import annotations
@@ -14,8 +16,67 @@ from typing import Iterator, List
 
 from tools.analysis.engine import FileContext
 from tools.analysis.findings import Finding
+from tools.analysis.registry import Registry, Rule, dotted_name
 
-from ..registry import REGISTRY, Rule, dotted_name
+#: The global TRL rule set; rules self-register at import time.
+REGISTRY = Registry("TRL")
+
+_BROAD = frozenset({"Exception", "BaseException"})
+
+
+@REGISTRY.register
+class BroadExceptRule(Rule):
+    """TRL004: a broad ``except`` that does not re-raise unchanged.
+
+    ``repro.errors`` distinguishes media faults, power loss, format
+    corruption and driver shutdown precisely so degraded-mode handling
+    can react differently to each.  ``except Exception`` (or a bare
+    ``except``) erases that distinction.  A handler may be broad only
+    when it re-raises the original exception with a bare ``raise``;
+    converting to a new exception type from a broad catch still
+    collapses the taxonomy and must instead name the exceptions it
+    means to translate.
+    """
+
+    code = "TRL004"
+    scope = ("src/repro/*",)
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            broad = self._broad_name(node)
+            if not broad:
+                continue
+            if self._reraises_unchanged(node):
+                continue
+            yield ctx.finding(
+                node, self.code,
+                f"{broad} swallows the repro.errors taxonomy; catch "
+                f"the specific exceptions this code can translate, or "
+                f"re-raise with a bare `raise`")
+
+    @staticmethod
+    def _broad_name(handler: ast.ExceptHandler) -> str:
+        """'bare except' / 'except Exception' / '' when specific."""
+        if handler.type is None:
+            return "bare except"
+        exprs = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+                 else [handler.type])
+        for expr in exprs:
+            name = dotted_name(expr).rpartition(".")[2]
+            if name in _BROAD:
+                return f"except {name}"
+        return ""  # specific handler
+
+    @staticmethod
+    def _reraises_unchanged(handler: ast.ExceptHandler) -> bool:
+        """True if the handler body contains a bare ``raise``."""
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Raise) and node.exc is None:
+                return True
+        return False
+
 
 _DECODE_FNS = frozenset({"decode_record_header", "decode_disk_header",
                          "decode_geometry"})
@@ -24,10 +85,16 @@ _FORMAT_ERROR_NAMES = frozenset({"LogFormatError", "TrailError"})
 
 @REGISTRY.register
 class CrcDisciplineRule(Rule):
+    """TRL008: decoded records are format-error-handled and
+    CRC-verified (paper §3.2).
+
+    The self-describing log format works only if every reader treats
+    a CRC/format mismatch as "not a record".  This rule keeps decoded
+    headers and restored payloads from being consumed unverified
+    outside ``core/format.py``.
+    """
+
     code = "TRL008"
-    name = "crc-discipline"
-    summary = ("decode_* calls must handle LogFormatError and restored "
-               "payloads must be CRC-verified in the same function")
     scope = ("src/repro/*",)
     exempt = ("src/repro/core/format.py",)
 

@@ -36,8 +36,6 @@ class ModuleMutableState(Rule):
     """
 
     code = "TIS001"
-    name = "module-mutable-state"
-    summary = "mutable container or counter bound at module scope"
     scope: ClassVar[Tuple[str, ...]] = _LIB_SCOPE
 
     def check(self, ctx: "IsoContext") -> Iterator["Finding"]:
@@ -58,20 +56,13 @@ class AmbientSingletonRead(Rule):
     configuration.  All three make two same-seed instances diverge.
     Seeded ``random.Random`` instances and simulated time are the
     replacements; environment flags live behind the sanitizer
-    perimeter (``repro.sim.sanitizer``), wall-clock measurement
-    behind the perf harness (``repro.analysis.perf``) and the
-    analyzer driver's per-tool timing report
-    (``tools.analysis.driver``).
+    perimeter (``repro.sim.sanitizer``) and wall-clock measurement
+    behind the perf harness (``repro.analysis.perf``).
     """
 
     code = "TIS004"
-    name = "ambient-singleton-read"
-    summary = ("random.*/time.*/os.environ read outside the "
-               "allowlisted perimeter")
     scope: ClassVar[Tuple[str, ...]] = _LIB_SCOPE
-    exempt = ("src/repro/sim/sanitizer.py",
-              "src/repro/analysis/perf.py",
-              "tools/analysis/driver.py")
+    exempt = ("src/repro/sim/sanitizer.py", "src/repro/analysis/perf.py")
 
     def check(self, ctx: "IsoContext") -> Iterator["Finding"]:
         for node, what in ctx.model.ambient:

@@ -37,8 +37,6 @@ class TimeScaleConfusion(Rule):
     """
 
     code = "TUN004"
-    name = "time-scale-confusion"
-    summary = "ms and s/us mixed without a units.* time converter"
     #: Dimensioned code lives in the library sources and the tools that
     #: analyze them; tests drive APIs with literals on purpose.
     scope: ClassVar[Tuple[str, ...]] = ("src/*", "tools/*")
@@ -66,9 +64,6 @@ class UnitlessPublicSignature(Rule):
     """
 
     code = "TUN008"
-    name = "unitless-public-signature"
-    summary = ("public core/disk/raid signature with time-suggestive "
-               "names but no unit annotations")
     scope = ("src/repro/core/*", "src/repro/disk/*", "src/repro/raid/*")
 
     def check(self, ctx: "UnitsContext") -> Iterator["Finding"]:
