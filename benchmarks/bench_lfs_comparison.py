@@ -36,12 +36,12 @@ def _build(kind):
         from repro.baselines.dcd import DcdDriver
         from repro.disk.presets import st41601n, wd_caviar_10gb
         from repro.sim import Simulation
-        from repro.analysis.experiments import BaselineSystem
+        from repro.core.instance import BaselineInstance
         sim = Simulation()
         cache = st41601n().make_drive(sim, "dcd-cache")
         data = {0: wd_caviar_10gb().make_drive(sim, "data0")}
         driver = DcdDriver(sim, cache, data, nvram_bytes=KiB(512))
-        return BaselineSystem(sim=sim, driver=driver, data_drives=data)
+        return BaselineInstance(sim=sim, driver=driver, data_drives=data)
     return build_standard_system()
 
 

@@ -1,13 +1,10 @@
 """Experiment scaffolding and result presentation."""
 
 from repro.analysis.experiments import (
-    BaselineSystem, TrailSystem, build_lfs_system, build_standard_system,
-    build_trail_system)
+    build_lfs_system, build_standard_system, build_trail_system)
 from repro.analysis.tables import format_cell, render_table, speedup
 
 __all__ = [
-    "BaselineSystem",
-    "TrailSystem",
     "build_lfs_system",
     "build_standard_system",
     "build_trail_system",

@@ -2,30 +2,25 @@
 
 Every benchmark needs the same scaffolding — a simulation, drive
 models matching the paper's testbed, a formatted/mounted driver — so
-it lives here once.  Assembly itself is owned by
-:mod:`repro.core.instance`: the ``build_*`` functions here are the
-historical entry points, now thin wrappers over
-:class:`~repro.core.instance.TrailInstance` /
-:class:`~repro.core.instance.BaselineInstance` so every benchmark
-constructs a proper isolated instance instead of wiring the stack ad
-hoc.  ``TrailSystem`` / ``BaselineSystem`` are kept as aliases for the
-existing call sites; the attribute surface (``sim`` / ``driver`` /
-``log_drive`` / ``data_drives``) is unchanged.
+it lives here once.  Each ``build_*`` function builds its drives from
+specs and hands them to the :class:`~repro.core.instance.TrailInstance`
+or :class:`~repro.core.instance.BaselineInstance` facade, so every
+benchmark gets a proper isolated instance with the ``sim`` /
+``driver`` / ``data_drives`` surface (plus ``log_drive`` for Trail).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
+from repro.baselines.lfs import LfsDriver
+from repro.baselines.standard import StandardDriver
 from repro.core.config import TrailConfig
 from repro.core.instance import BaselineInstance, TrailInstance
 from repro.disk.drive import DiskDrive
-from repro.disk.presets import DriveSpec
-
-#: Historical names for the facade classes (the dataclasses they
-#: replaced had exactly this attribute surface).
-TrailSystem = TrailInstance
-BaselineSystem = BaselineInstance
+from repro.disk.presets import DriveSpec, st41601n, wd_caviar_10gb
+from repro.sim import Simulation
+from repro.units import Sectors
 
 
 def build_trail_system(
@@ -41,10 +36,12 @@ def build_trail_system(
     With ``mount=True`` the simulation is advanced through format +
     mount so the returned driver is ready for requests.
     """
-    return TrailInstance.build(
-        data_disk_count=data_disk_count, config=config,
-        log_spec=log_spec, data_spec=data_spec, mount=mount,
-        phase_drift=phase_drift)
+    sim = Simulation()
+    log_drive = (log_spec or st41601n()).make_drive(
+        sim, "trail-log", phase_drift=phase_drift)
+    return TrailInstance(
+        sim, log_drive, _data_drives(sim, data_disk_count, data_spec),
+        config, mount=mount)
 
 
 def build_standard_system(
@@ -52,14 +49,26 @@ def build_standard_system(
     data_spec: Optional[DriveSpec] = None,
 ) -> BaselineInstance[DiskDrive]:
     """The paper's baseline: the same data disks behind a plain driver."""
-    return BaselineInstance.build_standard(
-        data_disk_count=data_disk_count, data_spec=data_spec)
+    sim = Simulation()
+    data_drives = _data_drives(sim, data_disk_count, data_spec)
+    return BaselineInstance(sim, StandardDriver(sim, data_drives),
+                            data_drives)
 
 
 def build_lfs_system(
     data_spec: Optional[DriveSpec] = None,
-    segment_sectors: int = 512,
+    segment_sectors: Sectors = 512,
 ) -> BaselineInstance[DiskDrive]:
     """The related-work comparator: one disk behind the LFS driver."""
-    return BaselineInstance.build_lfs(
-        data_spec=data_spec, segment_sectors=segment_sectors)
+    sim = Simulation()
+    data_drives = {0: (data_spec or wd_caviar_10gb()).make_drive(sim, "lfs0")}
+    driver = LfsDriver(sim, data_drives, segment_sectors=segment_sectors)
+    return BaselineInstance(sim, driver, data_drives)
+
+
+def _data_drives(sim: Simulation, count: int,
+                 spec: Optional[DriveSpec]) -> Dict[int, DiskDrive]:
+    """``count`` data drives (WD Caviar unless ``spec``): data0, data1…"""
+    return {disk_id: (spec or wd_caviar_10gb()).make_drive(
+                sim, f"data{disk_id}")
+            for disk_id in range(count)}

@@ -31,7 +31,7 @@ from repro.disk.drive import DiskDrive
 from repro.errors import TrailError
 from repro.sim import (
     Event, Interrupt, LatencyRecorder, Process, Simulation)
-from repro.units import microseconds
+from repro.units import microseconds, sectors_for
 
 
 @dataclass
@@ -108,7 +108,7 @@ class DcdDriver(BlockDevice):
     def write(self, lba: int, data: bytes, disk_id: int = 0) -> Event:
         """Durable once in NVRAM (battery-backed); may stall on a
         cache-disk flush when the NVRAM is full."""
-        self._check_disk(disk_id)
+        self.data_disk(disk_id)
         if not data:
             raise TrailError("cannot write an empty extent")
         self.stats.logical_writes += 1
@@ -117,7 +117,7 @@ class DcdDriver(BlockDevice):
 
     def read(self, lba: int, nsectors: int, disk_id: int = 0) -> Event:
         """NVRAM, then cache disk, then the data disk."""
-        self._check_disk(disk_id)
+        self.data_disk(disk_id)
         self.stats.reads += 1
         return self.sim.process(self._read(disk_id, lba, nsectors),
                                 name=f"dcd-read@{lba}")
@@ -136,7 +136,7 @@ class DcdDriver(BlockDevice):
     def _write(self, disk_id: int, lba: int, data: bytes) -> Generator:
         started = self.sim.now
         sector_size = self.sector_size
-        nsectors = (len(data) + sector_size - 1) // sector_size
+        nsectors = sectors_for(len(data), sector_size)
         padded = data + bytes(nsectors * sector_size - len(data))
 
         needed = nsectors * sector_size
@@ -239,7 +239,3 @@ class DcdDriver(BlockDevice):
                     del self._cache_map[(disk_id, lba)]
         except Interrupt:
             return
-
-    def _check_disk(self, disk_id: int) -> None:
-        if disk_id not in self.data_disks:
-            raise TrailError(f"unknown data disk id {disk_id}")

@@ -26,6 +26,7 @@ from repro.blockdev import BlockDevice, DataTarget
 from repro.disk.controller import PRIORITY_READ, PRIORITY_WRITE
 from repro.errors import TrailError
 from repro.sim import Event, LatencyRecorder, Resource, Simulation
+from repro.units import sectors_for
 
 
 @dataclass
@@ -65,7 +66,7 @@ class LfsDriver(BlockDevice):
                 f"segment must be >= 8 sectors, got {segment_sectors}")
         self.sim = sim
         self.data_disks: Dict[int, DataTarget] = dict(data_disks)
-        self._disk_id, self._disk = next(iter(self.data_disks.items()))
+        self._disk = next(iter(self.data_disks.values()))
         self.segment_sectors = segment_sectors
         self.clean_threshold = clean_threshold
         self.stats = LfsStats()
@@ -99,7 +100,7 @@ class LfsDriver(BlockDevice):
 
     def write(self, lba: int, data: bytes, disk_id: int = 0) -> Event:
         """Synchronous write: force the blocks to the log tail."""
-        self._check_disk(disk_id)
+        self.data_disk(disk_id)
         if not data:
             raise TrailError("cannot write an empty extent")
         self.stats.logical_writes += 1
@@ -108,7 +109,7 @@ class LfsDriver(BlockDevice):
 
     def read(self, lba: int, nsectors: int, disk_id: int = 0) -> Event:
         """Read via the mapping table (may be physically scattered)."""
-        self._check_disk(disk_id)
+        self.data_disk(disk_id)
         self.stats.reads += 1
         return self.sim.process(self._read(lba, nsectors),
                                 name=f"lfs-read@{lba}")
@@ -123,7 +124,7 @@ class LfsDriver(BlockDevice):
     def _write(self, lba: int, data: bytes) -> Generator:
         start = self.sim.now
         sector_size = self.sector_size
-        nsectors = (len(data) + sector_size - 1) // sector_size
+        nsectors = sectors_for(len(data), sector_size)
         padded = data + bytes(nsectors * sector_size - len(data))
 
         token = self._tail_lock.request()
@@ -243,7 +244,3 @@ class LfsDriver(BlockDevice):
             self._free_segments.append(segment.index)
             self.stats.segments_cleaned += 1
             cleaned += 1
-
-    def _check_disk(self, disk_id: int) -> None:
-        if disk_id != self._disk_id:
-            raise TrailError(f"unknown data disk id {disk_id}")

@@ -49,7 +49,7 @@ class StandardDriver(BlockDevice):
 
     def write(self, lba: int, data: bytes, disk_id: int = 0) -> Event:
         """Synchronous in-place write; event value is the latency in ms."""
-        disk = self._disk(disk_id)
+        disk = self.data_disk(disk_id)
         if not data:
             raise TrailError("cannot write an empty extent")
         self.stats.logical_writes += 1
@@ -65,7 +65,7 @@ class StandardDriver(BlockDevice):
 
     def read(self, lba: int, nsectors: int, disk_id: int = 0) -> Event:
         """Read directly from the data disk."""
-        disk = self._disk(disk_id)
+        disk = self.data_disk(disk_id)
         self.stats.reads += 1
         return self.sim.process(self._read(disk, lba, nsectors),
                                 name=f"std-read@{lba}")
@@ -78,9 +78,3 @@ class StandardDriver(BlockDevice):
         """Nothing is buffered; completes immediately."""
         return
         yield  # pragma: no cover - makes this a generator
-
-    def _disk(self, disk_id: int) -> DataTarget:
-        disk = self.data_disks.get(disk_id)
-        if disk is None:
-            raise TrailError(f"unknown data disk id {disk_id}")
-        return disk

@@ -14,6 +14,7 @@ import abc
 from typing import Dict, Protocol
 
 from repro.disk.geometry import DiskGeometry
+from repro.errors import TrailError
 from repro.sim import Event, ProcessGenerator, Simulation
 from repro.units import Lba, Sectors
 
@@ -83,3 +84,10 @@ class BlockDevice(abc.ABC):
     @abc.abstractmethod
     def sector_size(self) -> int:
         """Sector size in bytes."""
+
+    def data_disk(self, disk_id: int) -> DataTarget:
+        """The data disk ``disk_id``; raises on an unknown id."""
+        disk = self.data_disks.get(disk_id)
+        if disk is None:
+            raise TrailError(f"unknown data disk id {disk_id}")
+        return disk

@@ -325,7 +325,7 @@ class TrailDriver(BlockDevice):
         The event's value is the write's end-to-end latency in ms.
         """
         self._check_mounted()
-        disk = self._data_disk(disk_id)
+        disk = self.data_disk(disk_id)
         if not data:
             raise TrailError("cannot write an empty extent")
         sector_size = self.sector_size
@@ -347,7 +347,7 @@ class TrailDriver(BlockDevice):
         The event's value is the data bytes.
         """
         self._check_mounted()
-        disk = self._data_disk(disk_id)
+        disk = self.data_disk(disk_id)
         disk.geometry.check_extent(lba, nsectors)
         cached = self.buffers.get_cached(disk_id, lba, nsectors)
         if cached is not None:
@@ -709,7 +709,7 @@ class TrailDriver(BlockDevice):
     ) -> Generator[Event, Any, None]:
         """Service requests synchronously against their data disks."""
         for request in requests:
-            disk = self._data_disk(request.disk_id)
+            disk = self.data_disk(request.disk_id)
             try:
                 yield disk.write(request.lba, request.data)
             except MediaError as failure:
@@ -850,12 +850,6 @@ class TrailDriver(BlockDevice):
         return None
 
     # ------------------------------------------------------------------
-
-    def _data_disk(self, disk_id: int) -> DataTarget:
-        disk = self.data_disks.get(disk_id)
-        if disk is None:
-            raise TrailError(f"unknown data disk id {disk_id}")
-        return disk
 
     def _check_mounted(self) -> None:
         if not self._mounted:

@@ -160,56 +160,6 @@ class LogDiskHeader:
     crash_var: int
 
 
-def encode_record_raw(
-    epoch: int,
-    sequence_id: int,
-    prev_sect: int,
-    log_head: int,
-    entries: Sequence[Tuple[int, int, int, int, int]],
-    payload_sectors: Sequence[bytes],
-    sector_size: int = SECTOR_SIZE,
-) -> List[bytes]:
-    """Serialize a write record from already-flattened entry fields.
-
-    ``entries[i]`` is ``(first_data_byte, log_lba, data_lba,
-    data_major, data_minor)`` — the on-disk field order of
-    :data:`_ENTRY_FMT`.  This is the packing core of
-    :func:`encode_record`; the log driver calls it directly so the hot
-    write path never materializes :class:`BatchEntry` /
-    :class:`RecordHeader` objects that would be discarded right after
-    packing.
-    """
-    if len(payload_sectors) != len(entries):
-        raise LogFormatError(
-            f"{len(entries)} entries but {len(payload_sectors)} "
-            "payload sectors")
-    if len(entries) > MAX_TRAIL_BATCH:
-        raise LogFormatError(
-            f"batch of {len(entries)} exceeds MAX_TRAIL_BATCH="
-            f"{MAX_TRAIL_BATCH}")
-
-    crc32 = zlib.crc32
-    crc = 0
-    masked: List[bytes] = []
-    append = masked.append
-    for entry, payload in zip(entries, payload_sectors):
-        if len(payload) != sector_size:
-            raise LogFormatError(
-                f"payload sector must be {sector_size} bytes, got "
-                f"{len(payload)}")
-        if payload[0] != entry[0]:
-            raise LogFormatError(
-                "entry.first_data_byte does not match the payload's "
-                f"first byte ({entry[0]} != {payload[0]})")
-        sector = _PAYLOAD_PREFIX + payload[1:]
-        append(sector)
-        crc = crc32(sector, crc)
-
-    header = _header_sector(epoch, sequence_id, prev_sect, log_head, crc,
-                            entries, sector_size)
-    return [bytes(header)] + masked
-
-
 def encode_record_stream(
     epoch: int,
     sequence_id: int,
@@ -224,12 +174,10 @@ def encode_record_stream(
     ``masked_payload`` holds the batch's payload sectors contiguously
     with the 0x00 marker already in each sector's first byte (the
     displaced originals live in ``entries[i][0]``).  Returns the whole
-    record — header sector plus payload — as one ``bytes`` blob,
-    byte-identical to ``b"".join(encode_record_raw(...))`` but without
-    the per-sector slice, concatenation, and CRC calls (CRC-32 chained
-    per sector equals CRC-32 of the concatenation).  The log driver's
-    emit path builds ``masked_payload`` with bulk slice assignments
-    and calls this directly.
+    record — header sector plus payload — as one ``bytes`` blob.  The
+    log driver's emit path builds ``masked_payload`` with bulk slice
+    assignments and calls this directly, so the hot write path never
+    materializes :class:`BatchEntry` / :class:`RecordHeader` objects.
     """
     if len(masked_payload) != len(entries) * sector_size:
         raise LogFormatError(
@@ -239,34 +187,18 @@ def encode_record_stream(
         raise LogFormatError(
             f"batch of {len(entries)} exceeds MAX_TRAIL_BATCH="
             f"{MAX_TRAIL_BATCH}")
-    packed = _header_sector(epoch, sequence_id, prev_sect, log_head,
-                            zlib.crc32(masked_payload), entries, sector_size)
-    packed += masked_payload
-    return bytes(packed)
-
-
-def _header_sector(
-    epoch: int,
-    sequence_id: int,
-    prev_sect: int,
-    log_head: int,
-    payload_crc: int,
-    entries: Sequence[Tuple[int, int, int, int, int]],
-    sector_size: int,
-) -> bytearray:
-    """One record-header sector, packed in place.
-
-    The zero-filled allocation supplies the trailing padding; the fixed
-    fields and the whole entry table are one precompiled pack each.
-    """
+    # The header sector is packed in place: the zero-filled allocation
+    # supplies its trailing padding, and the fixed fields and the whole
+    # entry table are one precompiled pack each.
     packed = bytearray(sector_size)
     _FIXED_STRUCT.pack_into(
-        packed, 0, HEADER_FIRST_BYTE, TRAIL_SIGNATURE, epoch,
-        sequence_id, prev_sect, log_head, payload_crc, 0, len(entries))
+        packed, 0, HEADER_FIRST_BYTE, TRAIL_SIGNATURE, epoch, sequence_id,
+        prev_sect, log_head, zlib.crc32(masked_payload), 0, len(entries))
     _ENTRY_TABLES[len(entries)].pack_into(
         packed, _FIXED_SIZE, *chain.from_iterable(entries))
     _CRC_STRUCT.pack_into(packed, _HEADER_CRC_OFFSET, zlib.crc32(packed))
-    return packed
+    packed += masked_payload
+    return bytes(packed)
 
 
 def encode_record(
@@ -280,11 +212,30 @@ def encode_record(
     described by ``header.entries[i]``; its first byte must equal that
     entry's ``first_data_byte`` and is replaced by the 0x00 marker in
     the returned encoding.  Returns ``1 + batch_size`` sectors: the
-    header sector followed by the masked payloads.
+    header sector followed by the masked payloads, exactly as
+    :func:`encode_record_stream` lays them out.
     """
-    return encode_record_raw(
+    entries = header.entries
+    if len(payload_sectors) != len(entries):
+        raise LogFormatError(
+            f"{len(entries)} entries but {len(payload_sectors)} "
+            "payload sectors")
+    masked = bytearray()
+    for entry, payload in zip(entries, payload_sectors):
+        if len(payload) != sector_size:
+            raise LogFormatError(
+                f"payload sector must be {sector_size} bytes, got "
+                f"{len(payload)}")
+        if payload[0] != entry.first_data_byte:
+            raise LogFormatError(
+                "entry.first_data_byte does not match the payload's "
+                f"first byte ({entry.first_data_byte} != {payload[0]})")
+        masked += _PAYLOAD_PREFIX + payload[1:]
+    blob = encode_record_stream(
         header.epoch, header.sequence_id, header.prev_sect,
-        header.log_head, header.entries, payload_sectors, sector_size)
+        header.log_head, entries, masked, sector_size)
+    return [blob[offset:offset + sector_size]
+            for offset in range(0, len(blob), sector_size)]
 
 
 def payload_crc32(masked_payload: bytes) -> int:

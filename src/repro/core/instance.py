@@ -1,6 +1,6 @@
 """One Trail stack under one roof: the multi-instance facade.
 
-Every entry point used to assemble the same five pieces by hand — a
+A Trail stack is five pieces — a
 :class:`~repro.sim.kernel.Simulation`, a formatted log drive, the data
 targets, a :class:`~repro.core.driver.TrailDriver` (which owns the
 :class:`~repro.core.buffer.BufferManager`, write-back scheduler, and
@@ -28,18 +28,15 @@ from __future__ import annotations
 
 import hashlib
 from typing import (
-    Any, Callable, Dict, Generic, List, Mapping, Optional, Sequence,
-    Tuple, TypeVar)
+    Any, Dict, Generic, List, Mapping, Optional, Sequence, Tuple, TypeVar)
 
 from repro.blockdev import BlockDevice, DataTarget
 from repro.core.config import TrailConfig
 from repro.core.driver import TrailDriver
 from repro.core.recovery import RecoveryReport
 from repro.disk.drive import DiskDrive
-from repro.disk.presets import DriveSpec, st41601n, wd_caviar_10gb
 from repro.errors import SimulationError
 from repro.sim import Event, Simulation
-from repro.units import Sectors
 
 #: What an instance fronts as a data disk: a raw drive or a RAID array.
 DataT = TypeVar("DataT", bound=DataTarget)
@@ -51,13 +48,8 @@ class TrailInstance(Generic[DataT]):
     The constructor takes *pre-built* drives so callers control
     creation order (event sequence numbers are handed out at drive
     construction, and the golden-trace tests pin the historical
-    order); :meth:`build` covers the common case of building
-    everything from specs.
-
-    The attribute surface (``sim`` / ``driver`` / ``log_drive`` /
-    ``data_drives``) deliberately matches the old ``TrailSystem``
-    dataclass, so the ~30 benchmark and test call sites read
-    unchanged.
+    order); :func:`repro.analysis.experiments.build_trail_system`
+    builds the paper's testbed from drive specs.
     """
 
     def __init__(
@@ -82,32 +74,6 @@ class TrailInstance(Generic[DataT]):
         self.recovery: Optional[RecoveryReport] = None
         if mount:
             self.mount()
-
-    @classmethod
-    def build(
-        cls,
-        data_disk_count: int = 1,
-        config: Optional[TrailConfig] = None,
-        log_spec: Optional[DriveSpec] = None,
-        data_spec: Optional[DriveSpec] = None,
-        mount: bool = True,
-        phase_drift: Optional[Callable[[float], float]] = None,
-    ) -> "TrailInstance[DiskDrive]":
-        """The paper's testbed: ST41601N log disk, WD Caviar data disks.
-
-        With ``mount=True`` the simulation is advanced through format
-        + mount so the returned driver is ready for requests.
-        """
-        sim = Simulation()
-        log_drive = (log_spec or st41601n()).make_drive(
-            sim, "trail-log", phase_drift=phase_drift)
-        data_drives = {
-            disk_id: (data_spec or wd_caviar_10gb()).make_drive(
-                sim, f"data{disk_id}")
-            for disk_id in range(data_disk_count)
-        }
-        return TrailInstance(sim, log_drive, data_drives, config,
-                             mount=mount)
 
     def mount(self) -> Optional[RecoveryReport]:
         """Advance the simulation through mount (and any recovery)."""
@@ -148,25 +114,11 @@ class TrailInstance(Generic[DataT]):
         produce the same fingerprint; anything else means state leaked
         between instances.
         """
-        digest = hashlib.sha256()
         drives: List[Any] = [self.log_drive]
         for disk_id in sorted(self.data_drives):
             target = self.data_drives[disk_id]
-            members = getattr(target, "members", None)
-            if members is None:
-                drives.append(target)
-            else:
-                drives.extend(members)
-        for drive in drives:
-            store = getattr(drive, "store", None)
-            if store is None:
-                continue
-            digest.update(drive.name.encode())
-            for lba, nsectors in store.written_extents():
-                digest.update(lba.to_bytes(8, "big"))
-                digest.update(nsectors.to_bytes(4, "big"))
-                digest.update(store.read(lba, nsectors))
-        return digest.hexdigest()
+            drives.extend(getattr(target, "drives", None) or [target])
+        return store_digest(drives)
 
     def trace_digest(self) -> str:
         """Digest of the recorded event-order trace.
@@ -181,12 +133,8 @@ class TrailInstance(Generic[DataT]):
 
 
 class BaselineInstance(Generic[DataT]):
-    """A baseline (standard/LFS/DCD) driver and its drives.
-
-    Same facade idea as :class:`TrailInstance` for the comparison
-    systems; the attribute surface matches the old ``BaselineSystem``
-    dataclass.
-    """
+    """A baseline (standard/LFS/DCD) driver and its drives: the same
+    facade as :class:`TrailInstance` for the comparison systems."""
 
     def __init__(
         self,
@@ -198,39 +146,23 @@ class BaselineInstance(Generic[DataT]):
         self.driver = driver
         self.data_drives: Dict[int, DataT] = dict(data_drives)
 
-    @classmethod
-    def build_standard(
-        cls,
-        data_disk_count: int = 1,
-        data_spec: Optional[DriveSpec] = None,
-    ) -> "BaselineInstance[DiskDrive]":
-        """The paper's baseline: the data disks behind a plain driver."""
-        from repro.baselines.standard import StandardDriver
 
-        sim = Simulation()
-        data_drives = {
-            disk_id: (data_spec or wd_caviar_10gb()).make_drive(
-                sim, f"data{disk_id}")
-            for disk_id in range(data_disk_count)
-        }
-        driver = StandardDriver(sim, data_drives)
-        return BaselineInstance(sim, driver, data_drives)
+def store_digest(drives: Sequence[Any]) -> str:
+    """SHA-256 over each drive's name and written extents, in order.
 
-    @classmethod
-    def build_lfs(
-        cls,
-        data_spec: Optional[DriveSpec] = None,
-        segment_sectors: Sectors = 512,
-    ) -> "BaselineInstance[DiskDrive]":
-        """The related-work comparator: one disk behind the LFS driver."""
-        from repro.baselines.lfs import LfsDriver
-
-        sim = Simulation()
-        data_drives = {
-            0: (data_spec or wd_caviar_10gb()).make_drive(sim, "lfs0")}
-        driver = LfsDriver(sim, data_drives,
-                           segment_sectors=segment_sectors)
-        return BaselineInstance(sim, driver, data_drives)
+    Drives without a sector store contribute nothing.
+    """
+    digest = hashlib.sha256()
+    for drive in drives:
+        store = getattr(drive, "store", None)
+        if store is None:
+            continue
+        digest.update(drive.name.encode())
+        for lba, nsectors in store.written_extents():
+            digest.update(lba.to_bytes(8, "big"))
+            digest.update(nsectors.to_bytes(4, "big"))
+            digest.update(store.read(lba, nsectors))
+    return digest.hexdigest()
 
 
 def run_interleaved(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import DeadlockError
@@ -85,8 +85,7 @@ class LockManager:
             event = Event(self.sim)
             event.succeed(True)
             return event
-        return self.sim.process(self._acquire_slow(owner, resource, mode),
-                                name=f"lock:{resource}")
+        return self.acquire_slow(owner, resource, mode)
 
     def acquire_slow(self, owner: Any, resource: Any, mode: LockMode):
         """Contended path: queue up and wait (process; may deadlock)."""
@@ -123,28 +122,10 @@ class LockManager:
             # Already holds the mode, or holds X (sufficient for S).
             self.stats.acquisitions += 1
             return True
-        if not state.queue:
-            # Compatibility against the other holders: S needs no other
-            # X holder; X needs no other holder at all.
-            compatible = True
-            if bit == _S_BIT:
-                for holder, mask in holders.items():
-                    if mask & _X_BIT and holder != owner:
-                        compatible = False
-                        break
-            else:
-                for holder in holders:
-                    if holder != owner:
-                        compatible = False
-                        break
-            if compatible:
-                holders[owner] = bit if held is None else held | bit
-                held_set = self._held.get(owner)
-                if held_set is None:
-                    held_set = self._held[owner] = set()
-                held_set.add(resource)
-                self.stats.acquisitions += 1
-                return True
+        if not state.queue and _compatible(holders, owner, bit):
+            self._grant(resource, holders, owner, bit)
+            self.stats.acquisitions += 1
+            return True
         return False
 
     def _acquire_slow(self, owner, resource, mode):
@@ -207,38 +188,40 @@ class LockManager:
                 if resource in held_set]
 
     def _dispatch(self, resource: Any, state: _LockState) -> None:
-        """Grant queued requests FIFO while compatible.
-
-        Compatibility is checked against the holder bitmasks directly —
-        no per-candidate mode-set union, and granting a queued request
-        is a pure integer update.
-        """
-        exclusive = LockMode.EXCLUSIVE
+        """Grant queued requests FIFO while compatible."""
         holders = state.holders
         queue = state.queue
-        all_held = self._held
         while queue:
             owner, mode, grant = queue[0]
-            compatible = True
-            if mode is exclusive:
-                for holder in holders:
-                    if holder != owner:
-                        compatible = False
-                        break
-            else:
-                for holder, mask in holders.items():
-                    if mask & _X_BIT and holder != owner:
-                        compatible = False
-                        break
-            if not compatible:
+            bit = _S_BIT if mode is LockMode.SHARED else _X_BIT
+            if not _compatible(holders, owner, bit):
                 break
             queue.popleft()
-            bit = _S_BIT if mode is LockMode.SHARED else _X_BIT
-            held = holders.get(owner)
-            holders[owner] = bit if held is None else held | bit
-            held_set = all_held.get(owner)
-            if held_set is None:
-                held_set = all_held[owner] = set()
-            held_set.add(resource)
+            self._grant(resource, holders, owner, bit)
             if not grant.triggered:
                 grant.succeed(True)
+
+    def _grant(self, resource: Any, holders: Dict[Any, int], owner: Any,
+               bit: int) -> None:
+        """Add mode ``bit`` to ``owner``'s hold on ``resource``: a pure
+        integer update plus the per-owner held-resource index."""
+        held = holders.get(owner)
+        holders[owner] = bit if held is None else held | bit
+        held_set = self._held.get(owner)
+        if held_set is None:
+            held_set = self._held[owner] = set()
+        held_set.add(resource)
+
+
+def _compatible(holders: Dict[Any, int], owner: Any, bit: int) -> bool:
+    """The S/X matrix against every *other* holder's bitmask: S needs
+    no other X holder; X needs no other holder at all."""
+    if bit == _S_BIT:
+        for holder, mask in holders.items():
+            if mask & _X_BIT and holder != owner:
+                return False
+        return True
+    for holder in holders:
+        if holder != owner:
+            return False
+    return True

@@ -21,6 +21,7 @@ from repro.baselines.group_commit import GroupCommitPolicy, SyncCommitPolicy
 from repro.blockdev import BlockDevice
 from repro.errors import DatabaseError
 from repro.sim import Event, LatencyRecorder, Resource, Simulation
+from repro.units import sectors_for
 
 CommitPolicy = Union[SyncCommitPolicy, GroupCommitPolicy]
 
@@ -137,7 +138,7 @@ class WriteAheadLog:
             event = Event(self.sim)
             event.succeed(lsn)
             return event
-        return self.sim.process(self._append(payload), name="wal-append")
+        return self.append_slow(payload)
 
     def _append(self, payload: bytes) -> Generator:
         token = self._latch.request()
@@ -148,15 +149,10 @@ class WriteAheadLog:
         self._next_lsn += len(payload)
         lsn = self._next_lsn
         self.stats.bytes_appended += len(payload)
-        descriptor = None
         if self.policy.should_flush_on_append(len(self._buffer)):
-            descriptor = self._snapshot()
-            if self.latch_during_flush and descriptor is not None:
-                yield from self._flush_io(descriptor)
-                descriptor = None
-        self._latch.release(token)
-        if descriptor is not None:
-            yield from self._flush_io(descriptor)
+            yield from self._flush_and_release(token)
+        else:
+            self._latch.release(token)
         return lsn
 
     def commit(self, lsn: int):
@@ -183,15 +179,10 @@ class WriteAheadLog:
             requested = self.sim.now
             yield token
             self.stats.latch_wait_ms += self.sim.now - requested
-            descriptor = None
             if lsn > self._snapshot_lsn and lsn > self._durable_lsn:
-                descriptor = self._snapshot()
-                if self.latch_during_flush and descriptor is not None:
-                    yield from self._flush_io(descriptor)
-                    descriptor = None
-            self._latch.release(token)
-            if descriptor is not None:
-                yield from self._flush_io(descriptor)
+                yield from self._flush_and_release(token)
+            else:
+                self._latch.release(token)
         return durable
 
     def force(self):
@@ -201,17 +192,25 @@ class WriteAheadLog:
     def _force(self) -> Generator:
         token = self._latch.request()
         yield token
+        yield from self._flush_and_release(token)
+
+    # ------------------------------------------------------------------
+
+    def _flush_and_release(self, token: Event) -> Generator:
+        """Snapshot the buffer and release the held latch ``token``.
+
+        The snapshot is flushed before the release when the latch
+        covers the flush I/O (group commit), after it otherwise.
+        """
         descriptor = self._snapshot()
-        if self.latch_during_flush and descriptor is not None:
+        if descriptor is not None and self.latch_during_flush:
             yield from self._flush_io(descriptor)
             descriptor = None
         self._latch.release(token)
         if descriptor is not None:
             yield from self._flush_io(descriptor)
 
-    # ------------------------------------------------------------------
-
-    def _snapshot(self) -> Optional[Tuple[bytes, int, int, int]]:
+    def _snapshot(self) -> Optional[Tuple[bytes, int, int]]:
         """Detach the buffered byte range for flushing (latch held).
 
         The returned payload is sector-aligned: if the range starts
@@ -236,23 +235,22 @@ class WriteAheadLog:
                     f"({len(self._tail_image)} != {head_offset})")
             data = self._tail_image + data
         aligned_start = start_lsn - head_offset
-        padded_len = ((len(data) + sector_size - 1)
-                      // sector_size) * sector_size
+        padded_len = sectors_for(len(data), sector_size) * sector_size
         padded = data + bytes(padded_len - len(data))
         tail_len = end_lsn % sector_size
         self._tail_image = (padded[padded_len - sector_size:
                                    padded_len - sector_size + tail_len]
                             if tail_len else b"")
-        return padded, aligned_start, end_lsn, len(self._buffer)
+        return padded, aligned_start, end_lsn
 
-    def _flush_io(self, descriptor: Tuple[bytes, int, int, int]) -> Generator:
+    def _flush_io(self, descriptor: Tuple[bytes, int, int]) -> Generator:
         """Write a detached, sector-aligned byte range to the region.
 
         Completions arrive in issue order (every force goes through the
         same device queue at equal priority), so ``_durable_lsn`` only
         ever moves forward over fully persisted prefixes.
         """
-        padded, aligned_start, end_lsn, _unused = descriptor
+        padded, aligned_start, end_lsn = descriptor
         sector_size = self.device.sector_size
         capacity = self.capacity_sectors
         start_sector = (aligned_start // sector_size) % capacity

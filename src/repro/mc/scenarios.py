@@ -34,14 +34,13 @@ scope the PR 4 perturbation harness exercises.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Generator, List, Mapping, Optional, Tuple
 
 from repro.core.config import TrailConfig
 from repro.core.driver import TrailDriver
-from repro.core.instance import TrailInstance
+from repro.core.instance import TrailInstance, store_digest
 from repro.core.recovery import RecoveryReport
 from repro.disk.drive import DiskDrive
 from repro.disk.presets import tiny_test_disk
@@ -98,15 +97,8 @@ def _build_instance(controller: ScheduleController,
 
 def _data_digest(instance: TrailInstance[DiskDrive]) -> str:
     """Digest of the data disks' written sectors (log excluded)."""
-    digest = hashlib.sha256()
-    for disk_id in sorted(instance.data_drives):
-        target = instance.data_drives[disk_id]
-        digest.update(target.name.encode())
-        for lba, nsectors in target.store.written_extents():
-            digest.update(lba.to_bytes(8, "big"))
-            digest.update(nsectors.to_bytes(4, "big"))
-            digest.update(target.store.read(lba, nsectors))
-    return digest.hexdigest()
+    return store_digest([instance.data_drives[disk_id]
+                         for disk_id in sorted(instance.data_drives)])
 
 
 def _audit_failure(instance: TrailInstance[DiskDrive],

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Dict, Generator, List, Optional, Sequence, Tuple, TYPE_CHECKING)
+    Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, TypeVar)
 
 from repro.disk.controller import PRIORITY_READ
 from repro.disk.drive import DiskDrive
@@ -57,6 +58,9 @@ from repro.units import Lba, Ms, Sectors
 if TYPE_CHECKING:  # pragma: no cover — cycle broken at runtime: the
     # rebuild module imports this one; start_rebuild imports it lazily.
     from repro.raid.rebuild import RebuildConfig, RebuildEngine
+
+#: What one attempt of a retried array operation returns.
+T = TypeVar("T")
 
 
 @dataclass
@@ -485,32 +489,40 @@ class Raid5Array:
             remaining -= take
         return pieces
 
+    def _retried(
+        self, attempt: Callable[[], Generator[Event, Any, T]], verb: str,
+    ) -> Generator[Event, Any, T]:
+        """Run ``attempt`` until no member dies under it.
+
+        Each retry either succeeds against the post-failure geometry
+        or discovers one more dead drive, so the loop is bounded by
+        the member count (the +2 covers spare death and a flap).
+        Restarting a whole logical write is idempotent: every piece
+        rewrites the same bytes, and parity is recomputed from
+        whatever the failed attempt left.
+        """
+        failure: Optional[DriveFailedError] = None
+        for tries in range(len(self.drives) + 2):
+            if tries:
+                self.stats.op_retries += 1
+            try:
+                return (yield from attempt())
+            except DriveFailedError as error:
+                failure = error
+                self._note_drive_death()
+        raise failure if failure is not None else RaidFailedError(
+            f"{self.name}: {verb} retries exhausted")
+
     def _read(self, lba: Lba, nsectors: Sectors,
               priority: int) -> Generator[Event, Any, "RaidResult"]:
         started = self.sim.now
         self.stats.reads += 1
-        failure: Optional[DriveFailedError] = None
-        # Each retry either succeeds against the post-failure geometry
-        # or discovers one more dead drive, so the loop is bounded by
-        # the member count (the +2 covers spare death and a flap).
-        for attempt in range(len(self.drives) + 2):
-            if attempt:
-                self.stats.op_retries += 1
-            try:
-                chunks, member_ios = yield from self._read_attempt(
-                    lba, nsectors, priority)
-            except DriveFailedError as error:
-                failure = error
-                self._note_drive_death()
-                continue
-            self.stats.member_ios += member_ios
-            return RaidResult(lba=lba, nsectors=nsectors,
-                              started_at=started,
-                              completed_at=self.sim.now,
-                              data=b"".join(chunks),
-                              member_ios=member_ios)
-        raise failure if failure is not None else RaidFailedError(
-            f"{self.name}: read retries exhausted")
+        chunks, member_ios = yield from self._retried(
+            lambda: self._read_attempt(lba, nsectors, priority), "read")
+        self.stats.member_ios += member_ios
+        return RaidResult(lba=lba, nsectors=nsectors, started_at=started,
+                          completed_at=self.sim.now, data=b"".join(chunks),
+                          member_ios=member_ios)
 
     def _read_attempt(
         self, lba: Lba, nsectors: Sectors, priority: int,
@@ -548,27 +560,12 @@ class Raid5Array:
         started = self.sim.now
         self.stats.writes += 1
         nsectors = len(data) // self.sector_size
-        failure: Optional[DriveFailedError] = None
-        for attempt in range(len(self.drives) + 2):
-            if attempt:
-                self.stats.op_retries += 1
-            try:
-                member_ios = yield from self._write_attempt(
-                    lba, data, nsectors, priority)
-            except DriveFailedError as error:
-                failure = error
-                self._note_drive_death()
-                # Restarting the whole logical write is idempotent:
-                # every piece rewrites the same bytes, and parity is
-                # recomputed from whatever the first attempt left.
-                continue
-            self.stats.member_ios += member_ios
-            return RaidResult(lba=lba, nsectors=nsectors,
-                              started_at=started,
-                              completed_at=self.sim.now,
-                              member_ios=member_ios)
-        raise failure if failure is not None else RaidFailedError(
-            f"{self.name}: write retries exhausted")
+        member_ios = yield from self._retried(
+            lambda: self._write_attempt(lba, data, nsectors, priority),
+            "write")
+        self.stats.member_ios += member_ios
+        return RaidResult(lba=lba, nsectors=nsectors, started_at=started,
+                          completed_at=self.sim.now, member_ios=member_ios)
 
     def _write_attempt(
         self, lba: Lba, data: bytes, nsectors: Sectors, priority: int,

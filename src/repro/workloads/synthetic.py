@@ -25,7 +25,7 @@ from typing import Generator, Optional
 from repro.blockdev import BlockDevice
 from repro.errors import WorkloadError
 from repro.sim import LatencyRecorder, Simulation
-from repro.units import KiB
+from repro.units import KiB, sectors_for
 
 
 class ArrivalMode(enum.Enum):
@@ -104,8 +104,7 @@ def run_sync_write_workload(
     if span is None:
         span = disk.geometry.total_sectors
     sectors_per_write = max(
-        1, (workload.write_bytes + device.sector_size - 1)
-        // device.sector_size)
+        1, sectors_for(workload.write_bytes, device.sector_size))
     if span <= sectors_per_write:
         raise WorkloadError("target span smaller than one write")
 

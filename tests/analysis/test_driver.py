@@ -187,7 +187,7 @@ class TestSharedComments:
 
 
 class TestCli:
-    def test_clean_exit_and_timing_report(self, tree, capsys):
+    def test_clean_exit_and_report(self, tree, capsys):
         assert main(["--root", str(tree)]) == 0
         out = capsys.readouterr().out
         assert "parsed 3 files once" in out

@@ -12,7 +12,7 @@ from repro.core.format import (
     BatchEntry, HEADER_FIRST_BYTE, LogDiskHeader, NULL_LBA,
     PAYLOAD_FIRST_BYTE, RecordHeader, decode_disk_header,
     decode_geometry, decode_record_header, encode_disk_header,
-    encode_geometry, encode_record, encode_record_raw, encode_record_stream,
+    encode_geometry, encode_record, encode_record_stream,
     payload_crc32, record_header_offsets, restore_payload)
 from repro.disk.geometry import DiskGeometry, Zone
 from repro.errors import LogFormatError
@@ -78,17 +78,17 @@ class TestRecordRoundTrip:
 
     def test_batch_too_large_rejected(self):
         payloads = [bytes(512)] * (MAX_TRAIL_BATCH + 1)
-        with pytest.raises(LogFormatError):
+        with pytest.raises(LogFormatError, match="MAX_TRAIL_BATCH"):
             encode_record(make_record(payloads), payloads)
 
     def test_entry_payload_count_mismatch(self):
         header = make_record([bytes(512), bytes(512)])
-        with pytest.raises(LogFormatError):
+        with pytest.raises(LogFormatError, match="payload sectors"):
             encode_record(header, [bytes(512)])
 
     def test_wrong_payload_size(self):
         header = make_record([bytes(512)])
-        with pytest.raises(LogFormatError):
+        with pytest.raises(LogFormatError, match="must be 512 bytes"):
             encode_record(header, [bytes(100)])
 
     def test_first_byte_mismatch_rejected(self):
@@ -96,7 +96,7 @@ class TestRecordRoundTrip:
         entries = (BatchEntry(data_lba=0, log_lba=1, first_data_byte=99),)
         header = RecordHeader(epoch=0, sequence_id=0, prev_sect=NULL_LBA,
                               log_head=0, entries=entries)
-        with pytest.raises(LogFormatError):
+        with pytest.raises(LogFormatError, match="first byte"):
             encode_record(header, [payload])
 
     @given(st.lists(st.binary(min_size=512, max_size=512),
@@ -197,12 +197,9 @@ class TestHeaderReference:
             header.epoch, header.sequence_id, header.prev_sect,
             header.log_head, entries, bytearray(masked))
         assert stream == expected + masked
-        raw = encode_record_raw(
-            header.epoch, header.sequence_id, header.prev_sect,
-            header.log_head, entries, payloads)
-        assert raw[0] == expected
-        assert b"".join(raw[1:]) == masked
-        assert encode_record(header, payloads) == raw
+        sectors = encode_record(header, payloads)
+        assert sectors[0] == expected
+        assert b"".join(sectors[1:]) == masked
 
     @given(
         count=st.integers(1, MAX_TRAIL_BATCH),
@@ -280,50 +277,10 @@ class TestGeometryRecord:
             decode_geometry(bytes(512))  # zone_count 0
 
 
-class TestRawEncoderByteCompat:
-    """encode_record_raw (the driver's flattened-tuple hot path) must
-    produce exactly what the dataclass-based encode_record produces."""
-
-    @given(
-        payloads=st.lists(
-            st.binary(min_size=512, max_size=512), min_size=1, max_size=6),
-        epoch=st.integers(min_value=0, max_value=2**32 - 1),
-        sequence_id=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_matches_dataclass_encoder(self, payloads, epoch, sequence_id):
-        from repro.core.format import encode_record_raw
-        header = make_record(payloads, epoch=epoch,
-                             sequence_id=sequence_id)
-        entries = [(entry.first_data_byte, entry.log_lba, entry.data_lba,
-                    entry.data_major, entry.data_minor)
-                   for entry in header.entries]
-        assert encode_record_raw(
-            epoch, sequence_id, header.prev_sect, header.log_head,
-            entries, payloads) == encode_record(header, payloads)
-
-    def test_validation_matches(self):
-        from repro.core.format import encode_record_raw
-        good = bytes([0x42]) + bytes(511)
-        with pytest.raises(LogFormatError, match="payload sectors"):
-            encode_record_raw(1, 1, NULL_LBA, 0, [], [good])
-        with pytest.raises(LogFormatError, match="MAX_TRAIL_BATCH"):
-            encode_record_raw(
-                1, 1, NULL_LBA, 0,
-                [(0x42, index, index, 0, 0)
-                 for index in range(MAX_TRAIL_BATCH + 1)],
-                [good] * (MAX_TRAIL_BATCH + 1))
-        with pytest.raises(LogFormatError, match="must be 512 bytes"):
-            encode_record_raw(1, 1, NULL_LBA, 0, [(0x42, 1, 1, 0, 0)],
-                              [good[:-1]])
-        with pytest.raises(LogFormatError, match="first byte"):
-            encode_record_raw(1, 1, NULL_LBA, 0, [(0x43, 1, 1, 0, 0)],
-                              [good])
-
-
 class TestStreamEncoderByteCompat:
     """encode_record_stream (the one-copy emit path, fed pre-masked
-    payload bytes) must produce exactly the concatenation of the
-    per-sector encoder's output."""
+    payload bytes) must produce exactly the concatenation of what
+    encode_record returns for the original payload sectors."""
 
     @given(
         payloads=st.lists(
@@ -331,23 +288,17 @@ class TestStreamEncoderByteCompat:
         epoch=st.integers(min_value=0, max_value=2**32 - 1),
         sequence_id=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_matches_joined_raw_encoder(self, payloads, epoch, sequence_id):
-        from repro.core.format import encode_record_raw, encode_record_stream
+    def test_matches_record_encoder(self, payloads, epoch, sequence_id):
         header = make_record(payloads, epoch=epoch, sequence_id=sequence_id)
-        entries = [(entry.first_data_byte, entry.log_lba, entry.data_lba,
-                    entry.data_major, entry.data_minor)
-                   for entry in header.entries]
         masked = bytearray()
         for payload in payloads:
             masked += bytes([PAYLOAD_FIRST_BYTE]) + payload[1:]
         assert encode_record_stream(
             epoch, sequence_id, header.prev_sect, header.log_head,
-            entries, masked) == b"".join(encode_record_raw(
-                epoch, sequence_id, header.prev_sect, header.log_head,
-                entries, payloads))
+            header.entries, masked) == b"".join(
+                encode_record(header, payloads))
 
     def test_validation(self):
-        from repro.core.format import encode_record_stream
         with pytest.raises(LogFormatError, match="payload"):
             encode_record_stream(1, 1, NULL_LBA, 0, [], bytearray(512))
         with pytest.raises(LogFormatError, match="MAX_TRAIL_BATCH"):

@@ -2,14 +2,65 @@
 
 import pytest
 
-from repro.db.locks import LockManager, LockMode
+from repro.db.locks import _X_BIT, LockManager, LockMode
 from repro.errors import DeadlockError
+from repro.sim import Simulation
+
+S, X = LockMode.SHARED, LockMode.EXCLUSIVE
 
 
 def acquire(sim, manager, owner, resource, mode):
     def body():
         yield manager.acquire(owner, resource, mode)
     return sim.run_until(sim.process(body()))
+
+
+def holding(holdings):
+    """A lock table where each ``(owner, mode)`` was granted in turn."""
+    sim = Simulation()
+    manager = LockManager(sim)
+    for owner, mode in holdings:
+        assert manager.try_acquire(owner, "r", mode)
+    return sim, manager
+
+
+def granted_at_once(holdings, mode):
+    return holding(holdings)[1].try_acquire("requester", "r", mode)
+
+
+def granted_from_queue(holdings, mode):
+    """Queue the request behind a holder, let that holder release, and
+    report whether ``_dispatch`` granted it."""
+    sim, manager = holding(holdings)
+    waiter = manager.acquire_slow("requester", "r", mode)
+    sim.run(until=1.0)
+    state = manager._locks["r"]
+    assert list(state.queue) and not waiter.triggered
+    # The blocker joins the way _dispatch grants, past the matrix.
+    manager._grant("r", state.holders, "blocker", _X_BIT)
+    manager.release_all("blocker")
+    sim.run(until=2.0)
+    return waiter.triggered
+
+
+class TestGrantRule:
+    @pytest.mark.parametrize("requested", [S, X], ids=["S", "X"])
+    @pytest.mark.parametrize("held", [None, S, X], ids=["none", "S", "X"])
+    @pytest.mark.parametrize("other", [None, S, X], ids=["none", "S", "X"])
+    def test_try_acquire_grants_exactly_when_dispatch_does(
+            self, other, held, requested):
+        holdings = [("other", other)] if other else []
+        if held is not None:
+            if granted_at_once(holdings, held):
+                holdings.append(("requester", held))
+            else:
+                # The matrix never lets the requester hold ``held``
+                # beside ``other``: that refused request is compared.
+                requested, held = held, None
+        expected = (held in (X, requested) or other is None
+                    or (other is S and requested is S))
+        assert granted_at_once(holdings, requested) is expected
+        assert granted_from_queue(holdings, requested) is expected
 
 
 class TestCompatibility:

@@ -19,6 +19,7 @@ import pytest
 from repro.core.config import TrailConfig
 from repro.core.instance import TrailInstance, run_interleaved
 from repro.disk.presets import tiny_test_disk
+from repro.raid.array import Raid5Array
 from repro.sim import Simulation
 from repro.tpcc import TpccRunConfig, run_tpcc
 
@@ -108,3 +109,17 @@ def test_sequential_tpcc_repeat_is_identical():
     first = run_tpcc(config)
     second = run_tpcc(config)
     assert first == second
+
+
+def test_fingerprint_covers_every_raid_member():
+    """A RAID-backed instance digests each member drive's sectors."""
+    sim = Simulation()
+    spec = tiny_test_disk(cylinders=40, heads=2, sectors_per_track=16)
+    members = [spec.make_drive(sim, f"member{i}") for i in range(3)]
+    instance = TrailInstance(
+        sim, tiny_test_disk(cylinders=40).make_drive(sim, "trail-log"),
+        {0: Raid5Array(sim, members)},
+        TrailConfig(idle_reposition_interval_ms=0))
+    before = instance.fingerprint()
+    members[2].store.write(5, bytes([7]) * 512)
+    assert instance.fingerprint() != before
