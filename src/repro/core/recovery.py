@@ -55,12 +55,36 @@ from repro.sim import Event, Simulation
 from repro.units import Ms
 
 
-@dataclass
 class LocatedRecord:
-    """A record header found on disk, with its own address."""
+    """A record header found on disk: its address and its sector.
 
-    header_lba: int
-    header: RecordHeader
+    The sector is kept without its zero tail (the encoder pads the
+    header sector with zeros past the entry table, and the header CRC
+    covers them), so a record costs its used bytes, not a decoded
+    object graph.  :attr:`header` decodes it again on each access.
+    """
+
+    __slots__ = ("header_lba", "prefix", "sector_size")
+
+    def __init__(self, header_lba: int, sector: bytes,
+                 sector_size: int) -> None:
+        self.header_lba = header_lba
+        self.prefix = sector.rstrip(b"\x00")
+        # The geometry's int, shared by every record (``len(sector)``
+        # would build one per record).
+        self.sector_size = sector_size
+
+    @property
+    def header(self) -> RecordHeader:
+        """The decoded header; its CRC is checked on every decode."""
+        try:
+            return decode_record_header(
+                self.prefix.ljust(self.sector_size, b"\x00"))
+        except LogFormatError as error:
+            # Recovery locates only sectors that decoded: this one was
+            # built by hand from a sector that is not a record header.
+            raise RecoveryError(
+                f"record at LBA {self.header_lba}: {error}") from error
 
 
 @dataclass
@@ -85,10 +109,10 @@ class RecoveryReport:
     #: The pending chain, oldest first.  Kept after every recovery,
     #: write-back or not: a caller that skipped write-back hands it to
     #: :meth:`RecoveryManager.replay`, and the pinned recovery digests
-    #: read it.  It is the largest thing a kept report holds, about
-    #: 1.6 KB per 8-entry record (the header, its ``BatchEntry`` tuples
-    #: and their ints): 15.8 MB over the 100 reports the ledger's
-    #: ``crash-recover`` keeps.
+    #: read it.  Each record keeps only its header sector's used bytes
+    #: (at most 126 for 8 entries): 245 bytes per 8-entry record with
+    #: the object that holds them, 2.4 MB over the 100 reports the
+    #: ledger's ``crash-recover`` keeps.
     pending: List[LocatedRecord] = field(default_factory=list)
     #: Log-disk sectors that could not be read (skipped during scans).
     unreadable_sectors: int = 0
@@ -187,13 +211,13 @@ class RecoveryManager:
     ) -> Generator[Event, Any, Optional[LocatedRecord]]:
         """Scan every track; baseline for the binary-search ablation."""
         youngest: Optional[LocatedRecord] = None
+        youngest_sequence = -1
         for position in range(len(self.usable_tracks)):
             candidate = yield from self._scan_position(position)
-            if candidate is not None and (
-                    youngest is None
-                    or candidate.header.sequence_id
-                    > youngest.header.sequence_id):
-                youngest = candidate
+            if candidate is not None:
+                sequence = candidate.header.sequence_id
+                if sequence > youngest_sequence:
+                    youngest, youngest_sequence = candidate, sequence
         return youngest
 
     def _locate_binary(
@@ -295,82 +319,89 @@ class RecoveryManager:
             for entry in header.entries:
                 self._report.dropped_sectors.append(
                     (entry.data_major, entry.data_lba))
-            prev_lba = header.prev_sect
-            if prev_lba == NULL_LBA:
-                return None
-            try:
-                result = yield self.log_drive.read(prev_lba, 1)
-            except MediaError:
-                self._report.unreadable_sectors += 1
-                self._report.chain_broken = True
-                return None
-            try:
-                prev_header = decode_record_header(
-                    result.data, expected_epoch=self.epoch)
-            except LogFormatError:
-                return None
-            located = LocatedRecord(header_lba=prev_lba,
-                                    header=prev_header)
+            # The torn record's own log_head bound says whether its
+            # predecessor was still pending when it was written.
+            previous = yield from self._read_previous(
+                located.header_lba, header, self._bound(header))
+            located = None if previous is None else previous[0]
         return located
 
     # ------------------------------------------------------------------
     # Step 2: rebuild the pending chain
 
+    def _bound(self, header: RecordHeader) -> int:
+        """The oldest record ``header`` says was pending (NULL_LBA when
+        the bound is disabled)."""
+        return (header.log_head if self.config.log_head_bound_enabled
+                else NULL_LBA)
+
     def _rebuild(
         self, youngest: LocatedRecord,
     ) -> Generator[Event, Any, List[LocatedRecord]]:
         """Walk prev_sect back to the log_head bound; oldest first."""
-        bound = (youngest.header.log_head
-                 if self.config.log_head_bound_enabled else NULL_LBA)
+        header = youngest.header
+        bound = self._bound(header)
         chain: List[LocatedRecord] = [youngest]
         seen = {youngest.header_lba}
         current = youngest
-        while True:
-            if current.header_lba == bound:
-                break  # the log_head record itself is the oldest pending
-            prev_lba = current.header.prev_sect
-            if prev_lba == NULL_LBA:
-                break
-            if prev_lba in seen:
+        # The log_head record itself is the oldest pending.
+        while current.header_lba != bound:
+            if header.prev_sect in seen:
                 raise RecoveryError(
-                    f"prev_sect cycle detected at LBA {prev_lba}")
-            try:
-                result = yield self.log_drive.read(prev_lba, 1)
-            except MediaError:
-                # An unreadable header inside the pending chain: the
-                # records older than the break cannot be enumerated.
-                # Flag it — recovery proceeds with what it has, but the
-                # caller must know the chain is incomplete.
-                self._report.unreadable_sectors += 1
-                self._report.chain_broken = True
+                    f"prev_sect cycle detected at LBA {header.prev_sect}")
+            previous = yield from self._read_previous(
+                current.header_lba, header, bound)
+            if previous is None:
                 break
-            try:
-                header = decode_record_header(
-                    result.data, expected_epoch=self.epoch)
-            except LogFormatError:
-                # With the log_head bound enabled, every hop between
-                # the youngest record and the bound is a live record
-                # whose space cannot have been reclaimed — a decode
-                # failure before the bound means the header was
-                # corrupted, not legitimately overwritten.
-                if (self.config.log_head_bound_enabled
-                        and bound != NULL_LBA):
-                    self._report.corrupt_records += 1
-                    self._report.chain_broken = True
-                # Otherwise the chain ran into a sector overwritten by
-                # an older epoch or reclaimed space: everything older
-                # is already committed.
-                break
-            if header.sequence_id >= current.header.sequence_id:
+            current, older = previous
+            if older.sequence_id >= header.sequence_id:
                 raise RecoveryError(
                     "prev_sect chain is not decreasing in sequence id "
-                    f"({header.sequence_id} >= "
-                    f"{current.header.sequence_id})")
-            current = LocatedRecord(header_lba=prev_lba, header=header)
-            seen.add(prev_lba)
+                    f"({older.sequence_id} >= {header.sequence_id})")
+            header = older
+            seen.add(current.header_lba)
             chain.append(current)
         chain.reverse()
         return chain
+
+    def _read_previous(
+        self, header_lba: int, header: RecordHeader, bound: int,
+    ) -> Generator[Event, Any,
+                   Optional[Tuple[LocatedRecord, RecordHeader]]]:
+        """Follow ``header``'s prev_sect one hop: the older record and
+        its decoded header, or None where the chain ends or breaks.
+
+        ``bound`` is the oldest record that was pending when the
+        walk's youngest record was written.  Every hop between a
+        record and its bound is a live record whose space cannot have
+        been reclaimed, so a predecessor that then fails to decode was
+        corrupted, not legitimately overwritten, and is reported.
+        """
+        prev_lba = header.prev_sect
+        if prev_lba == NULL_LBA:
+            return None
+        try:
+            result = yield self.log_drive.read(prev_lba, 1)
+        except MediaError:
+            # An unreadable header: the records older than the break
+            # cannot be enumerated.  Recovery proceeds with what it
+            # has, but the caller must know the chain is incomplete.
+            self._report.unreadable_sectors += 1
+            self._report.chain_broken = True
+            return None
+        try:
+            older = decode_record_header(result.data,
+                                         expected_epoch=self.epoch)
+        except LogFormatError:
+            if bound not in (NULL_LBA, header_lba):
+                self._report.corrupt_records += 1
+                self._report.chain_broken = True
+            # Otherwise the chain ran into a sector overwritten by an
+            # older epoch or reclaimed space: everything older is
+            # already committed.
+            return None
+        return (LocatedRecord(prev_lba, result.data,
+                              self.geometry.sector_size), older)
 
     # ------------------------------------------------------------------
     # Step 3: write pending records back to the data disks
@@ -396,15 +427,17 @@ class RecoveryManager:
         replayed: Dict[Tuple[int, int], int] = {}
         #: (sequence id, disk_id, data_lba) of sectors not replayed.
         at_risk: List[Tuple[int, int, int]] = []
-        for located in sorted(chain, key=lambda r: r.header.sequence_id):
-            header = located.header
+        records = sorted(((located.header, located.header_lba)
+                          for located in chain),
+                         key=lambda record: record[0].sequence_id)
+        for header, header_lba in records:
             if header.batch_size == 0:
                 continue
             sequence = header.sequence_id
             masked: Optional[bytes] = None
             try:
                 payload = yield self.log_drive.read(
-                    located.header_lba + 1, header.batch_size)
+                    header_lba + 1, header.batch_size)
                 masked = payload.data
             except MediaError:
                 self._report.unreadable_sectors += 1
@@ -418,7 +451,7 @@ class RecoveryManager:
                                     entry.data_lba))
                 continue
             for index, entry in enumerate(header.entries):
-                if entry.log_lba != located.header_lba + 1 + index:
+                if entry.log_lba != header_lba + 1 + index:
                     raise RecoveryError(
                         f"record {sequence} entry {index} log "
                         f"LBA {entry.log_lba} is not contiguous with its "
@@ -462,20 +495,22 @@ def _youngest_in_track(image: bytes, first_lba: int, sector_size: int,
     its header CRC may be the youngest acknowledged record, so it is
     reported as a broken chain, never skipped as empty."""
     youngest: Optional[LocatedRecord] = None
+    youngest_sequence = -1
     for offset in record_header_offsets(image, sector_size):
+        sector = image[offset:offset + sector_size]
         try:
-            header = decode_record_header(
-                image[offset:offset + sector_size], expected_epoch=epoch)
+            sequence = decode_record_header(
+                sector, expected_epoch=epoch).sequence_id
         except RecordChecksumError:
             report.corrupt_records += 1
             report.chain_broken = True
             continue
         except LogFormatError:
             continue
-        if (youngest is None
-                or header.sequence_id > youngest.header.sequence_id):
-            youngest = LocatedRecord(
-                header_lba=first_lba + offset // sector_size, header=header)
+        if sequence > youngest_sequence:
+            youngest_sequence = sequence
+            youngest = LocatedRecord(first_lba + offset // sector_size,
+                                     sector, sector_size)
     return youngest
 
 

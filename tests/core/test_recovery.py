@@ -1,5 +1,9 @@
 """Unit tests for the three-step recovery procedure (§3.3)."""
 
+import dataclasses
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.config import TrailConfig
@@ -262,15 +266,120 @@ class TestRebuildAndReplay:
         assert report.records_found == 0
         assert data.store.read_sector(99) == bytes(SECTOR)
 
-    def test_deferred_replay_completes(self, setup):
+    def test_torn_youngest_with_a_corrupt_pending_predecessor(self, setup):
+        """Regression: the torn youngest record's bound says its
+        predecessor was pending, so a predecessor header that no longer
+        decodes is damage to an acknowledged record, reported as such
+        (as the rebuild walk reports it one hop later), never a silent
+        end of the chain."""
         sim, log, data, usable = setup
         builder = LogBuilder(log, usable)
-        builder.add(0, 0, [b"\x08" * SECTOR], [77])
+        first = builder.add(0, 0, [b"a" * SECTOR], [250])
+        middle = builder.add(1, 0, [b"b" * SECTOR], [300])
+        torn = builder.add(2, 0, [b"c" * SECTOR], [350], log_head=first)
+        log.store.erase(torn + 1, 1)
+        header = bytearray(log.store.read_sector(middle))
+        header[40] ^= 0x01
+        log.store.write_sector(middle, bytes(header))
+        report = run_recovery(sim, log, data, usable)
+        assert report.torn_records_dropped == 1
+        assert report.records_found == 0
+        assert report.corrupt_records == 1
+        assert report.chain_broken
+        assert report.dropped_sectors == [(0, 350)]
+
+    def test_torn_youngest_heading_its_own_bound_ends_quietly(self, setup):
+        """A torn record whose log_head is itself had nothing older
+        pending: a predecessor that does not decode is not reported."""
+        sim, log, data, usable = setup
+        builder = LogBuilder(log, usable)
+        builder.add(0, 0, [b"a" * SECTOR], [250])
+        middle = builder.add(1, 0, [b"b" * SECTOR], [300])
+        own = log.geometry.track_first_lba(usable[2])
+        torn = builder.add(2, 0, [b"c" * SECTOR], [350], log_head=own)
+        log.store.erase(torn + 1, 1)
+        header = bytearray(log.store.read_sector(middle))
+        header[40] ^= 0x01
+        log.store.write_sector(middle, bytes(header))
+        report = run_recovery(sim, log, data, usable)
+        assert report.torn_records_dropped == 1
+        assert report.records_found == 0
+        assert report.corrupt_records == 0
+        assert not report.chain_broken
+        assert report.dropped_sectors == [(0, 350)]
+
+    def test_deferred_replay_completes(self, setup):
+        """A chain of multi-entry records handed to ``replay`` after a
+        mount that skipped write-back leaves the data disk exactly as
+        inline write-back does."""
+        sim, log, data, usable = setup
+        builder = LogBuilder(log, usable)
+        for position in range(6):
+            batch = position + 3  # 3..8 entries, the last one full
+            payloads = [bytes([position * 8 + index + 1])
+                        + bytes([200 - position]) * (SECTOR - 1)
+                        for index in range(batch)]
+            # A contiguous run overlapping the next record's, then
+            # scattered sectors: replay order decides the result.
+            targets = [position * 2 + (index if index < 4 else 3 * index)
+                       for index in range(batch)]
+            builder.add(position, position % 3, payloads, targets)
+        log_image, blank = log.store.snapshot(), data.store.snapshot()
+        inline = run_recovery(sim, log, data, usable)
+        expected = dict(data.store.snapshot().items())
+        newest = {}
+        for _lba, header, payloads in builder.records:
+            for entry, payload in zip(header.entries, payloads):
+                newest[entry.data_lba] = payload
+        assert expected == newest
+        log.store.restore(log_image)
+        data.store.restore(blank)
+
         config = TrailConfig(recovery_writeback=False,
                              idle_reposition_interval_ms=0)
         manager = RecoveryManager(sim, log, log.geometry, usable, EPOCH,
                                   {0: data}, config)
         report = drive_to_completion(sim, manager.run())
-        assert data.store.read_sector(77) == bytes(SECTOR)
+        assert report.records_found == inline.records_found == 6
+        assert [record.header_lba for record in report.pending] == [
+            header_lba for header_lba, _header, _payloads in builder.records]
+        assert [dataclasses.replace(record.header, payload_crc=0,
+                                    header_crc=0)
+                for record in report.pending] == [
+            header for _lba, header, _payloads in builder.records]
+        assert data.store.snapshot() == blank
         drive_to_completion(sim, manager.replay(report.pending))
-        assert data.store.read_sector(77) == b"\x08" * SECTOR
+        assert dict(data.store.snapshot().items()) == expected
+        assert report.sectors_replayed == inline.sectors_replayed == 33
+        assert report.data_writes_issued == inline.data_writes_issued
+
+
+class TestRightSizedChain:
+    """A kept report's pending chain costs its header sectors' used
+    bytes, not a decoded object graph per record."""
+
+    def test_pending_chain_retains_at_most_400_bytes_per_record(self, sim):
+        log = make_tiny_drive(sim, "log", cylinders=60)  # 120 tracks
+        data = make_tiny_drive(sim, "data", cylinders=40, heads=4)
+        usable = list(range(1, 120))
+        builder = LogBuilder(log, usable)
+        for position in range(100):
+            builder.add(position, 0,
+                        [bytes([position % 251 + 1]) * SECTOR] * 8,
+                        [position * 8 + index for index in range(8)])
+        config = TrailConfig(recovery_writeback=False,
+                             idle_reposition_interval_ms=0)
+        tracemalloc.start()
+        try:
+            report = run_recovery(sim, log, data, usable, config)
+            gc.collect()
+            before, _peak = tracemalloc.get_traced_memory()
+            chain, report.pending = report.pending, []
+            assert [len(record.header.entries) for record in chain] \
+                == [8] * 100
+            del chain
+            gc.collect()
+            after, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert before - after <= 400 * 100

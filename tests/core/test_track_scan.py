@@ -13,8 +13,7 @@ from repro.core.config import TRAIL_SIGNATURE
 from repro.core.format import (
     BatchEntry, HEADER_FIRST_BYTE, NULL_LBA, RecordHeader,
     decode_record_header, encode_record, record_header_offsets)
-from repro.core.recovery import (
-    LocatedRecord, RecoveryReport, _youngest_in_track)
+from repro.core.recovery import RecoveryReport, _youngest_in_track
 from repro.errors import LogFormatError, RecordChecksumError
 
 SECTOR = 512
@@ -70,8 +69,9 @@ def sectors(draw):
 
 
 def decode_every_sector(image):
-    """The scan as it was: full decode of each sector, youngest wins;
-    plus whether any sector was a header that failed its CRC."""
+    """The scan as it was: full decode of each sector, youngest wins,
+    as ``(header_lba, header)``; plus whether any sector was a header
+    that failed its CRC."""
     youngest, damaged = None, False
     for index in range(len(image) // SECTOR):
         try:
@@ -83,10 +83,8 @@ def decode_every_sector(image):
             continue
         except LogFormatError:
             continue
-        if (youngest is None
-                or header.sequence_id > youngest.header.sequence_id):
-            youngest = LocatedRecord(header_lba=FIRST_LBA + index,
-                                     header=header)
+        if youngest is None or header.sequence_id > youngest[1].sequence_id:
+            youngest = (FIRST_LBA + index, header)
     return youngest, damaged
 
 
@@ -96,7 +94,9 @@ def test_header_first_scan_equals_decoding_every_sector(track):
     image = b"".join(track)
     report = RecoveryReport()
     youngest = _youngest_in_track(image, FIRST_LBA, SECTOR, EPOCH, report)
-    assert (youngest, report.chain_broken) == decode_every_sector(image)
+    found = None if youngest is None else (youngest.header_lba,
+                                           youngest.header)
+    assert (found, report.chain_broken) == decode_every_sector(image)
 
 
 @given(st.lists(sectors(), min_size=0, max_size=24))
