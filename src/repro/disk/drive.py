@@ -35,10 +35,12 @@ per-sector errors are retried for up to ``retry_limit`` extra
 revolutions, unrecoverable write targets are transparently remapped to
 spare sectors, unrecoverable reads fail the command with
 :class:`~repro.errors.UnrecoverableSectorError`, and silent bit flips
-land on the platter with the command still reporting success.  These
-run as extra phases of the same machine (overhead, positioning and
-transfer become separate sleeps so retries can interleave); with no
-injector attached (the default) none of them is entered.
+land on the platter with the command still reporting success.  The
+machine is the same one: a segment is still one sleep (any injected
+latency spike is added to the command overhead), and its wakeup checks
+the sectors one by one instead of landing the run in one store write.
+A retry or remap revolution is one more sleep that wakes into the
+same place.
 """
 
 from __future__ import annotations
@@ -104,29 +106,31 @@ class DiskDrive:
         #: while not being this one was left in the heap by an aborted
         #: command and is ignored.
         self._wakeup: Optional[Event] = None
-        #: What to do with the active command when ``_wakeup`` fires.
-        self._then: Callable[[_Command], None] = self._segment_landed
         #: Pre-bound wakeup callback (binding per sleep allocates).
-        self._wake: Callable[[Event], None] = self._on_wakeup
+        self._wake: Callable[[Event], None] = self._segment_landed
         #: The segment being serviced: the contiguous same-track span
         #: of the active command starting at ``_segment_lba``.  The
         #: next segment starts where this one ends.
         self._segment_lba: Lba = 0
         self._segment_sectors: Sectors = 0
-        #: Where the arm lands once the current segment's positioning
-        #: is over, and that track's per-sector transfer time.
+        #: Where the arm sits once the current segment lands, and that
+        #: track's per-sector transfer time.
         self._target_cylinder = 0
         self._target_head = 0
         self._sector_time: Ms = 0.0
         #: Instant the current segment's transfer starts (may be in
-        #: the future), or None when the sleep covers no transfer.
+        #: the future), or None when the sleep covers no transfer (a
+        #: retry or remap revolution).
         self._transfer_started: Optional[Ms] = None
-        #: Injector attached: the sector of the segment being checked
-        #: and the re-attempts spent on it so far.
+        #: Injector attached: the sector of the segment being checked,
+        #: the re-attempts spent on it so far, and whether the sleep
+        #: now running is the revolution to its spare (it then lands
+        #: unchecked).
         self._sector_index = 0
         self._attempts = 0
+        self._remapped = False
         #: Media-fault injector; None means the drive is perfect and
-        #: a segment is one sleep.
+        #: a segment's run lands in one store write.
         self.faults: Optional[FaultInjector] = None
 
     # ------------------------------------------------------------------
@@ -139,7 +143,9 @@ class DiskDrive:
 
         Returns the injector so tests can inspect its audit trail.
         Attaching ``FaultPlan()`` (all probabilities zero) exercises
-        the hardened code paths without injecting anything.
+        the per-sector landing path without injecting anything: every
+        completion instant and latency term equals the unattached
+        drive's, bit for bit.
         """
         if isinstance(plan, FaultInjector):
             self.faults = plan
@@ -301,38 +307,30 @@ class DiskDrive:
         command.started_at = now
         self._segment_lba = command.lba
         self._segment_sectors = 0
-        faults = self.faults
-        if faults is None:
-            self._begin_segment(command, self.command_overhead_ms)
-            return
-        # Injector attached: the command overhead (plus any injected
-        # spike) is its own sleep, as are positioning and transfer.
         overhead = self.command_overhead_ms
-        spike = faults.command_spike_ms()
-        if spike > 0.0:
-            self.stats.latency_spikes += 1
-            overhead += spike
-        self._sleep(overhead, self._begin_segment)
+        faults = self.faults
+        if faults is not None:
+            # Drawn before any of the command's per-sector draws, and
+            # slept as part of the overhead.
+            spike = faults.command_spike_ms()
+            if spike > 0.0:
+                self.stats.latency_spikes += 1
+                overhead += spike
+        self._begin_segment(command, overhead)
 
-    def _sleep(self, delay: Ms, then: Callable[[_Command], None],
+    def _sleep(self, delay: Ms,
                transfer_started: Optional[Ms] = None) -> None:
-        """Sleep ``delay`` ms, then run ``then`` on the active command."""
-        self._then = then
+        """Sleep ``delay`` ms, then wake into :meth:`_segment_landed`."""
         self._transfer_started = transfer_started
         self._wakeup = wakeup = self.sim.timeout(delay)
         wakeup.add_callback(self._wake)
 
-    def _on_wakeup(self, wakeup: Event) -> None:
-        command = self._active
-        if wakeup is self._wakeup and command is not None:
-            self._then(command)
-
     def _begin_segment(self, command: _Command, pre: Ms = 0.0) -> None:
         """Start the next per-track segment, ``pre`` ms of overhead first.
 
-        Fault-free, the whole mechanical sequence (overhead, seek/head
-        switch, rotational wait, transfer) is slept in one timeout: the
-        phase durations are computed up front — the rotational wait is
+        The whole mechanical sequence (overhead, seek/head switch,
+        rotational wait, transfer) is slept in one timeout: the phase
+        durations are computed up front — the rotational wait is
         evaluated at the instant the transfer would be ready to start —
         so completion times, disk images and every latency stat equal a
         phase-by-phase walk.
@@ -358,40 +356,107 @@ class DiskDrive:
         self._target_cylinder = cylinder
         self._target_head = head
         self._sector_time = sector_time
-        if self.faults is None:
-            self._sleep(pre + move + rotation_wait + transfer,
-                        self._segment_landed,
-                        now + pre + move + rotation_wait)
-        elif move + rotation_wait > 0:
-            self._sleep(move + rotation_wait, self._begin_transfer)
-        else:
-            self._begin_transfer(command)
+        self._sector_index = 0
+        self._attempts = 0
+        self._remapped = False
+        self._sleep(pre + move + rotation_wait + transfer,
+                    now + pre + move + rotation_wait)
 
-    def _segment_landed(self, command: _Command) -> None:
-        """Fault-free: the segment's sleep is over; its sectors land."""
+    def _segment_landed(self, wakeup: Event) -> None:
+        """The segment's sleep (or a retry revolution) is over.
+
+        The arm is now on the segment's track and the sectors land;
+        the next segment starts, or the command completes, once every
+        one of them has.
+        """
+        command = self._active
+        if wakeup is not self._wakeup or command is None:
+            return
         self._position_cylinder = self._target_cylinder
         self._position_head = self._target_head
-        if command.data is not None:
-            self._land(command, self._segment_sectors)
-        self._next_segment(command)
-
-    def _land(self, command: _Command, nsectors: Sectors) -> None:
-        """Put the first ``nsectors`` sectors of a write's current
-        segment on the platter."""
-        data = command.data
-        if data is not None and command.op is Op.WRITE and nsectors > 0:
-            sector_size = self.geometry.sector_size
-            first_lba = self._segment_lba
-            offset = (first_lba - command.lba) * sector_size
-            self.store.write(
-                first_lba, data[offset:offset + nsectors * sector_size])
-
-    def _next_segment(self, command: _Command) -> None:
+        if not self._land(command, self._segment_sectors, self.faults):
+            return
         if (self._segment_lba + self._segment_sectors
                 < command.lba + command.nsectors):
             self._begin_segment(command)
         else:
             self._complete(command)
+
+    def _land(self, command: _Command, nsectors: Sectors,
+              faults: Optional[FaultInjector]) -> bool:
+        """Put the first ``nsectors`` sectors of the current segment on
+        the platter.  False when they did not all land: the machine
+        sleeps a retry revolution, or the command failed.
+
+        With no injector, a write's run lands in one store write and a
+        read has nothing to land.  With one, each sector from
+        ``_sector_index`` on is checked against it: transient failures
+        and unrecoverable (bad) sectors are retried for up to
+        ``retry_limit`` extra revolutions each; a write whose target is
+        still failing is remapped to a spare sector (one more
+        revolution, after which it lands unchecked), and a read (or a
+        write with the spare pool exhausted) fails the whole command
+        with :class:`UnrecoverableSectorError`.  Sectors that succeeded
+        before the failing one persist, like a real partially-completed
+        command.  Write data may be silently bit-flipped as it lands.
+        """
+        data = command.data
+        write = command.op is Op.WRITE
+        sector_size = self.geometry.sector_size
+        first_lba = self._segment_lba
+        if faults is None:
+            if data is not None and write and nsectors > 0:
+                offset = (first_lba - command.lba) * sector_size
+                self.store.write(
+                    first_lba, data[offset:offset + nsectors * sector_size])
+            return True
+        stats = self.stats
+        index = self._sector_index
+        remapped, self._remapped = self._remapped, False
+        while index < nsectors:
+            address = first_lba + index
+            if remapped:
+                remapped = False
+            elif address in faults.bad_sectors \
+                    or self._attempt_fails(faults, write):
+                self._sector_index = index
+                if self._attempts < faults.plan.retry_limit:
+                    self._attempts += 1
+                    stats.retries += 1
+                    self._sleep(self.rotation.rotation_ms)
+                elif write and faults.remap(address):
+                    # The controller redirected the target to a
+                    # spare; one more revolution to reach it.
+                    stats.sectors_remapped += 1
+                    stats.retries += 1
+                    self._remapped = True
+                    self._sleep(self.rotation.rotation_ms)
+                else:
+                    if write:
+                        stats.write_errors += 1
+                    else:
+                        stats.read_errors += 1
+                    self._release()
+                    command.event.fail(UnrecoverableSectorError(
+                        f"{self.name}: unrecoverable {command.op.value} "
+                        f"at LBA {address} after {self._attempts} "
+                        f"retries", lba=address))
+                return False
+            if write and data is not None:
+                offset = (address - command.lba) * sector_size
+                raw, _corrupted = faults.corrupt_sector(
+                    address, data[offset:offset + sector_size])
+                self.store.write_sector(address, raw)
+            index += 1
+            self._attempts = 0
+        return True
+
+    def _attempt_fails(self, faults: FaultInjector, write: bool) -> bool:
+        """Draw one transient-failure decision and count a hit."""
+        failed = faults.attempt_fails(write)
+        if failed:
+            self.stats.transient_errors += 1
+        return failed
 
     def _complete(self, command: _Command) -> None:
         """Fold the finished command into the stats and acknowledge it."""
@@ -482,94 +547,9 @@ class DiskDrive:
                 # persist, the rest of the command is lost.
                 completed = min(self._segment_sectors, int(math.floor(
                     (self.sim.now - started) / self._sector_time + 1e-9)))
-                self._land(command, completed)
+                self._land(command, completed, None)
                 when = (f"after {completed}/{self._segment_sectors} "
                         f"sectors of %s")
             command.event.fail(self._lost(command, when))
         for command in self._queue.drain():
             command.event.fail(self._lost(command, "while %s was queued"))
-
-    # -- phases entered only with an injector attached -----------------
-
-    def _begin_transfer(self, command: _Command) -> None:
-        """The arm has settled on the target track: sleep the transfer."""
-        self._position_cylinder = self._target_cylinder
-        self._position_head = self._target_head
-        self._sector_index = 0
-        self._attempts = 0
-        self._sleep(self._segment_sectors * self._sector_time,
-                    self._check_sectors, self.sim.now)
-
-    def _land_remapped(self, command: _Command) -> None:
-        self._check_sectors(command, remapped=True)
-
-    def _check_sectors(self, command: _Command,
-                       remapped: bool = False) -> None:
-        """Fault-aware tail of one segment's service.
-
-        Entered when the nominal transfer time has elapsed and
-        re-entered after every extra revolution.  Each sector is
-        checked against the injector: transient failures and
-        unrecoverable (bad) sectors are retried for up to
-        ``retry_limit`` extra revolutions each; a write whose target is
-        still failing is remapped to a spare sector (``remapped``: the
-        revolution to reach it is over, the sector lands unchecked),
-        and a read (or a write with the spare pool exhausted) fails the
-        whole command with :class:`UnrecoverableSectorError`.  Sectors
-        that succeeded before the failing one persist, like a real
-        partially-completed command.  Write data may be silently
-        bit-flipped as it lands.
-        """
-        faults = self.faults
-        assert faults is not None  # phases only entered with an injector
-        stats = self.stats
-        first_lba = self._segment_lba
-        nsectors = self._segment_sectors
-        revolution = self.rotation.rotation_ms
-        sector_size = self.geometry.sector_size
-        data = command.data
-        write = command.op is Op.WRITE
-        index = self._sector_index
-        while index < nsectors:
-            address = first_lba + index
-            if remapped:
-                remapped = False
-            elif address in faults.bad_sectors \
-                    or self._attempt_fails(faults, write):
-                self._sector_index = index
-                if self._attempts < faults.plan.retry_limit:
-                    self._attempts += 1
-                    stats.retries += 1
-                    self._sleep(revolution, self._check_sectors)
-                elif write and faults.remap(address):
-                    # The controller redirected the target to a
-                    # spare; one more revolution to reach it.
-                    stats.sectors_remapped += 1
-                    stats.retries += 1
-                    self._sleep(revolution, self._land_remapped)
-                else:
-                    if write:
-                        stats.write_errors += 1
-                    else:
-                        stats.read_errors += 1
-                    self._release()
-                    command.event.fail(UnrecoverableSectorError(
-                        f"{self.name}: unrecoverable {command.op.value} "
-                        f"at LBA {address} after {self._attempts} "
-                        f"retries", lba=address))
-                return
-            if write and data is not None:
-                offset = (address - command.lba) * sector_size
-                raw, _corrupted = faults.corrupt_sector(
-                    address, data[offset:offset + sector_size])
-                self.store.write_sector(address, raw)
-            index += 1
-            self._attempts = 0
-        self._next_segment(command)
-
-    def _attempt_fails(self, faults: FaultInjector, write: bool) -> bool:
-        """Draw one transient-failure decision and count a hit."""
-        failed = faults.attempt_fails(write)
-        if failed:
-            self.stats.transient_errors += 1
-        return failed
