@@ -182,17 +182,20 @@ class RecoveryManager:
         if youngest is None:
             report.dropped_sectors = sorted(set(report.dropped_sectors))
             return report
-        report.youngest_sequence = youngest.header.sequence_id
+        header = youngest.header
+        report.youngest_sequence = header.sequence_id
 
         rebuild_start = self.sim.now
-        chain = yield from self._rebuild(youngest)
+        chain = yield from self._rebuild(youngest, header)
         report.rebuild_ms = self.sim.now - rebuild_start
         report.records_found = len(chain)
-        report.pending = chain
+        report.pending = [located for located, _header in chain]
 
         if self.config.recovery_writeback:
             writeback_start = self.sim.now
-            yield from self.replay(chain)
+            # The headers _rebuild decoded, oldest (lowest sequence id)
+            # first: nothing to decode or sort again.
+            yield from self._write_back(chain)
             report.writeback_ms = self.sim.now - writeback_start
             report.writeback_performed = True
         report.dropped_sectors = sorted(set(report.dropped_sectors))
@@ -336,12 +339,14 @@ class RecoveryManager:
                 else NULL_LBA)
 
     def _rebuild(
-        self, youngest: LocatedRecord,
-    ) -> Generator[Event, Any, List[LocatedRecord]]:
-        """Walk prev_sect back to the log_head bound; oldest first."""
-        header = youngest.header
+        self, youngest: LocatedRecord, header: RecordHeader,
+    ) -> Generator[Event, Any, List[Tuple[LocatedRecord, RecordHeader]]]:
+        """Walk prev_sect back from ``youngest`` (whose decoded header
+        is ``header``) to the log_head bound: each record with its
+        decoded header, oldest first."""
         bound = self._bound(header)
-        chain: List[LocatedRecord] = [youngest]
+        chain: List[Tuple[LocatedRecord, RecordHeader]] = [
+            (youngest, header)]
         seen = {youngest.header_lba}
         current = youngest
         # The log_head record itself is the oldest pending.
@@ -360,7 +365,7 @@ class RecoveryManager:
                     f"({older.sequence_id} >= {header.sequence_id})")
             header = older
             seen.add(current.header_lba)
-            chain.append(current)
+            chain.append((current, header))
         chain.reverse()
         return chain
 
@@ -421,16 +426,23 @@ class RecoveryManager:
         ``dropped_sectors``.  Data-disk writes that fail despite the
         drive's own retries/remapping are reported the same way.
         """
+        yield from self._write_back(sorted(
+            ((located, located.header) for located in chain),
+            key=lambda record: record[1].sequence_id))
+
+    def _write_back(
+        self, records: Sequence[Tuple[LocatedRecord, RecordHeader]],
+    ) -> Generator[Event, Any, None]:
+        """:meth:`replay` over records already decoded and in
+        increasing sequence order."""
         sector_size = self.geometry.sector_size
         #: (disk_id, data_lba) -> sequence id of the newest record that
         #: successfully replayed that sector.
         replayed: Dict[Tuple[int, int], int] = {}
         #: (sequence id, disk_id, data_lba) of sectors not replayed.
         at_risk: List[Tuple[int, int, int]] = []
-        records = sorted(((located.header, located.header_lba)
-                          for located in chain),
-                         key=lambda record: record[0].sequence_id)
-        for header, header_lba in records:
+        for located, header in records:
+            header_lba = located.header_lba
             if header.batch_size == 0:
                 continue
             sequence = header.sequence_id

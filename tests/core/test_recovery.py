@@ -9,6 +9,7 @@ import pytest
 from repro.core.config import TrailConfig
 from repro.core.format import (
     BatchEntry, NULL_LBA, RecordHeader, encode_record)
+import repro.core.recovery as recovery_module
 from repro.core.recovery import RecoveryManager
 from repro.errors import RecoveryError
 from tests.conftest import drive_to_completion, make_tiny_drive
@@ -238,6 +239,36 @@ class TestRebuildAndReplay:
         assert not without_wb.writeback_performed
         assert without_wb.total_ms < with_wb.total_ms
         assert len(without_wb.pending) == 8
+
+    def test_inline_writeback_decodes_no_header_again(
+            self, setup, monkeypatch):
+        """The inline write-back replays the headers the chain walk
+        decoded; only a deferred replay decodes them again."""
+        sim, log, data, usable = setup
+        builder = LogBuilder(log, usable)
+        for position in range(8):
+            builder.add(position, 0, [bytes([position + 1]) * SECTOR],
+                        [position * 11])
+        snapshot = log.store.snapshot()
+        decodes = []
+        decode = recovery_module.decode_record_header
+
+        def counting_decode(*args, **kwargs):
+            decodes.append(None)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(recovery_module, "decode_record_header",
+                            counting_decode)
+        counts = []
+        for writeback in (True, False):
+            log.store.restore(snapshot)
+            del decodes[:]
+            report = run_recovery(
+                sim, log, data, usable,
+                TrailConfig(recovery_writeback=writeback))
+            assert report.records_found == 8
+            counts.append(len(decodes))
+        assert counts[0] == counts[1] > 0
 
     def test_torn_youngest_record_is_discarded(self, setup):
         """Regression (found by the crash-durability property test): a

@@ -79,11 +79,12 @@ class TestMutations:
         """Recovery that finds the chain but replays nothing leaves
         acknowledged writes off the data disk: the oracle's audit
         turns that into the schedule's failure."""
-        def replay_nothing(self, chain):
+        def write_back_nothing(self, records):
             return
             yield
 
-        monkeypatch.setattr(RecoveryManager, "replay", replay_nothing)
+        monkeypatch.setattr(RecoveryManager, "_write_back",
+                            write_back_nothing)
         report = explore_scenario(SCENARIOS["crash-recovery"], budget=1,
                                   preemption_bound=0)
         assert not report.ok
