@@ -9,7 +9,9 @@ PYTHONPATH := src
 # switch (the only atomic-group gate; there is no static pass); the
 # interleaved multi-instance matrix, the per-scenario Python-call
 # and peak-byte budgets (benchmarks/perf/BENCH_alloc.json, measured
-# with the sanitizer off) and the `make analyzers` sweep run in it too.
+# with the sanitizer off), the exact-value tests of the time-scale
+# sites `make bench` does not run and the `make analyzers` sweep run
+# in it too.
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
@@ -47,9 +49,12 @@ perf-ab:
 		--seed $(SEED) --metric $(METRIC) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
-# The three repo-native lint passes (docs/STATIC_ANALYSIS.md) over ONE
-# shared parse, each over its own scope, with per-tool findings and
-# suppressions (`time make analyzers` measures the sweep).
+# The two repo-native lint passes (docs/STATIC_ANALYSIS.md), trailint
+# and trailiso, over ONE shared parse, each over its own scope, with
+# per-tool findings and suppressions (`time make analyzers` measures
+# the sweep).  Time scales have no static pass: bench pins every paper
+# millisecond exactly, and tier-1 has an exact-value test for each
+# time-scale site bench does not run.
 # `python -m tools.analysis <file>` analyzes a named file (a fixture,
 # say) with every rule of every tool.
 analyzers:

@@ -88,7 +88,11 @@ class LockManager:
         return self.acquire_slow(owner, resource, mode)
 
     def acquire_slow(self, owner: Any, resource: Any, mode: LockMode):
-        """Contended path: queue up and wait (process; may deadlock)."""
+        """Contended path: queue up and wait (process; may deadlock).
+
+        A lock that came free before the process's first step is
+        granted then, without queueing.
+        """
         return self.sim.process(self._acquire_slow(owner, resource, mode),
                                 name=f"lock:{resource}")
 
@@ -129,11 +133,11 @@ class LockManager:
         return False
 
     def _acquire_slow(self, owner, resource, mode):
-        state = self._locks.get(resource)
-        if state is None:
-            pool = self._state_pool
-            state = pool.pop() if pool else _LockState()
-            self._locks[resource] = state
+        # The holder may have released between the refusal and this
+        # process's first step; nothing would dispatch a queue then.
+        if self.try_acquire(owner, resource, mode):
+            return True
+        state = self._locks[resource]
         self.stats.waits += 1
         grant = self.sim.event()
         if state.queue is None:

@@ -130,8 +130,8 @@ class _Command:
     """
 
     __slots__ = ("op", "lba", "nsectors", "data", "priority", "event",
-                 "enqueued_at", "started_at", "seek_ms", "rotation_ms",
-                 "transfer_ms")
+                 "enqueued_at", "started_at", "overhead_ms", "seek_ms",
+                 "rotation_ms", "transfer_ms")
 
     def __init__(self, op: Op, lba: Lba, nsectors: Sectors,
                  data: Optional[bytes], priority: int, event: Event,
@@ -145,6 +145,8 @@ class _Command:
         self.event = event
         self.enqueued_at = enqueued_at
         self.started_at: Ms = enqueued_at
+        #: The overhead slept at start, any latency spike included.
+        self.overhead_ms: Ms = 0.0
         self.seek_ms: Ms = 0.0
         self.rotation_ms: Ms = 0.0
         self.transfer_ms: Ms = 0.0

@@ -316,6 +316,7 @@ class DiskDrive:
             if spike > 0.0:
                 self.stats.latency_spikes += 1
                 overhead += spike
+        command.overhead_ms = overhead
         self._begin_segment(command, overhead)
 
     def _sleep(self, delay: Ms,
@@ -472,7 +473,7 @@ class DiskDrive:
         # of the dataclass.
         completed_at = self.sim.now
         started_at = command.started_at
-        overhead_ms = self.command_overhead_ms
+        overhead_ms = command.overhead_ms
         queue_ms = started_at - command.enqueued_at
         result = _new_result(IoResult)
         result.op = op

@@ -75,7 +75,6 @@ def start_drive_faults(
 def _execute(
     sim: Simulation, drive: DiskDrive, schedule: List[DriveFaultEdge],
 ) -> Generator[Event, Any, None]:
-    # unit: (schedule: ms)
     for at_ms, action in schedule:
         if at_ms > sim.now:
             yield sim.timeout(at_ms - sim.now)

@@ -9,17 +9,12 @@ paper prints them.
 Dimension aliases
 -----------------
 
-The :data:`Bytes` / :data:`Sectors` / :data:`Tracks` / :data:`Ms` family
-are ``Annotated`` aliases: plain ``int``/``float`` to mypy and at
-runtime, but each carries a :class:`Unit` marker naming its dimension.
-``trailunits`` (``make analyzers``) reads the time aliases —
-:data:`Ms`, :data:`Seconds`, :data:`Us` — to seed its time-scale flow
-analysis, so annotating a signature with them buys static ms-versus-s
-checking::
-
-    def service_time(self, now: Ms, budget: Seconds) -> Ms: ...
-
-The other aliases document the dimension for readers.
+:data:`Bytes`, :data:`Sectors`, :data:`Tracks`, :data:`Cylinders`,
+:data:`Lba`, :data:`Ms`, :data:`Seconds` and :data:`Us` are plain
+aliases of ``int`` or ``float``: they name a value's dimension for
+readers and change nothing for mypy or at run time.  Names say the
+time scale too (``*_ms``, ``*_us``, ``*_seconds``); seconds and
+microseconds meet milliseconds only through the converters below.
 :data:`LogLba` and :data:`DataLba` are real ``NewType`` wrappers — the
 paper's write record stores *data-disk* addresses inside *log-disk*
 sectors, so the two address spaces coexist in the same structures and
@@ -29,43 +24,24 @@ where it is applied.
 
 from __future__ import annotations
 
-from typing import Annotated, NewType
-
-
-class Unit:
-    """Runtime marker naming the dimension of an ``Annotated`` number."""
-
-    __slots__ = ("dim",)
-
-    def __init__(self, dim: str) -> None:
-        self.dim = dim
-
-    def __repr__(self) -> str:
-        return f"Unit({self.dim!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Unit) and other.dim == self.dim
-
-    def __hash__(self) -> int:
-        return hash((Unit, self.dim))
-
+from typing import NewType
 
 #: Storage sizes in bytes.
-Bytes = Annotated[int, Unit("bytes")]
+Bytes = int
 #: Sector counts (or sector offsets within a track).
-Sectors = Annotated[int, Unit("sectors")]
+Sectors = int
 #: Track indexes / counts.
-Tracks = Annotated[int, Unit("tracks")]
+Tracks = int
 #: Cylinder indexes / counts.
-Cylinders = Annotated[int, Unit("cylinders")]
+Cylinders = int
 #: Simulated time in milliseconds (the library-wide convention).
-Ms = Annotated[float, Unit("ms")]
+Ms = float
 #: Wall-style seconds — only ever an input/output unit, never stored.
-Seconds = Annotated[float, Unit("s")]
+Seconds = float
 #: Microseconds — only ever an input unit.
-Us = Annotated[float, Unit("us")]
+Us = float
 #: A logical block address with unspecified address space.
-Lba = Annotated[int, Unit("lba")]
+Lba = int
 
 #: A block address on the **log disk** (where Trail's record chain
 #: lives).  Distinct from :data:`DataLba` — see the module docstring.

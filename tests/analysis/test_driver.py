@@ -33,7 +33,7 @@ LINT_DIRTY = ("def swallow(action):\n    try:\n        return action()\n"
 #: A module-level mutable container: exactly one TIS001.
 ISO_DIRTY = "_CACHE = {}\n"
 
-ALL_TOOLS = ["trailint", "trailunits", "trailiso"]
+ALL_TOOLS = ["trailint", "trailiso"]
 
 
 @pytest.fixture
@@ -60,11 +60,8 @@ class TestRunAll:
     def test_each_tool_sees_only_its_path_scope(self, tree):
         report = run_all(root=str(tree))
         checked = {run.name: run.files_checked for run in report.runs}
-        # trailint covers src+tests+tools; trailunits/trailiso skip
-        # tests/.
-        assert checked["trailint"] == 3
-        assert checked["trailunits"] == 2
-        assert checked["trailiso"] == 2
+        # trailint covers src+tests+tools; trailiso skips tests/.
+        assert checked == {"trailint": 3, "trailiso": 2}
 
     def test_findings_carry_the_owning_tool(self, tree):
         (tree / "src/repro/noisy.py").write_text(LINT_DIRTY,
@@ -72,8 +69,7 @@ class TestRunAll:
         report = run_all(root=str(tree))
         by_tool = {run.name: [f.code for f in run.findings]
                    for run in report.runs}
-        assert by_tool["trailint"] == ["TRL004"]
-        assert not by_tool["trailunits"] and not by_tool["trailiso"]
+        assert by_tool == {"trailint": ["TRL004"], "trailiso": []}
 
     def test_trailiso_findings_reach_the_aggregate(self, tree):
         """An isolation finding appears under trailiso and nowhere else."""
@@ -82,10 +78,7 @@ class TestRunAll:
         report = run_all(root=str(tree))
         by_tool = {run.name: [f.code for f in run.findings]
                    for run in report.runs}
-        assert by_tool["trailiso"] == ["TIS001"]
-        for other in ("trailint", "trailunits"):
-            assert not any(code.startswith("TIS")
-                           for code in by_tool[other])
+        assert by_tool == {"trailint": [], "trailiso": ["TIS001"]}
         assert report.findings == 1
 
     def test_suppressed_finding_is_counted_not_reported(self, tree):
@@ -103,9 +96,7 @@ class TestRunAll:
         report = run_all(root=str(tree))
         codes = {run.name: {f.code for f in run.findings}
                  for run in report.runs}
-        assert "TRL000" in codes["trailint"]
-        assert "TUN000" in codes["trailunits"]
-        assert "TIS000" in codes["trailiso"]
+        assert codes == {"trailint": {"TRL000"}, "trailiso": {"TIS000"}}
 
     def test_crashing_tool_fails_loudly(self, tree, monkeypatch):
         """A tool that raises mid-run must not report a false clean.
@@ -114,12 +105,12 @@ class TestRunAll:
         check: a crashed analyzer propagates out of ``run_all`` so CI
         fails red instead of green-with-a-missing-tool.
         """
-        from tools.trailunits import SPEC
+        from tools.trailiso import SPEC
 
-        def boom(files):
+        def boom(parsed):
             raise RuntimeError("rule crashed mid-run")
 
-        monkeypatch.setattr(SPEC, "prepare", boom)
+        monkeypatch.setattr(SPEC, "make_context", boom)
         with pytest.raises(RuntimeError, match="rule crashed mid-run"):
             run_all(root=str(tree))
 
@@ -128,20 +119,18 @@ class TestRunAll:
         assert all(run.files_checked == 1 for run in report.runs)
 
 
-#: ``service_time`` with and without a ``# unit:`` lookalike in a
-#: string default.  Only a comment token declares dimensions: read as
-#: one, the lookalike would declare both times and hide the TUN008.
-SIGNATURE = ("def service_time(delay_ms: float, settle_us: float{tag})"
-             " -> float:\n"
-             "    return delay_ms\n")
-UNIT_LOOKALIKE = ', tag: str = "# unit: (delay_ms: ms, settle_us: us) -> ms"'
+#: A module-level mutable with and without a file-wide suppression
+#: lookalike in a string on the line before it.  Only a comment token
+#: suppresses: read as one, the lookalike would hide the TIS001.
+MUTABLE = '{tag}_CACHE = {{}}\n'
+FILE_LOOKALIKE = 'NOTE = "# trailiso: disable-file=TIS001 -- a string"\n'
 
-#: One lookalike per grammar, each inside a string literal.  Read as
+#: One lookalike per pass, each inside a string literal.  Read as
 #: comments they would suppress the TRL004 and the TIS001 and add an
 #: unused-suppression hygiene finding.
 LOOKALIKES = textwrap.dedent("""\
     _CACHE = {"note": "# trailiso: disable=TIS001 -- a string, not a comment"}
-    UNIT = "# trailunits: disable=TUN004 -- a string, not a comment"
+    NOTE = "# trailint: disable=TRL009 -- a string, not a comment"
 
     def report(action):
         try:
@@ -158,23 +147,26 @@ def _findings(report):
 class TestSharedComments:
     """Every pass reads one tokenize pass's comments, nothing else."""
 
-    def test_unit_lookalike_in_a_string_declares_nothing(self, tree):
-        path = tree / "src/repro/core/timing.py"
+    def test_file_suppression_lookalike_in_a_string_hides_nothing(
+            self, tree):
+        path = tree / "src/repro/core/cache.py"
         path.parent.mkdir(parents=True)
-        path.write_text(SIGNATURE.format(tag=""), encoding="utf-8")
+        path.write_text(MUTABLE.format(tag=""), encoding="utf-8")
         plain = _findings(run_all(root=str(tree)))
-        path.write_text(SIGNATURE.format(tag=UNIT_LOOKALIKE),
+        assert plain["trailiso"] == [("TIS001", 1)]
+        path.write_text(MUTABLE.format(tag=FILE_LOOKALIKE),
                         encoding="utf-8")
-        assert plain["trailunits"] == [("TUN008", 1)]
-        assert _findings(run_all(root=str(tree))) == plain
+        report = run_all(root=str(tree))
+        assert _findings(report) == {"trailint": [],
+                                     "trailiso": [("TIS001", 2)]}
+        assert report.tool("trailiso").suppressed == 0
 
     def test_lookalikes_in_strings_are_ignored_by_every_pass(self, tree):
         (tree / "src/repro/lookalikes.py").write_text(LOOKALIKES,
                                                       encoding="utf-8")
         report = run_all(root=str(tree))
         assert _findings(report) == {
-            "trailint": [("TRL004", 7)], "trailunits": [],
-            "trailiso": [("TIS001", 1)]}
+            "trailint": [("TRL004", 7)], "trailiso": [("TIS001", 1)]}
         assert all(run.suppressed == 0 for run in report.runs)
 
     def test_each_file_is_tokenized_once_per_run(self, tree, monkeypatch):
@@ -191,7 +183,7 @@ class TestCli:
         assert main(["--root", str(tree)]) == 0
         out = capsys.readouterr().out
         assert "parsed 3 files once" in out
-        assert out.splitlines()[-1] == "analyzers: 3 tools clean"
+        assert out.splitlines()[-1] == "analyzers: 2 tools clean"
         # No wall-clock in the report: two runs print the same bytes.
         assert main(["--root", str(tree)]) == 0
         assert capsys.readouterr().out == out
@@ -216,13 +208,10 @@ class TestCli:
     @pytest.mark.parametrize("fixture, expected", [
         ("tests/lint/fixtures/bad/trl004_broad_except.py",
          {("TRL004", 7), ("TRL004", 14)}),
-        ("tests/units/fixtures/bad/tun004_time_scale.py",
-         {("TUN004", 11), ("TUN004", 15), ("TUN004", 19), ("TUN004", 27),
-          ("TUN004", 31), ("TUN004", 35)}),
         ("tests/iso/fixtures/bad/tis001_module_mutables.py",
          {("TIS001", 12), ("TIS001", 14), ("TIS001", 16), ("TIS001", 18),
           ("TIS001", 20), ("TIS001", 22), ("TIS001", 24)}),
-    ], ids=["trailint", "trailunits", "trailiso"])
+    ], ids=["trailint", "trailiso"])
     def test_named_bad_fixture_reports_its_codes(self, fixture, expected):
         """A named file gets every rule, even inside a fixture tree that
         a walk skips: the command exits 1 with the fixture's codes."""

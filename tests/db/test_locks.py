@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db.locks import _X_BIT, LockManager, LockMode
+from repro.db.locks import _X_BIT, LockManager, LockMode, LockStats
 from repro.errors import DeadlockError
 from repro.sim import Simulation
 
@@ -29,15 +29,23 @@ def granted_at_once(holdings, mode):
 
 
 def granted_from_queue(holdings, mode):
-    """Queue the request behind a holder, let that holder release, and
-    report whether ``_dispatch`` granted it."""
+    """Queue the request behind a blocker, let the blocker release, and
+    report whether ``_dispatch`` granted it.
+
+    A request the requester's own hold already covers (X, or the mode
+    itself) is granted before it queues, as ``try_acquire`` grants it.
+    """
     sim, manager = holding(holdings)
+    if not manager.try_acquire("blocker", "r", X):
+        # The blocker joins the way _dispatch grants, past the matrix.
+        state = manager._locks["r"]
+        manager._grant("r", state.holders, "blocker", _X_BIT)
     waiter = manager.acquire_slow("requester", "r", mode)
     sim.run(until=1.0)
-    state = manager._locks["r"]
-    assert list(state.queue) and not waiter.triggered
-    # The blocker joins the way _dispatch grants, past the matrix.
-    manager._grant("r", state.holders, "blocker", _X_BIT)
+    held = dict(holdings).get("requester")
+    covered = held is X or held is mode
+    assert waiter.triggered is covered
+    assert bool(manager._locks["r"].queue) is not covered
     manager.release_all("blocker")
     sim.run(until=2.0)
     return waiter.triggered
@@ -195,6 +203,22 @@ class TestQueueing:
         results = dict(outcomes)
         # At least one victim; the timeout breaks the cycle either way.
         assert "aborted" in results.values()
+
+    def test_release_before_the_slow_path_starts_grants_at_once(self, sim):
+        """The holder releases after ``acquire`` refused but before the
+        waiting process's first step: the waiter gets the lock then,
+        instead of queueing where nothing dispatches and aborting at
+        the deadlock timeout."""
+        manager = LockManager(sim)
+        acquire(sim, manager, "A", "r", LockMode.EXCLUSIVE)
+        event = manager.acquire("B", "r", LockMode.EXCLUSIVE)
+        manager.release_all("A")
+        assert sim.run_until(event) is True
+        assert sim.now == 0.0
+        assert manager.held_by("B") == ["r"]
+        assert manager.stats == LockStats(acquisitions=2, waits=0,
+                                          deadlock_aborts=0,
+                                          total_wait_ms=0.0)
 
     def test_victim_timeout_leaves_queue_clean(self, sim):
         manager = LockManager(sim, deadlock_timeout_ms=5.0)

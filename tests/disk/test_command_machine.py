@@ -519,6 +519,24 @@ def check_decomposition(bursts, plan):
         state["position"]
 
 
+def test_latency_spike_is_reported_as_overhead():
+    """A spike is slept with the command overhead, so it is reported in
+    ``overhead_ms`` and the four terms still add up to the service time."""
+    sim = Simulation()
+    drive = make_tiny_drive(sim)
+    drive.attach_faults(FaultPlan(latency_spike_prob=1.0,
+                                  latency_spike_ms=7.0))
+    event = drive.read(0, 1)
+    sim.run()
+    result = event.value
+    assert drive.stats.latency_spikes == 1
+    assert result.overhead_ms == drive.command_overhead_ms + 7.0
+    assert result.service_ms == 10.625
+    assert (result.overhead_ms + result.seek_ms + result.rotation_ms
+            + result.transfer_ms) == result.service_ms
+    assert drive.stats.overhead_ms == result.overhead_ms
+
+
 # ----------------------------------------------------------------------
 # (f) Seeded fault plans: pinned outcomes
 
@@ -527,25 +545,27 @@ def check_decomposition(bursts, plan):
 #: first captured on the process-per-command drive; the fold into one
 #: sleep per segment moved float sums in their last digits and, in the
 #: (11, 1, 400.3) cut run, the first write after the cut, which now
-#: seeks from where the last landed segment left the arm.  Keys:
+#: seeks from where the last landed segment left the arm.  Reporting a
+#: spiked command's spike in its ``overhead_ms`` then moved the drive
+#: counters' ``overhead_ms`` by 7.0 ms per completed spike.  Keys:
 #: (seed, clients, power cut at ms).  The cut runs use one client:
 #: with commands *queued* at the cut the process-based drive could leak
 #: its queue slot and hang (see
 #: test_drive_serves_again_after_a_cut_with_a_queue).
 FAULTY_RUN_GOLDEN = {
     (11, 3, None):
-        "13f54a068ed9fe982d808202a42240e0c1394cf61a6e1bc026d884b91b37b056",
+        "f0495a95ee9f8b4dd92bb3331c3d90800bb908a56539003d0d0fac70f3673c7d",
     (23, 3, None):
-        "18105ab25995b2c41ea3c7eb3f1a2486553191a884c63c1f87e25d9d78a3fa11",
+        "8ef86a3349fbc5e0926564477d17ccdcab7eae03b3e18b14a06adca30903ed51",
     # Cut while positioning, and mid-transfer (off the sector grid: a
     # cut at the exact instant a phase ends is a tie, see
     # test_cut_at_the_instant_a_transfer_ends).
     (11, 1, 131.7):
-        "551f722c3a4abb8ca0997a78a437b55f6b81758dfc3afc498c0bfd1daacb5b38",
+        "8802f55e01a611d0321edb4a6c0b66aa73a6a95ed1e21a91affec2592ca1f3c6",
     (11, 1, 400.3):
-        "19d49a11a6da2761a83c2e1f0ff769b45250ea13291197f3c4aaaafa48f1d86d",
+        "d7328107bb189ee5d1121fb4d43a6cd4e465e05b9972c76799fac38b50ed6c0b",
     (23, 1, 655.5):
-        "62851f5c1c09786fa6c498b7724e8b9cf25d5e5c3d113bd47b6f7f60b246bfaf",
+        "50757ac2effa0032706cf13e41706ca8e0a8f9300f446963510e60bcba6e35c0",
 }
 
 

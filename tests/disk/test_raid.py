@@ -151,7 +151,9 @@ class TestTrailFrontedRaid:
         trail = TrailDriver(sim, log_drive, {0: array}, config)
         drive_to_completion(sim, trail.mount())
 
+        issued_at = sim.now
         raw_latency = do_write(sim, array, 100, bytes(SECTOR)).latency_ms
+        assert raw_latency == sim.now - issued_at
 
         def body():
             total = 0.0

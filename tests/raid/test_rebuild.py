@@ -100,6 +100,8 @@ class TestOnlineRebuild:
         force_detection(sim, array)
         engine = wait_rebuild(sim, array)
         assert engine.status == "complete"
+        # It completed at this instant of the sim clock.
+        assert engine.elapsed_ms == sim.now - engine.started_at
         assert engine.stripes_rebuilt == array.stripes_total
         assert array.failed_drive is None
         assert array.drives[1] is spares[0]  # spare swapped in

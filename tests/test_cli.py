@@ -115,12 +115,33 @@ class TestRaidRebuildCommand:
         assert capsys.readouterr().err \
             == "bad --intensities value 'fast'\n"
 
-    def test_smoke_run(self, capsys):
+    def test_smoke_run(self, capsys, monkeypatch):
+        from repro.raid import scenario
+
+        arrays, results = [], []
+        run = scenario.run_raid_rebuild
+
+        class RecordedArray(scenario.Raid5Array):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                arrays.append(self)
+
+        def recorded_run(config):
+            results.append(run(config))
+            return results[-1]
+
+        monkeypatch.setattr(scenario, "Raid5Array", RecordedArray)
+        monkeypatch.setattr(scenario, "run_raid_rebuild", recorded_run)
         assert main(["raid-rebuild", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "rebuild" in out
         assert "degraded" in out
         assert "fingerprint" in out
+        # The reported rebuild time is the engine's span on the sim clock.
+        (array,), (result,) = arrays, results
+        engine = array.rebuild
+        assert result.rebuild_status == engine.status == "complete"
+        assert result.rebuild_ms == engine.completed_at - engine.started_at
 
 
 class TestMcCommand:

@@ -1,35 +1,14 @@
 """The ``repro.units`` dimension aliases at runtime.
 
-The ``Annotated`` aliases must be invisible (plain ints/floats), the
-``Unit`` marker must compare by dimension, and the ``LogLba`` /
-``DataLba`` NewType wrappers must round-trip through the on-disk
-record format unchanged — the wrapper exists for checkers, never for
-the platter.
+The ``LogLba`` / ``DataLba`` NewType wrappers must round-trip through
+the on-disk record format unchanged — the wrapper exists for checkers,
+never for the platter.
 """
-
-import typing
 
 from repro.core.format import (
     NULL_LBA, BatchEntry, RecordHeader, decode_record_header,
     encode_record)
-from repro.units import (
-    SECTOR_SIZE, Bytes, DataLba, LogLba, Ms, Unit, sectors_for)
-
-
-def test_annotated_aliases_are_runtime_invisible():
-    # Bytes/Ms/... are Annotated[int|float, Unit(...)]: nothing wraps.
-    assert typing.get_origin(Bytes) is not None
-    base, marker = typing.get_args(Bytes)
-    assert base is int
-    assert marker == Unit("bytes")
-    assert typing.get_args(Ms)[0] is float
-
-
-def test_unit_marker_compares_by_dimension():
-    assert Unit("sectors") == Unit("sectors")
-    assert repr(Unit("ms")) == "Unit('ms')"
-    assert Unit("sectors") != Unit("bytes")
-    assert hash(Unit("ms")) == hash(Unit("ms"))
+from repro.units import SECTOR_SIZE, Bytes, DataLba, LogLba, sectors_for
 
 
 def test_newtype_wrappers_are_plain_ints():

@@ -49,11 +49,12 @@ class TestExecution:
         system = tiny_standard()
         workload = SyncWriteWorkload(requests_per_process=20,
                                      processes=2, seed=1)
+        started_at = system.sim.now
         result = run_sync_write_workload(system.sim, system.driver,
                                          workload)
         assert result.requests == 40
         assert result.latencies.count == 40
-        assert result.makespan_ms > 0
+        assert result.makespan_ms == system.sim.now - started_at > 0
         assert result.throughput_per_s > 0
 
     def test_seed_reproducible(self):

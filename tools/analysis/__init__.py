@@ -1,6 +1,6 @@
-"""Shared analyzer runtime for trailint, trailunits and trailiso.
+"""Shared analyzer runtime for trailint and trailiso.
 
-The three repo-native analyzers differ only in their rules and per-file
+The two repo-native analyzers differ only in their rules and per-file
 models; everything operational is defined once here:
 
 * :class:`~tools.analysis.findings.Finding` — the one diagnostic shape.

@@ -1,8 +1,8 @@
 """The one analyzer entry point: ``python -m tools.analysis [paths] [--json]``.
 
 Resolves, parses and tokenizes every input file exactly once, then
-hands the shared AST and comments to trailint, trailunits and
-trailiso in turn, and reports per-tool findings and suppressions.
+hands the shared AST and comments to trailint and trailiso in turn,
+and reports per-tool findings and suppressions.
 
 With no paths (``make analyzers``) each tool sees its own scope
 (:attr:`ToolSpec.paths`) and a directory walk skips the fixture trees.
@@ -34,8 +34,7 @@ def _specs() -> List[ToolSpec]:
     """Every analyzer, in report order."""
     from tools.trailint import SPEC as trailint_spec
     from tools.trailiso import SPEC as trailiso_spec
-    from tools.trailunits import SPEC as trailunits_spec
-    return [trailint_spec, trailunits_spec, trailiso_spec]
+    return [trailint_spec, trailiso_spec]
 
 
 @dataclass
@@ -71,11 +70,10 @@ def _in_scope(relpath: str, tool_paths: Sequence[str]) -> bool:
 
 def run_tool(spec: ToolSpec, files: Sequence[ParsedFile]) -> ToolRun:
     """One tool over its share of the parsed files."""
-    shared = spec.prepare(files)
     findings: List[Finding] = []
     suppressed = 0
     for parsed in files:
-        kept, hidden = check_file(spec, parsed, shared)
+        kept, hidden = check_file(spec, parsed)
         findings.extend(kept)
         suppressed += hidden
     return ToolRun(name=spec.name, findings=sorted(findings),

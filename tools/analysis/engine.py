@@ -2,10 +2,8 @@
 
 One :class:`ToolSpec` describes everything tool-specific — the name
 and code prefix (which fix the suppression grammar), the rule
-registry, the path scope a default run gives it, the per-file context
-object rules receive, and an optional whole-run
-:meth:`ToolSpec.prepare` hook for analyses that need cross-file state
-(trailunits builds its signature table there).  Everything else —
+registry, the path scope a default run gives it and the per-file
+context object rules receive.  Everything else —
 walking inputs, parsing each file and tokenizing its comments once,
 matching rule scopes, applying suppressions and policing them — lives
 here and behaves identically for every tool.
@@ -44,9 +42,9 @@ FIXTURES: Tuple[str, ...] = ("tests/*/fixtures/*",)
 class FileContext:
     """Everything a rule may look at for one file.
 
-    Tools with richer per-file models (trailiso's isolation model,
-    trailunits' inference caches) subclass this; the engine constructs
-    contexts through :meth:`ToolSpec.make_context`.
+    A tool with a richer per-file model (trailiso's isolation model)
+    subclasses this; the engine constructs contexts through
+    :meth:`ToolSpec.make_context`.
     """
 
     def __init__(self, path: str, comments: Comments,
@@ -84,7 +82,7 @@ class ToolSpec:
     #: Tool name: the ``# <name>:`` suppression prefix and the key of
     #: its findings in the report.
     name: str = ""
-    #: Three-letter rule-code prefix (``TRL``, ``TUN``, ``TIS``).
+    #: Three-letter rule-code prefix (``TRL``, ``TIS``).
     prefix: str = ""
     #: Code reported for unreadable or syntactically invalid files.
     error_code: str = ""
@@ -96,12 +94,7 @@ class ToolSpec:
     #: imports its rule modules.
     registry: Registry
 
-    def prepare(self, files: Sequence[ParsedFile]) -> object:
-        """Whole-run hook before per-file checks; returns shared state."""
-        return None
-
-    def make_context(self, parsed: ParsedFile,
-                     shared: object) -> FileContext:
+    def make_context(self, parsed: ParsedFile) -> FileContext:
         assert parsed.tree is not None
         return FileContext(parsed.relpath, parsed.comments, parsed.tree)
 
@@ -168,8 +161,8 @@ def parse(path: str, relpath: str, explicit: bool) -> ParsedFile:
     return parsed
 
 
-def check_file(spec: ToolSpec, parsed: ParsedFile,
-               shared: object) -> Tuple[List[Finding], int]:
+def check_file(spec: ToolSpec,
+               parsed: ParsedFile) -> Tuple[List[Finding], int]:
     """Run every rule of ``spec`` over one parsed file.
 
     Returns post-suppression findings (sorted) plus the number of
@@ -179,7 +172,7 @@ def check_file(spec: ToolSpec, parsed: ParsedFile,
         line, col, message = parsed.error
         return [Finding(path=parsed.relpath, line=line, col=col,
                         code=spec.error_code, message=message)], 0
-    ctx = spec.make_context(parsed, shared)
+    ctx = spec.make_context(parsed)
     raw: List[Finding] = []
     for rule in spec.registry.all_rules():
         if not rule.applies_to(parsed.relpath,

@@ -7,8 +7,8 @@ A rule is a class with a ``<PREFIX>nnn`` code, an optional path
 objects for one analyzed file.
 
 Each analyzer owns a :class:`Registry` instance (``TRL`` for trailint,
-``TUN`` for trailunits, ``TIS`` for trailiso); rules self-register at
-import time via the registry's :meth:`Registry.register` decorator.
+``TIS`` for trailiso); rules self-register at import time via the
+registry's :meth:`Registry.register` decorator.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The grammar is the one trailint introduced, parameterized by the tool
 name and code prefix::
 
     # trailiso: disable-file=TIS004 -- a command-line timing wrapper
-    budget = limit + slack       # trailunits: disable=TUN004 -- slack is pre-scaled to ms
+    except Exception:  # trailint: disable=TRL004 -- the CLI reports and exits
 
 A trailing ``disable`` suppresses the named code(s) on its own line;
 ``disable-file`` on a comment-only line suppresses for the whole file.

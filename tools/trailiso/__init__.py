@@ -46,8 +46,7 @@ class TrailisoSpec(ToolSpec):
     hygiene_code = "TIS000"
     registry = REGISTRY
 
-    def make_context(self, parsed: ParsedFile,
-                     shared: object) -> IsoContext:
+    def make_context(self, parsed: ParsedFile) -> IsoContext:
         assert parsed.tree is not None
         return IsoContext(parsed.relpath, parsed.comments, parsed.tree)
 
