@@ -49,16 +49,15 @@ perf-ab:
 		--seed $(SEED) --metric $(METRIC) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
-# The two repo-native lint passes (docs/STATIC_ANALYSIS.md), trailint
-# and trailiso, over ONE shared parse, each over its own scope, with
-# per-tool findings and suppressions (`time make analyzers` measures
-# the sweep).  Time scales have no static pass: bench pins every paper
-# millisecond exactly, and tier-1 has an exact-value test for each
-# time-scale site bench does not run.
-# `python -m tools.analysis <file>` analyzes a named file (a fixture,
-# say) with every rule of every tool.
+# The repo's one lint pass (docs/STATIC_ANALYSIS.md): four rules over
+# one `ast` parse of every file under src and tools, one line per
+# finding and one verdict line (`time make analyzers` measures it).
+# Time scales have no static pass: bench pins every paper millisecond
+# exactly, and tier-1 has an exact-value test for each time-scale site
+# bench does not run.  `python -m tools.lint <file>` checks a named
+# file (a fixture, say) with every rule.
 analyzers:
-	$(PYTHON) -m tools.analysis
+	$(PYTHON) -m tools.lint
 
 # Bounded schedule model checking: enumerate same-time dispatch orders
 # and cross-instance interleavings (preemption bound 3, 250 schedules

@@ -7,9 +7,9 @@ targets, a :class:`~repro.core.driver.TrailDriver` (which owns the
 recovery manager), and the format/mount calls that bind them.  Ad-hoc
 assembly is exactly how cross-instance state leaks slip in: anything a
 component stashes at module scope is shared by *every* stack in the
-process, which the ``tools/trailiso`` static pass forbids and the
-interleaved-twin harness (``tests/integration/test_two_instances.py``)
-checks at runtime.
+process, which the TIS001 and TIS004 rules of ``tools/lint.py``
+forbid and the interleaved-twin harness
+(``tests/integration/test_two_instances.py``) checks at runtime.
 
 :class:`TrailInstance` is the one sanctioned assembly.  Two instances
 in one process share nothing but immutable module constants, so:

@@ -141,10 +141,7 @@ class WriteAheadLog:
         return self.append_slow(payload)
 
     def _append(self, payload: bytes) -> Generator:
-        token = self._latch.request()
-        requested = self.sim.now
-        yield token
-        self.stats.latch_wait_ms += self.sim.now - requested
+        token = yield from self._acquire_latch()
         self._buffer.extend(payload)
         self._next_lsn += len(payload)
         lsn = self._next_lsn
@@ -175,10 +172,7 @@ class WriteAheadLog:
         if lsn <= self._snapshot_lsn:
             return durable  # an in-flight force already covers us
         if self.policy.should_flush_on_commit(len(self._buffer)):
-            token = self._latch.request()
-            requested = self.sim.now
-            yield token
-            self.stats.latch_wait_ms += self.sim.now - requested
+            token = yield from self._acquire_latch()
             if lsn > self._snapshot_lsn and lsn > self._durable_lsn:
                 yield from self._flush_and_release(token)
             else:
@@ -190,11 +184,19 @@ class WriteAheadLog:
         return self.sim.process(self._force(), name="wal-force")
 
     def _force(self) -> Generator:
-        token = self._latch.request()
-        yield token
+        token = yield from self._acquire_latch()
         yield from self._flush_and_release(token)
 
     # ------------------------------------------------------------------
+
+    def _acquire_latch(self) -> Generator:
+        """Wait for the log latch, counting the stall in
+        ``stats.latch_wait_ms``; the value is the held latch token."""
+        token = self._latch.request()
+        requested = self.sim.now
+        yield token
+        self.stats.latch_wait_ms += self.sim.now - requested
+        return token
 
     def _flush_and_release(self, token: Event) -> Generator:
         """Snapshot the buffer and release the held latch ``token``.

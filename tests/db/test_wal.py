@@ -180,3 +180,26 @@ class TestMechanics:
         second = sim.process(late_appender())
         sim.run_until(sim.all_of([first, second]))
         assert wal.stats.latch_wait_ms > 0
+
+    def test_force_counts_its_latch_wait(self, sim):
+        """A force queued behind a latched flush counts its stall in
+        ``latch_wait_ms`` like an append or a commit does."""
+        wal, _device, _disk = make_wal(sim, SyncCommitPolicy())
+        wal.latch_during_flush = True
+        flush_ends = []
+
+        def committer():
+            lsn = yield wal.append(bytes(4096))
+            durable = yield wal.commit(lsn)
+            yield durable
+            flush_ends.append(sim.now)
+
+        def late_force():
+            yield sim.timeout(0.01)  # arrive while the flush is active
+            yield wal.force()
+
+        first = sim.process(committer())
+        second = sim.process(late_force())
+        sim.run_until(sim.all_of([first, second]))
+        assert flush_ends[0] > 0.01
+        assert wal.stats.latch_wait_ms == flush_ends[0] - 0.01

@@ -1,7 +1,7 @@
-"""The runtime twin of ``tools/trailiso``: Trail instances, one process.
+"""The runtime twin of TIS001/TIS004: Trail instances, one process.
 
-``tools/trailiso`` statically forbids cross-instance state (module
-mutables, context escapes, ambient singletons).  This suite is the
+``tools/lint.py`` statically forbids cross-instance state (module
+mutables and ambient singletons, TIS001 and TIS004).  This suite is the
 dynamic half of that contract: it runs two independently seeded
 :class:`~repro.core.instance.TrailInstance` stacks *interleaved* —
 round-robin, one dispatched event per turn, in a single process — and

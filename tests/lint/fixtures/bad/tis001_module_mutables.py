@@ -3,7 +3,7 @@
 
 Any module-level list/dict/set/bytearray, or an ``itertools.count``
 id source, is shared by every Trail instance in the process;
-trailiso demands a freeze or a per-instance home.
+TIS001 demands a freeze or a per-instance home.
 """
 
 import itertools

@@ -4,12 +4,12 @@
 def swallow(action) -> object:
     try:
         return action()
-    except Exception:
+    except Exception:  # expect: TRL004
         return None
 
 
 def swallow_bare(action) -> object:
     try:
         return action()
-    except:  # noqa: E722
+    except:  # noqa: E722  # expect: TRL004
         return None

@@ -4,8 +4,8 @@ from repro.core.format import decode_record_header, restore_payload
 
 
 def scan(raw: bytes):
-    return decode_record_header(raw)
+    return decode_record_header(raw)  # expect: TRL008
 
 
 def replay(entries, masked: bytes) -> bytes:
-    return restore_payload(entries, masked)
+    return restore_payload(entries, masked)  # expect: TRL008

@@ -1,4 +1,4 @@
-"""Fixture: near-miss patterns every trailint rule accepts."""
+"""Fixture: near-miss patterns TRL004 and TRL008 accept."""
 
 from repro.core.format import (
     decode_record_header, payload_crc32, restore_payload)

@@ -1,6 +1,5 @@
 """Repo-native analysis tools.
 
-``tools.analysis`` is the shared runtime and the one command line,
-``python -m tools.analysis``, for the two lint passes built on it
-(``tools.trailint``, ``tools.trailiso``).
+``tools.lint`` is the repo's one lint pass and its command line,
+``python -m tools.lint`` (``make analyzers``).
 """
