@@ -60,9 +60,9 @@ analyzers:
 	$(PYTHON) -m tools.lint
 
 # Bounded schedule model checking: enumerate same-time dispatch orders
-# and cross-instance interleavings (preemption bound 3, 250 schedules
-# per scenario, every schedule under the bound: no pruning) and assert
-# byte-identical digests + sanitizer invariants on every schedule.
+# of the two scenarios (preemption bound 3, 250 schedules per scenario,
+# every schedule under the bound: no pruning) and assert byte-identical
+# data-disk digests + sanitizer invariants on every schedule.
 mc:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro mc
 

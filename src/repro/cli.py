@@ -268,8 +268,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
     if args.list:
         for scenario in SCENARIOS.values():
-            print(f"{scenario.name:18} {scenario.summary} "
-                  f"[{', '.join(scenario.explore)}]")
+            print(f"{scenario.name:18} {scenario.summary}")
         return 0
 
     names = args.scenarios or list(SCENARIOS)

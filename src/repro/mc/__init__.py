@@ -2,11 +2,11 @@
 
 ``repro.sim.explore`` is the engine — schedule enumeration and
 replay; this package is the harness that points it at the real
-stack: three deterministic end-to-end scenarios (crash + recovery,
-write-back under media faults, two interleaved instances),
-and the digests each must hold invariant across every legal
-cooperative schedule.  The checker's teeth are shown by the bug corpus
-(``make corpus``), whose tail-chain tear every scenario catches.
+stack: two deterministic end-to-end scenarios (crash + recovery,
+write-back under media faults) and the data-disk digest each must
+hold invariant across every legal cooperative schedule.  The
+checker's teeth are shown by the bug corpus (``make corpus``), whose
+tail-chain tear both scenarios catch.
 
 Run via ``repro mc`` (or ``make mc``)::
 

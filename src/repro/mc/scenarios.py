@@ -1,42 +1,31 @@
-"""The three model-checked scenarios and their invariant digests.
+"""The two model-checked scenarios and their invariant digest.
 
 Each scenario builds a *fresh* world under the explorer's
 :class:`~repro.sim.explore.ScheduleController`, runs a deterministic
 workload to completion with a fresh ``TRAILSAN`` sanitizer installed,
-and returns the digests that must be byte-identical on every explored
-schedule.  What a scenario digests — and which choice-point kinds it
-lets the explorer enumerate — is chosen so the digest is exactly the
-set of outcomes the stack *guarantees* independent of scheduling:
+and returns the one digest that must be byte-identical on every
+explored schedule: the outcome the stack *guarantees* independent of
+scheduling.
 
-``crash-recovery`` / ``writeback-faults`` (``ready`` ties)
-    Concurrent LBA-disjoint writers have one correct final **data
-    disk** image no matter how same-time dispatches interleave.  The
-    log disk's byte layout legitimately varies with dispatch order
-    (batching and placement are timing-dependent), so only the data
-    image is digested; the log's correctness is asserted indirectly —
-    recovery must reproduce the unique data image from whatever log
-    the schedule produced, and the sanitizer's tail-chain /
-    pinned-accounting groups must hold at every context switch.
+``crash-recovery`` and ``writeback-faults`` both run concurrent
+LBA-disjoint writers, which have one correct final **data disk**
+image no matter how same-time dispatches interleave.  The log disk's
+byte layout legitimately varies with dispatch order (batching and
+placement are timing-dependent), so only the data image is digested;
+the log's correctness is asserted indirectly — recovery must
+reproduce the unique data image from whatever log the schedule
+produced, and the sanitizer's tail-chain / pinned-accounting groups
+must hold at every context switch.
 
-``two-instance`` (``instance`` interleaving)
-    Cross-instance isolation (PR 8's ``TrailInstance`` contract) means
-    *everything* per-instance is invariant: full disk fingerprints
-    (log bytes included) and per-instance event traces must match the
-    canonical round-robin interleave for every enumerated global
-    order.  Intra-sim ``ready`` ties are *not* explored here — they
-    would legitimately change per-instance traces, which is the other
-    two scenarios' job to vet.
-
-Same-timestamp ready ties are the explored nondeterminism inside one
-simulation; delayed (heap) events pop FIFO per timestamp, the same
-scope the PR 4 perturbation harness exercises.
+Same-timestamp ready ties are the explored nondeterminism; delayed
+(heap) events pop FIFO per timestamp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Generator, List, Mapping, Optional, Tuple
+from typing import Any, Generator, Mapping, Optional
 
 from repro.core.config import TrailConfig
 from repro.core.driver import TrailDriver
@@ -48,14 +37,12 @@ from repro.faults.oracle import DurabilityOracle
 from repro.faults.plan import FaultPlan
 from repro.sim.events import Event
 from repro.sim.explore import (
-    KIND_INSTANCE, KIND_READY, ExplorationReport, Explorer, RunResult,
-    ScenarioRunner, ScheduleController, controlled_simulation, drive,
-    drive_interleaved)
-from repro.sim.kernel import Simulation
+    ExplorationReport, Explorer, RunResult, ScenarioRunner,
+    ScheduleController, controlled_simulation, drive)
 from repro.sim.sanitizer import TrailSanitizer
 
 SECTOR = 512
-#: Writers per instance; spaced so extents never overlap (disjoint
+#: Concurrent writers; spaced so extents never overlap (disjoint
 #: LBA ranges -> a unique correct final data image).
 WRITERS = 3
 ROUNDS = 2
@@ -148,10 +135,7 @@ def _scenario_crash_recovery(
         yield from instance.driver.clean_shutdown()
 
     drive(sim, sim.process(finish(), name="finish"))
-    return RunResult(
-        digests=(_data_digest(instance),),
-        failure=failure,
-        note="recovery ran" if report is not None else "no recovery")
+    return RunResult(digests=(_data_digest(instance),), failure=failure)
 
 
 def _scenario_writeback_faults(
@@ -186,63 +170,13 @@ def _scenario_writeback_faults(
                      failure=_audit_failure(instance, oracle))
 
 
-def _scenario_two_instance(
-        controller: ScheduleController) -> RunResult:
-    """Two full stacks, every bounded interleaving, zero cross-talk.
-
-    Each instance runs its whole lifecycle (mount, disjoint writers,
-    flush, clean shutdown) in its own simulation; the controller picks
-    which instance steps at every global turn.  Full per-instance
-    fingerprints (log bytes included) and event-trace digests must
-    match the canonical round-robin run exactly.
-    """
-    runs: List[Tuple[Simulation, Event]] = []
-    instances: List[Tuple[TrailInstance[DiskDrive], DurabilityOracle]] = []
-    for tag in ("a", "b"):
-        instance = _build_instance(controller)
-        sim = instance.sim
-        driver = instance.driver
-        oracle = DurabilityOracle()
-
-        def lifecycle(sim: Simulation = sim,
-                      driver: TrailDriver = driver,
-                      oracle: DurabilityOracle = oracle,
-                      ) -> Generator[Event, Any, None]:
-            yield from driver.mount()
-            writers = [sim.process(_writer(driver, w, oracle),
-                                   name=f"w{w}")
-                       for w in range(WRITERS)]
-            yield sim.all_of(writers)
-            yield from driver.flush()
-            yield from driver.clean_shutdown()
-
-        runs.append((sim, sim.process(lifecycle(), name=f"life-{tag}")))
-        instances.append((instance, oracle))
-    drive_interleaved(controller, runs)
-    digests: List[str] = []
-    failures: List[str] = []
-    for instance, oracle in instances:
-        digests.append(instance.fingerprint())
-        digests.append(instance.trace_digest())
-        failure = _audit_failure(instance, oracle)
-        if failure is not None:
-            failures.append(failure)
-    return RunResult(digests=tuple(digests),
-                     failure="; ".join(failures) or None)
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """A model-checked scenario: runner + exploration policy."""
+    """A model-checked scenario: its name, summary and runner."""
 
     name: str
     summary: str
     runner: ScenarioRunner
-    #: Choice-point kinds whose outcome the digests are invariant
-    #: under (the only kinds the explorer may enumerate here).
-    explore: Tuple[str, ...]
-    #: What each digest position means, for reporting.
-    digest_names: Tuple[str, ...]
 
 
 # Per-run state lives in each schedule's fresh instances.
@@ -253,23 +187,11 @@ SCENARIOS: Mapping[str, Scenario] = MappingProxyType({
             name="crash-recovery",
             summary="acked writes survive power cut + remount recovery",
             runner=_scenario_crash_recovery,
-            explore=(KIND_READY,),
-            digest_names=("data-image",),
         ),
         Scenario(
             name="writeback-faults",
             summary="write-back under transient data-disk faults",
             runner=_scenario_writeback_faults,
-            explore=(KIND_READY,),
-            digest_names=("data-image",),
-        ),
-        Scenario(
-            name="two-instance",
-            summary="two interleaved instances stay bit-isolated",
-            runner=_scenario_two_instance,
-            explore=(KIND_INSTANCE,),
-            digest_names=("fingerprint-a", "trace-a",
-                          "fingerprint-b", "trace-b"),
         ),
     )
 })
@@ -290,7 +212,6 @@ def explore_scenario(
         budget=budget,
         max_dispatches=max_dispatches,
         stop_on_failure=stop_on_failure,
-        explore=scenario.explore,
     )
     return explorer.run()
 

@@ -6,12 +6,10 @@ processes, one-shot events, shared FIFO resources, and measurement
 probes.
 """
 
-from repro.sim.control import (
-    ControlledReady, DispatchPolicy, SeededShufflePolicy)
+from repro.sim.control import ControlledReady, DispatchPolicy
 from repro.sim.events import Event, Timeout, Condition, all_of, any_of
 from repro.sim.explore import Explorer, ExplorationReport, ScheduleController
 from repro.sim.kernel import Simulation
-from repro.sim.perturb import PerturbedSimulation
 from repro.sim.process import Interrupt, Process, ProcessGenerator
 from repro.sim.resources import Request, Resource, Store
 from repro.sim.sanitizer import TrailSanitizer, sanitizer_from_env
@@ -26,14 +24,12 @@ __all__ = [
     "Explorer",
     "Interrupt",
     "LatencyRecorder",
-    "PerturbedSimulation",
     "PhasedLatencyRecorder",
     "Process",
     "ProcessGenerator",
     "Request",
     "Resource",
     "ScheduleController",
-    "SeededShufflePolicy",
     "Simulation",
     "Store",
     "Timeout",

@@ -3,11 +3,8 @@
 The kernel dispatches same-time events in scheduling (sequence) order.
 Correct components must not *depend* on that tie-break: any total
 order consistent with simulated time is a legal cooperative schedule.
-Two harnesses exercise that freedom — the seeded tie-break
-perturbation (:class:`~repro.sim.perturb.PerturbedSimulation`, PR 4)
-and the bounded schedule explorer (:mod:`repro.sim.explore`) — and
-both used to need their own queue shim.  This module is the single
-override hook they now share.
+The bounded schedule explorer (:mod:`repro.sim.explore`) exercises
+that freedom through the one override hook this module provides.
 
 :class:`ControlledReady` is a drop-in for the kernel's ready deque.
 ``Event.succeed``/``fail`` and zero-delay timeouts append to
@@ -21,17 +18,16 @@ picks which member of that group dispatches next.  Cross-time ordering
 is never altered — only the legal same-time tie-break is.
 
 Only the deque operations the kernel uses are provided (truth value,
-``[0]``, ``append``, ``popleft``, ``len``), and ``[0]`` always answers
+``[0]``, ``append``, ``popleft``), and ``[0]`` always answers
 with the entry ``popleft`` would return, so the kernel's
 ``heap[0] < ready[0]`` merge comparisons stay exact.
 """
 
 from __future__ import annotations
 
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from collections import deque
-from random import Random
 
 from repro.sim.events import Event
 
@@ -44,13 +40,9 @@ class DispatchPolicy:
 
     The base policy reproduces the kernel's FIFO tie-break (always the
     oldest entry), so installing it is behavior-neutral.  Subclasses
-    override :meth:`choose`; :meth:`on_append` / :meth:`on_pop` exist
-    so stateful policies (seeded draws, decision logs) can track queue
-    membership without a second bookkeeping pass.
+    override :meth:`choose`; :meth:`on_pop` lets a stateful policy
+    count dispatches without a second bookkeeping pass.
     """
-
-    def on_append(self, entry: Entry) -> None:
-        """Called once per entry as it enters the ready queue."""
 
     def on_pop(self, entry: Entry) -> None:
         """Called once per entry as it leaves the ready queue."""
@@ -63,45 +55,6 @@ class DispatchPolicy:
         singleton case never consults the policy).
         """
         return 0
-
-
-class SeededShufflePolicy(DispatchPolicy):
-    """Seeded-random tie-breaks: the perturbation harness's policy.
-
-    Each entry gets one RNG draw as it is appended; the front-group
-    member with the smallest ``(draw, arrival)`` key dispatches next.
-    This reproduces — schedule-for-schedule, per seed — the retired
-    ``_PerturbedReady`` heap keyed ``(when, draw, arrival, sequence)``:
-    the front group is exactly the set of minimum-time entries, and the
-    heap's global minimum over that set was the same ``(draw,
-    arrival)`` minimum computed here.
-    """
-
-    __slots__ = ("_rng", "_arrivals", "_draws")
-
-    def __init__(self, rng: Random) -> None:
-        self._rng = rng
-        self._arrivals = 0
-        #: sequence -> (draw, arrival); sequences are unique per sim.
-        self._draws: Dict[int, Tuple[float, int]] = {}
-
-    def on_append(self, entry: Entry) -> None:
-        self._arrivals += 1
-        self._draws[entry[1]] = (self._rng.random(), self._arrivals)
-
-    def on_pop(self, entry: Entry) -> None:
-        self._draws.pop(entry[1], None)
-
-    def choose(self, group: Sequence[Entry]) -> int:
-        draws = self._draws
-        best = 0
-        best_key = draws[group[0][1]]
-        for index in range(1, len(group)):
-            key = draws[group[index][1]]
-            if key < best_key:
-                best = index
-                best_key = key
-        return best
 
 
 class ControlledReady:
@@ -124,7 +77,6 @@ class ControlledReady:
     def append(self, item: Entry) -> None:
         self._head = None
         self._entries.append(item)
-        self._policy.on_append(item)
 
     def _choose(self) -> int:
         head = self._head
@@ -172,6 +124,4 @@ class ControlledReady:
         return bool(self._entries)
 
 
-__all__: List[str] = [
-    "ControlledReady", "DispatchPolicy", "Entry", "SeededShufflePolicy",
-]
+__all__: List[str] = ["ControlledReady", "DispatchPolicy", "Entry"]

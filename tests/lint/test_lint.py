@@ -182,9 +182,17 @@ def test_parse_error_is_reported_as_trl000(tree):
     (tree / "src/repro/broken.py").write_text("def broken(:\n",
                                               encoding="utf-8")
     findings, _ = lint.lint(str(tree))
-    assert [(f.path, f.code) for f in findings] == [
-        ("src/repro/broken.py", "TRL000")]
+    assert [(f.path, f.line, f.col, f.code) for f in findings] == [
+        ("src/repro/broken.py", 1, 12, "TRL000")]
     assert findings[0].message.startswith("syntax error: ")
+
+
+def test_trl000_column_is_the_offending_token(tree):
+    """``SyntaxError.offset`` is already 1-based, like every column."""
+    (tree / "src/repro/broken.py").write_text("z = )\n", encoding="utf-8")
+    findings, _ = lint.lint(str(tree))
+    assert [f.render() for f in findings] == [
+        "src/repro/broken.py:1:5: TRL000 syntax error: unmatched ')'"]
 
 
 def test_a_raising_rule_propagates_out_of_the_run(tree, monkeypatch):

@@ -18,8 +18,7 @@ from repro.errors import ExplorationError
 from repro.sim import Simulation
 from repro.sim.events import Event
 from repro.sim.explore import (
-    KIND_INSTANCE, KIND_READY, Explorer, RunResult, ScheduleController,
-    controlled_simulation, drive, drive_interleaved)
+    Explorer, RunResult, ScheduleController, controlled_simulation, drive)
 
 ROUNDS = 2
 
@@ -69,7 +68,7 @@ class TestScheduleController:
         assert all(p.frontier for p in base.points)
 
         position = base.points[1].position
-        expected = tuple((p.kind, p.size) for p in base.points)
+        expected = tuple(p.size for p in base.points)
         branch = ScheduleController([(position, 1)], expected=expected)
         _race_runner(False)(branch)
         assert branch.executed[position] == 1
@@ -78,27 +77,18 @@ class TestScheduleController:
             [False] * (position + 1) + [True])
 
     def test_replay_shape_mismatch_raises(self):
-        controller = ScheduleController(
-            [(0, 1)], expected=[(KIND_READY, 3)])
+        controller = ScheduleController([(0, 1)], expected=[3])
         sim = Simulation()
         group = [(0.0, 1, sim.event()), (0.0, 2, sim.event())]
         with pytest.raises(ExplorationError, match="nondeterministic"):
             controller.choose(group)
 
     def test_replay_choice_out_of_range_raises(self):
-        controller = ScheduleController(
-            [(0, 5)], expected=[(KIND_READY, 2)])
+        controller = ScheduleController([(0, 5)], expected=[2])
         sim = Simulation()
         group = [(0.0, 1, sim.event()), (0.0, 2, sim.event())]
         with pytest.raises(ExplorationError, match="exceeds"):
             controller.choose(group)
-
-    def test_unexplored_kinds_always_take_the_default(self):
-        controller = ScheduleController(explore=(KIND_INSTANCE,))
-        sim = Simulation()
-        group = [(0.0, 1, sim.event()), (0.0, 2, sim.event())]
-        assert controller.choose(group) == 0
-        assert controller.points == []     # not even recorded
 
     def test_dispatch_budget_flags_livelock(self):
         controller = ScheduleController(max_dispatches=3)
@@ -128,16 +118,6 @@ class TestDriveHelpers:
         orphan = sim.event()
         with pytest.raises(ExplorationError, match="livelock"):
             drive(sim, orphan, max_dispatches=16)
-
-    def test_drive_interleaved_zero_runs_is_a_noop(self):
-        drive_interleaved(ScheduleController(), [])
-
-    def test_drive_interleaved_detects_drained_instance(self):
-        controller = ScheduleController()
-        sim = Simulation()
-        orphan = sim.event()
-        with pytest.raises(ExplorationError, match="deadlock"):
-            drive_interleaved(controller, [(sim, orphan)])
 
 
 class TestExplorer:

@@ -147,7 +147,9 @@ class TestRaidRebuildCommand:
 class TestMcCommand:
     def test_list_and_small_exploration(self, capsys):
         assert main(["mc", "--list"]) == 0
-        assert "crash-recovery" in capsys.readouterr().out
+        listed = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in listed] == [
+            "crash-recovery", "writeback-faults"]
         assert main(["mc", "crash-recovery", "--budget", "3"]) == 0
         out = capsys.readouterr().out
         assert "total: 3 schedules explored" in out

@@ -381,7 +381,7 @@ def check_file(path: str, relpath: str, named: bool) -> List[Finding]:
     except (OSError, UnicodeDecodeError) as exc:
         return [Finding(relpath, 1, 1, "TRL000", f"cannot read file: {exc}")]
     except SyntaxError as exc:
-        return [Finding(relpath, exc.lineno or 1, (exc.offset or 0) + 1,
+        return [Finding(relpath, exc.lineno or 1, exc.offset or 1,
                         "TRL000", f"syntax error: {exc.msg}")]
     findings: Set[Finding] = set()
     for code, check, scope, exempt in RULES:
